@@ -242,7 +242,7 @@ def _run_notions(family: HistoryFamily, rho: DensityOperator,
         elif name == "ordered":
             try:
                 r = check_ordered_consistency(family, rho, (), tol)
-            except PreconditionFailed as exc:
+            except (PreconditionFailed, FamilyTooLarge) as exc:
                 results[name] = NotionResult(None, note=str(exc))
                 continue
         elif name == "sum-rule":

@@ -9,11 +9,15 @@ consistency across medium-decohering families.  Checkers evaluate the
 elementary histories; multilinearity of the chain operator carries each
 verdict to every coarse-graining (the additivity checker verifies this
 by enumeration).
+
+Each checker is a reduction: over the matrix ``D`` of all elementary
+pairs, computed from one chain-operator stack in row blocks of bounded
+size, or over that stack's traces, with the pairs selected by the
+per-slot relation tables of :mod:`qhistories.histories`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,15 +33,18 @@ from .histories import (
     DEFAULT_MEMBER_CAP,
     History,
     HistoryFamily,
-    alternative,
+    alternative_pairs,
     chain_operator,
-    elementary_histories,
-    family_members,
-    history_leq,
-    history_sum,
+    chain_stack,
+    commutative_histories,
+    event_stacks,
+    index_tuples,
     is_commutative,
+    leq_table,
     make_resolution,
-    summable,
+    member_options,
+    relation_tables,
+    summable_slots,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -45,7 +52,6 @@ from .matcore import (
     Projection,
     Tolerances,
     complement,
-    max_norm,
     projector_onto,
     validate_density,
 )
@@ -87,10 +93,6 @@ class ConsistencyReport:
     pair_count: int
 
 
-def _label(h: History) -> str:
-    return h.label if h.label is not None else "?"
-
-
 def decoherence_functional(h1: History, h2: History,
                            rho: DensityOperator) -> complex:
     """``Tr(C_1 rho C_2^dag)`` for the two chain operators."""
@@ -108,34 +110,108 @@ def probability(h: History, rho: DensityOperator) -> float:
     return float(np.trace(c @ rho.matrix @ c.conj().T).real)
 
 
+# Bound on the bytes of one block of decoherence-functional rows, so the
+# pair reductions stay in bounded memory at any family size (the whole
+# matrix for N = 4096 elementary histories would take 268 MB).
+_BLOCK_BYTES = 1 << 24
+
+
+def _decoherence_blocks(chains: np.ndarray, rho: DensityOperator):
+    """Row blocks ``(rows, D[rows, :])`` of ``D[i, j] = Tr(C_i rho C_j^dag)``.
+
+    ``chains`` is an ``(N, d, d)`` chain stack; ``Tr(A B^dag)`` is the
+    sum of ``A * conj(B)``, so each block is one matrix product.
+    """
+    n, d, _ = chains.shape
+    left = (chains @ rho.matrix).reshape(n, d * d)
+    right = chains.reshape(n, d * d).conj().T
+    step = max(1, _BLOCK_BYTES // (right.itemsize * n))
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        yield rows, left[rows] @ right
+
+
+def _probabilities(chains: np.ndarray, rho: DensityOperator) -> np.ndarray:
+    """``Tr(C rho C^dag)`` for every chain in the stack (the diagonal of D)."""
+    return np.einsum("iab,iab->i", chains @ rho.matrix, chains.conj()).real
+
+
+def _chain_traces(chains: np.ndarray, rho: DensityOperator) -> np.ndarray:
+    """``Tr(C rho)`` for every chain in the stack."""
+    return np.einsum("iab,ba->i", chains, rho.matrix)
+
+
+def _worst(values: np.ndarray, mask) -> tuple[float, Optional[int]]:
+    """Largest masked value and its first flat position, or ``(0.0, None)``
+    when no masked value exceeds 0: the running maximum of a loop that
+    starts at 0 and keeps the first strictly larger value."""
+    masked = np.where(mask, values, 0.0).ravel()
+    at = int(np.argmax(masked)) if masked.size else 0
+    if not masked.size or not masked[at] > 0.0:
+        return 0.0, None
+    return float(masked[at]), at
+
+
+def _history_label(labels: Sequence[Sequence[str]], idx) -> str:
+    return "(" + ",".join(labels[k][i] for k, i in enumerate(idx)) + ")"
+
+
+def _elementary_labels(stacks: Sequence[np.ndarray]) -> list[list[str]]:
+    return [[str(i + 1) for i in range(len(s))] for s in stacks]
+
+
+def _member_stacks(family: HistoryFamily, tol: Tolerances, cap: int,
+                   ) -> tuple[list[np.ndarray], list[list[str]]]:
+    """Per-slot option matrices and labels of the family's members."""
+    options = member_options(family, tol, cap)
+    stacks = [np.array([p.matrix for _, p in slot]) for slot in options]
+    return stacks, [[label for label, _ in slot] for slot in options]
+
+
+def _worst_elementary_pair(family: HistoryFamily, rho: DensityOperator,
+                           tol: Tolerances, pairs, residual,
+                           ) -> tuple[float, Optional[tuple[str, str]], int]:
+    """Largest ``residual(D)`` over elementary pairs ``i < j`` in ``pairs``.
+
+    ``pairs(tables, rows, cols)`` selects pairs of index tuples from the
+    slot relation tables.  Ties go to the first pair in lexicographic
+    order; the worst stays 0 with no pair when nothing exceeds 0.
+    """
+    stacks = event_stacks(family)
+    tables = [relation_tables(s, tol) for s in stacks]
+    index = index_tuples(stacks)
+    n = len(index)
+    worst, where, count = 0.0, None, 0
+    for rows, block in _decoherence_blocks(chain_stack(stacks), rho):
+        mask = pairs(tables, index[rows], index)
+        mask &= np.arange(n) > np.arange(rows.start, rows.stop)[:, None]
+        count += int(np.count_nonzero(mask))
+        value, at = _worst(residual(block), mask)
+        if value > worst:
+            worst, where = value, (rows.start + at // n, at % n)
+    pair = None
+    if where is not None:
+        labels = _elementary_labels(stacks)
+        pair = tuple(_history_label(labels, index[i]) for i in where)
+    return worst, pair, count
+
+
 def check_weak_decoherence(family: HistoryFamily, rho: DensityOperator,
                            tol: Tolerances = DEFAULT_TOL) -> ConsistencyReport:
     """``Re D(h1, h2) = 0`` over all summable pairs of elementary histories."""
-    elems = elementary_histories(family)
-    worst, worst_pair, count = 0.0, None, 0
-    for h1, h2 in itertools.combinations(elems, 2):
-        if summable(h1, h2, tol) is None:
-            continue
-        count += 1
-        r = abs(decoherence_functional(h1, h2, rho).real)
-        if r > worst:
-            worst, worst_pair = r, (_label(h1), _label(h2))
-    return ConsistencyReport("weak", worst <= tol.prob, worst_pair, worst, count)
+    worst, pair, count = _worst_elementary_pair(
+        family, rho, tol,
+        lambda tables, rows, cols: summable_slots(tables, rows, cols) > 0,
+        lambda block: np.abs(block.real))
+    return ConsistencyReport("weak", worst <= tol.prob, pair, worst, count)
 
 
 def check_medium_decoherence(family: HistoryFamily, rho: DensityOperator,
                              tol: Tolerances = DEFAULT_TOL) -> ConsistencyReport:
     """``|D(h1, h2)| = 0`` over all alternative pairs of elementary histories."""
-    elems = elementary_histories(family)
-    worst, worst_pair, count = 0.0, None, 0
-    for h1, h2 in itertools.combinations(elems, 2):
-        if not alternative(h1, h2, tol):
-            continue
-        count += 1
-        r = abs(decoherence_functional(h1, h2, rho))
-        if r > worst:
-            worst, worst_pair = r, (_label(h1), _label(h2))
-    return ConsistencyReport("medium", worst <= tol.prob, worst_pair, worst, count)
+    worst, pair, count = _worst_elementary_pair(
+        family, rho, tol, alternative_pairs, np.abs)
+    return ConsistencyReport("medium", worst <= tol.prob, pair, worst, count)
 
 
 def check_linear_positivity(family: HistoryFamily, rho: DensityOperator,
@@ -147,14 +223,13 @@ def check_linear_positivity(family: HistoryFamily, rho: DensityOperator,
     to all coarse-grainings because their chain traces are sums of
     elementary ones.
     """
-    elems = elementary_histories(family)
-    worst, worst_pair = -np.inf, None
-    for h in elems:
-        v = float(np.trace(chain_operator(h) @ rho.matrix).real)
-        if -v > worst:
-            worst, worst_pair = -v, (_label(h), _label(h))
+    stacks = event_stacks(family)
+    negated = -_chain_traces(chain_stack(stacks), rho).real
+    at = int(np.argmax(negated))
+    worst = float(negated[at])
+    label = _history_label(_elementary_labels(stacks), index_tuples(stacks)[at])
     return ConsistencyReport("linear-positive", worst <= tol.prob,
-                             worst_pair, worst, len(elems))
+                             (label, label), worst, len(negated))
 
 
 def check_sum_rule(family: HistoryFamily, rho: DensityOperator,
@@ -164,24 +239,37 @@ def check_sum_rule(family: HistoryFamily, rho: DensityOperator,
 
     Also checks that the elementary probabilities sum to 1.  Raises
     :class:`FamilyTooLarge` past ``cap`` members.  Equivalent to weak
-    decoherence; kept as an independent oracle.
+    decoherence; kept as an independent oracle: it never reads the
+    decoherence-functional matrix, and evaluates each merged member's
+    probability from its own chain operator.
     """
-    members = family_members(family, tol, cap)
-    probs = [probability(m, rho) for m in members]
-    worst, worst_pair, count = 0.0, None, 0
-    for (i, m1), (j, m2) in itertools.combinations(enumerate(members), 2):
-        if summable(m1, m2, tol) is None:
-            continue
-        count += 1
-        s = history_sum(m1, m2, tol)
-        r = abs(probability(s, rho) - probs[i] - probs[j])
-        if r > worst:
-            worst, worst_pair = r, (_label(m1), _label(m2))
-    total = sum(probability(h, rho) for h in elementary_histories(family))
-    norm_defect = abs(total - 1.0)
+    stacks, labels = _member_stacks(family, tol, cap)
+    index = index_tuples(stacks)
+    probs = _probabilities(chain_stack(stacks), rho)
+    slots = summable_slots([relation_tables(s, tol) for s in stacks],
+                           index, index)
+    a, b = np.nonzero(np.triu(slots, 1))
+    merged = []
+    for k, events in enumerate(stacks):
+        slot_events = events[index[a, k]]
+        here = slots[a, b] == k + 1
+        slot_events[here] += events[index[b[here], k]]
+        merged.append(slot_events)
+    chains = merged[0]
+    for slot_events in merged[1:]:
+        chains = slot_events @ chains
+    residuals = np.abs(_probabilities(chains, rho) - probs[a] - probs[b])
+    worst, at = _worst(residuals, True)
+    worst_pair = None
+    if at is not None:
+        worst_pair = (_history_label(labels, index[a[at]]),
+                      _history_label(labels, index[b[at]]))
+    total = np.sum(_probabilities(chain_stack(event_stacks(family)), rho))
+    norm_defect = float(abs(total - 1.0))
     if norm_defect > worst:
         worst, worst_pair = norm_defect, None
-    return ConsistencyReport("sum-rule", worst <= tol.prob, worst_pair, worst, count)
+    return ConsistencyReport("sum-rule", worst <= tol.prob, worst_pair, worst,
+                             len(a))
 
 
 def check_C1_compatibility(h: History, rho: DensityOperator,
@@ -202,19 +290,18 @@ def check_C1_family(family: HistoryFamily, rho: DensityOperator,
                     tol: Tolerances = DEFAULT_TOL) -> ConsistencyReport:
     """Aggregate of :func:`check_C1_compatibility` over the commutative
     elementary histories; non-commutative ones are skipped."""
-    worst, worst_pair, count = 0.0, None, 0
-    for h in elementary_histories(family):
-        if not is_commutative(h, tol):
-            continue
-        count += 1
-        c = chain_operator(h)
-        lhs = float(np.trace(c @ rho.matrix @ c.conj().T).real)
-        rhs = complex(np.trace(c @ rho.matrix))
-        r = abs(lhs - rhs)
-        if r > worst:
-            worst, worst_pair = r, (_label(h), _label(h))
-    return ConsistencyReport("C1-compat", worst <= tol.prob,
-                             worst_pair, worst, count)
+    stacks = event_stacks(family)
+    index = index_tuples(stacks)
+    commutative = commutative_histories(stacks, index, tol)
+    chains = chain_stack(stacks)
+    residuals = np.abs(_probabilities(chains, rho) - _chain_traces(chains, rho))
+    worst, at = _worst(residuals, commutative)
+    worst_pair = None
+    if at is not None:
+        label = _history_label(_elementary_labels(stacks), index[at])
+        worst_pair = (label, label)
+    return ConsistencyReport("C1-compat", worst <= tol.prob, worst_pair, worst,
+                             int(np.count_nonzero(commutative)))
 
 
 def check_ordered_consistency(family: HistoryFamily, rho: DensityOperator,
@@ -239,21 +326,29 @@ def check_ordered_consistency(family: HistoryFamily, rho: DensityOperator,
             raise PreconditionFailed(
                 f"context family {i + 1} is not medium-decohering "
                 f"(worst residual {med.worst_residual:.3e})")
-    own = family_members(family, tol, cap)
-    own_probs = [probability(m, rho) for m in own]
+    own, own_labels = _member_stacks(family, tol, cap)
+    own_index = index_tuples(own)
+    own_probs = _probabilities(chain_stack(own), rho)
     worst, worst_pair, count = 0.0, None, 0
     for fam in (family, *context):
-        others = own if fam is family else family_members(fam, tol, cap)
+        others, other_labels = ((own, own_labels) if fam is family
+                                else _member_stacks(fam, tol, cap))
+        if fam.length != family.length or fam.dim != family.dim:
+            continue
+        other_index = index_tuples(others)
         other_probs = (own_probs if fam is family
-                       else [probability(m, rho) for m in others])
-        for i, h1 in enumerate(own):
-            for j, h2 in enumerate(others):
-                if not history_leq(h1, h2, tol):
-                    continue
-                count += 1
-                violation = own_probs[i] - other_probs[j]
-                if violation > worst:
-                    worst, worst_pair = violation, (_label(h1), _label(h2))
+                       else _probabilities(chain_stack(others), rho))
+        leq = np.ones((len(own_index), len(other_index)), dtype=bool)
+        for k in range(family.length):
+            table = leq_table(own[k], others[k], tol)
+            leq &= table[own_index[:, k, None], other_index[None, :, k]]
+        count += int(np.count_nonzero(leq))
+        violation, at = _worst(own_probs[:, None] - other_probs[None], leq)
+        if violation > worst:
+            i, j = divmod(at, len(other_index))
+            worst, worst_pair = violation, (
+                _history_label(own_labels, own_index[i]),
+                _history_label(other_labels, other_index[j]))
     return ConsistencyReport("ordered", worst <= tol.prob, worst_pair, worst, count)
 
 

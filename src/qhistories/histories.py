@@ -29,6 +29,7 @@ from .matcore import (
     Tolerances,
     commutator,
     max_norm,
+    projection_leq,
     validate_projection,
 )
 
@@ -39,6 +40,7 @@ __all__ = [
     "make_resolution",
     "elementary_histories",
     "family_members",
+    "member_options",
     "family_member_count",
     "is_member",
     "summable",
@@ -47,6 +49,14 @@ __all__ = [
     "chain_operator",
     "history_leq",
     "is_commutative",
+    "event_stacks",
+    "index_tuples",
+    "chain_stack",
+    "relation_tables",
+    "leq_table",
+    "summable_slots",
+    "alternative_pairs",
+    "commutative_histories",
 ]
 
 DEFAULT_MEMBER_CAP = 64
@@ -175,11 +185,12 @@ def family_member_count(family: HistoryFamily) -> int:
     return n
 
 
-def family_members(family: HistoryFamily, tol: Tolerances = DEFAULT_TOL,
-                   cap: int = DEFAULT_MEMBER_CAP) -> list[History]:
-    """All family members: slot-wise sums over nonempty resolution subsets.
+def member_options(family: HistoryFamily, tol: Tolerances = DEFAULT_TOL,
+                   cap: int = DEFAULT_MEMBER_CAP,
+                   ) -> list[list[tuple[str, Projection]]]:
+    """Per slot, every nonempty subset sum of its resolution with its label.
 
-    Labels join the summed 1-based indices with ``+``, e.g. ``"(1+3,2)"``.
+    Labels join the summed 1-based indices with ``+``, e.g. ``"1+3"``.
     Raises :class:`FamilyTooLarge` when the member count exceeds ``cap``.
     """
     count = family_member_count(family)
@@ -196,8 +207,18 @@ def family_members(family: HistoryFamily, tol: Tolerances = DEFAULT_TOL,
                 total = sum(r.events[i].matrix for i in subset)
                 options.append((label, validate_projection(total, tol)))
         per_slot.append(options)
+    return per_slot
+
+
+def family_members(family: HistoryFamily, tol: Tolerances = DEFAULT_TOL,
+                   cap: int = DEFAULT_MEMBER_CAP) -> list[History]:
+    """All family members: slot-wise sums over nonempty resolution subsets.
+
+    Labels join the summed 1-based indices with ``+``, e.g. ``"(1+3,2)"``.
+    Raises :class:`FamilyTooLarge` when the member count exceeds ``cap``.
+    """
     out = []
-    for combo in itertools.product(*per_slot):
+    for combo in itertools.product(*member_options(family, tol, cap)):
         label = "(" + ",".join(part for part, _ in combo) + ")"
         out.append(History(tuple(p for _, p in combo), label))
     return out
@@ -296,13 +317,7 @@ def history_leq(h1: History, h2: History,
     """Slot-wise domination: every event of ``h1`` sits below ``h2``'s."""
     if h1.length != h2.length or h1.dim != h2.dim:
         return False
-    return all(projection_leq_matrix(h1.events[k].matrix, h2.events[k].matrix, tol)
-               for k in range(h1.length))
-
-
-def projection_leq_matrix(p: np.ndarray, q: np.ndarray,
-                          tol: Tolerances = DEFAULT_TOL) -> bool:
-    return max_norm(q @ p - p) <= tol.op
+    return all(projection_leq(a, b, tol) for a, b in zip(h1.events, h2.events))
 
 
 def is_commutative(h: History, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -311,3 +326,93 @@ def is_commutative(h: History, tol: Tolerances = DEFAULT_TOL) -> bool:
         if max_norm(commutator(a.matrix, b.matrix)) > tol.op:
             return False
     return True
+
+
+# Slot-wise stacks and relation tables.  A family's elementary histories
+# (or its members) are the index tuples over per-slot stacks of event
+# matrices, numbered in lexicographic order; every relation between two
+# such histories is a lookup of per-slot tables over their index tuples.
+# The tables apply the same max-norm tests as :func:`summable`,
+# :func:`alternative`, :func:`history_leq` and :func:`is_commutative`,
+# and assume nothing about the events beyond that (a resolution may hold
+# several zero events, which are then both equal and orthogonal).
+
+
+def event_stacks(family: HistoryFamily) -> list[np.ndarray]:
+    """Each slot's resolution events stacked as an ``(n_k, d, d)`` array."""
+    return [np.array([e.matrix for e in r.events]) for r in family.resolutions]
+
+
+def index_tuples(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """``(N, L)`` array of every history's slot indices, lexicographic."""
+    sizes = [len(s) for s in stacks]
+    return np.indices(sizes).reshape(len(sizes), -1).T
+
+
+def chain_stack(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """``(N, d, d)`` chain operators of every history over ``stacks``.
+
+    One batched product per slot, each applying the later event on the
+    left as :func:`chain_operator` does, in :func:`index_tuples` order.
+    """
+    chains = stacks[0]
+    d = chains.shape[-1]
+    for events in stacks[1:]:
+        chains = (events[None] @ chains[:, None]).reshape(-1, d, d)
+    return chains
+
+
+def _max_norms(stack: np.ndarray) -> np.ndarray:
+    return np.abs(stack).max(axis=(-2, -1))
+
+
+def relation_tables(events: np.ndarray, tol: Tolerances = DEFAULT_TOL,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``equal[i, j]`` and ``orthogonal[i, j]`` over one slot's events."""
+    equal = _max_norms(events[:, None] - events[None]) <= tol.op
+    small = _max_norms(events[:, None] @ events[None]) <= tol.op
+    return equal, small & small.T
+
+
+def leq_table(lower: np.ndarray, upper: np.ndarray,
+              tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """``leq[i, j]``: ``lower[i]`` is dominated by ``upper[j]``."""
+    return _max_norms(upper[None] @ lower[:, None] - lower[:, None]) <= tol.op
+
+
+def summable_slots(tables: Sequence[tuple[np.ndarray, np.ndarray]],
+                   rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """:func:`summable` for every pair of index tuples ``rows[a], cols[b]``.
+
+    ``tables`` holds one :func:`relation_tables` pair per slot.  Entries
+    are the 1-based merge slot, or 0 where the pair is not summable.
+    """
+    slot = np.zeros((len(rows), len(cols)), dtype=np.intp)
+    ok = np.ones(slot.shape, dtype=bool)
+    for k, (equal, orthogonal) in enumerate(tables):
+        at = (rows[:, k, None], cols[None, :, k])
+        same = equal[at]
+        merge = orthogonal[at] & ~same
+        ok &= (same | merge) & ~(merge & (slot > 0))
+        slot[merge] = k + 1
+    return np.where(ok, slot, 0)
+
+
+def alternative_pairs(tables: Sequence[tuple[np.ndarray, np.ndarray]],
+                      rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """:func:`alternative` for every pair of index tuples ``rows[a], cols[b]``."""
+    out = np.zeros((len(rows), len(cols)), dtype=bool)
+    for k, (_, orthogonal) in enumerate(tables):
+        out |= orthogonal[rows[:, k, None], cols[None, :, k]]
+    return out
+
+
+def commutative_histories(stacks: Sequence[np.ndarray], index: np.ndarray,
+                          tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """:func:`is_commutative` for every history, from slot-pair tables."""
+    out = np.ones(len(index), dtype=bool)
+    for k, m in itertools.combinations(range(len(stacks)), 2):
+        a, b = stacks[k][:, None], stacks[m][None]
+        commute = _max_norms(a @ b - b @ a) <= tol.op
+        out &= commute[index[:, k], index[:, m]]
+    return out

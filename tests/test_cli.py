@@ -226,6 +226,33 @@ def test_check_subset_and_inapplicable_notions(tmp_path, capsys):
     assert "only defined for 2-slot families" in capsys.readouterr().out
 
 
+def test_check_reports_uncapped_notions_on_large_families(tmp_path):
+    """343 members: sum-rule and ordered are n/a with the cap note and the
+    other notions are still reported; exit 1, never 2."""
+    ops = {f"P{k + 1}": np.diag([1.0 if i == k else 0.0 for i in range(3)])
+           for k in range(3)}
+    ops["rho"] = np.diag([0.2, 0.3, 0.5])
+    problem = ProblemFile(dim=3, operators=ops,
+                          resolutions=[["P1", "P2", "P3"]] * 3,
+                          state="rho", mirrors=None)
+    path = tmp_path / "large.json"
+    path.write_text(serialize_problem(problem))
+    out = tmp_path / "report.json"
+    for extra, capped in (([], ("ordered", "sum-rule")),
+                          (["--notions", "weak,medium,ordered"], ("ordered",))):
+        rc = main(["check", str(path), "--format", "report",
+                   "--out", str(out), *extra])
+        assert rc == 1
+        report = ReportFile.loads(out.read_text())
+        for name, result in report.notions.items():
+            if name in capped:
+                assert result.verdict is None
+                assert "343 members" in result.note
+            else:
+                assert result.verdict is True, name
+        out.unlink()
+
+
 def test_check_rejects_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
