@@ -3,7 +3,7 @@
 Chain operators, decoherence functionals and the usual consistency
 notions (weak, medium, linear positivity, ordered, sum rule, product
 trace compatibility), plus mirror projections for 2-event histories:
-verification, search, self-decoherence of families, occurrence
+verification, the least mirror, self-decoherence of families, occurrence
 probabilities, join additivity consequences, probability bounds for
 contrary pairs, and mixture/component individuality probes.
 """
@@ -85,17 +85,14 @@ from .matcore import (
     DensityOperator,
     Projection,
     Tolerances,
-    commutant_basis,
     commutator,
     complement,
-    hermitian_basis,
     identity_projection,
     is_orthogonal,
     join,
     max_norm,
     projection_leq,
     projector_onto,
-    spectral_decomposition,
     validate_density,
     validate_projection,
     zero_projection,
@@ -105,15 +102,13 @@ from .mirror import (
     MirrorCertificate,
     OccurrenceProbability,
     Proposition1Report,
-    SearchOptions,
     SelfDecoherenceReport,
     check_self_decoherence,
     contrary_bound_check,
-    mirror_candidates,
+    least_mirror,
     mirror_correlation,
     occurrence_probability,
     proposition1_check,
-    search_mirror,
     verify_mirror,
 )
 from .sampling import (
@@ -142,4 +137,4 @@ from .scenarios import (
     linear_positivity_violation_possible,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -42,12 +42,11 @@ from ..individuality import mixture
 from ..matcore import DensityOperator, Projection, Tolerances, validate_projection
 from ..mirror import (
     MirrorCertificate,
-    SearchOptions,
     check_self_decoherence,
     contrary_bound_check,
+    least_mirror,
     occurrence_probability,
     proposition1_check,
-    search_mirror,
     verify_mirror,
 )
 from ..scenarios import (
@@ -85,8 +84,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="eigenvalue classification bound")
     parser.add_argument("--tol-prob", type=float, default=1e-9,
                         help="probability equality bound")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized candidate generation")
     parser.add_argument("--format", choices=("table", "report"),
                         default="table", help="output rendering")
     parser.add_argument("--out", type=Path, default=None,
@@ -137,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=3)
     _add_common(p)
 
-    p = sub.add_parser("mirror", help="verify or search mirror projections")
+    p = sub.add_parser("mirror", help="verify or construct mirror projections")
     msub = p.add_subparsers(dest="mirror_command", required=True)
     v = msub.add_parser("verify", help="verify a named candidate")
     v.add_argument("--problem", type=Path, required=True)
@@ -145,10 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="elementary history label, e.g. \"(1,2)\"")
     v.add_argument("--mirror", required=True, help="operator name")
     _add_common(v)
-    s = msub.add_parser("search", help="search the commutant for a mirror")
+    s = msub.add_parser("search", help="decide whether a mirror exists and "
+                                       "report the least one")
     s.add_argument("--problem", type=Path, required=True)
     s.add_argument("--history", required=True)
-    s.add_argument("--max-candidates", type=int, default=256)
     _add_common(s)
 
     p = sub.add_parser("prop1", help="join additivity and cross-term check")
@@ -227,7 +224,7 @@ def _cert_result(cert: MirrorCertificate,
 
 
 def _run_notions(family: HistoryFamily, rho: DensityOperator,
-                 requested: list[str], tol: Tolerances, seed: int,
+                 requested: list[str], tol: Tolerances,
                  provided=None) -> tuple[dict[str, NotionResult],
                                          Optional[SelfDecoherenceSummary]]:
     results: dict[str, NotionResult] = {}
@@ -263,8 +260,7 @@ def _run_notions(family: HistoryFamily, rho: DensityOperator,
                 results[name] = NotionResult(
                     None, note="only defined for 2-slot families")
                 continue
-            sd = check_self_decoherence(family, rho, provided, tol,
-                                        SearchOptions(seed=seed))
+            sd = check_self_decoherence(family, rho, provided, tol)
             summary = SelfDecoherenceSummary(sd.verdict,
                                              _mirror_statuses(sd, provided))
             results[name] = NotionResult(sd.verdict,
@@ -297,12 +293,11 @@ def _cmd_check(args) -> int:
         requested = [n.strip() for n in args.notions.split(",") if n.strip()]
         if not requested:
             raise BadParameters("empty --notions list")
-    results, summary = _run_notions(family, rho, requested, tol, args.seed,
+    results, summary = _run_notions(family, rho, requested, tol,
                                     provided or None)
     report = ReportFile(
         tool="qhistories", version=_tool_version(),
         tolerances={"op": tol.op, "eig": tol.eig, "prob": tol.prob},
-        seed=args.seed,
         notions={n: results[n] for n in requested},
         probabilities=_elementary_probabilities(family, rho, tol),
         self_decoherence=summary,
@@ -314,11 +309,9 @@ def _cmd_check(args) -> int:
 def _cmd_example1(args) -> int:
     tol = _tolerances(args)
     instance = build_example1(args.theta, args.alpha, args.dim, tol)
-    rho = {"rho": instance.rho, "rho1": instance.rho1,
-           "rho2": instance.rho2}[args.state]
+    rho = getattr(instance, args.state)
     requested = list(NOTION_ORDER)
-    results, summary = _run_notions(instance.family, rho, requested, tol,
-                                    args.seed)
+    results, summary = _run_notions(instance.family, rho, requested, tol)
     probabilities = _elementary_probabilities(instance.family, rho, tol)
     p_coarse = probability(instance.h_coarse, rho)
     probabilities[instance.h_coarse.label] = ProbabilityValue(
@@ -341,7 +334,6 @@ def _cmd_example1(args) -> int:
     report = ReportFile(
         tool="qhistories", version=_tool_version(),
         tolerances={"op": tol.op, "eig": tol.eig, "prob": tol.prob},
-        seed=args.seed,
         notions=results,
         probabilities=probabilities,
         notes=tuple(notes),
@@ -357,8 +349,7 @@ def _cmd_example2(args) -> int:
     cert_t = verify_mirror(model.t, model.h1, model.rho, tol)
     cert_u = verify_mirror(model.u, model.h2, model.rho, tol)
     sd = check_self_decoherence(model.family, model.rho,
-                                model.provided_mirrors, tol,
-                                SearchOptions(seed=args.seed))
+                                model.provided_mirrors, tol)
     prop = proposition1_check(model.t, model.u, model.h1, model.h2,
                               model.psi, tol)
     bound = contrary_bound_check(model.h1, model.h2, (cert_t, cert_u),
@@ -396,7 +387,6 @@ def _cmd_example2(args) -> int:
     report = ReportFile(
         tool="qhistories", version=_tool_version(),
         tolerances={"op": tol.op, "eig": tol.eig, "prob": tol.prob},
-        seed=args.seed,
         notions=notions,
         probabilities=probabilities,
         notes=tuple(notes),
@@ -423,21 +413,15 @@ def _cmd_sweep(args) -> int:
     any_fail = False
     for value in values:
         v = float(value)
-        if args.param == "theta":
-            instance = build_example1(v, args.alpha, args.dim, tol)
-        else:
-            instance = build_example1(args.theta, args.alpha, args.dim, tol)
+        instance = build_example1(v if args.param == "theta" else args.theta,
+                                  v if args.param == "alpha" else args.alpha,
+                                  args.dim, tol)
         if args.param == "lam":
             if not 0.0 < v < 1.0:
                 raise BadParameters(f"lam value {v} outside (0, 1)")
             rho = mixture(instance.rho1, instance.rho2, v, tol)
-        elif args.param == "alpha":
-            instance = build_example1(args.theta, v, args.dim, tol)
-            rho = {"rho": instance.rho, "rho1": instance.rho1,
-                   "rho2": instance.rho2}[args.state]
         else:
-            rho = {"rho": instance.rho, "rho1": instance.rho1,
-                   "rho2": instance.rho2}[args.state]
+            rho = getattr(instance, args.state)
         weak = check_weak_decoherence(instance.family, rho, tol)
         medium = check_medium_decoherence(instance.family, rho, tol)
         linpos = check_linear_positivity(instance.family, rho, tol)
@@ -477,22 +461,15 @@ def _cmd_mirror(args) -> int:
             f"against Tr(E1 rho) {cert.residual_m2[1]:.3e}",
         )
     else:
-        options = SearchOptions(seed=args.seed,
-                                max_candidates=args.max_candidates)
-        cert = search_mirror(h, rho, options, tol)
-        if cert is None:
-            notions = {"mirror-search": NotionResult(
-                False, note="not found; candidate budget exhausted, "
-                            "not a nonexistence proof")}
-            notes = ()
-        else:
-            notions = {"mirror-search": _cert_result(
-                cert, note=f"found mirror of rank {cert.mirror.rank}")}
-            notes = ()
+        cert = least_mirror(h, rho, tol)
+        notions = {"mirror-search": _cert_result(
+            cert, note=(f"least mirror of rank {cert.mirror.rank}"
+                        if cert.verified else "no mirror exists"))}
+        notes = ()
     report = ReportFile(
         tool="qhistories", version=_tool_version(),
         tolerances={"op": tol.op, "eig": tol.eig, "prob": tol.prob},
-        seed=args.seed, notions=notions, notes=notes,
+        notions=notions, notes=notes,
     )
     _emit_report(args, report)
     return _exit_code(report)
@@ -515,7 +492,6 @@ def _cmd_prop1(args) -> int:
     report = ReportFile(
         tool="qhistories", version=_tool_version(),
         tolerances={"op": tol.op, "eig": tol.eig, "prob": tol.prob},
-        seed=args.seed,
         notions={"prop1": NotionResult(prop.passed, worst_residual=max(
             prop.orthogonality_residual, prop.join_additivity_residual,
             prop.cross_term_residual))},

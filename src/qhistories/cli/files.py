@@ -296,7 +296,6 @@ class ReportFile:
     tool: str
     version: str
     tolerances: dict[str, float]
-    seed: Optional[int]
     notions: dict[str, NotionResult]
     probabilities: dict[str, ProbabilityValue] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
@@ -307,7 +306,6 @@ class ReportFile:
             "tool": self.tool,
             "version": self.version,
             "tolerances": dict(self.tolerances),
-            "seed": self.seed,
             "notions": {
                 name: {
                     "verdict": n.verdict,
@@ -361,7 +359,6 @@ class ReportFile:
                 version=data["version"],
                 tolerances={k: float(v)
                             for k, v in data["tolerances"].items()},
-                seed=data["seed"],
                 notions=notions,
                 probabilities=probabilities,
                 notes=tuple(data.get("notes", [])),
@@ -391,7 +388,7 @@ def report_table(report: ReportFile) -> str:
     """Fixed-width rendering of a report for terminals."""
     t = report.tolerances
     lines = [
-        f"{report.tool} {report.version}  seed={report.seed}  "
+        f"{report.tool} {report.version}  "
         f"tol op={t['op']:g} eig={t['eig']:g} prob={t['prob']:g}",
         "",
         f"{'notion':<18}{'verdict':<9}{'worst residual':<17}"

@@ -37,13 +37,7 @@ from .matcore import (
     max_norm,
     validate_density,
 )
-from .mirror import (
-    MirrorCertificate,
-    SearchOptions,
-    check_self_decoherence,
-    mirror_candidates,
-    verify_mirror,
-)
+from .mirror import MirrorCertificate, check_self_decoherence, least_mirror
 
 __all__ = [
     "PropertyPredicate",
@@ -95,21 +89,18 @@ def linear_positivity_property(family: HistoryFamily,
 
 def self_decoherence_property(family: HistoryFamily,
                               tol: Tolerances = DEFAULT_TOL,
-                              options: SearchOptions = SearchOptions(),
                               provided: Optional[Mapping[str, Projection]] = None,
                               ) -> PropertyPredicate:
-    """Self-decoherence as a predicate.  Candidate lists are state
-    independent, so they are built once and reused for every state the
-    predicate is evaluated on; a mirror found for the mixture is
-    therefore retried verbatim on each component."""
-    cache: dict = {}
+    """Self-decoherence as a predicate, decided afresh for each state.
 
-    def evaluate(rho: DensityOperator) -> bool:
-        report = check_self_decoherence(family, rho, provided, tol, options,
-                                        candidate_cache=cache)
-        return report.verdict
-
-    return PropertyPredicate("self-decoherence", evaluate)
+    A mirror of a mixture is a mirror of each component: its two
+    positive defect operators vanish on the mixture's support, which
+    contains each component's.  So the predicate has no individuality
+    witness.
+    """
+    return PropertyPredicate(
+        "self-decoherence",
+        lambda rho: check_self_decoherence(family, rho, provided, tol).verdict)
 
 
 def mixture(rho1: DensityOperator, rho2: DensityOperator, lam: float,
@@ -217,11 +208,11 @@ def mirror_component_decomposition(t: Projection, e1: Projection,
 
 @dataclass(frozen=True, eq=False)
 class ConditionCProbe:
-    """Mirror search outcomes for two pure states and their superposition.
+    """Least-mirror outcomes for two pure states and their superposition.
 
-    ``flagged`` marks the suggestive pattern (mirrors for both branches,
-    none found for the sum).  A missing mirror only means the candidate
-    budget was exhausted, so a flag is a lead, not a proof.
+    Each ``found_*`` is the verified least mirror, or ``None`` when no
+    mirror exists.  ``flagged`` marks mirrors for both branches and none
+    for the sum; since existence is decided, a flag is a proof.
     """
 
     found_1: Optional[MirrorCertificate]
@@ -235,10 +226,8 @@ class ConditionCProbe:
 
 
 def condition_C_probe(h: History, psi1, psi2,
-                      tol: Tolerances = DEFAULT_TOL,
-                      options: SearchOptions = SearchOptions(),
-                      ) -> ConditionCProbe:
-    """Search for mirrors of ``h`` for two branch vectors and their
+                      tol: Tolerances = DEFAULT_TOL) -> ConditionCProbe:
+    """Decide mirrors of ``h`` for two branch vectors and their
     normalized sum."""
     psi1 = np.asarray(psi1, dtype=complex).reshape(-1)
     psi2 = np.asarray(psi2, dtype=complex).reshape(-1)
@@ -253,15 +242,10 @@ def condition_C_probe(h: History, psi1, psi2,
     if nt <= tol.op:
         raise BadParameters("branch vectors cancel")
     total = total / nt
-    candidates = mirror_candidates(h, tol, options)
 
-    def first_verified(vec) -> Optional[MirrorCertificate]:
+    def found(vec) -> Optional[MirrorCertificate]:
         rho = validate_density(np.outer(vec, vec.conj()), tol)
-        for cand in candidates:
-            cert = verify_mirror(cand, h, rho, tol)
-            if cert.verified:
-                return cert
-        return None
+        cert = least_mirror(h, rho, tol)
+        return cert if cert.verified else None
 
-    return ConditionCProbe(first_verified(psi1), first_verified(psi2),
-                           first_verified(total))
+    return ConditionCProbe(found(psi1), found(psi2), found(total))

@@ -3,8 +3,7 @@
 Validated operator types (projections, density operators) over small
 complex matrices, plus the spectral and lattice operations the
 consistency and mirror checkers are built on: commutators, the
-projection order and join, eigenvalue clustering, and Hermitian
-commutant bases.
+projection order and join, and orthonormal bases of ranges.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -13,8 +12,6 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import (
@@ -41,10 +38,8 @@ __all__ = [
     "commutator",
     "is_orthogonal",
     "projection_leq",
+    "range_basis",
     "join",
-    "spectral_decomposition",
-    "hermitian_basis",
-    "commutant_basis",
 ]
 
 
@@ -217,101 +212,19 @@ def projection_leq(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) 
     return max_norm(q.matrix @ p.matrix - p.matrix) <= tol.op
 
 
+def range_basis(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal columns spanning the range of ``a``.
+
+    The columns are orthonormalized by SVD and singular values above
+    ``tol.eig`` decide the rank, so every subspace rank decision
+    happens here.
+    """
+    u, s, _ = np.linalg.svd(np.asarray(a))
+    return u[:, :int(np.sum(s > tol.eig))]
+
+
 def join(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
-    """Least projection dominating both: the projection onto ran(p) + ran(q).
-
-    The concatenated columns are orthonormalized by SVD; singular values
-    above ``tol.eig`` decide the rank, so the rank decision happens in
-    exactly one place.
-    """
+    """Least projection dominating both: the projection onto ran(p) + ran(q)."""
     _same_dim(p.matrix, q.matrix)
-    stacked = np.hstack([p.matrix, q.matrix])
-    u, s, _ = np.linalg.svd(stacked)
-    r = int(np.sum(s > tol.eig))
-    v = u[:, :r]
+    v = range_basis(np.hstack([p.matrix, q.matrix]), tol)
     return validate_projection(v @ v.conj().T, tol)
-
-
-def spectral_decomposition(entries, tol: Tolerances = DEFAULT_TOL,
-                           ) -> list[tuple[float, Projection]]:
-    """Eigenvalue clusters of a Hermitian matrix with their eigenprojections.
-
-    Eigenvalues closer than ``tol.eig`` are merged into one cluster;
-    returned pairs ``(mean eigenvalue, projection)`` are in ascending
-    eigenvalue order and the projections resolve the identity.
-    """
-    m = square_matrix(entries)
-    herm = max_norm(m - m.conj().T)
-    if herm > tol.op:
-        raise NotHermitian(
-            f"spectral decomposition needs a Hermitian matrix (residual {herm:.3e})",
-            herm)
-    w, v = np.linalg.eigh(m)
-    out: list[tuple[float, Projection]] = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > tol.eig:
-            block = v[:, start:i]
-            proj = validate_projection(block @ block.conj().T, tol)
-            out.append((float(np.mean(w[start:i])), proj))
-            start = i
-    return out
-
-
-def hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Orthonormal (Hilbert-Schmidt) basis of the Hermitian dim x dim matrices."""
-    out: list[np.ndarray] = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[i, i] = 1.0
-        out.append(e)
-    inv = 1.0 / np.sqrt(2.0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = inv
-            e[j, i] = inv
-            out.append(e)
-            f = np.zeros((dim, dim), dtype=complex)
-            f[i, j] = -1j * inv
-            f[j, i] = 1j * inv
-            out.append(f)
-    return out
-
-
-def commutant_basis(generators: Sequence, tol: Tolerances = DEFAULT_TOL,
-                    ) -> list[np.ndarray]:
-    """Hermitian basis of ``{X : [X, G] = 0 for every generator G}``.
-
-    The commutation constraints are a homogeneous linear system in the
-    real coordinates of a Hermitian matrix; its null space is taken by
-    SVD with singular-value cutoff ``tol.eig``.  Returned elements are
-    Hermitian, Hilbert-Schmidt orthonormal, and each commutes with every
-    generator to within ``10 * tol.op``.
-    """
-    gens = [square_matrix(g) for g in generators]
-    if not gens:
-        raise DimensionMismatch("need at least one generator")
-    d = gens[0].shape[0]
-    for g in gens[1:]:
-        _same_dim(gens[0], g)
-    basis = hermitian_basis(d)
-    rows = []
-    for g in gens:
-        for b in basis:
-            c = (b @ g - g @ b).ravel()
-            rows.append(np.concatenate([c.real, c.imag]))
-    # constraint matrix maps Hermitian-basis coefficients to stacked
-    # commutator entries; its null space is the commutant
-    a = np.array(rows).reshape(len(gens), len(basis), 2 * d * d)
-    a = np.concatenate([blk.T for blk in a], axis=0)
-    _, s, vh = np.linalg.svd(a)
-    null = [vh[i] for i in range(vh.shape[0])
-            if i >= len(s) or s[i] <= tol.eig]
-    out = []
-    for coeff in null:
-        x = sum(c * b for c, b in zip(coeff, basis))
-        x = np.asarray(x)
-        x.setflags(write=False)
-        out.append(x)
-    return out

@@ -6,23 +6,24 @@ on ``rho``: ``Tr(t e1 rho) = Tr(t rho) = Tr(e1 rho)``.  When every
 elementary history of a 2-slot family has one, the family is
 self-decohering and each history gets an occurrence probability that
 can be computed three independent ways.  The checkers here verify
-candidate mirrors, search for them over the commutant of the two
-events, and test the join-additivity and probability-bound consequences
-for pairs of mirrored histories with orthogonal first events.
+mirrors, construct the least one, and test the join-additivity and
+probability-bound consequences for pairs of mirrored histories with
+orthogonal first events.
 
-Search is sound but not complete: a returned certificate is verified,
-while "not found" is an exhausted candidate budget, not a proof of
-nonexistence.
+The construction decides existence: :func:`least_mirror` returns a
+verified certificate iff some mirror exists, and every mirror dominates
+the one it returns.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, MutableMapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
+from .consistency import probability
 from .errors import (
     IdentityChainMismatch,
     MirrorNotVerified,
@@ -44,11 +45,10 @@ from .matcore import (
     DensityOperator,
     Projection,
     Tolerances,
-    commutant_basis,
     commutator,
     join,
     max_norm,
-    spectral_decomposition,
+    range_basis,
     validate_density,
     validate_projection,
 )
@@ -56,14 +56,12 @@ from .matcore import (
 __all__ = [
     "MirrorCertificate",
     "SelfDecoherenceReport",
-    "SearchOptions",
     "OccurrenceProbability",
     "Proposition1Report",
     "ContraryBoundReport",
     "verify_mirror",
     "mirror_correlation",
-    "mirror_candidates",
-    "search_mirror",
+    "least_mirror",
     "check_self_decoherence",
     "occurrence_probability",
     "proposition1_check",
@@ -92,24 +90,17 @@ class MirrorCertificate:
 class SelfDecoherenceReport:
     """Mirror status of every elementary history of a 2-slot family.
 
-    ``coarse_sum_mirrors`` records, for summable pairs whose mirrors are
-    orthogonal, whether the mirror sum verifies against the history sum.
-    It is informational only and never affects the verdict.
+    ``per_history[label]`` is ``None`` exactly when the history has no
+    provided mirror and no mirror exists.  ``coarse_sum_mirrors``
+    records, for summable pairs whose mirrors are orthogonal, whether
+    the mirror sum verifies against the history sum.  It is
+    informational only and never affects the verdict.
     """
 
     family: HistoryFamily
     per_history: dict[str, Optional[MirrorCertificate]]
     verdict: bool
     coarse_sum_mirrors: dict[str, bool] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    """Budget knobs for :func:`search_mirror`."""
-
-    seed: int = 0
-    max_candidates: int = 256
-    cluster_subset_cap: int = 1024
 
 
 def verify_mirror(t: Projection, h: History, rho: DensityOperator,
@@ -149,82 +140,57 @@ def mirror_correlation(t: Projection, e1: Projection, rho: DensityOperator,
     return tr_te1 / tr_e1, tr_te1 / tr_t
 
 
-def mirror_candidates(h: History, tol: Tolerances = DEFAULT_TOL,
-                      options: SearchOptions = SearchOptions(),
-                      ) -> list[Projection]:
-    """Deterministic candidate list for a mirror of ``h``.
+def least_mirror(h: History, rho: DensityOperator,
+                 tol: Tolerances = DEFAULT_TOL) -> MirrorCertificate:
+    """Certificate for the least mirror candidate of ``h`` for ``rho``.
 
-    Stages: the first event itself when the two events commute; every
-    cluster-subset sum of the spectral projections of each commutant
-    basis element (capped); then seeded random commutant combinations
-    rounded to projections at the midpoint of their spectral range.
-    The list depends only on the events, never on a state.
+    A mirror ``t`` commutes with ``e1`` and ``e2``, and both
+    ``t (1 - e1)`` and ``(1 - t) e1`` are positive operators with zero
+    expectation on ``rho``, so they vanish on its support.  Hence the
+    range of ``t`` contains ``V``, the smallest subspace that holds
+    ``e1 supp(rho)`` and is invariant under ``e1`` and ``e2``: the
+    cyclic subspace for the algebra the two events generate (Halmos,
+    "Two subspaces", Trans. AMS 144 (1969)).  An invariant subspace of
+    a Hermitian operator reduces it, so ``P_V`` commutes with both
+    events and is a mirror iff ``P_V (1 - e1) supp(rho) = 0``, which
+    holds whenever any mirror exists.  The returned certificate
+    therefore verifies iff a mirror exists, and every mirror dominates
+    its projection; when it does not verify, its residuals measure the
+    obstruction.
+
+    The support takes the eigenvectors of ``rho`` above ``tol.eig`` in
+    full, whatever their weight, and ``V`` grows by
+    ``V <- ran[V, e1 V, e2 V]`` (rank at ``tol.eig``) until its rank
+    stops growing.  A support direction of weight just above
+    ``tol.eig`` can thus rule out every mirror while a provided
+    projection passes :func:`verify_mirror`, which bounds trace
+    residuals by ``tol.prob``.
     """
     if h.length != 2:
         raise WrongHistoryLength(
             f"mirrors are defined for 2-event histories, got {h.length} events")
-    e1, e2 = h.events
-    out: list[Projection] = []
-    seen: set[bytes] = set()
-
-    def push(mat: np.ndarray) -> None:
-        key = np.round(mat, 9).tobytes()
-        if key in seen:
-            return
-        seen.add(key)
-        out.append(validate_projection(mat, tol))
-
-    if max_norm(commutator(e1.matrix, e2.matrix)) <= tol.op:
-        push(np.asarray(e1.matrix))
-    basis = commutant_basis([e1.matrix, e2.matrix], tol)
-    for b in basis:
-        clusters = [p.matrix for _, p in spectral_decomposition(b, tol)]
-        n_subsets = min(2 ** len(clusters), options.cluster_subset_cap)
-        for mask in range(n_subsets):
-            mat = np.zeros((h.dim, h.dim), dtype=complex)
-            for i, c in enumerate(clusters):
-                if mask >> i & 1:
-                    mat = mat + c
-            push(mat)
-    rng = np.random.default_rng(options.seed)
-    for _ in range(options.max_candidates):
-        coeff = rng.standard_normal(len(basis))
-        x = sum(c * b for c, b in zip(coeff, basis))
-        w, v = np.linalg.eigh(x)
-        span = w[-1] - w[0]
-        if span <= tol.eig:
-            continue
-        sel = (w - w[0]) / span >= 0.5
-        block = v[:, sel]
-        push(block @ block.conj().T)
-    return out
-
-
-def search_mirror(h: History, rho: DensityOperator,
-                  options: SearchOptions = SearchOptions(),
-                  tol: Tolerances = DEFAULT_TOL,
-                  ) -> Optional[MirrorCertificate]:
-    """First verified mirror among :func:`mirror_candidates`, else ``None``."""
-    for t in mirror_candidates(h, tol, options):
-        cert = verify_mirror(t, h, rho, tol)
-        if cert.verified:
-            return cert
-    return None
+    e1, e2 = (e.matrix for e in h.events)
+    w, vecs = np.linalg.eigh(rho.matrix)
+    v = range_basis(e1 @ vecs[:, w > tol.eig], tol)
+    for _ in range(h.dim):
+        grown = range_basis(np.hstack([v, e1 @ v, e2 @ v]), tol)
+        if grown.shape[1] == v.shape[1]:
+            break
+        v = grown
+    return verify_mirror(validate_projection(v @ v.conj().T, tol), h, rho, tol)
 
 
 def check_self_decoherence(family: HistoryFamily, rho: DensityOperator,
                            provided: Optional[Mapping[str, Projection]] = None,
                            tol: Tolerances = DEFAULT_TOL,
-                           options: SearchOptions = SearchOptions(),
-                           candidate_cache: Optional[MutableMapping] = None,
                            ) -> SelfDecoherenceReport:
     """Mirror status for every elementary history of a 2-slot family.
 
-    ``provided`` assigns candidate mirrors by elementary label (the
-    assignment is verified, not trusted); unassigned histories go
-    through :func:`search_mirror`.  ``candidate_cache`` may be shared
-    across calls with the same family to reuse the state-independent
-    candidate lists.
+    ``provided`` assigns mirrors by elementary label.  The assignment
+    is verified, not trusted, and it is final: a provided mirror that
+    fails verification makes the verdict False even if some other
+    mirror exists.  Unassigned histories get :func:`least_mirror`'s
+    certificate when it verifies and ``None`` when no mirror exists.
     """
     elems = elementary_histories(family)
     for h in elems:
@@ -235,20 +201,9 @@ def check_self_decoherence(family: HistoryFamily, rho: DensityOperator,
     for h in elems:
         if provided is not None and h.label in provided:
             per[h.label] = verify_mirror(provided[h.label], h, rho, tol)
-            continue
-        if candidate_cache is not None and h.label in candidate_cache:
-            candidates = candidate_cache[h.label]
         else:
-            candidates = mirror_candidates(h, tol, options)
-            if candidate_cache is not None:
-                candidate_cache[h.label] = candidates
-        found = None
-        for t in candidates:
-            cert = verify_mirror(t, h, rho, tol)
-            if cert.verified:
-                found = cert
-                break
-        per[h.label] = found
+            cert = least_mirror(h, rho, tol)
+            per[h.label] = cert if cert.verified else None
     verdict = all(c is not None and c.verified for c in per.values())
     coarse: dict[str, bool] = {}
     for h1, h2 in itertools.combinations(elems, 2):
@@ -383,8 +338,11 @@ def contrary_bound_check(h1: History, h2: History,
 
     Defined for pure states; with ``allow_mixed`` the state is
     decomposed spectrally and the bound is additionally checked on each
-    eigenvector (experimental: the mirror conditions carry over to the
-    components because the commuting differences are positive).
+    eigenvector in the support.  A mirror's two positive defect
+    operators vanish on the support, so an exact mirror such as
+    :func:`least_mirror`'s verifies on every eigenvector; one that
+    verifies only within ``tol.prob`` may not, and then this raises
+    :class:`PreconditionFailed`.
     """
     cert1, cert2 = certificates
     if not (cert1.verified and cert2.verified):
@@ -414,11 +372,7 @@ def contrary_bound_check(h1: History, h2: History,
                 h1, h2, comp_certs, comp_rho, tol, allow_mixed=False))
         components = tuple(comps)
 
-    def _chain_prob(h: History) -> float:
-        c = chain_operator(h)
-        return float(np.trace(c @ rho.matrix @ c.conj().T).real)
-
-    p1, p2 = _chain_prob(h1), _chain_prob(h2)
+    p1, p2 = probability(h1, rho), probability(h2, rho)
     p_e2 = float(np.trace(e2.matrix @ rho.matrix).real)
     bound_residual = p1 + p2 - p_e2
     conditional_sum = (p1 + p2) / p_e2 if p_e2 > tol.prob else None

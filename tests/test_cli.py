@@ -146,7 +146,6 @@ def test_report_file_round_trip_preserves_everything():
     report = ReportFile(
         tool="qhistories", version="0.1.0",
         tolerances={"op": 1e-10, "eig": 1e-8, "prob": 1e-9},
-        seed=7,
         notions={
             "weak": NotionResult(True, 1.2e-12, ("(1,1)", "(2,1)"), 4),
             "ordered": NotionResult(None, note="precondition failed"),
@@ -158,6 +157,8 @@ def test_report_file_round_trip_preserves_everything():
     text = report.dumps()
     back = ReportFile.loads(text)
     assert back.dumps() == text
+    older = dict(back.to_dict(), seed=7)  # 0.1 reports carried a seed
+    assert ReportFile.from_dict(older).dumps() == text
     assert back.notions["weak"].worst_pair == ("(1,1)", "(2,1)")
     assert back.notions["ordered"].verdict is None
     assert back.self_decoherence.mirrors == {"(1,1)": "not-found"}
@@ -168,7 +169,7 @@ def test_report_file_round_trip_preserves_everything():
 def test_report_table_renders_verdict_words():
     report = ReportFile(
         tool="qhistories", version="0.1.0",
-        tolerances={"op": 1e-10, "eig": 1e-8, "prob": 1e-9}, seed=0,
+        tolerances={"op": 1e-10, "eig": 1e-8, "prob": 1e-9},
         notions={"weak": NotionResult(True, 0.0, None, 4),
                  "medium": NotionResult(False, 0.25, ("(1,1)", "(2,1)"), 6),
                  "ordered": NotionResult(None, note="skipped")},
@@ -354,7 +355,10 @@ def test_mirror_commands(tmp_path, capsys):
                "--history", "(1,1)"])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "not found" in out
+    assert "no mirror exists" in out
+    with pytest.raises(SystemExit):
+        main(["mirror", "search", "--problem", str(ex1),
+              "--history", "(1,1)", "--seed", "0"])
 
 
 def test_prop1_command(tmp_path, capsys):

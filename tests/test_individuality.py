@@ -21,13 +21,16 @@ from qhistories.individuality import (
     self_decoherence_property,
     weak_decoherence_property,
 )
+from qhistories.histories import History
 from qhistories.matcore import (
     DEFAULT_TOL,
     identity_projection,
     max_norm,
     validate_density,
+    validate_projection,
 )
-from qhistories.sampling import pointer_model
+from qhistories.mirror import least_mirror
+from qhistories.sampling import pointer_model, random_density, random_family
 from qhistories.scenarios import build_example1, build_example2
 
 TOL = DEFAULT_TOL
@@ -109,12 +112,37 @@ def test_self_decoherence_yields_no_witness_on_pointer_models():
         assert witnesses == [], trial
 
 
-def test_self_decoherence_property_reuses_candidates_across_states():
+def test_self_decoherence_property_holds_on_every_pointer_state():
     m = build_example2()
     prop = self_decoherence_property(m.family, TOL)
     assert prop.holds(m.rho)
     assert prop.holds(m.rho1)
     assert prop.holds(m.rho2)
+
+
+def test_mixture_self_decoherence_passes_to_every_component():
+    """Without provided mirrors: no witness on pointer models or random
+    2-slot families, and a self-decohering mixture has self-decohering
+    components."""
+    rng = np.random.default_rng(59)
+    cases = []
+    for trial in range(6):
+        m = pointer_model(int(rng.integers(2, 4)), rng, TOL)
+        cases.append((m.family, m.rho1, m.rho2))
+    for d in (3, 4, 5):
+        family = random_family(d, 2, rng, TOL)
+        rho1, rho2 = (random_density(d, rng, tol=TOL) for _ in range(2))
+        cases.append((family, rho1, rho2))
+    mixtures_holding = 0
+    for family, rho1, rho2 in cases:
+        prop = self_decoherence_property(family, TOL)
+        assert individuality_violation_search(prop, rho1, rho2,
+                                              DEFAULT_LAMBDA_GRID, TOL) == []
+        for lam in (0.25, 0.5):
+            if prop.holds(mixture(rho1, rho2, lam, TOL)):
+                mixtures_holding += 1
+                assert prop.holds(rho1) and prop.holds(rho2)
+    assert mixtures_holding >= 12
 
 
 def test_component_decomposition_vanishes_on_pointer_models():
@@ -162,6 +190,22 @@ def test_condition_probe_on_branches_without_mirrors():
     assert probe.found_2 is None
     assert probe.found_sum is not None
     assert not probe.flagged
+
+
+def test_condition_probe_flag_is_a_proof():
+    """Both branches have mirrors, the superposition has none: e2 links
+    the first branch to the second, so the least candidate for the sum
+    is the identity, which fails the trace condition by half."""
+    e1 = validate_projection(np.diag([1.0, 0.0]))
+    e2 = validate_projection(np.full((2, 2), 0.5))
+    h = History((e1, e2), "(1,1)")
+    probe = condition_C_probe(h, [1.0, 0.0], [0.0, 1.0], TOL)
+    assert probe.found_1 is not None and probe.found_2 is not None
+    assert probe.found_sum is None
+    assert probe.flagged
+    obstruction = least_mirror(h, validate_density(np.full((2, 2), 0.5)), TOL)
+    assert obstruction.mirror.rank == 2
+    assert obstruction.residual_m2[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_condition_probe_rejects_degenerate_vectors():

@@ -13,21 +13,20 @@ from qhistories.errors import (
 from qhistories.matcore import (
     DEFAULT_TOL,
     Tolerances,
-    commutant_basis,
     commutator,
     complement,
-    hermitian_basis,
     identity_projection,
     is_orthogonal,
     join,
     max_norm,
     projection_leq,
     projector_onto,
-    spectral_decomposition,
     validate_density,
     validate_projection,
     zero_projection,
 )
+
+from mirror_reference import commutant_basis, hermitian_basis, spectral_decomposition
 
 TOL = DEFAULT_TOL
 
@@ -170,6 +169,11 @@ def test_join_additivity_on_vectors_killed_by_the_overlap():
         jm = join(t, s, TOL).matrix
         residual = np.linalg.norm(jm @ psi - t.matrix @ psi - s.matrix @ psi)
         assert residual <= 10 * TOL.op, trial
+
+
+# The spectral and commutant routines below belong to the test-local
+# reference mirror search (mirror_reference.py); they keep their tests
+# because the mirror tests use that search as an oracle.
 
 
 def test_spectral_decomposition_reassembles():

@@ -1,4 +1,4 @@
-"""Mirror projections: verification, search, derived checks."""
+"""Mirror projections: verification, the least mirror, derived checks."""
 
 import numpy as np
 import pytest
@@ -10,27 +10,39 @@ from qhistories.errors import (
     WrongHistoryLength,
     ZeroConditioningEvent,
 )
-from qhistories.histories import History, elementary_histories, make_resolution
+from qhistories.histories import (
+    History,
+    HistoryFamily,
+    elementary_histories,
+    make_resolution,
+)
 from qhistories.matcore import (
     DEFAULT_TOL,
     identity_projection,
     max_norm,
+    projection_leq,
     validate_density,
     validate_projection,
 )
 from qhistories.mirror import (
-    SearchOptions,
     check_self_decoherence,
     contrary_bound_check,
-    mirror_candidates,
+    least_mirror,
     mirror_correlation,
     occurrence_probability,
     proposition1_check,
-    search_mirror,
     verify_mirror,
 )
-from qhistories.sampling import pointer_model
+from qhistories.sampling import (
+    pointer_model,
+    random_commuting_events,
+    random_density,
+    random_family,
+    random_pure_density,
+)
 from qhistories.scenarios import build_example1, build_example2
+
+from mirror_reference import reference_candidates, reference_mirrors
 
 TOL = DEFAULT_TOL
 
@@ -63,6 +75,8 @@ def test_verify_mirror_needs_two_events():
         verify_mirror(m.t, History((m.e1,)), m.rho, TOL)
     with pytest.raises(WrongHistoryLength):
         verify_mirror(m.t, History((m.e1, m.e2, m.e2)), m.rho, TOL)
+    with pytest.raises(WrongHistoryLength):
+        least_mirror(History((m.e1,)), m.rho, TOL)
 
 
 def test_identity_mirror_correlation_reduces_to_event_probability():
@@ -86,16 +100,16 @@ def test_mirror_correlation_guards():
 
 
 def test_candidates_start_with_the_first_event_when_commuting():
+    """The reference search tries the first event before anything else."""
     m = build_example2()
-    candidates = mirror_candidates(m.h1, TOL)
+    candidates = reference_candidates(m.h1, TOL)
     assert candidates
     assert max_norm(candidates[0].matrix - m.e1.matrix) <= TOL.op
 
 
 def test_candidates_are_deduplicated_projections():
     inst = build_example1(1.3)
-    candidates = mirror_candidates(inst.h1, TOL,
-                                   SearchOptions(max_candidates=64))
+    candidates = reference_candidates(inst.h1, TOL, max_candidates=64)
     keys = {np.round(c.matrix, 9).tobytes() for c in candidates}
     assert len(keys) == len(candidates)
     for c in candidates:
@@ -104,17 +118,32 @@ def test_candidates_are_deduplicated_projections():
 
 
 def test_search_finds_the_built_in_mirror():
+    """The least mirror verifies and sits under the record readout."""
     m = build_example2()
-    cert = search_mirror(m.h1, m.rho, SearchOptions(), TOL)
-    assert cert is not None
+    cert = least_mirror(m.h1, m.rho, TOL)
     assert cert.verified
+    assert projection_leq(cert.mirror, m.t, TOL)
+    assert cert.mirror.rank == 1
 
 
 def test_search_fails_where_no_mirror_exists():
-    """Any mirror for this history forces an impossible trace value."""
+    """Any mirror for this history forces an impossible trace value:
+    the least candidate projects onto the plane of the two branches,
+    and its trace defect is the branch weight outside the first event."""
     inst = build_example1(np.pi / 3)
-    cert = search_mirror(inst.h1, inst.rho1, SearchOptions(), TOL)
-    assert cert is None
+    cert = least_mirror(inst.h1, inst.rho1, TOL)
+    assert not cert.verified
+    assert cert.mirror.rank == 2
+    assert max(cert.residual_m1) <= TOL.op
+    assert cert.residual_m2 == pytest.approx((0.5, 0.0), abs=1e-12)
+    assert reference_mirrors(inst.h1, inst.rho1, TOL) == []
+
+
+def test_least_mirror_of_a_state_outside_the_first_event_is_zero():
+    m = build_example2()
+    cert = least_mirror(m.h1, m.rho2, TOL)  # e1 annihilates this branch
+    assert cert.verified
+    assert cert.mirror.rank == 0
 
 
 def test_self_decoherence_with_provided_mirrors():
@@ -140,17 +169,6 @@ def test_self_decoherence_fails_on_the_branch_state():
     report = check_self_decoherence(inst.family, inst.rho1, None, TOL)
     assert not report.verdict
     assert report.per_history["(1,1)"] is None
-
-
-def test_candidate_cache_is_reused():
-    m = build_example2()
-    cache = {}
-    first = check_self_decoherence(m.family, m.rho, None, TOL,
-                                   candidate_cache=cache)
-    assert set(cache) == set(first.per_history)
-    again = check_self_decoherence(m.family, m.rho, None, TOL,
-                                   candidate_cache=cache)
-    assert again.verdict == first.verdict
 
 
 def test_coarse_sums_of_orthogonal_mirrors_verify():
@@ -264,3 +282,122 @@ def test_pointer_models_satisfy_every_mirror_identity():
         assert prop.passed, trial
         bound = contrary_bound_check(m.h1, m.h2, (cert_t, cert_u), m.rho, TOL)
         assert bound.passed, trial
+
+
+# Migration oracle: the least mirror against the former randomized
+# search (mirror_reference.py) on seeded inputs.  Candidate lists do not
+# depend on the state, so each history's list serves all its states.
+
+
+def binary_family(*events):
+    """A family with one slot per event: the event and its complement."""
+    d = events[0].dim
+    return HistoryFamily(tuple(
+        make_resolution([e, validate_projection(np.eye(d) - e.matrix)])
+        for e in events))
+
+
+def _oracle_cases(source):
+    rng = np.random.default_rng({"pointer": 41, "generic": 43,
+                                 "example1": 47}[source])
+    if source == "pointer":
+        for spatial in (2, 2, 3):
+            m = pointer_model(spatial, rng, TOL)
+            mixed = validate_density(0.3 * m.rho1.matrix + 0.7 * m.rho2.matrix)
+            yield m.family, (m.rho, m.rho1, mixed)
+    elif source == "generic":
+        for d in range(3, 7):
+            states = (random_pure_density(d, rng, tol=TOL),
+                      random_density(d, rng, tol=TOL))
+            yield random_family(d, 2, rng, TOL), states
+            # commuting events always have a mirror
+            yield binary_family(*random_commuting_events(d, rng, TOL)), states
+    else:
+        for _ in range(2):
+            inst = build_example1(float(rng.uniform(0.2, np.pi - 0.2)),
+                                  float(rng.uniform(0.0, np.pi)))
+            yield inst.family, (inst.rho, inst.rho1, inst.rho2)
+
+
+@pytest.mark.parametrize("source", ["pointer", "generic", "example1"])
+def test_least_mirror_matches_the_reference_search(source):
+    """Same existence decision as the reference, and every mirror the
+    reference verifies dominates the least mirror."""
+    decided = found = 0
+    for family, states in _oracle_cases(source):
+        for h in elementary_histories(family):
+            candidates = reference_candidates(h, TOL)
+            for rho in states:
+                cert = least_mirror(h, rho, TOL)
+                mirrors = reference_mirrors(h, rho, TOL, candidates)
+                assert cert.verified == bool(mirrors), (h.label, cert.residual_m2)
+                for ref in mirrors:
+                    assert projection_leq(cert.mirror, ref.mirror, TOL), h.label
+                decided += 1
+                found += cert.verified
+    if source == "pointer":
+        assert found == decided  # the record readout is always a mirror
+    elif source == "generic":
+        assert 0 < found < decided
+    else:
+        assert decided and not found  # no history here has a mirror
+
+
+def test_least_mirror_near_the_support_threshold():
+    """A support direction of weight above tol.eig counts in full.
+
+    On |2>, |3> the first event keeps |2> and the second projects onto
+    |+>, so a weight-eps component b = sin(phi)|2> + cos(phi)|3> pulls
+    |3>, which e1 annihilates, into the least candidate: its trace
+    defect is eps cos^2(phi), and no mirror exists.  The projection onto
+    |0> still verifies, because its defect eps sin^2(phi) is below
+    tol.prob.  Once eps drops below tol.eig, b leaves the support and
+    that projection is the least mirror.
+    """
+    e1 = validate_projection(np.diag([1.0, 0.0, 1.0, 0.0]))
+    plus = np.array([0.0, 0.0, 1.0, 1.0]) / np.sqrt(2.0)
+    e2 = validate_projection(np.diag([1.0, 0.0, 0.0, 0.0])
+                             + np.outer(plus, plus))
+    h = History((e1, e2), "(1,1)")
+    t = validate_projection(np.diag([1.0, 0.0, 0.0, 0.0]))
+    a = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
+    phi = np.arcsin(1e-2)
+    b = np.array([0.0, 0.0, np.sin(phi), np.cos(phi)])
+
+    def state(eps):
+        return validate_density((1.0 - eps) * np.outer(a, a)
+                                + eps * np.outer(b, b))
+
+    rho = state(1e-6)
+    approx = verify_mirror(t, h, rho, TOL)
+    assert approx.verified
+    assert max(approx.residual_m2) == pytest.approx(1e-10, rel=1e-3)
+    least = least_mirror(h, rho, TOL)
+    assert not least.verified
+    assert least.mirror.rank == 3
+    assert least.residual_m2[0] == pytest.approx(1e-6 * np.cos(phi) ** 2,
+                                                 rel=1e-6)
+    family = binary_family(e1, e2)
+    provided = check_self_decoherence(family, rho, {"(1,1)": t}, TOL)
+    assert provided.per_history["(1,1)"].verified
+    assert check_self_decoherence(family, rho, None, TOL).per_history["(1,1)"] is None
+
+    below = least_mirror(h, state(5e-9), TOL)
+    assert below.verified
+    assert max_norm(below.mirror.matrix - t.matrix) <= TOL.op
+
+
+def test_contrary_bound_holds_on_each_eigenvector_for_least_mirrors():
+    """Least mirrors of a mixed pointer state verify on every
+    eigenvector in its support, so the decomposed bound always runs."""
+    rng = np.random.default_rng(53)
+    for trial in range(20):
+        m = pointer_model(int(rng.integers(2, 5)), rng, TOL)
+        lam = float(rng.uniform(0.05, 0.95))
+        rho = validate_density(lam * m.rho1.matrix + (1.0 - lam) * m.rho2.matrix)
+        certs = (least_mirror(m.h1, rho, TOL), least_mirror(m.h2, rho, TOL))
+        assert certs[0].verified and certs[1].verified, trial
+        report = contrary_bound_check(m.h1, m.h2, certs, rho, TOL,
+                                      allow_mixed=True)
+        assert report.passed, trial
+        assert len(report.components) == 2, trial
