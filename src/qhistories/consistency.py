@@ -47,6 +47,7 @@ from .histories import (
     summable_slots,
 )
 from .matcore import (
+    _BLOCK_BYTES,
     DEFAULT_TOL,
     DensityOperator,
     Projection,
@@ -110,17 +111,13 @@ def probability(h: History, rho: DensityOperator) -> float:
     return float(np.trace(c @ rho.matrix @ c.conj().T).real)
 
 
-# Bound on the bytes of one block of decoherence-functional rows, so the
-# pair reductions stay in bounded memory at any family size (the whole
-# matrix for N = 4096 elementary histories would take 268 MB).
-_BLOCK_BYTES = 1 << 24
-
-
 def _decoherence_blocks(chains: np.ndarray, rho: DensityOperator):
     """Row blocks ``(rows, D[rows, :])`` of ``D[i, j] = Tr(C_i rho C_j^dag)``.
 
     ``chains`` is an ``(N, d, d)`` chain stack; ``Tr(A B^dag)`` is the
-    sum of ``A * conj(B)``, so each block is one matrix product.
+    sum of ``A * conj(B)``, so each block is one matrix product.  Blocks
+    stay within ``_BLOCK_BYTES`` (the whole matrix for N = 4096
+    elementary histories would take 268 MB).
     """
     n, d, _ = chains.shape
     left = (chains @ rho.matrix).reshape(n, d * d)

@@ -67,6 +67,11 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+# Bound on the bytes of one block of a batched computation (rows of the
+# decoherence functional, stacks of mirror closures), so batched checkers
+# stay in bounded memory at any family size.
+_BLOCK_BYTES = 1 << 24
+
 
 def square_matrix(entries) -> np.ndarray:
     """Coerce ``entries`` to an immutable complex square matrix (dim >= 1)."""
@@ -216,8 +221,8 @@ def range_basis(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal columns spanning the range of ``a``.
 
     The columns are orthonormalized by SVD and singular values above
-    ``tol.eig`` decide the rank, so every subspace rank decision
-    happens here.
+    ``tol.eig`` decide the rank, the rule the least-mirror closure of
+    :mod:`qhistories.mirror` also applies to its stacks.
     """
     u, s, _ = np.linalg.svd(np.asarray(a))
     return u[:, :int(np.sum(s > tol.eig))]

@@ -17,14 +17,15 @@ the one it returns.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+import functools
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .consistency import probability
 from .errors import (
+    DimensionMismatch,
     IdentityChainMismatch,
     MirrorNotVerified,
     NotCommuting,
@@ -37,10 +38,14 @@ from .histories import (
     HistoryFamily,
     chain_operator,
     elementary_histories,
+    event_stacks,
     history_sum,
-    summable,
+    index_tuples,
+    relation_tables,
+    summable_slots,
 )
 from .matcore import (
+    _BLOCK_BYTES,
     DEFAULT_TOL,
     DensityOperator,
     Projection,
@@ -48,7 +53,6 @@ from .matcore import (
     commutator,
     join,
     max_norm,
-    range_basis,
     validate_density,
     validate_projection,
 )
@@ -93,31 +97,104 @@ class SelfDecoherenceReport:
     ``per_history[label]`` is ``None`` exactly when the history has no
     provided mirror and no mirror exists.  ``coarse_sum_mirrors``
     records, for summable pairs whose mirrors are orthogonal, whether
-    the mirror sum verifies against the history sum.  It is
-    informational only and never affects the verdict.
+    the mirror sum verifies against the history sum under ``state``.
+    It is computed when first read, is informational only and never
+    affects the verdict.
     """
 
     family: HistoryFamily
     per_history: dict[str, Optional[MirrorCertificate]]
     verdict: bool
-    coarse_sum_mirrors: dict[str, bool] = field(default_factory=dict)
+    state: DensityOperator
+    tol: Tolerances
+
+    @functools.cached_property
+    def coarse_sum_mirrors(self) -> dict[str, bool]:
+        elems, tol = elementary_histories(self.family), self.tol
+        stacks = event_stacks(self.family)
+        index = index_tuples(stacks)
+        slots = summable_slots([relation_tables(s, tol) for s in stacks],
+                               index, index)
+        coarse: dict[str, bool] = {}
+        for i, j in zip(*np.nonzero(np.triu(slots, 1))):
+            c1, c2 = (self.per_history[elems[k].label] for k in (i, j))
+            if (c1 and c2 and c1.verified and c2.verified
+                    and max_norm(c1.mirror.matrix @ c2.mirror.matrix) <= tol.op):
+                s = history_sum(elems[i], elems[j], tol)
+                t_sum = validate_projection(c1.mirror.matrix + c2.mirror.matrix, tol)
+                coarse[s.label] = verify_mirror(t_sum, s, self.state, tol).verified
+        return coarse
+
+
+# Batched kernels over the ``(n, d, d)`` event stacks ``e1``, ``e2`` of n
+# 2-event histories; the single-history functions are their n = 1 case.
+
+
+def _event_pair(h: History) -> tuple[np.ndarray, np.ndarray]:
+    if h.length != 2:
+        raise WrongHistoryLength(
+            f"mirrors are defined for 2-event histories, got {h.length} events")
+    return h.events[0].matrix[None], h.events[1].matrix[None]
+
+
+def _least_projections(e1: np.ndarray, e2: np.ndarray, rho: DensityOperator,
+                       tol: Tolerances) -> np.ndarray:
+    """Projections onto ``V`` (see :func:`least_mirror`) for all histories:
+    each closure round is one stacked SVD of ``[P, e1 P, e2 P]``, ``P`` a
+    basis padded with zero columns (which adds only zero singular values),
+    and a history is updated only while its rank grows."""
+    d = e1.shape[-1]
+
+    def span(a):
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        rank = np.count_nonzero(s > tol.eig, axis=-1)
+        return u * (np.arange(d) < rank[:, None])[:, None], rank
+
+    w, vecs = np.linalg.eigh(rho.matrix)
+    basis, rank = span(e1 @ (vecs * (w > tol.eig)))
+    live = np.arange(len(e1))
+    for _ in range(d):
+        live = live[(rank[live] > 0) & (rank[live] < d)]  # these cannot grow
+        if not live.size:
+            break
+        b = basis[live]
+        grown, wider = span(np.concatenate([b, e1[live] @ b, e2[live] @ b], -1))
+        more = wider > rank[live]
+        live = live[more]
+        basis[live], rank[live] = grown[more], wider[more]
+    return basis @ basis.conj().swapaxes(-1, -2)
+
+
+def _certificates(mirrors: Sequence[Optional[Projection]],
+                  histories: Sequence[History], e1: np.ndarray, e2: np.ndarray,
+                  rho: DensityOperator, tol: Tolerances) -> list[MirrorCertificate]:
+    """Certificates for ``mirrors[i]`` of ``histories[i]``, and for the
+    least mirror candidate where ``mirrors[i]`` is ``None``."""
+    mirrors = list(mirrors)
+    least = [i for i, t in enumerate(mirrors) if t is None]
+    if least:
+        for i, p in zip(least, _least_projections(e1[least], e2[least], rho, tol)):
+            mirrors[i] = validate_projection(p, tol)
+    for t in mirrors:
+        if t.matrix.shape != e1.shape[1:]:
+            raise DimensionMismatch(
+                f"dimension mismatch: {t.matrix.shape} vs {e1.shape[1:]}")
+    t = np.array([m.matrix for m in mirrors])[:, None]
+    events = np.stack([e1, e2], axis=1)
+    te = t @ events
+    m1 = np.abs(te - events @ t).max(axis=(2, 3))
+    traces = np.trace(np.concatenate([te[:, :1], t, events[:, :1]], axis=1)
+                      @ rho.matrix, axis1=2, axis2=3)
+    m2 = [(abs(te1 - t1), abs(te1 - e)) for te1, t1, e in traces.tolist()]
+    return [MirrorCertificate(m, h, rho, tuple(r1), r2,
+                              all(r <= tol.prob for r in (*r1, *r2)))
+            for m, h, r1, r2 in zip(mirrors, histories, m1.tolist(), m2)]
 
 
 def verify_mirror(t: Projection, h: History, rho: DensityOperator,
                   tol: Tolerances = DEFAULT_TOL) -> MirrorCertificate:
     """Evaluate both mirror conditions and certify the residuals."""
-    if h.length != 2:
-        raise WrongHistoryLength(
-            f"mirrors are defined for 2-event histories, got {h.length} events")
-    e1, e2 = h.events
-    m1 = (max_norm(commutator(t.matrix, e1.matrix)),
-          max_norm(commutator(t.matrix, e2.matrix)))
-    tr_te1 = complex(np.trace(t.matrix @ e1.matrix @ rho.matrix))
-    tr_t = complex(np.trace(t.matrix @ rho.matrix))
-    tr_e1 = complex(np.trace(e1.matrix @ rho.matrix))
-    m2 = (abs(tr_te1 - tr_t), abs(tr_te1 - tr_e1))
-    verified = all(r <= tol.prob for r in (*m1, *m2))
-    return MirrorCertificate(t, h, rho, m1, m2, verified)
+    return _certificates([t], [h], *_event_pair(h), rho, tol)[0]
 
 
 def mirror_correlation(t: Projection, e1: Projection, rho: DensityOperator,
@@ -160,24 +237,13 @@ def least_mirror(h: History, rho: DensityOperator,
 
     The support takes the eigenvectors of ``rho`` above ``tol.eig`` in
     full, whatever their weight, and ``V`` grows by
-    ``V <- ran[V, e1 V, e2 V]`` (rank at ``tol.eig``) until its rank
-    stops growing.  A support direction of weight just above
-    ``tol.eig`` can thus rule out every mirror while a provided
-    projection passes :func:`verify_mirror`, which bounds trace
-    residuals by ``tol.prob``.
+    ``V <- ran[V, e1 V, e2 V]`` (rank at ``tol.eig``, at most ``d``
+    rounds) until its rank stops growing.  A support direction of
+    weight just above ``tol.eig`` can thus rule out every mirror while
+    a provided projection passes :func:`verify_mirror`, which bounds
+    trace residuals by ``tol.prob``.
     """
-    if h.length != 2:
-        raise WrongHistoryLength(
-            f"mirrors are defined for 2-event histories, got {h.length} events")
-    e1, e2 = (e.matrix for e in h.events)
-    w, vecs = np.linalg.eigh(rho.matrix)
-    v = range_basis(e1 @ vecs[:, w > tol.eig], tol)
-    for _ in range(h.dim):
-        grown = range_basis(np.hstack([v, e1 @ v, e2 @ v]), tol)
-        if grown.shape[1] == v.shape[1]:
-            break
-        v = grown
-    return verify_mirror(validate_projection(v @ v.conj().T, tol), h, rho, tol)
+    return _certificates([None], [h], *_event_pair(h), rho, tol)[0]
 
 
 def check_self_decoherence(family: HistoryFamily, rho: DensityOperator,
@@ -191,33 +257,26 @@ def check_self_decoherence(family: HistoryFamily, rho: DensityOperator,
     fails verification makes the verdict False even if some other
     mirror exists.  Unassigned histories get :func:`least_mirror`'s
     certificate when it verifies and ``None`` when no mirror exists.
+    Both run batched over the family's event stacks.
     """
+    if family.length != 2:
+        raise WrongHistoryLength("self-decoherence is defined for 2-slot families")
+    provided = provided or {}
     elems = elementary_histories(family)
-    for h in elems:
-        if not h.is_two_event:
-            raise WrongHistoryLength(
-                "self-decoherence is defined for 2-slot families")
-    per: dict[str, Optional[MirrorCertificate]] = {}
-    for h in elems:
-        if provided is not None and h.label in provided:
-            per[h.label] = verify_mirror(provided[h.label], h, rho, tol)
-        else:
-            cert = least_mirror(h, rho, tol)
-            per[h.label] = cert if cert.verified else None
+    stacks = event_stacks(family)
+    index = index_tuples(stacks)
+    # blocks of histories whose closure stacks [P, e1 P, e2 P] fit the budget
+    step = max(1, _BLOCK_BYTES // (3 * 16 * family.dim ** 2))
+    certs: list[MirrorCertificate] = []
+    for start in range(0, len(elems), step):
+        rows = slice(start, start + step)
+        certs += _certificates([provided.get(h.label) for h in elems[rows]],
+                               elems[rows], stacks[0][index[rows, 0]],
+                               stacks[1][index[rows, 1]], rho, tol)
+    per = {h.label: cert if h.label in provided or cert.verified else None
+           for h, cert in zip(elems, certs)}
     verdict = all(c is not None and c.verified for c in per.values())
-    coarse: dict[str, bool] = {}
-    for h1, h2 in itertools.combinations(elems, 2):
-        if summable(h1, h2, tol) is None:
-            continue
-        c1, c2 = per.get(h1.label), per.get(h2.label)
-        if not (c1 and c2 and c1.verified and c2.verified):
-            continue
-        if max_norm(c1.mirror.matrix @ c2.mirror.matrix) > tol.op:
-            continue
-        s = history_sum(h1, h2, tol)
-        t_sum = validate_projection(c1.mirror.matrix + c2.mirror.matrix, tol)
-        coarse[f"{h1.label}+{h2.label}"] = verify_mirror(t_sum, s, rho, tol).verified
-    return SelfDecoherenceReport(family, per, verdict, coarse)
+    return SelfDecoherenceReport(family, per, verdict, rho, tol)
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,28 @@ commutant combinations to projections.  A certificate it returns is
 verified; "nothing found" only means the candidate budget ran out.  The
 mirror tests use it as an oracle for the exact construction, so its
 building blocks keep their own unit tests in ``test_matcore.py``.
+
+It also keeps the former one-history-at-a-time self-decoherence check
+(per-history support, closure and verification, and the eager coarse
+sums), the reference for the batched pass in
+:func:`qhistories.mirror.check_self_decoherence`.
 """
+
+import itertools
 
 import numpy as np
 
 from qhistories.errors import DimensionMismatch, NotHermitian
+from qhistories.histories import elementary_histories, history_sum, summable
 from qhistories.matcore import (
     DEFAULT_TOL,
     commutator,
     max_norm,
+    range_basis,
     square_matrix,
     validate_projection,
 )
-from qhistories.mirror import verify_mirror
+from qhistories.mirror import MirrorCertificate, verify_mirror
 
 
 def spectral_decomposition(entries, tol=DEFAULT_TOL):
@@ -138,3 +147,59 @@ def reference_mirrors(h, rho, tol=DEFAULT_TOL, candidates=None):
         candidates = reference_candidates(h, tol)
     certs = (verify_mirror(t, h, rho, tol) for t in candidates)
     return [c for c in certs if c.verified]
+
+
+def reference_verify_mirror(t, h, rho, tol=DEFAULT_TOL):
+    """Both mirror conditions for one history, one residual at a time."""
+    e1, e2 = h.events
+    m1 = (max_norm(commutator(t.matrix, e1.matrix)),
+          max_norm(commutator(t.matrix, e2.matrix)))
+    tr_te1 = complex(np.trace(t.matrix @ e1.matrix @ rho.matrix))
+    tr_t = complex(np.trace(t.matrix @ rho.matrix))
+    tr_e1 = complex(np.trace(e1.matrix @ rho.matrix))
+    m2 = (abs(tr_te1 - tr_t), abs(tr_te1 - tr_e1))
+    verified = all(r <= tol.prob for r in (*m1, *m2))
+    return MirrorCertificate(t, h, rho, m1, m2, verified)
+
+
+def reference_least_mirror(h, rho, tol=DEFAULT_TOL):
+    """The closure ``V <- ran[V, e1 V, e2 V]`` for one history, with its
+    own support of ``rho``."""
+    e1, e2 = (e.matrix for e in h.events)
+    w, vecs = np.linalg.eigh(rho.matrix)
+    v = range_basis(e1 @ vecs[:, w > tol.eig], tol)
+    for _ in range(h.dim):
+        grown = range_basis(np.hstack([v, e1 @ v, e2 @ v]), tol)
+        if grown.shape[1] == v.shape[1]:
+            break
+        v = grown
+    return reference_verify_mirror(validate_projection(v @ v.conj().T, tol),
+                                   h, rho, tol)
+
+
+def reference_self_decoherence(family, rho, provided=None, tol=DEFAULT_TOL):
+    """``(per_history, verdict, coarse_sum_mirrors)`` from a loop over the
+    elementary histories and an eager loop over all their pairs."""
+    elems = elementary_histories(family)
+    per = {}
+    for h in elems:
+        if provided is not None and h.label in provided:
+            per[h.label] = reference_verify_mirror(provided[h.label], h, rho, tol)
+        else:
+            cert = reference_least_mirror(h, rho, tol)
+            per[h.label] = cert if cert.verified else None
+    verdict = all(c is not None and c.verified for c in per.values())
+    coarse = {}
+    for h1, h2 in itertools.combinations(elems, 2):
+        if summable(h1, h2, tol) is None:
+            continue
+        c1, c2 = per.get(h1.label), per.get(h2.label)
+        if not (c1 and c2 and c1.verified and c2.verified):
+            continue
+        if max_norm(c1.mirror.matrix @ c2.mirror.matrix) > tol.op:
+            continue
+        s = history_sum(h1, h2, tol)
+        t_sum = validate_projection(c1.mirror.matrix + c2.mirror.matrix, tol)
+        coarse[f"{h1.label}+{h2.label}"] = reference_verify_mirror(
+            t_sum, s, rho, tol).verified
+    return per, verdict, coarse

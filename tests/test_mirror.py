@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from qhistories import mirror
 from qhistories.errors import (
+    DimensionMismatch,
     MirrorNotVerified,
     NotCommuting,
     PreconditionFailed,
@@ -38,11 +40,18 @@ from qhistories.sampling import (
     random_commuting_events,
     random_density,
     random_family,
+    random_projection,
     random_pure_density,
+    random_resolution,
 )
 from qhistories.scenarios import build_example1, build_example2
 
-from mirror_reference import reference_candidates, reference_mirrors
+from mirror_reference import (
+    reference_candidates,
+    reference_least_mirror,
+    reference_mirrors,
+    reference_self_decoherence,
+)
 
 TOL = DEFAULT_TOL
 
@@ -175,8 +184,43 @@ def test_coarse_sums_of_orthogonal_mirrors_verify():
     m = build_example2(spatial_dim=3, delta=(1, 2))
     report = check_self_decoherence(m.family, m.rho, m.provided_mirrors, TOL)
     assert report.verdict
-    if report.coarse_sum_mirrors:
-        assert all(report.coarse_sum_mirrors.values())
+    assert report.coarse_sum_mirrors == dict.fromkeys(
+        ["(1,1)+(2,1)", "(1,1)+(3,1)", "(1,2)+(2,2)", "(1,2)+(3,2)",
+         "(2,1)+(3,1)", "(2,2)+(3,2)", "(3,1)+(3,2)"], True)
+
+
+def test_coarse_sums_on_read_match_the_eager_loop():
+    """Sums read off the report equal the former eager pairwise loop, in
+    the same key order."""
+    rng = np.random.default_rng(59)
+    nonempty = 0
+    for spatial in (2, 3, 3, 4):
+        m = pointer_model(spatial, rng, TOL)
+        mixed = validate_density(0.4 * m.rho1.matrix + 0.6 * m.rho2.matrix)
+        for rho, provided in ((m.rho, m.provided_mirrors), (m.rho, None),
+                              (mixed, None), (m.rho1, m.provided_mirrors)):
+            report = check_self_decoherence(m.family, rho, provided, TOL)
+            _, _, want = reference_self_decoherence(m.family, rho, provided, TOL)
+            assert list(report.coarse_sum_mirrors.items()) == list(want.items())
+            nonempty += bool(want)
+    assert nonempty
+
+
+def test_a_provided_mirror_of_the_wrong_dimension_raises():
+    m = build_example2()
+    small = diag_proj(1, 0)
+    with pytest.raises(DimensionMismatch):
+        check_self_decoherence(m.family, m.rho, {"(1,1)": small}, TOL)
+    with pytest.raises(DimensionMismatch):
+        verify_mirror(small, m.h1, m.rho, TOL)
+
+
+def test_self_decoherence_needs_two_slots():
+    r = make_resolution([diag_proj(1, 0), diag_proj(0, 1)], TOL)
+    rho = validate_density(np.diag([0.5, 0.5]))
+    for slots in (1, 3):
+        with pytest.raises(WrongHistoryLength):
+            check_self_decoherence(HistoryFamily((r,) * slots), rho, None, TOL)
 
 
 def test_occurrence_probability_routes_agree():
@@ -401,3 +445,120 @@ def test_contrary_bound_holds_on_each_eigenvector_for_least_mirrors():
                                       allow_mixed=True)
         assert report.passed, trial
         assert len(report.components) == 2, trial
+
+
+# Migration oracle: the batched pass against the former per-history loop
+# (mirror_reference.py).
+
+
+def _batched_cases(source):
+    rng = np.random.default_rng({"pointer": 67, "generic": 71, "example1": 73,
+                                 "zero-event": 79, "partial": 83}[source])
+    if source == "pointer":
+        for spatial in range(2, 7):  # dimensions 4 to 12
+            m = pointer_model(spatial, rng, TOL)
+            mixed = validate_density(0.3 * m.rho1.matrix + 0.7 * m.rho2.matrix)
+            for rho in (m.rho, m.rho1, mixed):
+                yield m.family, rho, None
+    elif source == "generic":
+        for d in range(3, 7):
+            states = (random_pure_density(d, rng, tol=TOL),
+                      random_density(d, rng, tol=TOL))
+            for family in (random_family(d, 2, rng, TOL),
+                           binary_family(*random_commuting_events(d, rng, TOL))):
+                for rho in states:
+                    yield family, rho, None
+    elif source == "example1":
+        inst = build_example1(float(rng.uniform(0.2, np.pi - 0.2)),
+                              float(rng.uniform(0.0, np.pi)))
+        for rho in (inst.rho, inst.rho1, inst.rho2):
+            yield inst.family, rho, None
+    elif source == "zero-event":
+        e = random_projection(4, rng, rank=2, tol=TOL)
+        first = make_resolution([e, validate_projection(np.eye(4) - e.matrix),
+                                 validate_projection(np.zeros((4, 4)))], TOL)
+        family = HistoryFamily((first, random_resolution(4, (1, 3), rng, TOL)))
+        yield family, random_density(4, rng, tol=TOL), None
+        yield binary_family(e, e), random_pure_density(4, rng, tol=TOL), None
+    else:
+        for spatial in (2, 3):
+            m = pointer_model(spatial, rng, TOL)
+            yield m.family, m.rho, {"(1,1)": m.t}
+            yield m.family, m.rho, {"(2,1)": m.t}  # fails verification
+            yield m.family, m.rho1, {"(1,2)": m.u, "(2,2)": m.t}
+
+
+def _same_certificate(got, want):
+    assert got.verified == want.verified
+    assert got.mirror.rank == want.mirror.rank
+    assert max_norm(got.mirror.matrix - want.mirror.matrix) <= TOL.op
+    np.testing.assert_allclose(got.residual_m1 + got.residual_m2,
+                               want.residual_m1 + want.residual_m2,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("source", ["pointer", "generic", "example1",
+                                    "zero-event", "partial"])
+def test_batched_self_decoherence_matches_the_per_history_loop(source):
+    """Same labels, None pattern, verification, ranks and verdict as the
+    former loop, residuals within 1e-12, and the same least candidate
+    for every history, verified or not."""
+    found = missing = 0
+    for family, rho, provided in _batched_cases(source):
+        report = check_self_decoherence(family, rho, provided, TOL)
+        per, verdict, _ = reference_self_decoherence(family, rho, provided, TOL)
+        assert list(report.per_history) == list(per)
+        assert report.verdict == verdict
+        for h in elementary_histories(family):
+            got, want = report.per_history[h.label], per[h.label]
+            assert (got is None) == (want is None), h.label
+            if want is not None:
+                _same_certificate(got, want)
+            _same_certificate(least_mirror(h, rho, TOL),
+                              reference_least_mirror(h, rho, TOL))
+            found += want is not None
+            missing += want is None
+    if source == "example1":
+        assert missing and not found  # no history here has a mirror
+    else:
+        assert found and (missing or source in ("pointer", "partial"))
+
+
+def test_mirror_block_budget_does_not_change_reports(monkeypatch):
+    """Histories processed a few per block give bit-identical reports."""
+    rng = np.random.default_rng(89)
+    generic = HistoryFamily(tuple(random_resolution(6, (2, 2, 1, 1), rng, TOL)
+                                  for _ in range(2)))
+    labels = [h.label for h in elementary_histories(generic)]
+    given = {label: random_projection(6, rng, rank=3, tol=TOL)
+             for label in labels[::2]}
+    diagonal = HistoryFamily(tuple(
+        make_resolution([diag_proj(*(k // size == j for k in range(8)))
+                         for j in range(8 // size)], TOL)
+        for size in (2, 4)))
+    cases = [(generic, random_density(6, rng, tol=TOL), given),
+             (diagonal, random_density(8, rng, tol=TOL), None)]
+    whole = [check_self_decoherence(f, rho, p, TOL) for f, rho, p in cases]
+    # three histories of dimension 8 (five of dimension 6) per block
+    monkeypatch.setattr(mirror, "_BLOCK_BYTES", 3 * 8 * 8 * 16 * 3)
+    blocks = []
+    batched = mirror._certificates
+    monkeypatch.setattr(mirror, "_certificates", lambda mirrors, *rest: (
+        blocks.append(len(mirrors)) or batched(mirrors, *rest)))
+    for (f, rho, p), want, sizes in zip(cases, whole, ([5, 5, 5, 1],
+                                                       [3, 3, 2])):
+        blocks.clear()
+        got = check_self_decoherence(f, rho, p, TOL)
+        assert blocks == sizes
+        assert got.verdict == want.verdict
+        assert list(got.per_history) == list(want.per_history)
+        for label, cert in want.per_history.items():
+            other = got.per_history[label]
+            assert (other is None) == (cert is None), label
+            if cert is not None:
+                assert np.array_equal(other.mirror.matrix, cert.mirror.matrix)
+                assert other.residual_m1 == cert.residual_m1
+                assert other.residual_m2 == cert.residual_m2
+                assert other.verified == cert.verified
+        assert got.coarse_sum_mirrors == want.coarse_sum_mirrors
+    assert sum(c is not None for c in whole[1].per_history.values()) == 8
