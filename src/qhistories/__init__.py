@@ -26,13 +26,11 @@ from .consistency import (
 )
 from .errors import (
     BadParameters,
-    ConditionHasZeroProbability,
     DimensionMismatch,
     FamilyTooLarge,
     IdentityChainMismatch,
     LambdaOutOfRange,
     MirrorNotVerified,
-    NotCommutative,
     NotCommuting,
     NotComplete,
     NotHermitian,

@@ -15,12 +15,15 @@ import csv
 import io
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .. import __version__
 from ..consistency import (
+    NOTIONS,
     check_C1_family,
     check_linear_positivity,
     check_medium_decoherence,
@@ -32,14 +35,12 @@ from ..consistency import (
 from ..errors import (
     BadParameters,
     FamilyTooLarge,
-    ParseError,
     PreconditionFailed,
     ToolkitError,
-    ValidationError,
 )
 from ..histories import HistoryFamily, History, elementary_histories
 from ..individuality import mixture
-from ..matcore import DensityOperator, Projection, Tolerances, validate_projection
+from ..matcore import DensityOperator, Tolerances
 from ..mirror import (
     MirrorCertificate,
     check_self_decoherence,
@@ -63,18 +64,13 @@ from .files import (
     clamp_probability,
     parse_problem,
     problem_to_objects,
+    projection_named,
     report_table,
 )
 
 __all__ = ["build_parser", "main", "run"]
 
-NOTION_ORDER = ("weak", "medium", "linear-positive", "ordered", "sum-rule",
-                "C1-compat", "self-decoherence")
-
-
-def _tool_version() -> str:
-    from .. import __version__
-    return __version__
+NOTION_ORDER = (*NOTIONS, "self-decoherence")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -169,18 +165,20 @@ def _emit(args, text: str) -> None:
         args.out.write_text(text)
 
 
-def _emit_report(args, report: ReportFile) -> None:
+def _report(args, tol: Tolerances, notions: dict[str, NotionResult],
+            **fields) -> int:
+    """Emit one report in ``args.format``; exit 0 iff every notion passes."""
+    report = ReportFile(tool="qhistories", version=__version__,
+                        tolerances=asdict(tol), notions=notions, **fields)
     _emit(args, report.dumps() if args.format == "report"
           else report_table(report))
-
-
-def _exit_code(report: ReportFile) -> int:
-    return 0 if all(n.verdict for n in report.notions.values()) else 1
+    return 0 if all(n.verdict for n in notions.values()) else 1
 
 
 def _load_problem(path: Path, tol: Tolerances):
+    """The parsed problem, then its family, state and provided mirrors."""
     problem = parse_problem(path.read_text())
-    return problem_to_objects(problem, tol)
+    return (problem, *problem_to_objects(problem, tol))
 
 
 def _find_history(family: HistoryFamily, label: str) -> History:
@@ -190,17 +188,6 @@ def _find_history(family: HistoryFamily, label: str) -> History:
     labels = ", ".join(h.label for h in elementary_histories(family))
     raise BadParameters(f"history {label!r} is not elementary here "
                         f"(have {labels})")
-
-
-def _projection_named(operators: dict, name: str,
-                      tol: Tolerances) -> Projection:
-    if name not in operators:
-        raise ParseError(f"unknown operator {name!r}")
-    try:
-        return validate_projection(operators[name], tol)
-    except ValidationError as exc:
-        raise ValidationError(f"operator {name!r}: {exc.args[0]}",
-                              exc.residual)
 
 
 def _mirror_statuses(report, provided) -> dict[str, str]:
@@ -223,39 +210,36 @@ def _cert_result(cert: MirrorCertificate,
     return NotionResult(cert.verified, worst_residual=worst, note=note)
 
 
+def _prop1_result(prop) -> NotionResult:
+    return NotionResult(prop.passed, worst_residual=max(
+        prop.orthogonality_residual, prop.join_additivity_residual,
+        prop.cross_term_residual))
+
+
+def _probability_value(raw: float, tol: Tolerances) -> ProbabilityValue:
+    return ProbabilityValue(raw, clamp_probability(raw, tol))
+
+
 def _run_notions(family: HistoryFamily, rho: DensityOperator,
-                 requested: list[str], tol: Tolerances,
+                 requested: Sequence[str], tol: Tolerances,
                  provided=None) -> tuple[dict[str, NotionResult],
                                          Optional[SelfDecoherenceSummary]]:
+    """One result per requested notion; a notion whose precondition or
+    member cap fails is ``n/a`` with the reason as its note."""
+    # built per call, so it sees the module names as they are bound now
+    # (bench/tracer.py rebinds them to timing wrappers)
+    checkers = {
+        "weak": check_weak_decoherence,
+        "medium": check_medium_decoherence,
+        "linear-positive": check_linear_positivity,
+        "ordered": lambda f, r, t: check_ordered_consistency(f, r, (), t),
+        "sum-rule": check_sum_rule,
+        "C1-compat": check_C1_family,
+    }
     results: dict[str, NotionResult] = {}
     summary = None
     for name in requested:
-        if name == "weak":
-            r = check_weak_decoherence(family, rho, tol)
-        elif name == "medium":
-            r = check_medium_decoherence(family, rho, tol)
-        elif name == "linear-positive":
-            r = check_linear_positivity(family, rho, tol)
-        elif name == "ordered":
-            try:
-                r = check_ordered_consistency(family, rho, (), tol)
-            except (PreconditionFailed, FamilyTooLarge) as exc:
-                results[name] = NotionResult(None, note=str(exc))
-                continue
-        elif name == "sum-rule":
-            try:
-                r = check_sum_rule(family, rho, tol)
-            except FamilyTooLarge as exc:
-                results[name] = NotionResult(None, note=str(exc))
-                continue
-        elif name == "C1-compat":
-            r = check_C1_family(family, rho, tol)
-            note = ("no commutative elementary histories; vacuously true"
-                    if r.pair_count == 0 else None)
-            results[name] = NotionResult(r.verdict, r.worst_residual,
-                                         r.worst_pair, r.pair_count, note)
-            continue
-        elif name == "self-decoherence":
+        if name == "self-decoherence":
             if len(family.resolutions) != 2:
                 results[name] = NotionResult(
                     None, note="only defined for 2-slot families")
@@ -266,26 +250,27 @@ def _run_notions(family: HistoryFamily, rho: DensityOperator,
             results[name] = NotionResult(sd.verdict,
                                          pair_count=len(sd.per_history))
             continue
-        else:
-            raise BadParameters(f"unknown notion {name!r}; choose from "
-                                + ", ".join(NOTION_ORDER))
+        try:
+            r = checkers[name](family, rho, tol)
+        except (PreconditionFailed, FamilyTooLarge) as exc:
+            results[name] = NotionResult(None, note=str(exc))
+            continue
+        note = ("no commutative elementary histories; vacuously true"
+                if name == "C1-compat" and r.pair_count == 0 else None)
         results[name] = NotionResult(r.verdict, r.worst_residual,
-                                     r.worst_pair, r.pair_count)
+                                     r.worst_pair, r.pair_count, note)
     return results, summary
 
 
 def _elementary_probabilities(family: HistoryFamily, rho: DensityOperator,
                               tol: Tolerances) -> dict[str, ProbabilityValue]:
-    out = {}
-    for h in elementary_histories(family):
-        raw = probability(h, rho)
-        out[h.label] = ProbabilityValue(raw, clamp_probability(raw, tol))
-    return out
+    return {h.label: _probability_value(probability(h, rho), tol)
+            for h in elementary_histories(family)}
 
 
 def _cmd_check(args) -> int:
     tol = _tolerances(args)
-    family, rho, provided = _load_problem(args.problem, tol)
+    _, family, rho, provided = _load_problem(args.problem, tol)
     if args.notions is None:
         requested = [n for n in NOTION_ORDER
                      if n != "self-decoherence" or len(family.resolutions) == 2]
@@ -293,29 +278,24 @@ def _cmd_check(args) -> int:
         requested = [n.strip() for n in args.notions.split(",") if n.strip()]
         if not requested:
             raise BadParameters("empty --notions list")
-    results, summary = _run_notions(family, rho, requested, tol,
-                                    provided or None)
-    report = ReportFile(
-        tool="qhistories", version=_tool_version(),
-        tolerances={"op": tol.op, "eig": tol.eig, "prob": tol.prob},
-        notions={n: results[n] for n in requested},
-        probabilities=_elementary_probabilities(family, rho, tol),
-        self_decoherence=summary,
-    )
-    _emit_report(args, report)
-    return _exit_code(report)
+        for name in requested:
+            if name not in NOTION_ORDER:
+                raise BadParameters(f"unknown notion {name!r}; choose from "
+                                    + ", ".join(NOTION_ORDER))
+    results, summary = _run_notions(family, rho, requested, tol, provided)
+    return _report(args, tol, results,
+                   probabilities=_elementary_probabilities(family, rho, tol),
+                   self_decoherence=summary)
 
 
 def _cmd_example1(args) -> int:
     tol = _tolerances(args)
     instance = build_example1(args.theta, args.alpha, args.dim, tol)
     rho = getattr(instance, args.state)
-    requested = list(NOTION_ORDER)
-    results, summary = _run_notions(instance.family, rho, requested, tol)
+    results, summary = _run_notions(instance.family, rho, NOTION_ORDER, tol)
     probabilities = _elementary_probabilities(instance.family, rho, tol)
     p_coarse = probability(instance.h_coarse, rho)
-    probabilities[instance.h_coarse.label] = ProbabilityValue(
-        p_coarse, clamp_probability(p_coarse, tol))
+    probabilities[instance.h_coarse.label] = _probability_value(p_coarse, tol)
     notes = []
     if args.state == "rho1":
         expected = example1_expected(args.theta)
@@ -331,16 +311,8 @@ def _cmd_example1(args) -> int:
                      f"{expected.weak_residual_rho1:.12g}, computed worst "
                      f"{results['weak'].worst_residual:.12g}")
     notes.append(linear_positivity_range_note(args.theta))
-    report = ReportFile(
-        tool="qhistories", version=_tool_version(),
-        tolerances={"op": tol.op, "eig": tol.eig, "prob": tol.prob},
-        notions=results,
-        probabilities=probabilities,
-        notes=tuple(notes),
-        self_decoherence=summary,
-    )
-    _emit_report(args, report)
-    return _exit_code(report)
+    return _report(args, tol, results, probabilities=probabilities,
+                   notes=tuple(notes), self_decoherence=summary)
 
 
 def _cmd_example2(args) -> int:
@@ -348,8 +320,8 @@ def _cmd_example2(args) -> int:
     model = build_example2(args.spatial_dim, args.delta, tol)
     cert_t = verify_mirror(model.t, model.h1, model.rho, tol)
     cert_u = verify_mirror(model.u, model.h2, model.rho, tol)
-    sd = check_self_decoherence(model.family, model.rho,
-                                model.provided_mirrors, tol)
+    sd, summary = _run_notions(model.family, model.rho, ["self-decoherence"],
+                               tol, model.provided_mirrors)
     prop = proposition1_check(model.t, model.u, model.h1, model.h2,
                               model.psi, tol)
     bound = contrary_bound_check(model.h1, model.h2, (cert_t, cert_u),
@@ -358,23 +330,16 @@ def _cmd_example2(args) -> int:
     notions = {
         "mirror-T": _cert_result(cert_t),
         "mirror-U": _cert_result(cert_u),
-        "self-decoherence": NotionResult(sd.verdict,
-                                         pair_count=len(sd.per_history)),
-        "prop1": NotionResult(prop.passed, worst_residual=max(
-            prop.orthogonality_residual, prop.join_additivity_residual,
-            prop.cross_term_residual)),
+        **sd,
+        "prop1": _prop1_result(prop),
         "contrary-bound": NotionResult(bound.passed,
                                        worst_residual=bound.bound_residual),
     }
     probabilities = {
-        "p(h1)": ProbabilityValue(bound.p_h1,
-                                  clamp_probability(bound.p_h1, tol)),
-        "p(h2)": ProbabilityValue(bound.p_h2,
-                                  clamp_probability(bound.p_h2, tol)),
-        "p(E2)": ProbabilityValue(bound.p_e2,
-                                  clamp_probability(bound.p_e2, tol)),
-        "p(h1) via mirror": ProbabilityValue(
-            occ.value, clamp_probability(occ.value, tol)),
+        "p(h1)": _probability_value(bound.p_h1, tol),
+        "p(h2)": _probability_value(bound.p_h2, tol),
+        "p(E2)": _probability_value(bound.p_e2, tol),
+        "p(h1) via mirror": _probability_value(occ.value, tol),
     }
     notes = [
         f"prop1 residuals: orthogonality {prop.orthogonality_residual:.3e}, "
@@ -384,17 +349,8 @@ def _cmd_example2(args) -> int:
     if bound.conditional_sum is not None:
         notes.append(
             f"conditional sum p(h1|E2)+p(h2|E2) = {bound.conditional_sum:.12g}")
-    report = ReportFile(
-        tool="qhistories", version=_tool_version(),
-        tolerances={"op": tol.op, "eig": tol.eig, "prob": tol.prob},
-        notions=notions,
-        probabilities=probabilities,
-        notes=tuple(notes),
-        self_decoherence=SelfDecoherenceSummary(
-            sd.verdict, _mirror_statuses(sd, model.provided_mirrors)),
-    )
-    _emit_report(args, report)
-    return _exit_code(report)
+    return _report(args, tol, notions, probabilities=probabilities,
+                   notes=tuple(notes), self_decoherence=summary)
 
 
 SWEEP_COLUMNS = ("param", "value", "weak", "weak_residual", "medium",
@@ -406,12 +362,13 @@ def _cmd_sweep(args) -> int:
     tol = _tolerances(args)
     if args.steps < 1:
         raise BadParameters("steps must be at least 1")
-    values = np.linspace(args.start, args.stop, args.steps)
+    checkers = (check_weak_decoherence, check_medium_decoherence,
+                check_linear_positivity, check_sum_rule)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     any_fail = False
-    for value in values:
+    for value in np.linspace(args.start, args.stop, args.steps):
         v = float(value)
         instance = build_example1(v if args.param == "theta" else args.theta,
                                   v if args.param == "alpha" else args.alpha,
@@ -422,87 +379,56 @@ def _cmd_sweep(args) -> int:
             rho = mixture(instance.rho1, instance.rho2, v, tol)
         else:
             rho = getattr(instance, args.state)
-        weak = check_weak_decoherence(instance.family, rho, tol)
-        medium = check_medium_decoherence(instance.family, rho, tol)
-        linpos = check_linear_positivity(instance.family, rho, tol)
-        sumrule = check_sum_rule(instance.family, rho, tol)
-        verdicts = (weak.verdict, medium.verdict, linpos.verdict,
-                    sumrule.verdict)
-        any_fail = any_fail or not all(verdicts)
-        writer.writerow((
-            args.param, format(v, ".17g"),
-            str(weak.verdict).lower(), format(weak.worst_residual, ".17g"),
-            str(medium.verdict).lower(), format(medium.worst_residual, ".17g"),
-            str(linpos.verdict).lower(), format(linpos.worst_residual, ".17g"),
-            str(sumrule.verdict).lower(),
-            format(sumrule.worst_residual, ".17g"),
-            format(probability(instance.h1, rho), ".17g"),
-            format(probability(instance.h2, rho), ".17g"),
-            format(probability(instance.h_coarse, rho), ".17g"),
-        ))
+        row = [args.param, format(v, ".17g")]
+        for check in checkers:
+            r = check(instance.family, rho, tol)
+            any_fail = any_fail or not r.verdict
+            row += [str(r.verdict).lower(), format(r.worst_residual, ".17g")]
+        row += [format(probability(h, rho), ".17g")
+                for h in (instance.h1, instance.h2, instance.h_coarse)]
+        writer.writerow(row)
     _emit(args, buf.getvalue())
     return 1 if any_fail else 0
 
 
 def _cmd_mirror(args) -> int:
     tol = _tolerances(args)
-    problem = parse_problem(args.problem.read_text())
-    family, rho, _ = problem_to_objects(problem, tol)
+    problem, family, rho, _ = _load_problem(args.problem, tol)
     h = _find_history(family, args.history)
-    if args.mirror_command == "verify":
-        t = _projection_named(problem.operators, args.mirror, tol)
-        cert = verify_mirror(t, h, rho, tol)
-        notions = {"mirror": _cert_result(cert)}
-        notes = (
-            f"commutator residuals: with first event "
-            f"{cert.residual_m1[0]:.3e}, with second event "
-            f"{cert.residual_m1[1]:.3e}",
-            f"trace residuals: against Tr(T rho) {cert.residual_m2[0]:.3e}, "
-            f"against Tr(E1 rho) {cert.residual_m2[1]:.3e}",
-        )
-    else:
+    if args.mirror_command == "search":
         cert = least_mirror(h, rho, tol)
-        notions = {"mirror-search": _cert_result(
+        return _report(args, tol, {"mirror-search": _cert_result(
             cert, note=(f"least mirror of rank {cert.mirror.rank}"
-                        if cert.verified else "no mirror exists"))}
-        notes = ()
-    report = ReportFile(
-        tool="qhistories", version=_tool_version(),
-        tolerances={"op": tol.op, "eig": tol.eig, "prob": tol.prob},
-        notions=notions, notes=notes,
-    )
-    _emit_report(args, report)
-    return _exit_code(report)
+                        if cert.verified else "no mirror exists"))})
+    t = projection_named(problem.operators, args.mirror, tol)
+    cert = verify_mirror(t, h, rho, tol)
+    return _report(args, tol, {"mirror": _cert_result(cert)}, notes=(
+        f"commutator residuals: with first event "
+        f"{cert.residual_m1[0]:.3e}, with second event "
+        f"{cert.residual_m1[1]:.3e}",
+        f"trace residuals: against Tr(T rho) {cert.residual_m2[0]:.3e}, "
+        f"against Tr(E1 rho) {cert.residual_m2[1]:.3e}",
+    ))
 
 
 def _cmd_prop1(args) -> int:
     tol = _tolerances(args)
-    problem = parse_problem(args.problem.read_text())
-    family, rho, _ = problem_to_objects(problem, tol)
+    problem, family, rho, _ = _load_problem(args.problem, tol)
     if rho.purity < 1.0 - tol.prob:
         raise PreconditionFailed(
             f"prop1 needs a pure state (purity {rho.purity:.6f})")
     _, vecs = np.linalg.eigh(rho.matrix)
     psi = vecs[:, -1]
-    t = _projection_named(problem.operators, args.t, tol)
-    u = _projection_named(problem.operators, args.u, tol)
+    t = projection_named(problem.operators, args.t, tol)
+    u = projection_named(problem.operators, args.u, tol)
     h1 = _find_history(family, args.h1)
     h2 = _find_history(family, args.h2)
     prop = proposition1_check(t, u, h1, h2, psi, tol)
-    report = ReportFile(
-        tool="qhistories", version=_tool_version(),
-        tolerances={"op": tol.op, "eig": tol.eig, "prob": tol.prob},
-        notions={"prop1": NotionResult(prop.passed, worst_residual=max(
-            prop.orthogonality_residual, prop.join_additivity_residual,
-            prop.cross_term_residual))},
-        notes=(
-            f"orthogonality residual {prop.orthogonality_residual:.3e}",
-            f"join additivity residual {prop.join_additivity_residual:.3e}",
-            f"cross term residual {prop.cross_term_residual:.3e}",
-        ),
-    )
-    _emit_report(args, report)
-    return _exit_code(report)
+    return _report(args, tol, {"prop1": _prop1_result(prop)}, notes=(
+        f"orthogonality residual {prop.orthogonality_residual:.3e}",
+        f"join additivity residual {prop.join_additivity_residual:.3e}",
+        f"cross term residual {prop.cross_term_residual:.3e}",
+    ))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -518,7 +444,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, ValidationError, ToolkitError, OSError) as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

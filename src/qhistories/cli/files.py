@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -39,6 +39,7 @@ __all__ = [
     "canonical_dumps",
     "parse_problem",
     "serialize_problem",
+    "projection_named",
     "problem_to_objects",
     "clamp_probability",
     "report_table",
@@ -196,6 +197,18 @@ def serialize_problem(problem: ProblemFile) -> str:
     return canonical_dumps(data)
 
 
+def projection_named(operators: dict[str, np.ndarray], name: str,
+                     tol: Tolerances = DEFAULT_TOL) -> Projection:
+    """Validate the named operator as a projection; errors carry the name."""
+    if name not in operators:
+        raise ParseError(f"unknown operator {name!r}")
+    try:
+        return validate_projection(operators[name], tol)
+    except ValidationError as exc:
+        raise ValidationError(f"operator {name!r}: {exc.args[0]}",
+                              exc.residual)
+
+
 def problem_to_objects(problem: ProblemFile,
                        tol: Tolerances = DEFAULT_TOL,
                        ) -> tuple[HistoryFamily, DensityOperator,
@@ -205,16 +218,9 @@ def problem_to_objects(problem: ProblemFile,
     Raises :class:`ValidationError` subclasses carrying the offending
     operator name and residual.
     """
-    def projection_named(name: str) -> Projection:
-        try:
-            return validate_projection(problem.operators[name], tol)
-        except ValidationError as exc:
-            raise ValidationError(f"operator {name!r}: {exc.args[0]}",
-                                  exc.residual)
-
     slots = []
     for k, names in enumerate(problem.resolutions):
-        events = [projection_named(n) for n in names]
+        events = [projection_named(problem.operators, n, tol) for n in names]
         try:
             slots.append(make_resolution(events, tol))
         except ValidationError as exc:
@@ -247,7 +253,7 @@ def problem_to_objects(problem: ProblemFile,
                 raise ParseError(
                     f"mirror label {label!r} matches no elementary history "
                     f"(have {', '.join(sorted(labels))})")
-            mirrors[label] = projection_named(name)
+            mirrors[label] = projection_named(problem.operators, name, tol)
     return family, rho, mirrors
 
 
@@ -302,32 +308,9 @@ class ReportFile:
     self_decoherence: Optional[SelfDecoherenceSummary] = None
 
     def to_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "version": self.version,
-            "tolerances": dict(self.tolerances),
-            "notions": {
-                name: {
-                    "verdict": n.verdict,
-                    "worst_residual": n.worst_residual,
-                    "worst_pair": (list(n.worst_pair)
-                                   if n.worst_pair is not None else None),
-                    "pair_count": n.pair_count,
-                    "note": n.note,
-                }
-                for name, n in self.notions.items()
-            },
-            "probabilities": {
-                label: {"raw": v.raw, "display": v.display}
-                for label, v in self.probabilities.items()
-            },
-            "notes": list(self.notes),
-            "self_decoherence": (
-                None if self.self_decoherence is None else {
-                    "verdict": self.self_decoherence.verdict,
-                    "mirrors": dict(self.self_decoherence.mirrors),
-                }),
-        }
+        """Nested plain data; tuples stay tuples, which
+        :func:`canonical_dumps` writes as lists."""
+        return asdict(self)
 
     def dumps(self) -> str:
         return canonical_dumps(self.to_dict())

@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import (
     BadParameters,
-    ConditionHasZeroProbability,
-    NotCommutative,
+    NotCommuting,
     PreconditionFailed,
+    ZeroConditioningEvent,
 )
 from .histories import (
     DEFAULT_MEMBER_CAP,
@@ -273,14 +273,12 @@ def check_C1_compatibility(h: History, rho: DensityOperator,
                            tol: Tolerances = DEFAULT_TOL) -> bool:
     """Chain probability vs plain product trace for a commutative history.
 
-    Raises :class:`NotCommutative` when the events do not all commute.
+    Raises :class:`NotCommuting` when the events do not all commute.
     """
     if not is_commutative(h, tol):
-        raise NotCommutative("history events do not commute pairwise")
-    c = chain_operator(h)
-    lhs = float(np.trace(c @ rho.matrix @ c.conj().T).real)
-    rhs = complex(np.trace(c @ rho.matrix))
-    return abs(lhs - rhs) <= tol.prob
+        raise NotCommuting("history events do not commute pairwise")
+    rhs = complex(np.trace(chain_operator(h) @ rho.matrix))
+    return abs(probability(h, rho) - rhs) <= tol.prob
 
 
 def check_C1_family(family: HistoryFamily, rho: DensityOperator,
@@ -312,17 +310,13 @@ def check_ordered_consistency(family: HistoryFamily, rho: DensityOperator,
     otherwise).  Compares every member of ``family`` to every member of
     the family and each context family.
     """
-    med = check_medium_decoherence(family, rho, tol)
-    if not med.verdict:
-        raise PreconditionFailed(
-            f"family is not medium-decohering (worst residual "
-            f"{med.worst_residual:.3e})")
-    for i, fam in enumerate(context):
+    for i, fam in enumerate((family, *context)):
         med = check_medium_decoherence(fam, rho, tol)
         if not med.verdict:
+            name = f"context family {i}" if i else "family"
             raise PreconditionFailed(
-                f"context family {i + 1} is not medium-decohering "
-                f"(worst residual {med.worst_residual:.3e})")
+                f"{name} is not medium-decohering (worst residual "
+                f"{med.worst_residual:.3e})")
     own, own_labels = _member_stacks(family, tol, cap)
     own_index = index_tuples(own)
     own_probs = _probabilities(chain_stack(own), rho)
@@ -355,7 +349,7 @@ def conditional_probability(h: History, rho: DensityOperator,
     e_last = h.events[-1]
     denom = float(np.trace(e_last.matrix @ rho.matrix).real)
     if denom <= tol.prob:
-        raise ConditionHasZeroProbability(
+        raise ZeroConditioningEvent(
             f"conditioning event has probability {denom:.3e}")
     return probability(h, rho) / denom
 

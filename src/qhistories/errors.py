@@ -15,11 +15,9 @@ __all__ = [
     "NotComplete",
     "DimensionMismatch",
     "NotSummable",
-    "NotCommutative",
     "NotCommuting",
     "FamilyTooLarge",
     "PreconditionFailed",
-    "ConditionHasZeroProbability",
     "ZeroConditioningEvent",
     "WrongHistoryLength",
     "MirrorNotVerified",
@@ -83,10 +81,6 @@ class NotSummable(ToolkitError):
     pass
 
 
-class NotCommutative(ToolkitError):
-    pass
-
-
 class NotCommuting(ToolkitError):
     pass
 
@@ -96,10 +90,6 @@ class FamilyTooLarge(ToolkitError):
 
 
 class PreconditionFailed(ToolkitError):
-    pass
-
-
-class ConditionHasZeroProbability(ToolkitError):
     pass
 
 

@@ -36,7 +36,6 @@ from .errors import (
 from .histories import (
     History,
     HistoryFamily,
-    chain_operator,
     elementary_histories,
     event_stacks,
     history_sum,
@@ -306,8 +305,7 @@ def occurrence_probability(h: History, t: Projection, rho: DensityOperator,
     e1, e2 = h.events
     via_mirror = complex(np.trace(e2.matrix @ t.matrix @ rho.matrix))
     via_first = complex(np.trace(e2.matrix @ e1.matrix @ rho.matrix))
-    c = chain_operator(h)
-    via_chain = float(np.trace(c @ rho.matrix @ c.conj().T).real)
+    via_chain = probability(h, rho)
     worst = max(abs(via_mirror - via_first), abs(via_mirror - via_chain),
                 abs(via_first - via_chain))
     if worst > tol.prob:

@@ -166,6 +166,80 @@ def test_report_file_round_trip_preserves_everything():
         ReportFile.loads("{not json")
 
 
+PINNED_REPORT = """\
+{
+  "notes": [
+    "first note",
+    "second \\"quoted\\" note"
+  ],
+  "notions": {
+    "ordered": {
+      "note": "family is not medium-decohering",
+      "pair_count": null,
+      "verdict": null,
+      "worst_pair": null,
+      "worst_residual": null
+    },
+    "weak": {
+      "note": null,
+      "pair_count": 2,
+      "verdict": false,
+      "worst_pair": [
+        "(1,1)",
+        "(1,2)"
+      ],
+      "worst_residual": 0.125
+    }
+  },
+  "probabilities": {
+    "(1,1)": {
+      "display": 0,
+      "raw": -9.9999999999999998e-13
+    },
+    "(1,2)": {
+      "display": 0.75,
+      "raw": 0.75
+    }
+  },
+  "self_decoherence": {
+    "mirrors": {
+      "(1,1)": "found",
+      "(1,2)": "provided-verified"
+    },
+    "verdict": true
+  },
+  "tolerances": {
+    "eig": 1e-08,
+    "op": 1e-10,
+    "prob": 1.0000000000000001e-09
+  },
+  "tool": "qhistories",
+  "version": "0.2.0"
+}
+"""
+
+
+def test_report_schema_is_pinned():
+    """Every field populated; the bytes pin key names, order, nulls,
+    tuples written as lists and the float format."""
+    report = ReportFile(
+        tool="qhistories", version="0.2.0",
+        tolerances={"op": 1e-10, "eig": 1e-08, "prob": 1e-09},
+        notions={
+            "weak": NotionResult(False, 0.125, ("(1,1)", "(1,2)"), 2),
+            "ordered": NotionResult(None,
+                                    note="family is not medium-decohering"),
+        },
+        probabilities={"(1,1)": ProbabilityValue(-1e-12, 0.0),
+                       "(1,2)": ProbabilityValue(0.75, 0.75)},
+        notes=("first note", 'second "quoted" note'),
+        self_decoherence=SelfDecoherenceSummary(
+            True, {"(1,1)": "found", "(1,2)": "provided-verified"}),
+    )
+    assert report.dumps() == PINNED_REPORT
+    assert ReportFile.loads(PINNED_REPORT) == report
+
+
 def test_report_table_renders_verdict_words():
     report = ReportFile(
         tool="qhistories", version="0.1.0",
@@ -378,3 +452,35 @@ def test_prop1_command(tmp_path, capsys):
                "--h1", "(1,1)", "--h2", "(2,1)"])
     assert rc == 2
     assert "pure" in capsys.readouterr().err
+
+
+def test_unknown_operator_names_exit_2(tmp_path, capsys):
+    path = tmp_path / "ex2.json"
+    path.write_text(serialize_problem(example2_problem()))
+    for argv in (["mirror", "verify", "--problem", str(path),
+                  "--history", "(1,1)", "--mirror", "NOPE"],
+                 ["prop1", "--problem", str(path), "--t", "T", "--u", "NOPE",
+                  "--h1", "(1,1)", "--h2", "(2,1)"]):
+        assert main(argv) == 2
+        assert "unknown operator 'NOPE'" in capsys.readouterr().err
+
+
+def test_non_idempotent_operator_exits_2_with_its_name(tmp_path, capsys):
+    problem = example2_problem()
+    ops = dict(problem.operators, HALF=0.5 * problem.operators["T"])
+    path = tmp_path / "half.json"
+    path.write_text(serialize_problem(ProblemFile(
+        dim=4, operators=ops, resolutions=problem.resolutions,
+        state="Psi", mirrors=problem.mirrors)))
+    for argv in (["mirror", "verify", "--problem", str(path),
+                  "--history", "(1,1)", "--mirror", "HALF"],
+                 ["prop1", "--problem", str(path), "--t", "HALF", "--u", "U",
+                  "--h1", "(1,1)", "--h2", "(2,1)"]):
+        assert main(argv) == 2
+        assert "operator 'HALF':" in capsys.readouterr().err
+    broken = tmp_path / "broken.json"
+    broken.write_text(serialize_problem(ProblemFile(
+        dim=4, operators=dict(ops, E1=ops["HALF"]),
+        resolutions=problem.resolutions, state="Psi", mirrors=None)))
+    assert main(["check", str(broken)]) == 2
+    assert "operator 'E1':" in capsys.readouterr().err

@@ -22,10 +22,10 @@ from qhistories.consistency import (
 )
 from qhistories.errors import (
     BadParameters,
-    ConditionHasZeroProbability,
     FamilyTooLarge,
-    NotCommutative,
+    NotCommuting,
     PreconditionFailed,
+    ZeroConditioningEvent,
 )
 from qhistories.histories import (
     History,
@@ -236,7 +236,7 @@ def test_C1_compatibility_for_commuting_histories():
 
 def test_C1_compatibility_rejects_non_commuting():
     inst = build_example1(1.0)
-    with pytest.raises(NotCommutative):
+    with pytest.raises(NotCommuting):
         check_C1_compatibility(inst.h1, inst.rho1, TOL)
     report = check_C1_family(inst.family, inst.rho1, TOL)
     assert report.pair_count == 0
@@ -264,13 +264,28 @@ def test_ordered_consistency_with_context_family():
     assert report.verdict
 
 
+def test_ordered_precondition_names_the_failing_family():
+    """The messages reach report notes, so their wording is pinned."""
+    inst = build_example1(1.0)
+    with pytest.raises(PreconditionFailed,
+                       match=r"^family is not medium-decohering \(worst "
+                             r"residual \d\.\d{3}e[-+]\d\d\)$"):
+        check_ordered_consistency(inst.family, inst.rho1, (), TOL)
+    trivial = HistoryFamily((make_resolution([diag_proj(1, 1, 1)], TOL),))
+    with pytest.raises(PreconditionFailed,
+                       match=r"^context family 2 is not medium-decohering "
+                             r"\(worst residual \d\.\d{3}e[-+]\d\d\)$"):
+        check_ordered_consistency(trivial, inst.rho1,
+                                  (trivial, inst.family), TOL)
+
+
 def test_conditional_probability_ratio_and_zero_guard():
     family = classical_family(2)
     rho = validate_density(np.diag([0.4, 0.6]))
     h = elementary_histories(family)[0]
     assert conditional_probability(h, rho, TOL) == pytest.approx(1.0)
     dead = History((diag_proj(1, 0), diag_proj(0, 1)))
-    with pytest.raises(ConditionHasZeroProbability):
+    with pytest.raises(ZeroConditioningEvent):
         conditional_probability(
             dead, validate_density(np.diag([1.0, 0.0])), TOL)
 
