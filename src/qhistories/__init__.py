@@ -12,6 +12,7 @@ from .consistency import (
     NOTIONS,
     ConsistencyReport,
     ContraryInferenceInstance,
+    FamilyAnalysis,
     check_C1_compatibility,
     check_C1_family,
     check_linear_positivity,

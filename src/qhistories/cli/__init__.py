@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -22,16 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import __version__
-from ..consistency import (
-    NOTIONS,
-    check_C1_family,
-    check_linear_positivity,
-    check_medium_decoherence,
-    check_ordered_consistency,
-    check_sum_rule,
-    check_weak_decoherence,
-    probability,
-)
+from ..consistency import NOTIONS, FamilyAnalysis, probability
 from ..errors import (
     BadParameters,
     FamilyTooLarge,
@@ -43,11 +35,11 @@ from ..individuality import mixture
 from ..matcore import DensityOperator, Tolerances
 from ..mirror import (
     MirrorCertificate,
-    check_self_decoherence,
     contrary_bound_check,
     least_mirror,
     occurrence_probability,
     proposition1_check,
+    self_decoherence,
     verify_mirror,
 )
 from ..scenarios import (
@@ -220,38 +212,37 @@ def _probability_value(raw: float, tol: Tolerances) -> ProbabilityValue:
     return ProbabilityValue(raw, clamp_probability(raw, tol))
 
 
-def _run_notions(family: HistoryFamily, rho: DensityOperator,
-                 requested: Sequence[str], tol: Tolerances,
-                 provided=None) -> tuple[dict[str, NotionResult],
-                                         Optional[SelfDecoherenceSummary]]:
+def _run_notions(analysis: FamilyAnalysis, rho: DensityOperator,
+                 requested: Sequence[str], provided=None,
+                 ) -> tuple[dict[str, NotionResult],
+                            Optional[SelfDecoherenceSummary]]:
     """One result per requested notion; a notion whose precondition or
     member cap fails is ``n/a`` with the reason as its note."""
-    # built per call, so it sees the module names as they are bound now
-    # (bench/tracer.py rebinds them to timing wrappers)
-    checkers = {
-        "weak": check_weak_decoherence,
-        "medium": check_medium_decoherence,
-        "linear-positive": check_linear_positivity,
-        "ordered": lambda f, r, t: check_ordered_consistency(f, r, (), t),
-        "sum-rule": check_sum_rule,
-        "C1-compat": check_C1_family,
+    medium = functools.cache(analysis.medium)  # also ordered's precondition
+    reductions = {
+        "weak": analysis.weak,
+        "medium": medium,
+        "linear-positive": analysis.linear_positivity,
+        "ordered": lambda rho: analysis.ordered(rho, medium=medium(rho)),
+        "sum-rule": analysis.sum_rule,
+        "C1-compat": analysis.C1,
     }
     results: dict[str, NotionResult] = {}
     summary = None
     for name in requested:
         if name == "self-decoherence":
-            if len(family.resolutions) != 2:
+            if analysis.family.length != 2:
                 results[name] = NotionResult(
                     None, note="only defined for 2-slot families")
                 continue
-            sd = check_self_decoherence(family, rho, provided, tol)
+            sd = self_decoherence(analysis, rho, provided)
             summary = SelfDecoherenceSummary(sd.verdict,
                                              _mirror_statuses(sd, provided))
             results[name] = NotionResult(sd.verdict,
                                          pair_count=len(sd.per_history))
             continue
         try:
-            r = checkers[name](family, rho, tol)
+            r = reductions[name](rho)
         except (PreconditionFailed, FamilyTooLarge) as exc:
             results[name] = NotionResult(None, note=str(exc))
             continue
@@ -262,10 +253,10 @@ def _run_notions(family: HistoryFamily, rho: DensityOperator,
     return results, summary
 
 
-def _elementary_probabilities(family: HistoryFamily, rho: DensityOperator,
-                              tol: Tolerances) -> dict[str, ProbabilityValue]:
-    return {h.label: _probability_value(probability(h, rho), tol)
-            for h in elementary_histories(family)}
+def _elementary_probabilities(analysis: FamilyAnalysis, rho: DensityOperator,
+                              ) -> dict[str, ProbabilityValue]:
+    return {h.label: _probability_value(probability(h, rho), analysis.tol)
+            for h in analysis.histories}
 
 
 def _cmd_check(args) -> int:
@@ -282,9 +273,10 @@ def _cmd_check(args) -> int:
             if name not in NOTION_ORDER:
                 raise BadParameters(f"unknown notion {name!r}; choose from "
                                     + ", ".join(NOTION_ORDER))
-    results, summary = _run_notions(family, rho, requested, tol, provided)
+    analysis = FamilyAnalysis(family, tol)
+    results, summary = _run_notions(analysis, rho, requested, provided)
     return _report(args, tol, results,
-                   probabilities=_elementary_probabilities(family, rho, tol),
+                   probabilities=_elementary_probabilities(analysis, rho),
                    self_decoherence=summary)
 
 
@@ -292,8 +284,9 @@ def _cmd_example1(args) -> int:
     tol = _tolerances(args)
     instance = build_example1(args.theta, args.alpha, args.dim, tol)
     rho = getattr(instance, args.state)
-    results, summary = _run_notions(instance.family, rho, NOTION_ORDER, tol)
-    probabilities = _elementary_probabilities(instance.family, rho, tol)
+    analysis = FamilyAnalysis(instance.family, tol)
+    results, summary = _run_notions(analysis, rho, NOTION_ORDER)
+    probabilities = _elementary_probabilities(analysis, rho)
     p_coarse = probability(instance.h_coarse, rho)
     probabilities[instance.h_coarse.label] = _probability_value(p_coarse, tol)
     notes = []
@@ -320,8 +313,8 @@ def _cmd_example2(args) -> int:
     model = build_example2(args.spatial_dim, args.delta, tol)
     cert_t = verify_mirror(model.t, model.h1, model.rho, tol)
     cert_u = verify_mirror(model.u, model.h2, model.rho, tol)
-    sd, summary = _run_notions(model.family, model.rho, ["self-decoherence"],
-                               tol, model.provided_mirrors)
+    sd, summary = _run_notions(FamilyAnalysis(model.family, tol), model.rho,
+                               ["self-decoherence"], model.provided_mirrors)
     prop = proposition1_check(model.t, model.u, model.h1, model.h2,
                               model.psi, tol)
     bound = contrary_bound_check(model.h1, model.h2, (cert_t, cert_u),
@@ -362,8 +355,6 @@ def _cmd_sweep(args) -> int:
     tol = _tolerances(args)
     if args.steps < 1:
         raise BadParameters("steps must be at least 1")
-    checkers = (check_weak_decoherence, check_medium_decoherence,
-                check_linear_positivity, check_sum_rule)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
@@ -380,8 +371,10 @@ def _cmd_sweep(args) -> int:
         else:
             rho = getattr(instance, args.state)
         row = [args.param, format(v, ".17g")]
-        for check in checkers:
-            r = check(instance.family, rho, tol)
+        analysis = FamilyAnalysis(instance.family, tol)
+        for reduce in (analysis.weak, analysis.medium,
+                       analysis.linear_positivity, analysis.sum_rule):
+            r = reduce(rho)
             any_fail = any_fail or not r.verdict
             row += [str(r.verdict).lower(), format(r.worst_residual, ".17g")]
         row += [format(probability(h, rho), ".17g")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -68,6 +68,8 @@ def _canon(obj, indent: int) -> str:
             return "[]"
         inner = ",\n".join(pad + "  " + _canon(v, indent + 1) for v in obj)
         return "[\n" + inner + "\n" + pad + "]"
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     if isinstance(obj, dict):
         if any(not isinstance(k, str) for k in obj):
             raise TypeError("canonical JSON requires string keys")
@@ -81,7 +83,10 @@ def _canon(obj, indent: int) -> str:
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed float format, no NaN."""
+    """Deterministic JSON: sorted keys, fixed float format, no NaN.
+
+    Dataclasses are written as objects of their fields.
+    """
     return _canon(obj, 0) + "\n"
 
 
@@ -197,6 +202,13 @@ def serialize_problem(problem: ProblemFile) -> str:
     return canonical_dumps(data)
 
 
+def _prefixed(exc: ValidationError, prefix: str) -> ValidationError:
+    """``exc`` with ``prefix`` before its message; its class, residual
+    and (for :class:`NotOrthogonal`) pair stay as they are."""
+    exc.args = (f"{prefix}: {exc.args[0]}", *exc.args[1:])
+    return exc
+
+
 def projection_named(operators: dict[str, np.ndarray], name: str,
                      tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Validate the named operator as a projection; errors carry the name."""
@@ -205,8 +217,7 @@ def projection_named(operators: dict[str, np.ndarray], name: str,
     try:
         return validate_projection(operators[name], tol)
     except ValidationError as exc:
-        raise ValidationError(f"operator {name!r}: {exc.args[0]}",
-                              exc.residual)
+        raise _prefixed(exc, f"operator {name!r}")
 
 
 def problem_to_objects(problem: ProblemFile,
@@ -224,15 +235,13 @@ def problem_to_objects(problem: ProblemFile,
         try:
             slots.append(make_resolution(events, tol))
         except ValidationError as exc:
-            raise ValidationError(f"resolution {k + 1}: {exc.args[0]}",
-                                  exc.residual)
+            raise _prefixed(exc, f"resolution {k + 1}")
     family = HistoryFamily(tuple(slots))
     if isinstance(problem.state, str):
         try:
             rho = validate_density(problem.operators[problem.state], tol)
         except ValidationError as exc:
-            raise ValidationError(
-                f"state {problem.state!r}: {exc.args[0]}", exc.residual)
+            raise _prefixed(exc, f"state {problem.state!r}")
     else:
         total = sum(w for _, w in problem.state)
         if abs(total - 1.0) > tol.prob:
@@ -243,8 +252,7 @@ def problem_to_objects(problem: ProblemFile,
         try:
             rho = validate_density(mixed, tol)
         except ValidationError as exc:
-            raise ValidationError(f"state mixture: {exc.args[0]}",
-                                  exc.residual)
+            raise _prefixed(exc, "state mixture")
     mirrors: dict[str, Projection] = {}
     if problem.mirrors:
         labels = {h.label for h in elementary_histories(family)}
@@ -313,7 +321,7 @@ class ReportFile:
         return asdict(self)
 
     def dumps(self) -> str:
-        return canonical_dumps(self.to_dict())
+        return canonical_dumps(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReportFile":

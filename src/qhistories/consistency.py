@@ -10,14 +10,16 @@ elementary histories; multilinearity of the chain operator carries each
 verdict to every coarse-graining (the additivity checker verifies this
 by enumeration).
 
-Each checker is a reduction: over the matrix ``D`` of all elementary
-pairs, computed from one chain-operator stack in row blocks of bounded
-size, or over that stack's traces, with the pairs selected by the
-per-slot relation tables of :mod:`qhistories.histories`.
+Each checker is a reduction over one :class:`FamilyAnalysis`: over the
+matrix ``D`` of all elementary pairs, computed from one chain-operator
+stack in row blocks of bounded size, or over that stack's traces, with
+the pairs selected by per-slot relation tables.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,18 +35,13 @@ from .histories import (
     DEFAULT_MEMBER_CAP,
     History,
     HistoryFamily,
-    alternative_pairs,
     chain_operator,
     chain_stack,
-    commutative_histories,
+    elementary_histories,
     event_stacks,
-    index_tuples,
     is_commutative,
-    leq_table,
     make_resolution,
     member_options,
-    relation_tables,
-    summable_slots,
 )
 from .matcore import (
     _BLOCK_BYTES,
@@ -62,6 +59,7 @@ __all__ = [
     "NOTIONS",
     "ConsistencyReport",
     "ContraryInferenceInstance",
+    "FamilyAnalysis",
     "decoherence_functional",
     "probability",
     "check_weak_decoherence",
@@ -133,11 +131,6 @@ def _probabilities(chains: np.ndarray, rho: DensityOperator) -> np.ndarray:
     return np.einsum("iab,iab->i", chains @ rho.matrix, chains.conj()).real
 
 
-def _chain_traces(chains: np.ndarray, rho: DensityOperator) -> np.ndarray:
-    """``Tr(C rho)`` for every chain in the stack."""
-    return np.einsum("iab,ba->i", chains, rho.matrix)
-
-
 def _worst(values: np.ndarray, mask) -> tuple[float, Optional[int]]:
     """Largest masked value and its first flat position, or ``(0.0, None)``
     when no masked value exceeds 0: the running maximum of a loop that
@@ -149,66 +142,264 @@ def _worst(values: np.ndarray, mask) -> tuple[float, Optional[int]]:
     return float(masked[at]), at
 
 
-def _history_label(labels: Sequence[Sequence[str]], idx) -> str:
-    return "(" + ",".join(labels[k][i] for k, i in enumerate(idx)) + ")"
+def _max_norms(stack: np.ndarray) -> np.ndarray:
+    return np.abs(stack).max(axis=(-2, -1))
 
 
-def _elementary_labels(stacks: Sequence[np.ndarray]) -> list[list[str]]:
-    return [[str(i + 1) for i in range(len(s))] for s in stacks]
+class _SlotHistories:
+    """The histories over per-slot stacks of event matrices, numbered by
+    their index tuples in lexicographic order; each part is computed when
+    first read.
 
-
-def _member_stacks(family: HistoryFamily, tol: Tolerances, cap: int,
-                   ) -> tuple[list[np.ndarray], list[list[str]]]:
-    """Per-slot option matrices and labels of the family's members."""
-    options = member_options(family, tol, cap)
-    stacks = [np.array([p.matrix for _, p in slot]) for slot in options]
-    return stacks, [[label for label, _ in slot] for slot in options]
-
-
-def _worst_elementary_pair(family: HistoryFamily, rho: DensityOperator,
-                           tol: Tolerances, pairs, residual,
-                           ) -> tuple[float, Optional[tuple[str, str]], int]:
-    """Largest ``residual(D)`` over elementary pairs ``i < j`` in ``pairs``.
-
-    ``pairs(tables, rows, cols)`` selects pairs of index tuples from the
-    slot relation tables.  Ties go to the first pair in lexicographic
-    order; the worst stays 0 with no pair when nothing exceeds 0.
+    Every relation between two such histories is a lookup of per-slot
+    tables over their index tuples.  The tables apply the max-norm tests
+    of :func:`summable`, :func:`alternative`, :func:`history_leq` and
+    :func:`is_commutative`, and assume nothing about the events beyond
+    that (a resolution may hold several zero events, which are then both
+    equal and orthogonal).
     """
-    stacks = event_stacks(family)
-    tables = [relation_tables(s, tol) for s in stacks]
-    index = index_tuples(stacks)
-    n = len(index)
-    worst, where, count = 0.0, None, 0
-    for rows, block in _decoherence_blocks(chain_stack(stacks), rho):
-        mask = pairs(tables, index[rows], index)
-        mask &= np.arange(n) > np.arange(rows.start, rows.stop)[:, None]
-        count += int(np.count_nonzero(mask))
-        value, at = _worst(residual(block), mask)
-        if value > worst:
-            worst, where = value, (rows.start + at // n, at % n)
-    pair = None
-    if where is not None:
-        labels = _elementary_labels(stacks)
-        pair = tuple(_history_label(labels, index[i]) for i in where)
-    return worst, pair, count
+
+    def __init__(self, stacks: list[np.ndarray], slot_labels: list[list[str]],
+                 tol: Tolerances):
+        self.stacks, self.slot_labels, self.tol = stacks, slot_labels, tol
+
+    @functools.cached_property
+    def index(self) -> np.ndarray:
+        sizes = [len(s) for s in self.stacks]
+        return np.indices(sizes).reshape(len(sizes), -1).T
+
+    @functools.cached_property
+    def tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``equal[i, j]`` and ``orthogonal[i, j]`` over each slot's events."""
+        tables = []
+        for e in self.stacks:
+            small = _max_norms(e[:, None] @ e[None]) <= self.tol.op
+            tables.append((_max_norms(e[:, None] - e[None]) <= self.tol.op,
+                           small & small.T))
+        return tables
+
+    @functools.cached_property
+    def chains(self) -> np.ndarray:
+        return chain_stack(self.stacks)
+
+    def label(self, i: int) -> str:
+        return "(" + ",".join(self.slot_labels[k][j]
+                              for k, j in enumerate(self.index[i])) + ")"
+
+    def probabilities(self, rho: DensityOperator) -> np.ndarray:
+        return _probabilities(self.chains, rho)
+
+    def summable_slots(self, rows: slice = slice(None)) -> np.ndarray:
+        """The 1-based merge slot of :func:`summable` for histories
+        ``rows`` against all, or 0 where a pair is not summable."""
+        index = self.index
+        slot = np.zeros((len(index[rows]), len(index)), dtype=np.intp)
+        ok = np.ones(slot.shape, dtype=bool)
+        for k, (equal, orthogonal) in enumerate(self.tables):
+            pair = (index[rows, k, None], index[None, :, k])
+            same = equal[pair]
+            merge = orthogonal[pair] & ~same
+            ok &= (same | merge) & ~(merge & (slot > 0))
+            slot[merge] = k + 1
+        return np.where(ok, slot, 0)
+
+    def leq(self, upper: "_SlotHistories") -> np.ndarray:
+        """``[a, b]``: history ``a`` is dominated slot-wise by history ``b``
+        of ``upper``."""
+        out = np.ones((len(self.index), len(upper.index)), dtype=bool)
+        for k, (low, up) in enumerate(zip(self.stacks, upper.stacks)):
+            table = _max_norms(up[None] @ low[:, None] - low[:, None]) <= self.tol.op
+            out &= table[self.index[:, k, None], upper.index[None, :, k]]
+        return out
+
+
+class FamilyAnalysis(_SlotHistories):
+    """Everything about a family that does not depend on the state.
+
+    Event stacks, index tuples and labels, relation tables, the
+    upper-triangular summable and alternative pair masks, the
+    commutativity mask, the chain stack, the elementary histories and
+    the 2-slot event stacks are each computed when first read and then
+    kept, so a caller asking about many states (mixture predicates, the
+    command line) builds them once.  The notion methods are the
+    reductions behind the public checkers: ``check_weak_decoherence(
+    family, rho, tol)`` is ``FamilyAnalysis(family, tol).weak(rho)``.
+    """
+
+    def __init__(self, family: HistoryFamily, tol: Tolerances = DEFAULT_TOL):
+        stacks = event_stacks(family)
+        super().__init__(stacks, [[str(i + 1) for i in range(len(s))]
+                                  for s in stacks], tol)
+        self.family = family
+        self._members: dict[int, _SlotHistories] = {}
+
+    @functools.cached_property
+    def histories(self) -> list[History]:
+        return elementary_histories(self.family)
+
+    @functools.cached_property
+    def summable_mask(self) -> np.ndarray:
+        return self._upper_pairs(lambda rows: self.summable_slots(rows) > 0)
+
+    @functools.cached_property
+    def alternative_mask(self) -> np.ndarray:
+        return self._upper_pairs(lambda rows: np.logical_or.reduce([
+            orthogonal[self.index[rows, k, None], self.index[None, :, k]]
+            for k, (_, orthogonal) in enumerate(self.tables)]))
+
+    def _upper_pairs(self, pairs) -> np.ndarray:
+        """``pairs(rows)`` against all histories, kept for ``i < j`` and
+        evaluated in row blocks whose tables stay within ``_BLOCK_BYTES``."""
+        n = len(self.index)
+        mask = np.empty((n, n), dtype=bool)
+        step = max(1, _BLOCK_BYTES // (8 * n))
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            mask[rows] = pairs(rows) & (np.arange(n) > np.arange(n)[rows, None])
+        return mask
+
+    @functools.cached_property
+    def commutative(self) -> np.ndarray:
+        out = np.ones(len(self.index), dtype=bool)
+        for k, m in itertools.combinations(range(len(self.stacks)), 2):
+            a, b = self.stacks[k][:, None], self.stacks[m][None]
+            commute = _max_norms(a @ b - b @ a) <= self.tol.op
+            out &= commute[self.index[:, k], self.index[:, m]]
+        return out
+
+    @functools.cached_property
+    def event_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(N, d, d)`` first and second events of every elementary
+        history of a 2-slot family."""
+        return self.stacks[0][self.index[:, 0]], self.stacks[1][self.index[:, 1]]
+
+    def members(self, cap: int = DEFAULT_MEMBER_CAP) -> _SlotHistories:
+        """The members over per-slot option stacks; raises
+        :class:`FamilyTooLarge` past ``cap`` members."""
+        if cap not in self._members:
+            options = member_options(self.family, self.tol, cap)
+            self._members[cap] = _SlotHistories(
+                [np.array([p.matrix for _, p in slot]) for slot in options],
+                [[label for label, _ in slot] for slot in options], self.tol)
+        return self._members[cap]
+
+    def decoherence_blocks(self, rho: DensityOperator):
+        return _decoherence_blocks(self.chains, rho)
+
+    def chain_traces(self, rho: DensityOperator) -> np.ndarray:
+        """``Tr(C rho)`` for every elementary history."""
+        return np.einsum("iab,ba->i", self.chains, rho.matrix)
+
+    def _worst_pair(self, rho: DensityOperator, mask: np.ndarray, residual,
+                    ) -> tuple[float, Optional[tuple[str, str]], int]:
+        """Largest ``residual(D)`` over the masked pairs; ties go to the
+        first pair in label order, and the worst stays 0 with no pair
+        when nothing exceeds 0."""
+        n = len(mask)
+        worst, where = 0.0, None
+        for rows, block in self.decoherence_blocks(rho):
+            value, at = _worst(residual(block), mask[rows])
+            if value > worst:
+                worst, where = value, (rows.start + at // n, at % n)
+        pair = None if where is None else tuple(self.label(i) for i in where)
+        return worst, pair, int(np.count_nonzero(mask))
+
+    def _report(self, notion: str, worst: float, pair, count: int,
+                ) -> ConsistencyReport:
+        return ConsistencyReport(notion, worst <= self.tol.prob, pair, worst,
+                                 count)
+
+    def weak(self, rho: DensityOperator) -> ConsistencyReport:
+        return self._report("weak", *self._worst_pair(
+            rho, self.summable_mask, lambda block: np.abs(block.real)))
+
+    def medium(self, rho: DensityOperator) -> ConsistencyReport:
+        return self._report("medium", *self._worst_pair(
+            rho, self.alternative_mask, np.abs))
+
+    def linear_positivity(self, rho: DensityOperator) -> ConsistencyReport:
+        negated = -self.chain_traces(rho).real
+        at = int(np.argmax(negated))
+        return self._report("linear-positive", float(negated[at]),
+                            (self.label(at),) * 2, len(negated))
+
+    def C1(self, rho: DensityOperator) -> ConsistencyReport:
+        residuals = np.abs(self.probabilities(rho) - self.chain_traces(rho))
+        worst, at = _worst(residuals, self.commutative)
+        return self._report("C1-compat", worst,
+                            None if at is None else (self.label(at),) * 2,
+                            int(np.count_nonzero(self.commutative)))
+
+    def sum_rule(self, rho: DensityOperator,
+                 cap: int = DEFAULT_MEMBER_CAP) -> ConsistencyReport:
+        m = self.members(cap)
+        probs = m.probabilities(rho)
+        slots = m.summable_slots()
+        a, b = np.nonzero(np.triu(slots, 1))
+        merged = []
+        for k, events in enumerate(m.stacks):
+            slot_events = events[m.index[a, k]]
+            here = slots[a, b] == k + 1
+            slot_events[here] += events[m.index[b[here], k]]
+            merged.append(slot_events)
+        chains = merged[0]
+        for slot_events in merged[1:]:
+            chains = slot_events @ chains
+        residuals = np.abs(_probabilities(chains, rho) - probs[a] - probs[b])
+        worst, at = _worst(residuals, True)
+        pair = None if at is None else (m.label(a[at]), m.label(b[at]))
+        norm_defect = float(abs(np.sum(self.probabilities(rho)) - 1.0))
+        if norm_defect > worst:
+            worst, pair = norm_defect, None
+        return self._report("sum-rule", worst, pair, len(a))
+
+    def ordered(self, rho: DensityOperator,
+                context: Sequence[HistoryFamily] = (),
+                cap: int = DEFAULT_MEMBER_CAP,
+                medium: Optional[ConsistencyReport] = None,
+                ) -> ConsistencyReport:
+        """``medium`` is this family's medium report for ``rho``, when the
+        caller has it already."""
+        analyses = [self, *(self if f is self.family
+                            else FamilyAnalysis(f, self.tol) for f in context)]
+        if medium is None:
+            medium = self.medium(rho)
+        for i, other in enumerate(analyses):
+            med = medium if other is self else other.medium(rho)
+            if not med.verdict:
+                name = f"context family {i}" if i else "family"
+                raise PreconditionFailed(
+                    f"{name} is not medium-decohering (worst residual "
+                    f"{med.worst_residual:.3e})")
+        own = self.members(cap)
+        own_probs = own.probabilities(rho)
+        worst, pair, count = 0.0, None, 0
+        for other in analyses:
+            theirs = other.members(cap)
+            if (other.family.length != self.family.length
+                    or other.family.dim != self.family.dim):
+                continue
+            their_probs = (own_probs if theirs is own
+                           else theirs.probabilities(rho))
+            leq = own.leq(theirs)
+            count += int(np.count_nonzero(leq))
+            violation, at = _worst(own_probs[:, None] - their_probs[None], leq)
+            if violation > worst:
+                i, j = divmod(at, len(theirs.index))
+                worst, pair = violation, (own.label(i), theirs.label(j))
+        return self._report("ordered", worst, pair, count)
 
 
 def check_weak_decoherence(family: HistoryFamily, rho: DensityOperator,
                            tol: Tolerances = DEFAULT_TOL) -> ConsistencyReport:
     """``Re D(h1, h2) = 0`` over all summable pairs of elementary histories."""
-    worst, pair, count = _worst_elementary_pair(
-        family, rho, tol,
-        lambda tables, rows, cols: summable_slots(tables, rows, cols) > 0,
-        lambda block: np.abs(block.real))
-    return ConsistencyReport("weak", worst <= tol.prob, pair, worst, count)
+    return FamilyAnalysis(family, tol).weak(rho)
 
 
 def check_medium_decoherence(family: HistoryFamily, rho: DensityOperator,
                              tol: Tolerances = DEFAULT_TOL) -> ConsistencyReport:
     """``|D(h1, h2)| = 0`` over all alternative pairs of elementary histories."""
-    worst, pair, count = _worst_elementary_pair(
-        family, rho, tol, alternative_pairs, np.abs)
-    return ConsistencyReport("medium", worst <= tol.prob, pair, worst, count)
+    return FamilyAnalysis(family, tol).medium(rho)
 
 
 def check_linear_positivity(family: HistoryFamily, rho: DensityOperator,
@@ -220,13 +411,7 @@ def check_linear_positivity(family: HistoryFamily, rho: DensityOperator,
     to all coarse-grainings because their chain traces are sums of
     elementary ones.
     """
-    stacks = event_stacks(family)
-    negated = -_chain_traces(chain_stack(stacks), rho).real
-    at = int(np.argmax(negated))
-    worst = float(negated[at])
-    label = _history_label(_elementary_labels(stacks), index_tuples(stacks)[at])
-    return ConsistencyReport("linear-positive", worst <= tol.prob,
-                             (label, label), worst, len(negated))
+    return FamilyAnalysis(family, tol).linear_positivity(rho)
 
 
 def check_sum_rule(family: HistoryFamily, rho: DensityOperator,
@@ -240,33 +425,7 @@ def check_sum_rule(family: HistoryFamily, rho: DensityOperator,
     decoherence-functional matrix, and evaluates each merged member's
     probability from its own chain operator.
     """
-    stacks, labels = _member_stacks(family, tol, cap)
-    index = index_tuples(stacks)
-    probs = _probabilities(chain_stack(stacks), rho)
-    slots = summable_slots([relation_tables(s, tol) for s in stacks],
-                           index, index)
-    a, b = np.nonzero(np.triu(slots, 1))
-    merged = []
-    for k, events in enumerate(stacks):
-        slot_events = events[index[a, k]]
-        here = slots[a, b] == k + 1
-        slot_events[here] += events[index[b[here], k]]
-        merged.append(slot_events)
-    chains = merged[0]
-    for slot_events in merged[1:]:
-        chains = slot_events @ chains
-    residuals = np.abs(_probabilities(chains, rho) - probs[a] - probs[b])
-    worst, at = _worst(residuals, True)
-    worst_pair = None
-    if at is not None:
-        worst_pair = (_history_label(labels, index[a[at]]),
-                      _history_label(labels, index[b[at]]))
-    total = np.sum(_probabilities(chain_stack(event_stacks(family)), rho))
-    norm_defect = float(abs(total - 1.0))
-    if norm_defect > worst:
-        worst, worst_pair = norm_defect, None
-    return ConsistencyReport("sum-rule", worst <= tol.prob, worst_pair, worst,
-                             len(a))
+    return FamilyAnalysis(family, tol).sum_rule(rho, cap)
 
 
 def check_C1_compatibility(h: History, rho: DensityOperator,
@@ -285,18 +444,7 @@ def check_C1_family(family: HistoryFamily, rho: DensityOperator,
                     tol: Tolerances = DEFAULT_TOL) -> ConsistencyReport:
     """Aggregate of :func:`check_C1_compatibility` over the commutative
     elementary histories; non-commutative ones are skipped."""
-    stacks = event_stacks(family)
-    index = index_tuples(stacks)
-    commutative = commutative_histories(stacks, index, tol)
-    chains = chain_stack(stacks)
-    residuals = np.abs(_probabilities(chains, rho) - _chain_traces(chains, rho))
-    worst, at = _worst(residuals, commutative)
-    worst_pair = None
-    if at is not None:
-        label = _history_label(_elementary_labels(stacks), index[at])
-        worst_pair = (label, label)
-    return ConsistencyReport("C1-compat", worst <= tol.prob, worst_pair, worst,
-                             int(np.count_nonzero(commutative)))
+    return FamilyAnalysis(family, tol).C1(rho)
 
 
 def check_ordered_consistency(family: HistoryFamily, rho: DensityOperator,
@@ -310,37 +458,7 @@ def check_ordered_consistency(family: HistoryFamily, rho: DensityOperator,
     otherwise).  Compares every member of ``family`` to every member of
     the family and each context family.
     """
-    for i, fam in enumerate((family, *context)):
-        med = check_medium_decoherence(fam, rho, tol)
-        if not med.verdict:
-            name = f"context family {i}" if i else "family"
-            raise PreconditionFailed(
-                f"{name} is not medium-decohering (worst residual "
-                f"{med.worst_residual:.3e})")
-    own, own_labels = _member_stacks(family, tol, cap)
-    own_index = index_tuples(own)
-    own_probs = _probabilities(chain_stack(own), rho)
-    worst, worst_pair, count = 0.0, None, 0
-    for fam in (family, *context):
-        others, other_labels = ((own, own_labels) if fam is family
-                                else _member_stacks(fam, tol, cap))
-        if fam.length != family.length or fam.dim != family.dim:
-            continue
-        other_index = index_tuples(others)
-        other_probs = (own_probs if fam is family
-                       else _probabilities(chain_stack(others), rho))
-        leq = np.ones((len(own_index), len(other_index)), dtype=bool)
-        for k in range(family.length):
-            table = leq_table(own[k], others[k], tol)
-            leq &= table[own_index[:, k, None], other_index[None, :, k]]
-        count += int(np.count_nonzero(leq))
-        violation, at = _worst(own_probs[:, None] - other_probs[None], leq)
-        if violation > worst:
-            i, j = divmod(at, len(other_index))
-            worst, worst_pair = violation, (
-                _history_label(own_labels, own_index[i]),
-                _history_label(other_labels, other_index[j]))
-    return ConsistencyReport("ordered", worst <= tol.prob, worst_pair, worst, count)
+    return FamilyAnalysis(family, tol).ordered(rho, context, cap)
 
 
 def conditional_probability(h: History, rho: DensityOperator,

@@ -31,6 +31,7 @@ from .matcore import (
     max_norm,
     projection_leq,
     validate_projection,
+    validate_projections,
 )
 
 __all__ = [
@@ -50,13 +51,7 @@ __all__ = [
     "history_leq",
     "is_commutative",
     "event_stacks",
-    "index_tuples",
     "chain_stack",
-    "relation_tables",
-    "leq_table",
-    "summable_slots",
-    "alternative_pairs",
-    "commutative_histories",
 ]
 
 DEFAULT_MEMBER_CAP = 64
@@ -199,14 +194,12 @@ def member_options(family: HistoryFamily, tol: Tolerances = DEFAULT_TOL,
             f"family has {count} members, above the enumeration cap {cap}")
     per_slot: list[list[tuple[str, Projection]]] = []
     for r in family.resolutions:
-        options = []
-        indices = range(len(r.events))
-        for size in range(1, len(r.events) + 1):
-            for subset in itertools.combinations(indices, size):
-                label = "+".join(str(i + 1) for i in subset)
-                total = sum(r.events[i].matrix for i in subset)
-                options.append((label, validate_projection(total, tol)))
-        per_slot.append(options)
+        subsets = [s for size in range(1, len(r.events) + 1)
+                   for s in itertools.combinations(range(len(r.events)), size)]
+        sums = validate_projections(
+            [sum(r.events[i].matrix for i in s) for s in subsets], tol)
+        per_slot.append([("+".join(str(i + 1) for i in s), p)
+                         for s, p in zip(subsets, sums)])
     return per_slot
 
 
@@ -328,91 +321,20 @@ def is_commutative(h: History, tol: Tolerances = DEFAULT_TOL) -> bool:
     return True
 
 
-# Slot-wise stacks and relation tables.  A family's elementary histories
-# (or its members) are the index tuples over per-slot stacks of event
-# matrices, numbered in lexicographic order; every relation between two
-# such histories is a lookup of per-slot tables over their index tuples.
-# The tables apply the same max-norm tests as :func:`summable`,
-# :func:`alternative`, :func:`history_leq` and :func:`is_commutative`,
-# and assume nothing about the events beyond that (a resolution may hold
-# several zero events, which are then both equal and orthogonal).
-
-
 def event_stacks(family: HistoryFamily) -> list[np.ndarray]:
     """Each slot's resolution events stacked as an ``(n_k, d, d)`` array."""
     return [np.array([e.matrix for e in r.events]) for r in family.resolutions]
-
-
-def index_tuples(stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """``(N, L)`` array of every history's slot indices, lexicographic."""
-    sizes = [len(s) for s in stacks]
-    return np.indices(sizes).reshape(len(sizes), -1).T
 
 
 def chain_stack(stacks: Sequence[np.ndarray]) -> np.ndarray:
     """``(N, d, d)`` chain operators of every history over ``stacks``.
 
     One batched product per slot, each applying the later event on the
-    left as :func:`chain_operator` does, in :func:`index_tuples` order.
+    left as :func:`chain_operator` does, in lexicographic order of the
+    histories' slot indices.
     """
     chains = stacks[0]
     d = chains.shape[-1]
     for events in stacks[1:]:
         chains = (events[None] @ chains[:, None]).reshape(-1, d, d)
     return chains
-
-
-def _max_norms(stack: np.ndarray) -> np.ndarray:
-    return np.abs(stack).max(axis=(-2, -1))
-
-
-def relation_tables(events: np.ndarray, tol: Tolerances = DEFAULT_TOL,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """``equal[i, j]`` and ``orthogonal[i, j]`` over one slot's events."""
-    equal = _max_norms(events[:, None] - events[None]) <= tol.op
-    small = _max_norms(events[:, None] @ events[None]) <= tol.op
-    return equal, small & small.T
-
-
-def leq_table(lower: np.ndarray, upper: np.ndarray,
-              tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """``leq[i, j]``: ``lower[i]`` is dominated by ``upper[j]``."""
-    return _max_norms(upper[None] @ lower[:, None] - lower[:, None]) <= tol.op
-
-
-def summable_slots(tables: Sequence[tuple[np.ndarray, np.ndarray]],
-                   rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """:func:`summable` for every pair of index tuples ``rows[a], cols[b]``.
-
-    ``tables`` holds one :func:`relation_tables` pair per slot.  Entries
-    are the 1-based merge slot, or 0 where the pair is not summable.
-    """
-    slot = np.zeros((len(rows), len(cols)), dtype=np.intp)
-    ok = np.ones(slot.shape, dtype=bool)
-    for k, (equal, orthogonal) in enumerate(tables):
-        at = (rows[:, k, None], cols[None, :, k])
-        same = equal[at]
-        merge = orthogonal[at] & ~same
-        ok &= (same | merge) & ~(merge & (slot > 0))
-        slot[merge] = k + 1
-    return np.where(ok, slot, 0)
-
-
-def alternative_pairs(tables: Sequence[tuple[np.ndarray, np.ndarray]],
-                      rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """:func:`alternative` for every pair of index tuples ``rows[a], cols[b]``."""
-    out = np.zeros((len(rows), len(cols)), dtype=bool)
-    for k, (_, orthogonal) in enumerate(tables):
-        out |= orthogonal[rows[:, k, None], cols[None, :, k]]
-    return out
-
-
-def commutative_histories(stacks: Sequence[np.ndarray], index: np.ndarray,
-                          tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """:func:`is_commutative` for every history, from slot-pair tables."""
-    out = np.ones(len(index), dtype=bool)
-    for k, m in itertools.combinations(range(len(stacks)), 2):
-        a, b = stacks[k][:, None], stacks[m][None]
-        commute = _max_norms(a @ b - b @ a) <= tol.op
-        out &= commute[index[:, k], index[:, m]]
-    return out

@@ -16,11 +16,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .consistency import (
-    check_linear_positivity,
-    check_medium_decoherence,
-    check_weak_decoherence,
-)
+from .consistency import FamilyAnalysis
 from .errors import (
     BadParameters,
     DimensionMismatch,
@@ -37,7 +33,7 @@ from .matcore import (
     max_norm,
     validate_density,
 )
-from .mirror import MirrorCertificate, check_self_decoherence, least_mirror
+from .mirror import MirrorCertificate, least_mirror, self_decoherence
 
 __all__ = [
     "PropertyPredicate",
@@ -68,23 +64,23 @@ class PropertyPredicate:
 
 def weak_decoherence_property(family: HistoryFamily,
                               tol: Tolerances = DEFAULT_TOL) -> PropertyPredicate:
-    return PropertyPredicate(
-        "weak-decoherence",
-        lambda rho: check_weak_decoherence(family, rho, tol).verdict)
+    analysis = FamilyAnalysis(family, tol)
+    return PropertyPredicate("weak-decoherence",
+                             lambda rho: analysis.weak(rho).verdict)
 
 
 def medium_decoherence_property(family: HistoryFamily,
                                 tol: Tolerances = DEFAULT_TOL) -> PropertyPredicate:
-    return PropertyPredicate(
-        "medium-decoherence",
-        lambda rho: check_medium_decoherence(family, rho, tol).verdict)
+    analysis = FamilyAnalysis(family, tol)
+    return PropertyPredicate("medium-decoherence",
+                             lambda rho: analysis.medium(rho).verdict)
 
 
 def linear_positivity_property(family: HistoryFamily,
                                tol: Tolerances = DEFAULT_TOL) -> PropertyPredicate:
-    return PropertyPredicate(
-        "linear-positivity",
-        lambda rho: check_linear_positivity(family, rho, tol).verdict)
+    analysis = FamilyAnalysis(family, tol)
+    return PropertyPredicate("linear-positivity",
+                             lambda rho: analysis.linear_positivity(rho).verdict)
 
 
 def self_decoherence_property(family: HistoryFamily,
@@ -98,9 +94,10 @@ def self_decoherence_property(family: HistoryFamily,
     contains each component's.  So the predicate has no individuality
     witness.
     """
+    analysis = FamilyAnalysis(family, tol)
     return PropertyPredicate(
         "self-decoherence",
-        lambda rho: check_self_decoherence(family, rho, provided, tol).verdict)
+        lambda rho: self_decoherence(analysis, rho, provided).verdict)
 
 
 def mixture(rho1: DensityOperator, rho2: DensityOperator, lam: float,

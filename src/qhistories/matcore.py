@@ -30,6 +30,7 @@ __all__ = [
     "square_matrix",
     "max_norm",
     "validate_projection",
+    "validate_projections",
     "validate_density",
     "projector_onto",
     "identity_projection",
@@ -136,18 +137,30 @@ def validate_projection(entries, tol: Tolerances = DEFAULT_TOL) -> Projection:
     Raises :class:`NotHermitian` or :class:`NotIdempotent` with the
     offending max-norm residual.
     """
-    m = square_matrix(entries)
-    herm = max_norm(m - m.conj().T)
-    if herm > tol.op:
-        raise NotHermitian(
-            f"projection candidate is not Hermitian (residual {herm:.3e})", herm)
-    idem = max_norm(m @ m - m)
-    if idem > tol.op:
-        raise NotIdempotent(
-            f"projection candidate is not idempotent (residual {idem:.3e})", idem)
-    eigs = np.linalg.eigvalsh(m)
-    rank = int(np.sum(np.abs(eigs - 1.0) <= tol.eig))
-    return Projection(m, rank, herm, idem)
+    return validate_projections(square_matrix(entries)[None], tol)[0]
+
+
+def validate_projections(stack, tol: Tolerances = DEFAULT_TOL) -> list[Projection]:
+    """:func:`validate_projection` over an ``(n, d, d)`` stack in one pass.
+
+    The first failing matrix raises what it raises on its own.
+    """
+    m = np.array(stack, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
+        raise DimensionMismatch(f"expected a stack of square matrices, "
+                                f"got shape {m.shape}")
+    m.setflags(write=False)
+    herm = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+    idem = np.abs(m @ m - m).max(axis=(1, 2)).tolist()
+    for h, i in zip(herm, idem):
+        if h > tol.op:
+            raise NotHermitian(
+                f"projection candidate is not Hermitian (residual {h:.3e})", h)
+        if i > tol.op:
+            raise NotIdempotent(
+                f"projection candidate is not idempotent (residual {i:.3e})", i)
+    ranks = np.count_nonzero(np.abs(np.linalg.eigvalsh(m) - 1.0) <= tol.eig, axis=1)
+    return [Projection(*args) for args in zip(m, ranks.tolist(), herm, idem)]
 
 
 def validate_density(entries, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:

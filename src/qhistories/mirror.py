@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .consistency import probability
+from .consistency import FamilyAnalysis, probability
 from .errors import (
     DimensionMismatch,
     IdentityChainMismatch,
@@ -33,16 +33,7 @@ from .errors import (
     WrongHistoryLength,
     ZeroConditioningEvent,
 )
-from .histories import (
-    History,
-    HistoryFamily,
-    elementary_histories,
-    event_stacks,
-    history_sum,
-    index_tuples,
-    relation_tables,
-    summable_slots,
-)
+from .histories import History, HistoryFamily, history_sum
 from .matcore import (
     _BLOCK_BYTES,
     DEFAULT_TOL,
@@ -54,6 +45,7 @@ from .matcore import (
     max_norm,
     validate_density,
     validate_projection,
+    validate_projections,
 )
 
 __all__ = [
@@ -66,6 +58,7 @@ __all__ = [
     "mirror_correlation",
     "least_mirror",
     "check_self_decoherence",
+    "self_decoherence",
     "occurrence_probability",
     "proposition1_check",
     "contrary_bound_check",
@@ -91,7 +84,8 @@ class MirrorCertificate:
 
 @dataclass(frozen=True, eq=False)
 class SelfDecoherenceReport:
-    """Mirror status of every elementary history of a 2-slot family.
+    """Mirror status of every elementary history of a 2-slot family,
+    with the family's analysis.
 
     ``per_history[label]`` is ``None`` exactly when the history has no
     provided mirror and no mirror exists.  ``coarse_sum_mirrors``
@@ -101,21 +95,16 @@ class SelfDecoherenceReport:
     affects the verdict.
     """
 
-    family: HistoryFamily
+    analysis: FamilyAnalysis
     per_history: dict[str, Optional[MirrorCertificate]]
     verdict: bool
     state: DensityOperator
-    tol: Tolerances
 
     @functools.cached_property
     def coarse_sum_mirrors(self) -> dict[str, bool]:
-        elems, tol = elementary_histories(self.family), self.tol
-        stacks = event_stacks(self.family)
-        index = index_tuples(stacks)
-        slots = summable_slots([relation_tables(s, tol) for s in stacks],
-                               index, index)
+        elems, tol = self.analysis.histories, self.analysis.tol
         coarse: dict[str, bool] = {}
-        for i, j in zip(*np.nonzero(np.triu(slots, 1))):
+        for i, j in zip(*np.nonzero(self.analysis.summable_mask)):
             c1, c2 = (self.per_history[elems[k].label] for k in (i, j))
             if (c1 and c2 and c1.verified and c2.verified
                     and max_norm(c1.mirror.matrix @ c2.mirror.matrix) <= tol.op):
@@ -172,8 +161,9 @@ def _certificates(mirrors: Sequence[Optional[Projection]],
     mirrors = list(mirrors)
     least = [i for i, t in enumerate(mirrors) if t is None]
     if least:
-        for i, p in zip(least, _least_projections(e1[least], e2[least], rho, tol)):
-            mirrors[i] = validate_projection(p, tol)
+        projections = _least_projections(e1[least], e2[least], rho, tol)
+        for i, p in zip(least, validate_projections(projections, tol)):
+            mirrors[i] = p
     for t in mirrors:
         if t.matrix.shape != e1.shape[1:]:
             raise DimensionMismatch(
@@ -258,24 +248,31 @@ def check_self_decoherence(family: HistoryFamily, rho: DensityOperator,
     certificate when it verifies and ``None`` when no mirror exists.
     Both run batched over the family's event stacks.
     """
+    return self_decoherence(FamilyAnalysis(family, tol), rho, provided)
+
+
+def self_decoherence(analysis: FamilyAnalysis, rho: DensityOperator,
+                     provided: Optional[Mapping[str, Projection]] = None,
+                     ) -> SelfDecoherenceReport:
+    """:func:`check_self_decoherence` over a family analysis that callers
+    asking about many states build once."""
+    family, tol = analysis.family, analysis.tol
     if family.length != 2:
         raise WrongHistoryLength("self-decoherence is defined for 2-slot families")
     provided = provided or {}
-    elems = elementary_histories(family)
-    stacks = event_stacks(family)
-    index = index_tuples(stacks)
+    elems = analysis.histories
+    e1, e2 = analysis.event_pairs
     # blocks of histories whose closure stacks [P, e1 P, e2 P] fit the budget
     step = max(1, _BLOCK_BYTES // (3 * 16 * family.dim ** 2))
     certs: list[MirrorCertificate] = []
     for start in range(0, len(elems), step):
         rows = slice(start, start + step)
         certs += _certificates([provided.get(h.label) for h in elems[rows]],
-                               elems[rows], stacks[0][index[rows, 0]],
-                               stacks[1][index[rows, 1]], rho, tol)
+                               elems[rows], e1[rows], e2[rows], rho, tol)
     per = {h.label: cert if h.label in provided or cert.verified else None
            for h, cert in zip(elems, certs)}
     verdict = all(c is not None and c.verified for c in per.values())
-    return SelfDecoherenceReport(family, per, verdict, rho, tol)
+    return SelfDecoherenceReport(analysis, per, verdict, rho)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,13 @@ from qhistories.cli.files import (
     report_table,
     serialize_problem,
 )
-from qhistories.errors import ParseError, ValidationError
+from qhistories.consistency import FamilyAnalysis
+from qhistories.errors import (
+    NotIdempotent,
+    NotOrthogonal,
+    ParseError,
+    ValidationError,
+)
 from qhistories.matcore import DEFAULT_TOL
 from qhistories.scenarios import build_example1, build_example2
 
@@ -107,6 +113,28 @@ def test_problem_objects_validate_operators():
     with pytest.raises(ValidationError) as exc:
         problem_to_objects(broken, TOL)
     assert "E1" in str(exc.value)
+
+
+def test_problem_objects_keep_the_failure_class():
+    """The wrappers add the operator or slot to the message; the class,
+    residual and overlapping pair stay those of the failed check."""
+    problem = example1_problem()
+    half = ProblemFile(dim=3, operators=dict(problem.operators,
+                                             E1=np.eye(3) / 2),
+                       resolutions=problem.resolutions, state="rho1")
+    with pytest.raises(NotIdempotent) as exc:
+        problem_to_objects(half, TOL)
+    assert str(exc.value).startswith("operator 'E1': ")
+    assert exc.value.residual == pytest.approx(0.25)
+    overlap = ProblemFile(dim=3, operators=problem.operators,
+                          resolutions=[["E1", "E1c", "E1"], ["E2", "E2c"]],
+                          state="rho1")
+    with pytest.raises(NotOrthogonal) as exc:
+        problem_to_objects(overlap, TOL)
+    assert str(exc.value).startswith("resolution 1: ")
+    assert exc.value.pair == (1, 3)
+    e1 = problem.operators["E1"]
+    assert exc.value.residual == pytest.approx(np.max(np.abs(e1 @ e1)))
 
 
 def test_problem_objects_support_mixture_states():
@@ -266,6 +294,24 @@ def test_check_command_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "self-decoherence: pass" in out
     assert "provided-verified" in out
+
+
+def test_default_check_evaluates_medium_once(tmp_path, monkeypatch):
+    """``ordered`` reuses the medium report as its precondition."""
+    path = tmp_path / "ex2.json"
+    path.write_text(serialize_problem(example2_problem()))
+    calls = []
+    medium = FamilyAnalysis.medium
+    monkeypatch.setattr(FamilyAnalysis, "medium", lambda self, rho: (
+        calls.append(rho) or medium(self, rho)))
+    out = tmp_path / "report.json"
+    for notions in ([], ["--notions", "ordered,medium"], ["--notions", "ordered"]):
+        calls.clear()
+        assert main(["check", str(path), "--format", "report",
+                     "--out", str(out), *notions]) == 0
+        report = ReportFile.loads(out.read_text())
+        assert report.notions["ordered"].verdict is True
+        assert len(calls) == 1, notions
 
 
 def test_check_report_output_round_trips(tmp_path):

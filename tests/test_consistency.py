@@ -8,6 +8,7 @@ import pytest
 from qhistories import consistency
 from qhistories.consistency import (
     ConsistencyReport,
+    FamilyAnalysis,
     check_C1_compatibility,
     check_C1_family,
     check_linear_positivity,
@@ -45,6 +46,7 @@ from qhistories.histories import (
 )
 from qhistories.matcore import (
     DEFAULT_TOL,
+    Tolerances,
     projector_onto,
     validate_density,
     validate_projection,
@@ -59,6 +61,7 @@ from qhistories.sampling import (
 from qhistories.scenarios import (
     build_example1,
     example1_decoherence_expected,
+    example1_expected,
     linear_positivity_expected,
 )
 
@@ -596,3 +599,71 @@ def test_reports_carry_python_types():
                 type(label) is str for label in report.worst_pair), report
     assert {check for check, _ in seen} == set(checkers)
     assert {verdict for _, verdict in seen} == {True, False}
+
+
+@pytest.mark.parametrize("case", range(len(equivalence_cases())))
+def test_one_analysis_matches_pairwise_reference_on_many_states(case):
+    """Parts cached on the first state must not leak into the next."""
+    family, rho = equivalence_cases()[case]
+    rng = np.random.default_rng(100 + case)
+    other = random_density(family.dim, rng, tol=TOL)
+    states = [rho, other, validate_density(
+        0.3 * rho.matrix + 0.7 * other.matrix, TOL)]
+    analysis = FamilyAnalysis(family, TOL)
+    hs = elementary_histories(family)
+    small = family_member_count(family) <= 64
+    for state in states:
+        assert_same_report(analysis.weak(state), reference_weak(family, state))
+        assert_same_report(analysis.medium(state),
+                           reference_medium(family, state))
+        assert_same_report(analysis.linear_positivity(state),
+                           reference_linear_positivity(family, state))
+        assert_same_report(analysis.C1(state), reference_C1(family, state))
+        if small:
+            assert_same_report(analysis.sum_rule(state),
+                               reference_sum_rule(family, state))
+        probs = analysis.probabilities(state)
+        d = np.vstack([b for _, b in analysis.decoherence_blocks(state)])
+        for i, h in enumerate(hs):
+            assert probs[i] == pytest.approx(probability(h, state), abs=1e-12)
+        for i, j in itertools.combinations_with_replacement(range(len(hs)), 2):
+            assert d[i, j] == pytest.approx(
+                decoherence_functional(hs[i], hs[j], state), abs=1e-12)
+
+
+def change_of_basis(family, rho, u):
+    """The family and state in the basis given by the unitary ``u``."""
+    def turn(m):
+        return u @ m @ u.conj().T
+    return (HistoryFamily(tuple(
+        make_resolution([validate_projection(turn(e.matrix), TOL)
+                         for e in r.events], TOL)
+        for r in family.resolutions)),
+        validate_density(turn(rho.matrix), TOL))
+
+
+def test_notions_are_invariant_under_a_change_of_basis():
+    rng = np.random.default_rng(31)
+    cases = equivalence_cases()[:9] + [(inst.family, inst.rho1) for inst in (
+        build_example1(1.3), build_example1(2.2, 0.4))]
+    notions = ("weak", "medium", "linear_positivity", "C1")
+    verdicts = set()
+    for family, rho in cases:
+        turned = change_of_basis(family, rho, random_unitary(family.dim, rng))
+        before, after = FamilyAnalysis(family, TOL), FamilyAnalysis(turned[0], TOL)
+        for notion in notions:
+            want = getattr(before, notion)(rho)
+            got = getattr(after, notion)(turned[1])
+            assert_same_report(got, want)
+            verdicts.add(want.verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.0, 2.9])
+def test_weak_verdict_flips_at_the_closed_form_residual(theta):
+    inst = build_example1(theta)
+    residual = abs(example1_expected(theta).weak_residual_rho1)
+    for scale, verdict in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
+        tol = Tolerances(prob=residual * scale)
+        assert check_weak_decoherence(inst.family, inst.rho1, tol).verdict \
+            is verdict, scale

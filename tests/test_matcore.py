@@ -23,6 +23,7 @@ from qhistories.matcore import (
     projector_onto,
     validate_density,
     validate_projection,
+    validate_projections,
     zero_projection,
 )
 
@@ -72,6 +73,33 @@ def test_validate_projection_rejects_non_idempotent():
     with pytest.raises(NotIdempotent) as exc:
         validate_projection(np.diag([1.0, 0.5]))
     assert exc.value.residual == pytest.approx(0.25)
+
+
+def test_stacked_validation_matches_one_at_a_time():
+    rng = np.random.default_rng(17)
+    stack = [haar_projection(4, r, rng).matrix for r in (0, 1, 2, 4)]
+    stack.append(stack[1] + 1e-12 * np.eye(4))  # passes within tol.op
+    for got, m in zip(validate_projections(stack, TOL), stack):
+        want = validate_projection(m, TOL)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert not got.matrix.flags.writeable
+        assert got.rank == want.rank
+        assert got.hermiticity_residual == want.hermiticity_residual
+        assert got.idempotency_residual == want.idempotency_residual
+
+
+def test_stacked_validation_raises_for_the_first_failing_matrix():
+    good = np.diag([1.0, 0.0])
+    cases = (([good, np.diag([1.0, 0.5]), np.array([[1.0, 0.3], [0.0, 0.0]])],
+              NotIdempotent, 0.25),
+             ([good, good, np.array([[1.0, 0.3], [0.0, 0.0]])],
+              NotHermitian, 0.3))
+    for stack, error, residual in cases:
+        with pytest.raises(error) as exc:
+            validate_projections(stack, TOL)
+        assert exc.value.residual == pytest.approx(residual)
+    with pytest.raises(DimensionMismatch):
+        validate_projections(np.zeros((2, 2, 3)), TOL)
 
 
 def test_validate_density_rejections():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qhistories import mirror
+from qhistories.consistency import FamilyAnalysis
 from qhistories.errors import (
     DimensionMismatch,
     MirrorNotVerified,
@@ -33,6 +34,7 @@ from qhistories.mirror import (
     mirror_correlation,
     occurrence_probability,
     proposition1_check,
+    self_decoherence,
     verify_mirror,
 )
 from qhistories.sampling import (
@@ -43,6 +45,7 @@ from qhistories.sampling import (
     random_projection,
     random_pure_density,
     random_resolution,
+    random_unitary,
 )
 from qhistories.scenarios import build_example1, build_example2
 
@@ -246,6 +249,23 @@ def test_proposition1_passes_on_the_pointer_model():
     assert report.orthogonality_residual <= 1e-12
     assert report.join_additivity_residual <= 1e-12
     assert report.cross_term_residual <= 1e-12
+
+
+def test_proposition1_is_invariant_under_a_global_phase():
+    rng = np.random.default_rng(61)
+    models = [build_example2(), build_example2(3, (1, 3))]
+    models += [pointer_model(s, rng, TOL) for s in (2, 3, 4)]
+    for m in models:
+        want = proposition1_check(m.t, m.u, m.h1, m.h2, m.psi, TOL)
+        for phase in (0.7, np.pi, -2.1):
+            got = proposition1_check(m.t, m.u, m.h1, m.h2,
+                                     np.exp(1j * phase) * m.psi, TOL)
+            assert got.passed == want.passed
+            np.testing.assert_allclose(
+                [got.orthogonality_residual, got.join_additivity_residual,
+                 got.cross_term_residual],
+                [want.orthogonality_residual, want.join_additivity_residual,
+                 want.cross_term_residual], rtol=0, atol=1e-12)
 
 
 def test_proposition1_preconditions():
@@ -562,3 +582,58 @@ def test_mirror_block_budget_does_not_change_reports(monkeypatch):
                 assert other.verified == cert.verified
         assert got.coarse_sum_mirrors == want.coarse_sum_mirrors
     assert sum(c is not None for c in whole[1].per_history.values()) == 8
+
+
+def _same_report(got, want):
+    assert list(got.per_history) == list(want.per_history)
+    assert got.verdict == want.verdict
+    for label, cert in want.per_history.items():
+        assert (got.per_history[label] is None) == (cert is None), label
+        if cert is not None:
+            _same_certificate(got.per_history[label], cert)
+
+
+@pytest.mark.parametrize("source", ["pointer", "generic", "partial"])
+def test_one_analysis_decides_many_states_like_fresh_calls(source):
+    analyses = {}
+    for family, rho, provided in _batched_cases(source):
+        analysis = analyses.setdefault(id(family), FamilyAnalysis(family, TOL))
+        got = self_decoherence(analysis, rho, provided)
+        want = check_self_decoherence(family, rho, provided, TOL)
+        _same_report(got, want)
+        assert got.coarse_sum_mirrors == want.coarse_sum_mirrors
+    assert len(analyses) < sum(1 for _ in _batched_cases(source))
+
+
+def _turned(u, p):
+    return validate_projection(u @ p.matrix @ u.conj().T, TOL)
+
+
+def test_self_decoherence_is_invariant_under_a_change_of_basis():
+    rng = np.random.default_rng(97)
+    verdicts = set()
+    cases = [case for source in ("pointer", "generic", "partial")
+             for case in _batched_cases(source)]
+    for family, rho, provided in cases:
+        u = random_unitary(family.dim, rng)
+        turned = HistoryFamily(tuple(
+            make_resolution([_turned(u, e) for e in r.events], TOL)
+            for r in family.resolutions))
+        turned_rho = validate_density(u @ rho.matrix @ u.conj().T, TOL)
+        turned_provided = {label: _turned(u, t)
+                           for label, t in (provided or {}).items()}
+        want = check_self_decoherence(family, rho, provided, TOL)
+        got = check_self_decoherence(turned, turned_rho, turned_provided, TOL)
+        assert list(got.per_history) == list(want.per_history)
+        assert got.verdict == want.verdict
+        for label, cert in want.per_history.items():
+            other = got.per_history[label]
+            assert (other is None) == (cert is None), label
+            if cert is not None:
+                assert other.verified == cert.verified
+                assert other.mirror.rank == cert.mirror.rank
+                np.testing.assert_allclose(
+                    other.residual_m1 + other.residual_m2,
+                    cert.residual_m1 + cert.residual_m2, rtol=0, atol=1e-12)
+        verdicts.add(want.verdict)
+    assert verdicts == {True, False}

@@ -1,0 +1,72 @@
+"""Byte-exact command-line output on a fixed set of command lines.
+
+The golden files under ``data/report_bytes`` hold the output and exit
+status of each command line below.  A refactor must reproduce them
+byte for byte; a change that alters them on purpose records why in
+CHANGES.md, bumps the report version and regenerates them with
+
+    PYTHONPATH=src python tests/test_report_bytes.py
+
+which rewrites every golden file from the current code.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qhistories.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "report_bytes"
+POINTER = DATA / "pointer_problem.json"  # sampling.pointer_model(3, seed 7)
+
+THIRD = "1.0471975511965976"  # pi / 3
+CASES = {
+    "check-pointer-table": ["check", "{pointer}"],
+    "check-pointer-report": ["check", "{pointer}", "--format", "report"],
+    "check-pointer-ordered-first": [
+        "check", "{pointer}", "--notions", "ordered,medium,sum-rule",
+        "--format", "report"],
+    **{f"example1-{state}-third": [
+        "example1", "--theta", THIRD, "--state", state, "--format", "report"]
+       for state in ("rho", "rho1", "rho2")},
+    **{f"example1-{state}-wide": [
+        "example1", "--theta", "2.2", "--alpha", "0.7", "--state", state]
+       for state in ("rho", "rho1", "rho2")},
+    "example2-report": ["example2", "--format", "report"],
+    "example2-table": ["example2", "--spatial-dim", "3", "--delta", "1,3"],
+    "sweep-theta": ["sweep", "--param", "theta", "--start", "0.3",
+                    "--stop", "2.8", "--steps", "6"],
+    "sweep-alpha": ["sweep", "--param", "alpha", "--start", "0", "--stop",
+                    "3.1", "--steps", "5", "--theta", "2.0"],
+    "sweep-lam": ["sweep", "--param", "lam", "--start", "0.1", "--stop",
+                  "0.9", "--steps", "5", "--state", "rho"],
+}
+
+
+def run_case(argv, out: Path) -> int:
+    argv = [a.replace("{pointer}", str(POINTER)) for a in argv]
+    return main(argv + ["--out", str(out)])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_match_golden(name, tmp_path):
+    out = tmp_path / "out.txt"
+    status = json.loads((GOLDEN / "exit_status.json").read_text())
+    assert run_case(CASES[name], out) == status[name]
+    assert out.read_bytes() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    status = {}
+    for name, argv in sorted(CASES.items()):
+        status[name] = run_case(argv, GOLDEN / f"{name}.txt")
+    (GOLDEN / "exit_status.json").write_text(
+        json.dumps(status, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())
