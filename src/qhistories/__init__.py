@@ -5,7 +5,8 @@ notions (weak, medium, linear positivity, ordered, sum rule, product
 trace compatibility), plus mirror projections for 2-event histories:
 verification, the least mirror, self-decoherence of families, occurrence
 probabilities, join additivity consequences, probability bounds for
-contrary pairs, and mixture/component individuality probes.
+mirrored pairs, contrary inferences, and mixture/component individuality
+probes.
 """
 
 from .consistency import (
@@ -21,7 +22,7 @@ from .consistency import (
     check_sum_rule,
     check_weak_decoherence,
     conditional_probability,
-    contrary_inference_search,
+    contrary_inference,
     decoherence_functional,
     probability,
 )
@@ -127,6 +128,7 @@ from .sampling import (
 from .scenarios import (
     Example1Expected,
     Example1Instance,
+    build_contrary_inference,
     build_example1,
     build_example2,
     example1_decoherence_expected,

@@ -35,6 +35,7 @@ from ..individuality import mixture
 from ..matcore import DensityOperator, Tolerances
 from ..mirror import (
     MirrorCertificate,
+    SelfDecoherenceReport,
     contrary_bound_check,
     least_mirror,
     occurrence_probability,
@@ -147,7 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(op=args.tol_op, eig=args.tol_eig, prob=args.tol_prob)
+    try:
+        return Tolerances(op=args.tol_op, eig=args.tol_eig, prob=args.tol_prob)
+    except ValueError as exc:
+        raise BadParameters(str(exc)) from exc
 
 
 def _emit(args, text: str) -> None:
@@ -182,18 +186,17 @@ def _find_history(family: HistoryFamily, label: str) -> History:
                         f"(have {labels})")
 
 
-def _mirror_statuses(report, provided) -> dict[str, str]:
-    statuses = {}
-    for label, cert in report.per_history.items():
-        if provided and label in provided:
-            statuses[label] = ("provided-verified"
-                               if cert is not None and cert.verified
-                               else "provided-failed")
-        elif cert is not None and cert.verified:
-            statuses[label] = "found"
-        else:
-            statuses[label] = "not-found"
-    return statuses
+def _sd_summary(sd: Optional[SelfDecoherenceReport], provided=None,
+                ) -> Optional[SelfDecoherenceSummary]:
+    """The report's self-decoherence section, if that notion ran."""
+    if sd is None:
+        return None
+    provided = provided or {}
+    return SelfDecoherenceSummary(sd.verdict, {
+        label: (("provided-verified" if cert.verified else "provided-failed")
+                if label in provided
+                else "not-found" if cert is None else "found")
+        for label, cert in sd.per_history.items()})
 
 
 def _cert_result(cert: MirrorCertificate,
@@ -215,9 +218,10 @@ def _probability_value(raw: float, tol: Tolerances) -> ProbabilityValue:
 def _run_notions(analysis: FamilyAnalysis, rho: DensityOperator,
                  requested: Sequence[str], provided=None,
                  ) -> tuple[dict[str, NotionResult],
-                            Optional[SelfDecoherenceSummary]]:
-    """One result per requested notion; a notion whose precondition or
-    member cap fails is ``n/a`` with the reason as its note."""
+                            Optional[SelfDecoherenceReport]]:
+    """One result per requested notion, and the self-decoherence report
+    if that notion ran; a notion whose precondition or member cap fails
+    is ``n/a`` with the reason as its note."""
     medium = functools.cache(analysis.medium)  # also ordered's precondition
     reductions = {
         "weak": analysis.weak,
@@ -228,7 +232,7 @@ def _run_notions(analysis: FamilyAnalysis, rho: DensityOperator,
         "C1-compat": analysis.C1,
     }
     results: dict[str, NotionResult] = {}
-    summary = None
+    sd = None
     for name in requested:
         if name == "self-decoherence":
             if analysis.family.length != 2:
@@ -236,8 +240,6 @@ def _run_notions(analysis: FamilyAnalysis, rho: DensityOperator,
                     None, note="only defined for 2-slot families")
                 continue
             sd = self_decoherence(analysis, rho, provided)
-            summary = SelfDecoherenceSummary(sd.verdict,
-                                             _mirror_statuses(sd, provided))
             results[name] = NotionResult(sd.verdict,
                                          pair_count=len(sd.per_history))
             continue
@@ -250,7 +252,7 @@ def _run_notions(analysis: FamilyAnalysis, rho: DensityOperator,
                 if name == "C1-compat" and r.pair_count == 0 else None)
         results[name] = NotionResult(r.verdict, r.worst_residual,
                                      r.worst_pair, r.pair_count, note)
-    return results, summary
+    return results, sd
 
 
 def _elementary_probabilities(analysis: FamilyAnalysis, rho: DensityOperator,
@@ -274,10 +276,10 @@ def _cmd_check(args) -> int:
                 raise BadParameters(f"unknown notion {name!r}; choose from "
                                     + ", ".join(NOTION_ORDER))
     analysis = FamilyAnalysis(family, tol)
-    results, summary = _run_notions(analysis, rho, requested, provided)
+    results, sd = _run_notions(analysis, rho, requested, provided)
     return _report(args, tol, results,
                    probabilities=_elementary_probabilities(analysis, rho),
-                   self_decoherence=summary)
+                   self_decoherence=_sd_summary(sd, provided))
 
 
 def _cmd_example1(args) -> int:
@@ -285,7 +287,7 @@ def _cmd_example1(args) -> int:
     instance = build_example1(args.theta, args.alpha, args.dim, tol)
     rho = getattr(instance, args.state)
     analysis = FamilyAnalysis(instance.family, tol)
-    results, summary = _run_notions(analysis, rho, NOTION_ORDER)
+    results, sd = _run_notions(analysis, rho, NOTION_ORDER)
     probabilities = _elementary_probabilities(analysis, rho)
     p_coarse = probability(instance.h_coarse, rho)
     probabilities[instance.h_coarse.label] = _probability_value(p_coarse, tol)
@@ -305,16 +307,16 @@ def _cmd_example1(args) -> int:
                      f"{results['weak'].worst_residual:.12g}")
     notes.append(linear_positivity_range_note(args.theta))
     return _report(args, tol, results, probabilities=probabilities,
-                   notes=tuple(notes), self_decoherence=summary)
+                   notes=tuple(notes), self_decoherence=_sd_summary(sd))
 
 
 def _cmd_example2(args) -> int:
     tol = _tolerances(args)
     model = build_example2(args.spatial_dim, args.delta, tol)
-    cert_t = verify_mirror(model.t, model.h1, model.rho, tol)
-    cert_u = verify_mirror(model.u, model.h2, model.rho, tol)
-    sd, summary = _run_notions(FamilyAnalysis(model.family, tol), model.rho,
-                               ["self-decoherence"], model.provided_mirrors)
+    sd_results, sd = _run_notions(
+        FamilyAnalysis(model.family, tol), model.rho, ["self-decoherence"],
+        model.provided_mirrors)
+    cert_t, cert_u = (sd.per_history[h.label] for h in (model.h1, model.h2))
     prop = proposition1_check(model.t, model.u, model.h1, model.h2,
                               model.psi, tol)
     bound = contrary_bound_check(model.h1, model.h2, (cert_t, cert_u),
@@ -323,7 +325,7 @@ def _cmd_example2(args) -> int:
     notions = {
         "mirror-T": _cert_result(cert_t),
         "mirror-U": _cert_result(cert_u),
-        **sd,
+        **sd_results,
         "prop1": _prop1_result(prop),
         "contrary-bound": NotionResult(bound.passed,
                                        worst_residual=bound.bound_residual),
@@ -343,7 +345,8 @@ def _cmd_example2(args) -> int:
         notes.append(
             f"conditional sum p(h1|E2)+p(h2|E2) = {bound.conditional_sum:.12g}")
     return _report(args, tol, notions, probabilities=probabilities,
-                   notes=tuple(notes), self_decoherence=summary)
+                   notes=tuple(notes),
+                   self_decoherence=_sd_summary(sd, model.provided_mirrors))
 
 
 SWEEP_COLUMNS = ("param", "value", "weak", "weak_residual", "medium",

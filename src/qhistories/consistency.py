@@ -13,7 +13,8 @@ by enumeration).
 Each checker is a reduction over one :class:`FamilyAnalysis`: over the
 matrix ``D`` of all elementary pairs, computed from one chain-operator
 stack in row blocks of bounded size, or over that stack's traces, with
-the pairs selected by per-slot relation tables.
+the pairs selected by per-slot relation tables.  :func:`contrary_inference`
+decides whether two orthogonal events are both retrodicted with certainty.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    BadParameters,
     NotCommuting,
     PreconditionFailed,
     ZeroConditioningEvent,
@@ -50,10 +50,9 @@ from .matcore import (
     Projection,
     Tolerances,
     complement,
-    projector_onto,
+    max_norm,
     validate_density,
 )
-from . import sampling
 
 __all__ = [
     "NOTIONS",
@@ -70,7 +69,7 @@ __all__ = [
     "check_C1_family",
     "check_ordered_consistency",
     "conditional_probability",
-    "contrary_inference_search",
+    "contrary_inference",
 ]
 
 NOTIONS = ("weak", "medium", "linear-positive", "ordered", "sum-rule", "C1-compat")
@@ -479,7 +478,8 @@ class ContraryInferenceInstance:
     Both 2-event families generated by ``(e1, e2)`` and ``(f1, e2)`` are
     weakly decohering for ``psi`` while each family retrodicts its own
     first event with certainty given ``e2``, despite ``e1`` and ``f1``
-    being orthogonal.
+    being orthogonal, so ``p(e1 e2) + p(f1 e2) = 2 p(e2)`` (Kent, PRL 78,
+    2874 (1997)).  Returned by the decider :func:`contrary_inference`.
     """
 
     psi: np.ndarray
@@ -491,66 +491,40 @@ class ContraryInferenceInstance:
     conditional_2: float
     weak_1: ConsistencyReport
     weak_2: ConsistencyReport
-    trial: int
 
 
 def _two_event_family(first: Projection, second: Projection,
                       tol: Tolerances) -> HistoryFamily:
-    slots = []
-    for p in (first, second):
-        events = [p] if p.rank == p.dim else [p, complement(p, tol)]
-        slots.append(make_resolution(events, tol))
-    return HistoryFamily(tuple(slots))
+    return HistoryFamily(tuple(
+        make_resolution([p] if p.rank == p.dim else [p, complement(p, tol)], tol)
+        for p in (first, second)))
 
 
-def contrary_inference_search(dim: int, trials: int, seed: int = 0,
-                              tol: Tolerances = DEFAULT_TOL,
-                              ) -> list[ContraryInferenceInstance]:
-    """Sample for pairs of certain retrodictions from orthogonal events.
+def contrary_inference(psi, e1: Projection, f1: Projection, e2: Projection,
+                       tol: Tolerances = DEFAULT_TOL,
+                       ) -> Optional[ContraryInferenceInstance]:
+    """The instance if ``(psi, e1, f1, e2)`` gives two contrary inferences.
 
-    Alternating trials use a three-vector construction (two orthogonal
-    candidate events plus a final event built from their superposition
-    with the third basis direction) and unstructured random triples.
-    A hit requires both generated families to decohere weakly and both
-    conditionals to exceed ``1 - tol.prob``.  An empty result is a
-    sampling outcome, not a nonexistence certificate.
+    Raises :class:`PreconditionFailed` when ``psi`` is not normalized or
+    ``e1 f1 != 0``.  Returns ``None`` when ``p(e2) <= tol.prob``, when
+    either 2-event family fails weak decoherence, or when either
+    conditional ``p(x e2) / p(e2)`` is below ``1 - tol.prob``.
     """
-    if dim < 2:
-        raise BadParameters("search needs dimension at least 2")
-    if trials < 0:
-        raise BadParameters("trials must be nonnegative")
-    rng = np.random.default_rng(seed)
-    hits: list[ContraryInferenceInstance] = []
-    for trial in range(trials):
-        if trial % 2 == 0 and dim >= 3:
-            basis = sampling.random_unitary(dim, rng)
-            a, b, c = basis[:, 0], basis[:, 1], basis[:, 2]
-            psi = (a + b + c) / np.sqrt(3.0)
-            e1 = projector_onto(a, tol)
-            f1 = projector_onto(b, tol)
-            e2 = projector_onto((a + b - c) / np.sqrt(3.0), tol)
-        else:
-            pair = sampling.random_unitary(dim, rng)
-            psi = sampling.random_state(dim, rng)
-            e1 = projector_onto(pair[:, 0], tol)
-            f1 = projector_onto(pair[:, 1], tol)
-            e2 = sampling.random_projection(
-                dim, rng, rank=int(rng.integers(1, dim)), tol=tol)
-        rho = validate_density(np.outer(psi, psi.conj()), tol)
-        p_e2 = float(np.trace(e2.matrix @ rho.matrix).real)
-        if p_e2 <= tol.prob:
-            continue
-        fam1 = _two_event_family(e1, e2, tol)
-        fam2 = _two_event_family(f1, e2, tol)
-        weak_1 = check_weak_decoherence(fam1, rho, tol)
-        weak_2 = check_weak_decoherence(fam2, rho, tol)
-        if not (weak_1.verdict and weak_2.verdict):
-            continue
-        h1 = History((e1, e2))
-        h2 = History((f1, e2))
-        c1 = conditional_probability(h1, rho, tol)
-        c2 = conditional_probability(h2, rho, tol)
-        if c1 >= 1.0 - tol.prob and c2 >= 1.0 - tol.prob:
-            hits.append(ContraryInferenceInstance(
-                psi, e1, f1, e2, p_e2, c1, c2, weak_1, weak_2, trial))
-    return hits
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if abs(np.linalg.norm(psi) - 1.0) > tol.prob:
+        raise PreconditionFailed("state vector is not normalized")
+    if max_norm(e1.matrix @ f1.matrix) > tol.op:
+        raise PreconditionFailed("first events are not orthogonal")
+    rho = validate_density(np.outer(psi, psi.conj()), tol)
+    p_e2 = float(np.trace(e2.matrix @ rho.matrix).real)
+    if p_e2 <= tol.prob:
+        return None
+    weak_1, weak_2 = (check_weak_decoherence(_two_event_family(x, e2, tol), rho, tol)
+                      for x in (e1, f1))
+    if not (weak_1.verdict and weak_2.verdict):
+        return None
+    c1, c2 = (conditional_probability(History((x, e2)), rho, tol) for x in (e1, f1))
+    if min(c1, c2) < 1.0 - tol.prob:
+        return None
+    return ContraryInferenceInstance(psi, e1, f1, e2, p_e2, c1, c2,
+                                     weak_1, weak_2)

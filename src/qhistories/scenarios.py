@@ -1,11 +1,12 @@
-"""Two closed-form model instances used throughout the test harnesses.
+"""Closed-form model instances used throughout the test harnesses.
 
 The first is a single-qubit-like pair of rank-1 resolutions embedded in
 ``dim`` dimensions, parametrized so every consistency quantity has a
 closed form; it separates the consistency notions from each other and
 exhibits mixture/component verdict splits.  The second is a two-slit
 arrangement with a record qubit, the minimal deterministic pointer
-model, whose mirrors hold exactly by construction.
+model, whose mirrors hold exactly by construction.  The third is Kent's
+triple of two certain retrodictions of orthogonal events.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .consistency import ContraryInferenceInstance, contrary_inference
 from .errors import BadParameters
 from .histories import (
     History,
@@ -28,6 +30,7 @@ from .matcore import (
     DensityOperator,
     Projection,
     Tolerances,
+    projector_onto,
     validate_density,
     validate_projection,
 )
@@ -43,6 +46,7 @@ __all__ = [
     "linear_positivity_violation_possible",
     "linear_positivity_range_note",
     "build_example2",
+    "build_contrary_inference",
 ]
 
 
@@ -206,3 +210,18 @@ def build_example2(spatial_dim: int = 2, delta: tuple[int, ...] = (1,),
         p_delta[c - 1, c - 1] = 1.0
     e2_matrix = np.kron(p_delta, np.eye(2, dtype=complex))
     return assemble_pointer_model(psi1, psi2, p1, p2, e2_matrix, tol)
+
+
+def build_contrary_inference(dim: int = 3, tol: Tolerances = DEFAULT_TOL,
+                             ) -> ContraryInferenceInstance | None:
+    """Kent's triple on basis vectors ``a, b, c``: ``psi = (a + b + c)/sqrt(3)``,
+    ``e1 = |a><a|``, ``f1 = |b><b|``, ``e2`` onto ``g = (a + b - c)/sqrt(3)``.
+    Then ``e2 e1 psi = e2 f1 psi = e2 psi = g/3``, so ``p(e2) = 1/9`` and both
+    retrodictions are certain.  The decider's instance, ``None`` only if
+    ``tol.prob >= 1/9``."""
+    if dim < 3:
+        raise BadParameters(f"dimension {dim} is too small, need at least 3")
+    a, b, c = np.eye(dim, dtype=complex)[:3]
+    psi = (a + b + c) / math.sqrt(3.0)
+    return contrary_inference(psi, projector_onto(a, tol), projector_onto(b, tol),
+                              projector_onto(a + b - c, tol), tol)

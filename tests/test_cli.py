@@ -27,6 +27,7 @@ from qhistories.errors import (
     ValidationError,
 )
 from qhistories.matcore import DEFAULT_TOL
+from qhistories.mirror import self_decoherence, verify_mirror
 from qhistories.scenarios import build_example1, build_example2
 
 TOL = DEFAULT_TOL
@@ -399,6 +400,38 @@ def test_example2_command_passes(capsys):
     assert rc == 0
     assert "prop1" in out and "contrary-bound" in out
     assert "p(h1) via mirror" in out
+
+
+def test_example2_certificates_come_from_the_self_decoherence_pass():
+    """The batched pass certifies T and U bit for bit as verify_mirror
+    does alone, so example2 reads its mirror rows from that pass."""
+    for spatial in range(2, 6):
+        for delta in sorted({(1,), (2,), (1, 2), tuple(range(1, spatial + 1)),
+                             (spatial,)}):
+            m = build_example2(spatial, delta, TOL)
+            sd = self_decoherence(FamilyAnalysis(m.family, TOL), m.rho,
+                                  m.provided_mirrors)
+            for t, h in ((m.t, m.h1), (m.u, m.h2)):
+                alone = verify_mirror(t, h, m.rho, TOL)
+                batched = sd.per_history[h.label]
+                assert batched.mirror is t
+                assert batched.residual_m1 == alone.residual_m1
+                assert batched.residual_m2 == alone.residual_m2
+                assert batched.verified == alone.verified
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol-prob", "1e-12"],
+    ["--tol-op", "0"],
+    ["--tol-eig=-1e-8"],
+])
+def test_out_of_range_tolerances_exit_2(capsys, flags):
+    assert main(["example2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_sweep_lambda_recovers_weak_only_at_the_middle(tmp_path):

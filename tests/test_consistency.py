@@ -17,7 +17,7 @@ from qhistories.consistency import (
     check_sum_rule,
     check_weak_decoherence,
     conditional_probability,
-    contrary_inference_search,
+    contrary_inference,
     decoherence_functional,
     probability,
 )
@@ -59,6 +59,7 @@ from qhistories.sampling import (
     random_unitary,
 )
 from qhistories.scenarios import (
+    build_contrary_inference,
     build_example1,
     example1_decoherence_expected,
     example1_expected,
@@ -293,33 +294,124 @@ def test_conditional_probability_ratio_and_zero_guard():
             dead, validate_density(np.diag([1.0, 0.0])), TOL)
 
 
-def test_contrary_search_parameter_guards():
-    with pytest.raises(BadParameters):
-        contrary_inference_search(1, 10)
-    with pytest.raises(BadParameters):
-        contrary_inference_search(3, -1)
+def kent_triple_in_basis(inst, u):
+    """``(psi, e1, f1, e2)`` of an instance under the unitary ``u``."""
+    turn = [validate_projection(u @ p.matrix @ u.conj().T, TOL)
+            for p in (inst.e1, inst.f1, inst.e2)]
+    return (u @ inst.psi, *turn)
 
 
-def test_contrary_search_returns_nothing_in_two_dimensions():
-    hits = contrary_inference_search(2, 40, seed=0, tol=TOL)
-    assert hits == []
+@pytest.mark.parametrize("dim", [3, 4, 6])
+def test_contrary_construction_is_accepted(dim):
+    """Kent's triple: both retrodictions certain, both families decohere,
+    and the two orthogonal histories carry twice the final probability."""
+    inst = build_contrary_inference(dim, TOL)
+    assert inst is not None
+    assert inst.weak_1.verdict and inst.weak_2.verdict
+    assert inst.weak_1.worst_residual <= TOL.prob
+    assert inst.conditional_1 >= 1.0 - TOL.prob
+    assert inst.conditional_2 >= 1.0 - TOL.prob
+    assert inst.p_e2 == pytest.approx(1.0 / 9.0, abs=1e-12)
+    rho = validate_density(np.outer(inst.psi, inst.psi.conj()), TOL)
+    p1 = probability(History((inst.e1, inst.e2)), rho)
+    p2 = probability(History((inst.f1, inst.e2)), rho)
+    # p1 + p2 = 2 p(E2): impossible for summable alternatives
+    assert abs(p1 + p2 - 2.0 * inst.p_e2) <= TOL.prob
+    again = contrary_inference(inst.psi, inst.e1, inst.f1, inst.e2, TOL)
+    assert again is not None and again.p_e2 == inst.p_e2
 
 
-def test_contrary_search_finds_certain_pairs_in_three_dimensions():
-    """The structured trials hit; each hit breaks the additive bound."""
-    hits = contrary_inference_search(3, 6, seed=0, tol=TOL)
-    assert len(hits) >= 3
-    for hit in hits:
-        assert hit.weak_1.verdict and hit.weak_2.verdict
-        assert hit.conditional_1 >= 1.0 - TOL.prob
-        assert hit.conditional_2 >= 1.0 - TOL.prob
-        rho = validate_density(np.outer(hit.psi, hit.psi.conj()), TOL)
-        p1 = probability(History((hit.e1, hit.e2)), rho)
-        p2 = probability(History((hit.f1, hit.e2)), rho)
-        # both retrodictions certain while e1 and f1 are orthogonal:
-        # p1 + p2 = 2 p(E2), impossible for summable alternatives
-        assert p1 + p2 > hit.p_e2 + 0.1
-        assert hit.p_e2 == pytest.approx(1.0 / 9.0, abs=1e-9)
+@pytest.mark.parametrize("dim", [3, 4, 6])
+def test_contrary_inference_survives_a_change_of_basis(dim):
+    rng = np.random.default_rng(70 + dim)
+    inst = build_contrary_inference(dim, TOL)
+    for _ in range(5):
+        turned = contrary_inference(
+            *kent_triple_in_basis(inst, random_unitary(dim, rng)), TOL)
+        assert turned is not None
+        assert turned.p_e2 == pytest.approx(1.0 / 9.0, abs=1e-12)
+        assert min(turned.conditional_1, turned.conditional_2) >= 1.0 - TOL.prob
+        assert max(turned.weak_1.worst_residual,
+                   turned.weak_2.worst_residual) <= TOL.prob
+
+
+def test_contrary_construction_needs_three_dimensions():
+    for dim in (0, 1, 2):
+        with pytest.raises(BadParameters):
+            build_contrary_inference(dim, TOL)
+
+
+def test_contrary_inference_preconditions():
+    inst = build_contrary_inference(3, TOL)
+    with pytest.raises(PreconditionFailed, match="not normalized"):
+        contrary_inference(2.0 * inst.psi, inst.e1, inst.f1, inst.e2, TOL)
+    with pytest.raises(PreconditionFailed, match="not orthogonal"):
+        contrary_inference(inst.psi, inst.e1, inst.e1, inst.e2, TOL)
+
+
+def test_contrary_inference_rejects_each_failed_condition():
+    inst = build_contrary_inference(3, TOL)
+    # final event orthogonal to psi: p(e2) = 0
+    dead = projector_onto(np.array([1.0, -1.0, 0.0]), TOL)
+    assert contrary_inference(inst.psi, inst.e1, inst.f1, dead, TOL) is None
+    # e2 = e1: both families decohere, but p(f1 e2) = 0
+    assert contrary_inference(inst.psi, inst.e1, inst.f1, inst.e1, TOL) is None
+
+
+def dimension_two_triples():
+    """Seeded rank-1 triples ``e1 + f1 = 1`` in dimension 2, three kinds:
+    unstructured; ``e2 = e1``, where both families decohere and one
+    retrodiction is certain; and both retrodictions certain, ``psi``
+    having relative phase ``exp(2 pi i/3)`` in the basis of ``e1`` and
+    ``f1`` with ``e2`` onto their sum, where weak decoherence fails."""
+    rng = np.random.default_rng(2)
+    omega = np.exp(2j * np.pi / 3.0)
+    for k in range(60):
+        u = random_unitary(2, rng)
+        e1 = projector_onto(u[:, 0], TOL)
+        f1 = projector_onto(u[:, 1], TOL)
+        if k % 3 == 0:
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            psi = v / np.linalg.norm(v)
+            e2 = projector_onto(rng.normal(size=2) + 1j * rng.normal(size=2), TOL)
+        elif k % 3 == 1:
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            psi, e2 = v / np.linalg.norm(v), e1
+        else:
+            psi = u @ np.array([1.0, omega]) / np.sqrt(2.0)
+            e2 = projector_onto(u[:, 0] + u[:, 1], TOL)
+        yield k % 3, psi, e1, f1, e2
+
+
+def test_contrary_inference_is_impossible_in_two_dimensions():
+    """No contrary inference exists in dimension 2.
+
+    Rank-1 ``e1`` orthogonal to ``f1`` gives ``e1 + f1 = 1``, so
+    ``x = e2 e1 psi`` and ``y = e2 f1 psi`` satisfy ``x + y = e2 psi``.
+    Both retrodictions certain means ``|x|^2 = |y|^2 = |x + y|^2 =
+    p(e2)``, hence ``2 Re<x, y> = |x + y|^2 - |x|^2 - |y|^2 = -p(e2)``.
+    Weak decoherence of the two families includes ``Re<x, y> = 0``
+    (the pair ``(e1, e2)``, ``(f1, e2)`` is summable), so ``p(e2) = 0``,
+    which the decider rejects.  The structured triples reach each side
+    of the argument and are rejected for the other.
+    """
+    for kind, psi, e1, f1, e2 in dimension_two_triples():
+        assert contrary_inference(psi, e1, f1, e2, TOL) is None
+        rho = validate_density(np.outer(psi, psi.conj()), TOL)
+        weak = check_weak_decoherence(
+            HistoryFamily((make_resolution([e1, f1], TOL),
+                           make_resolution([e2, validate_projection(
+                               np.eye(2) - e2.matrix, TOL)], TOL))), rho, TOL)
+        p_e2 = float(np.trace(e2.matrix @ rho.matrix).real)
+        c1 = conditional_probability(History((e1, e2)), rho, TOL)
+        c2 = conditional_probability(History((f1, e2)), rho, TOL)
+        if kind == 1:
+            assert weak.verdict and c1 == pytest.approx(1.0)
+            assert c2 <= TOL.prob
+        if kind == 2:
+            assert min(c1, c2) >= 1.0 - TOL.prob
+            assert weak.worst_residual == pytest.approx(p_e2 / 2.0)
+            assert p_e2 > 0.1
 
 
 # Pairwise reference: the checkers' loops over pairs of histories before

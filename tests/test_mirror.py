@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qhistories import mirror
-from qhistories.consistency import FamilyAnalysis
+from qhistories.consistency import FamilyAnalysis, check_weak_decoherence
 from qhistories.errors import (
     DimensionMismatch,
     MirrorNotVerified,
@@ -47,7 +47,11 @@ from qhistories.sampling import (
     random_resolution,
     random_unitary,
 )
-from qhistories.scenarios import build_example1, build_example2
+from qhistories.scenarios import (
+    build_contrary_inference,
+    build_example1,
+    build_example2,
+)
 
 from mirror_reference import (
     reference_candidates,
@@ -465,6 +469,41 @@ def test_contrary_bound_holds_on_each_eigenvector_for_least_mirrors():
                                       allow_mixed=True)
         assert report.passed, trial
         assert len(report.components) == 2, trial
+
+
+def test_contrary_inference_pair_has_mirrors_that_fail_the_consequences():
+    """On Kent's contrary inference both histories have mirrors, yet
+    Proposition 1's consequences and the additive bound fail: two
+    verified mirrors with orthogonal first events do not give them.
+    What fails is the joint family ``(e1, f1, 1 - e1 - f1) x (e2, 1 - e2)``,
+    which is neither self-decohering nor weakly decohering."""
+    inst = build_contrary_inference(3, TOL)
+    rho = validate_density(np.outer(inst.psi, inst.psi.conj()))
+    h1, h2 = History((inst.e1, inst.e2)), History((inst.f1, inst.e2))
+    certs = (least_mirror(h1, rho, TOL), least_mirror(h2, rho, TOL))
+    assert all(c.verified and c.mirror.rank == 2 for c in certs)
+    prop = proposition1_check(certs[0].mirror, certs[1].mirror, h1, h2,
+                              inst.psi, TOL)
+    assert not prop.passed
+    assert prop.orthogonality_residual <= TOL.prob
+    assert prop.join_additivity_residual == pytest.approx(1 / np.sqrt(3), abs=1e-12)
+    assert prop.cross_term_residual == pytest.approx(1 / 9, abs=1e-12)
+    bound = contrary_bound_check(h1, h2, certs, rho, TOL)
+    assert not bound.passed
+    assert bound.bound_residual == pytest.approx(1 / 9, abs=1e-12)
+    assert bound.conditional_sum == pytest.approx(2.0, abs=1e-12)
+
+    rest = validate_projection(np.eye(3) - inst.e1.matrix - inst.f1.matrix)
+    not_e2 = validate_projection(np.eye(3) - inst.e2.matrix)
+    joint = HistoryFamily((make_resolution([inst.e1, inst.f1, rest], TOL),
+                           make_resolution([inst.e2, not_e2], TOL)))
+    report = check_self_decoherence(joint, rho, None, TOL)
+    assert not report.verdict
+    assert [label for label, c in report.per_history.items() if c is None] == [
+        "(3,1)", "(3,2)"]
+    weak = check_weak_decoherence(joint, rho, TOL)
+    assert not weak.verdict
+    assert weak.worst_residual == pytest.approx(1 / 9, abs=1e-12)
 
 
 # Migration oracle: the batched pass against the former per-history loop

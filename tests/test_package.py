@@ -1,6 +1,9 @@
-"""Package surface: every name a module exports exists."""
+"""Package surface: every name a module exports exists, and only the
+sampler takes seeds."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -15,3 +18,37 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+SEARCH_KNOBS = {"seed", "rng", "trials"}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "qhistories.sampling"])
+def test_only_the_sampler_takes_seeds(name):
+    """Verdicts are decisions: no exported callable outside the sampler
+    takes a seed, a generator or a trial budget."""
+    module = importlib.import_module(name)
+    knobs = {}
+    for export in module.__all__:
+        obj = getattr(module, export)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        if SEARCH_KNOBS & set(params):
+            knobs[export] = sorted(SEARCH_KNOBS & set(params))
+    assert knobs == {}
+
+
+def test_consistency_does_not_import_the_sampler():
+    tree = ast.parse(inspect.getsource(importlib.import_module("qhistories.consistency")))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("sampling" in name for name in imported)
