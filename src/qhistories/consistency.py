@@ -49,6 +49,7 @@ from .matcore import (
     DensityOperator,
     Projection,
     Tolerances,
+    _state_stack,
     complement,
     max_norm,
     validate_density,
@@ -108,21 +109,24 @@ def probability(h: History, rho: DensityOperator) -> float:
     return float(np.trace(c @ rho.matrix @ c.conj().T).real)
 
 
-def _decoherence_blocks(chains: np.ndarray, rho: DensityOperator):
-    """Row blocks ``(rows, D[rows, :])`` of ``D[i, j] = Tr(C_i rho C_j^dag)``.
+def _decoherence_blocks(chains: np.ndarray, *rhos: DensityOperator):
+    """Blocks ``(s, i, D[s:s+k, i:i+r])`` of ``D[s, i, j] = Tr(C_i rho_s C_j^dag)``:
+    k whole states from state s (then i = 0), or r rows of state s (k = 1).
 
     ``chains`` is an ``(N, d, d)`` chain stack; ``Tr(A B^dag)`` is the
     sum of ``A * conj(B)``, so each block is one matrix product.  Blocks
     stay within ``_BLOCK_BYTES`` (the whole matrix for N = 4096
-    elementary histories would take 268 MB).
+    elementary histories would take 268 MB); ``C_i rho_s`` is built per block.
     """
     n, d, _ = chains.shape
-    left = (chains @ rho.matrix).reshape(n, d * d)
+    states = _state_stack(rhos, d)[:, None]
     right = chains.reshape(n, d * d).conj().T
     step = max(1, _BLOCK_BYTES // (right.itemsize * n))
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
-        yield rows, left[rows] @ right
+    per = max(1, step // n)
+    for s in range(0, len(states), per):
+        left = (chains @ states[s:s + per]).reshape(-1, n, d * d)
+        for i in range(0, n, step):
+            yield s, i, left[:, i:i + step] @ right
 
 
 def _probabilities(chains: np.ndarray, rho: DensityOperator) -> np.ndarray:
@@ -267,10 +271,11 @@ class FamilyAnalysis(_SlotHistories):
         return out
 
     @functools.cached_property
-    def event_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(N, d, d)`` first and second events of every elementary
+    def event_pairs(self) -> np.ndarray:
+        """``(N, 2, d, d)`` first and second events of every elementary
         history of a 2-slot family."""
-        return self.stacks[0][self.index[:, 0]], self.stacks[1][self.index[:, 1]]
+        first, second = self.stacks
+        return np.concatenate([first, second])[self.index + (0, len(first))]
 
     def members(self, cap: int = DEFAULT_MEMBER_CAP) -> _SlotHistories:
         """The members over per-slot option stacks; raises
@@ -282,26 +287,26 @@ class FamilyAnalysis(_SlotHistories):
                 [[label for label, _ in slot] for slot in options], self.tol)
         return self._members[cap]
 
-    def decoherence_blocks(self, rho: DensityOperator):
-        return _decoherence_blocks(self.chains, rho)
+    def chain_traces(self, *rhos: DensityOperator) -> np.ndarray:
+        """``Tr(C rho)`` for every state and elementary history, ``(S, N)``."""
+        return np.einsum("iab,sba->si", self.chains,
+                         _state_stack(rhos, self.chains.shape[-1]))
 
-    def chain_traces(self, rho: DensityOperator) -> np.ndarray:
-        """``Tr(C rho)`` for every elementary history."""
-        return np.einsum("iab,ba->i", self.chains, rho.matrix)
-
-    def _worst_pair(self, rho: DensityOperator, mask: np.ndarray, residual,
-                    ) -> tuple[float, Optional[tuple[str, str]], int]:
-        """Largest ``residual(D)`` over the masked pairs; ties go to the
-        first pair in label order, and the worst stays 0 with no pair
-        when nothing exceeds 0."""
-        n = len(mask)
-        worst, where = 0.0, None
-        for rows, block in self.decoherence_blocks(rho):
-            value, at = _worst(residual(block), mask[rows])
-            if value > worst:
-                worst, where = value, (rows.start + at // n, at % n)
-        pair = None if where is None else tuple(self.label(i) for i in where)
-        return worst, pair, int(np.count_nonzero(mask))
+    def _pair_reports(self, notion: str, rhos: Sequence[DensityOperator],
+                      mask: np.ndarray, residual) -> list[ConsistencyReport]:
+        """Largest ``residual(D)`` over the masked pairs, for each state;
+        ties go to the first pair in label order, and the worst stays 0
+        with no pair when nothing exceeds 0."""
+        n, count = len(mask), int(np.count_nonzero(mask))
+        worst, where = [0.0] * len(rhos), [None] * len(rhos)
+        for s, i, block in _decoherence_blocks(self.chains, *rhos):
+            m = mask[i:i + block.shape[1]]
+            for k, values in enumerate(residual(block), start=s):
+                value, at = _worst(values, m)
+                if value > worst[k]:
+                    worst[k] = value
+                    where[k] = (self.label(i + at // n), self.label(at % n))
+        return [self._report(notion, w, pair, count) for w, pair in zip(worst, where)]
 
     def _report(self, notion: str, worst: float, pair, count: int,
                 ) -> ConsistencyReport:
@@ -309,21 +314,30 @@ class FamilyAnalysis(_SlotHistories):
                                  count)
 
     def weak(self, rho: DensityOperator) -> ConsistencyReport:
-        return self._report("weak", *self._worst_pair(
-            rho, self.summable_mask, lambda block: np.abs(block.real)))
+        return self.weak_each([rho])[0]
+
+    def weak_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
+        return self._pair_reports("weak", rhos, self.summable_mask,
+                                  lambda block: np.abs(block.real))
 
     def medium(self, rho: DensityOperator) -> ConsistencyReport:
-        return self._report("medium", *self._worst_pair(
-            rho, self.alternative_mask, np.abs))
+        return self.medium_each([rho])[0]
+
+    def medium_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
+        return self._pair_reports("medium", rhos, self.alternative_mask, np.abs)
 
     def linear_positivity(self, rho: DensityOperator) -> ConsistencyReport:
-        negated = -self.chain_traces(rho).real
-        at = int(np.argmax(negated))
-        return self._report("linear-positive", float(negated[at]),
-                            (self.label(at),) * 2, len(negated))
+        return self.linear_positivity_each([rho])[0]
+
+    def linear_positivity_each(self, rhos: Sequence[DensityOperator],
+                               ) -> list[ConsistencyReport]:
+        negated = -self.chain_traces(*rhos).real
+        return [self._report("linear-positive", float(row[i]),
+                             (self.label(i),) * 2, len(row))
+                for row, i in zip(negated, negated.argmax(axis=1).tolist())]
 
     def C1(self, rho: DensityOperator) -> ConsistencyReport:
-        residuals = np.abs(self.probabilities(rho) - self.chain_traces(rho))
+        residuals = np.abs(self.probabilities(rho) - self.chain_traces(rho)[0])
         worst, at = _worst(residuals, self.commutative)
         return self._report("C1-compat", worst,
                             None if at is None else (self.label(at),) * 2,

@@ -31,9 +31,9 @@ from .matcore import (
     Tolerances,
     commutator,
     max_norm,
-    validate_density,
+    validate_densities,
 )
-from .mirror import MirrorCertificate, least_mirror, self_decoherence
+from .mirror import MirrorCertificate, least_mirrors, self_decoherence_each
 
 __all__ = [
     "PropertyPredicate",
@@ -53,41 +53,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PropertyPredicate:
-    """A named yes/no property of a state, with the family baked in."""
+    """A named yes/no property of a state, with the family baked in;
+    ``evaluator`` maps a sequence of states to their verdicts, in order,
+    in one pass, and ``holds`` is its one-state case."""
 
     name: str
-    evaluator: Callable[[DensityOperator], bool]
+    evaluator: Callable[[Sequence[DensityOperator]], Sequence[bool]]
 
     def holds(self, rho: DensityOperator) -> bool:
-        return bool(self.evaluator(rho))
+        return bool(self.evaluator([rho])[0])
+
+
+def _predicate(name: str, reports) -> PropertyPredicate:
+    return PropertyPredicate(name, lambda rhos: [r.verdict for r in reports(rhos)])
 
 
 def weak_decoherence_property(family: HistoryFamily,
                               tol: Tolerances = DEFAULT_TOL) -> PropertyPredicate:
-    analysis = FamilyAnalysis(family, tol)
-    return PropertyPredicate("weak-decoherence",
-                             lambda rho: analysis.weak(rho).verdict)
+    return _predicate("weak-decoherence", FamilyAnalysis(family, tol).weak_each)
 
 
 def medium_decoherence_property(family: HistoryFamily,
                                 tol: Tolerances = DEFAULT_TOL) -> PropertyPredicate:
-    analysis = FamilyAnalysis(family, tol)
-    return PropertyPredicate("medium-decoherence",
-                             lambda rho: analysis.medium(rho).verdict)
+    return _predicate("medium-decoherence", FamilyAnalysis(family, tol).medium_each)
 
 
 def linear_positivity_property(family: HistoryFamily,
                                tol: Tolerances = DEFAULT_TOL) -> PropertyPredicate:
-    analysis = FamilyAnalysis(family, tol)
-    return PropertyPredicate("linear-positivity",
-                             lambda rho: analysis.linear_positivity(rho).verdict)
+    return _predicate("linear-positivity",
+                      FamilyAnalysis(family, tol).linear_positivity_each)
 
 
 def self_decoherence_property(family: HistoryFamily,
                               tol: Tolerances = DEFAULT_TOL,
                               provided: Optional[Mapping[str, Projection]] = None,
                               ) -> PropertyPredicate:
-    """Self-decoherence as a predicate, decided afresh for each state.
+    """Self-decoherence as a predicate, decided for all states in one pass.
 
     A mirror of a mixture is a mirror of each component: its two
     positive defect operators vanish on the mixture's support, which
@@ -95,20 +96,26 @@ def self_decoherence_property(family: HistoryFamily,
     witness.
     """
     analysis = FamilyAnalysis(family, tol)
-    return PropertyPredicate(
-        "self-decoherence",
-        lambda rho: self_decoherence(analysis, rho, provided).verdict)
+    return _predicate("self-decoherence",
+                      lambda rhos: self_decoherence_each(analysis, rhos, provided))
 
 
 def mixture(rho1: DensityOperator, rho2: DensityOperator, lam: float,
             tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
     """``lam * rho1 + (1 - lam) * rho2`` with ``lam`` strictly inside (0, 1)."""
-    if not 0.0 < lam < 1.0:
-        raise LambdaOutOfRange(f"mixing weight {lam} is not strictly in (0, 1)")
+    return _mixtures(rho1, rho2, [lam], tol)[0]
+
+
+def _mixtures(rho1: DensityOperator, rho2: DensityOperator,
+              lams: Sequence[float], tol: Tolerances) -> list[DensityOperator]:
+    """:func:`mixture` for every weight, validated in one stacked pass."""
+    for lam in lams:
+        if not 0.0 < lam < 1.0:
+            raise LambdaOutOfRange(f"mixing weight {lam} is not strictly in (0, 1)")
     if rho1.dim != rho2.dim:
-        raise DimensionMismatch(
-            f"components have dimensions {rho1.dim} and {rho2.dim}")
-    return validate_density(lam * rho1.matrix + (1.0 - lam) * rho2.matrix, tol)
+        raise DimensionMismatch(f"components have dimensions {rho1.dim} and {rho2.dim}")
+    lam = np.array(lams, dtype=float).reshape(-1, 1, 1)
+    return validate_densities(lam * rho1.matrix + (1.0 - lam) * rho2.matrix, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,17 +146,13 @@ def individuality_violation_search(prop: PropertyPredicate,
                                    ) -> list[IndividualityWitness]:
     """Witnesses over a weight grid where the property holds on the
     mixture but on neither component.  An empty result means the grid
-    found nothing, not that no violating weight exists."""
-    on_1 = prop.holds(rho1)
-    on_2 = prop.holds(rho2)
-    out = []
-    for lam in lams:
-        w = IndividualityWitness(prop.name, lam,
-                                 prop.holds(mixture(rho1, rho2, lam, tol)),
-                                 on_1, on_2)
-        if w.is_violation:
-            out.append(w)
-    return out
+    found nothing, not that no violating weight exists.  One call of the
+    predicate's evaluator decides both components and every mixture."""
+    states = [rho1, rho2, *_mixtures(rho1, rho2, lams, tol)]
+    on_1, on_2, *on_mix = (bool(v) for v in prop.evaluator(states))
+    witnesses = (IndividualityWitness(prop.name, lam, on, on_1, on_2)
+                 for lam, on in zip(lams, on_mix))
+    return [w for w in witnesses if w.is_violation]
 
 
 @dataclass(frozen=True)
@@ -240,9 +243,6 @@ def condition_C_probe(h: History, psi1, psi2,
         raise BadParameters("branch vectors cancel")
     total = total / nt
 
-    def found(vec) -> Optional[MirrorCertificate]:
-        rho = validate_density(np.outer(vec, vec.conj()), tol)
-        cert = least_mirror(h, rho, tol)
-        return cert if cert.verified else None
-
-    return ConditionCProbe(found(psi1), found(psi2), found(total))
+    rhos = validate_densities([np.outer(v, v.conj()) for v in (psi1, psi2, total)], tol)
+    return ConditionCProbe(*(cert if cert.verified else None
+                             for cert in least_mirrors(h, rhos, tol)))

@@ -32,6 +32,7 @@ __all__ = [
     "validate_projection",
     "validate_projections",
     "validate_density",
+    "validate_densities",
     "projector_onto",
     "identity_projection",
     "zero_projection",
@@ -131,6 +132,24 @@ class DensityOperator:
         return self.purity >= 1.0 - 1e-9
 
 
+def _square_stack(stack) -> tuple[np.ndarray, list[float]]:
+    """An immutable complex ``(n, d, d)`` stack and each Hermiticity residual."""
+    m = np.array(stack, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
+        raise DimensionMismatch(f"expected a stack of square matrices, "
+                                f"got shape {m.shape}")
+    m.setflags(write=False)
+    return m, np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+
+
+def _state_stack(rhos, dim: int) -> np.ndarray:
+    """The ``(S, dim, dim)`` stack of one or more states of dimension ``dim``."""
+    for rho in rhos:
+        if rho.matrix.shape != (dim, dim):
+            raise DimensionMismatch(f"state of dimension {rho.dim}, expected {dim}")
+    return np.array([rho.matrix for rho in rhos])
+
+
 def validate_projection(entries, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Check Hermiticity and idempotency and wrap the matrix.
 
@@ -141,16 +160,9 @@ def validate_projection(entries, tol: Tolerances = DEFAULT_TOL) -> Projection:
 
 
 def validate_projections(stack, tol: Tolerances = DEFAULT_TOL) -> list[Projection]:
-    """:func:`validate_projection` over an ``(n, d, d)`` stack in one pass.
-
-    The first failing matrix raises what it raises on its own.
-    """
-    m = np.array(stack, dtype=complex)
-    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
-        raise DimensionMismatch(f"expected a stack of square matrices, "
-                                f"got shape {m.shape}")
-    m.setflags(write=False)
-    herm = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+    """:func:`validate_projection` over an ``(n, d, d)`` stack in one pass;
+    the first failing matrix raises what it raises on its own."""
+    m, herm = _square_stack(stack)
     idem = np.abs(m @ m - m).max(axis=(1, 2)).tolist()
     for h, i in zip(herm, idem):
         if h > tol.op:
@@ -169,22 +181,27 @@ def validate_density(entries, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
     Eigenvalues may dip to ``-tol.eig``; the trace must match 1 within
     ``tol.op``.  Purity and the smallest eigenvalue are recorded.
     """
-    m = square_matrix(entries)
-    herm = max_norm(m - m.conj().T)
-    if herm > tol.op:
-        raise NotHermitian(
-            f"density candidate is not Hermitian (residual {herm:.3e})", herm)
-    floor = float(np.min(np.linalg.eigvalsh(m)))
-    if floor < -tol.eig:
-        raise NotPositive(
-            f"density candidate has eigenvalue {floor:.3e} below -{tol.eig:.1e}",
-            -floor)
-    tr_res = abs(complex(np.trace(m)) - 1.0)
-    if tr_res > tol.op:
-        raise TraceNotOne(
-            f"density candidate has trace residual {tr_res:.3e}", tr_res)
-    purity = float(np.trace(m @ m).real)
-    return DensityOperator(m, purity, floor, float(tr_res))
+    return validate_densities(square_matrix(entries)[None], tol)[0]
+
+
+def validate_densities(stack, tol: Tolerances = DEFAULT_TOL) -> list[DensityOperator]:
+    """:func:`validate_density` over an ``(n, d, d)`` stack in one pass;
+    the first failing matrix raises what it raises on its own."""
+    m, herm = _square_stack(stack)
+    floors = np.linalg.eigvalsh(m).min(axis=1).tolist()
+    trace_res = [abs(t - 1.0) for t in np.trace(m, axis1=1, axis2=2).tolist()]
+    for h, floor, tr in zip(herm, floors, trace_res):
+        if h > tol.op:
+            raise NotHermitian(
+                f"density candidate is not Hermitian (residual {h:.3e})", h)
+        if floor < -tol.eig:
+            raise NotPositive(
+                f"density candidate has eigenvalue {floor:.3e} below -{tol.eig:.1e}",
+                -floor)
+        if tr > tol.op:
+            raise TraceNotOne(f"density candidate has trace residual {tr:.3e}", tr)
+    purity = np.trace(m @ m, axis1=1, axis2=2).real.tolist()
+    return [DensityOperator(*args) for args in zip(m, purity, floors, trace_res)]
 
 
 def projector_onto(vector, tol: Tolerances = DEFAULT_TOL) -> Projection:

@@ -40,10 +40,12 @@ from .matcore import (
     DensityOperator,
     Projection,
     Tolerances,
+    _state_stack,
     commutator,
     join,
     max_norm,
     validate_density,
+    validate_densities,
     validate_projection,
     validate_projections,
 )
@@ -57,8 +59,10 @@ __all__ = [
     "verify_mirror",
     "mirror_correlation",
     "least_mirror",
+    "least_mirrors",
     "check_self_decoherence",
     "self_decoherence",
+    "self_decoherence_each",
     "occurrence_probability",
     "proposition1_check",
     "contrary_bound_check",
@@ -114,39 +118,42 @@ class SelfDecoherenceReport:
         return coarse
 
 
-# Batched kernels over the ``(n, d, d)`` event stacks ``e1``, ``e2`` of n
-# 2-event histories; the single-history functions are their n = 1 case.
+# Batched kernels over the ``(n, 2, d, d)`` event stack of n 2-event
+# histories and S states; one-history functions are the n = S = 1 case.
 
 
-def _event_pair(h: History) -> tuple[np.ndarray, np.ndarray]:
-    if h.length != 2:
-        raise WrongHistoryLength(
-            f"mirrors are defined for 2-event histories, got {h.length} events")
-    return h.events[0].matrix[None], h.events[1].matrix[None]
+def _event_pairs(*histories: History) -> np.ndarray:
+    for h in histories:
+        if h.length != 2:
+            raise WrongHistoryLength(
+                f"mirrors are defined for 2-event histories, got {h.length} events")
+    return np.array([[e.matrix for e in h.events] for h in histories])
 
 
-def _least_projections(e1: np.ndarray, e2: np.ndarray, rho: DensityOperator,
+def _least_projections(events: np.ndarray, states: np.ndarray,
                        tol: Tolerances) -> np.ndarray:
-    """Projections onto ``V`` (see :func:`least_mirror`) for all histories:
-    each closure round is one stacked SVD of ``[P, e1 P, e2 P]``, ``P`` a
-    basis padded with zero columns (which adds only zero singular values),
-    and a history is updated only while its rank grows."""
-    d = e1.shape[-1]
+    """Projections onto ``V`` (see :func:`least_mirror`) for all (state,
+    history) pairs, state-major: each closure round is one stacked SVD of
+    ``[P, e1 P, e2 P]``, ``P`` a basis padded with zero columns (which adds
+    only zero singular values), and a pair is updated while its rank grows."""
+    n, d = len(events), events.shape[-1]
 
     def span(a):
         u, s, _ = np.linalg.svd(a, full_matrices=False)
         rank = np.count_nonzero(s > tol.eig, axis=-1)
         return u * (np.arange(d) < rank[:, None])[:, None], rank
 
-    w, vecs = np.linalg.eigh(rho.matrix)
-    basis, rank = span(e1 @ (vecs * (w > tol.eig)))
-    live = np.arange(len(e1))
+    w, vecs = np.linalg.eigh(states)
+    supports = (vecs * (w > tol.eig)[:, None])[:, None]
+    basis, rank = span((events[:, 0] @ supports).reshape(-1, d, d))
+    live = np.arange(len(basis))  # pair s * n + i: state s, history i
     for _ in range(d):
         live = live[(rank[live] > 0) & (rank[live] < d)]  # these cannot grow
         if not live.size:
             break
         b = basis[live]
-        grown, wider = span(np.concatenate([b, e1[live] @ b, e2[live] @ b], -1))
+        moved = events[live % n] @ b[:, None]
+        grown, wider = span(np.concatenate([b, moved[:, 0], moved[:, 1]], -1))
         more = wider > rank[live]
         live = live[more]
         basis[live], rank[live] = grown[more], wider[more]
@@ -154,36 +161,38 @@ def _least_projections(e1: np.ndarray, e2: np.ndarray, rho: DensityOperator,
 
 
 def _certificates(mirrors: Sequence[Optional[Projection]],
-                  histories: Sequence[History], e1: np.ndarray, e2: np.ndarray,
-                  rho: DensityOperator, tol: Tolerances) -> list[MirrorCertificate]:
-    """Certificates for ``mirrors[i]`` of ``histories[i]``, and for the
-    least mirror candidate where ``mirrors[i]`` is ``None``."""
-    mirrors = list(mirrors)
+                  histories: Sequence[History], events: np.ndarray,
+                  rhos: Sequence[DensityOperator], tol: Tolerances,
+                  ) -> list[list[MirrorCertificate]]:
+    """Certificates ``[s][i]`` under ``rhos[s]`` for ``mirrors[i]`` of
+    ``histories[i]``, or for its least mirror candidate where that is ``None``."""
+    states = _state_stack(rhos, events.shape[-1])
     least = [i for i, t in enumerate(mirrors) if t is None]
-    if least:
-        projections = _least_projections(e1[least], e2[least], rho, tol)
-        for i, p in zip(least, validate_projections(projections, tol)):
-            mirrors[i] = p
+    found = iter(validate_projections(
+        _least_projections(events[least], states, tol), tol) if least else ())
+    chosen = [[next(found) if t is None else t for t in mirrors] for _ in rhos]
     for t in mirrors:
-        if t.matrix.shape != e1.shape[1:]:
+        if t is not None and t.matrix.shape != events.shape[2:]:
             raise DimensionMismatch(
-                f"dimension mismatch: {t.matrix.shape} vs {e1.shape[1:]}")
-    t = np.array([m.matrix for m in mirrors])[:, None]
-    events = np.stack([e1, e2], axis=1)
+                f"dimension mismatch: {t.matrix.shape} vs {events.shape[2:]}")
+    t = np.array([[m.matrix for m in row] for row in chosen])[:, :, None]
     te = t @ events
-    m1 = np.abs(te - events @ t).max(axis=(2, 3))
-    traces = np.trace(np.concatenate([te[:, :1], t, events[:, :1]], axis=1)
-                      @ rho.matrix, axis1=2, axis2=3)
-    m2 = [(abs(te1 - t1), abs(te1 - e)) for te1, t1, e in traces.tolist()]
-    return [MirrorCertificate(m, h, rho, tuple(r1), r2,
-                              all(r <= tol.prob for r in (*r1, *r2)))
-            for m, h, r1, r2 in zip(mirrors, histories, m1.tolist(), m2)]
+    m1 = np.abs(te - events @ t).max(axis=(3, 4)).tolist()
+    traces = (np.concatenate([te[:, :, :1], t], axis=2) @ states[:, None, None]
+              ).trace(axis1=3, axis2=4).tolist()
+    firsts = (events[:, 0] @ states[:, None]).trace(axis1=2, axis2=3).tolist()
+    m2 = [[(abs(te1 - t1), abs(te1 - e)) for (te1, t1), e in zip(*rows)]
+          for rows in zip(traces, firsts)]
+    return [[MirrorCertificate(m, h, rho, tuple(r1), r2,
+                               all(r <= tol.prob for r in (*r1, *r2)))
+             for m, h, r1, r2 in zip(row, histories, row_m1, row_m2)]
+            for row, rho, row_m1, row_m2 in zip(chosen, rhos, m1, m2)]
 
 
 def verify_mirror(t: Projection, h: History, rho: DensityOperator,
                   tol: Tolerances = DEFAULT_TOL) -> MirrorCertificate:
     """Evaluate both mirror conditions and certify the residuals."""
-    return _certificates([t], [h], *_event_pair(h), rho, tol)[0]
+    return _certificates([t], [h], _event_pairs(h), [rho], tol)[0][0]
 
 
 def mirror_correlation(t: Projection, e1: Projection, rho: DensityOperator,
@@ -232,7 +241,13 @@ def least_mirror(h: History, rho: DensityOperator,
     a provided projection passes :func:`verify_mirror`, which bounds
     trace residuals by ``tol.prob``.
     """
-    return _certificates([None], [h], *_event_pair(h), rho, tol)[0]
+    return least_mirrors(h, [rho], tol)[0]
+
+
+def least_mirrors(h: History, rhos: Sequence[DensityOperator],
+                  tol: Tolerances = DEFAULT_TOL) -> list[MirrorCertificate]:
+    """:func:`least_mirror` for each of a sequence of states, in one pass."""
+    return [row[0] for row in _certificates([None], [h], _event_pairs(h), rhos, tol)]
 
 
 def check_self_decoherence(family: HistoryFamily, rho: DensityOperator,
@@ -256,23 +271,28 @@ def self_decoherence(analysis: FamilyAnalysis, rho: DensityOperator,
                      ) -> SelfDecoherenceReport:
     """:func:`check_self_decoherence` over a family analysis that callers
     asking about many states build once."""
+    return self_decoherence_each(analysis, [rho], provided)[0]
+
+
+def self_decoherence_each(analysis: FamilyAnalysis, rhos: Sequence[DensityOperator],
+                          provided: Optional[Mapping[str, Projection]] = None,
+                          ) -> list[SelfDecoherenceReport]:
+    """:func:`self_decoherence` for many states, decided in one pass."""
     family, tol = analysis.family, analysis.tol
     if family.length != 2:
         raise WrongHistoryLength("self-decoherence is defined for 2-slot families")
     provided = provided or {}
     elems = analysis.histories
-    e1, e2 = analysis.event_pairs
     # blocks of histories whose closure stacks [P, e1 P, e2 P] fit the budget
-    step = max(1, _BLOCK_BYTES // (3 * 16 * family.dim ** 2))
-    certs: list[MirrorCertificate] = []
-    for start in range(0, len(elems), step):
-        rows = slice(start, start + step)
-        certs += _certificates([provided.get(h.label) for h in elems[rows]],
-                               elems[rows], e1[rows], e2[rows], rho, tol)
-    per = {h.label: cert if h.label in provided or cert.verified else None
-           for h, cert in zip(elems, certs)}
-    verdict = all(c is not None and c.verified for c in per.values())
-    return SelfDecoherenceReport(analysis, per, verdict, rho)
+    step = max(1, _BLOCK_BYTES // (3 * 16 * family.dim ** 2 * len(rhos)))
+    blocks = [_certificates([provided.get(h.label) for h in elems[rows]],
+                            elems[rows], analysis.event_pairs[rows], rhos, tol)
+              for rows in (slice(k, k + step) for k in range(0, len(elems), step))]
+    pers = [{h.label: cert if h.label in provided or cert.verified else None
+             for h, cert in zip(elems, sum(row, []))} for row in zip(*blocks)]
+    return [SelfDecoherenceReport(
+        analysis, per, all(c is not None and c.verified for c in per.values()), rho)
+        for per, rho in zip(pers, rhos)]
 
 
 @dataclass(frozen=True)
@@ -337,16 +357,12 @@ def proposition1_check(t: Projection, u: Projection, h1: History, h2: History,
     if abs(np.linalg.norm(psi) - 1.0) > tol.prob:
         raise PreconditionFailed("state vector is not normalized")
     rho = validate_density(np.outer(psi, psi.conj()), tol)
-    cert_t = verify_mirror(t, h1, rho, tol)
-    cert_u = verify_mirror(u, h2, rho, tol)
-    if not cert_t.verified:
-        raise PreconditionFailed(
-            f"first mirror fails with residuals m1={cert_t.residual_m1}, "
-            f"m2={cert_t.residual_m2}")
-    if not cert_u.verified:
-        raise PreconditionFailed(
-            f"second mirror fails with residuals m1={cert_u.residual_m1}, "
-            f"m2={cert_u.residual_m2}")
+    certs = _certificates([t, u], [h1, h2], _event_pairs(h1, h2), [rho], tol)[0]
+    for which, cert in zip(("first", "second"), certs):
+        if not cert.verified:
+            raise PreconditionFailed(
+                f"{which} mirror fails with residuals m1={cert.residual_m1}, "
+                f"m2={cert.residual_m2}")
     e1, f1 = h1.events[0], h2.events[0]
     e2 = h1.events[1]
     if max_norm(e2.matrix - h2.events[1].matrix) > tol.op:
@@ -413,18 +429,13 @@ def contrary_bound_check(h1: History, h2: History,
             raise PreconditionFailed(
                 f"state is mixed (purity {rho.purity:.6f}); "
                 "pass allow_mixed to decompose it")
-        comps = []
         w, v = np.linalg.eigh(rho.matrix)
-        for i in range(len(w)):
-            if w[i] <= tol.eig:
-                continue
-            comp_rho = validate_density(
-                np.outer(v[:, i], v[:, i].conj()), tol)
-            comp_certs = (verify_mirror(cert1.mirror, h1, comp_rho, tol),
-                          verify_mirror(cert2.mirror, h2, comp_rho, tol))
-            comps.append(contrary_bound_check(
-                h1, h2, comp_certs, comp_rho, tol, allow_mixed=False))
-        components = tuple(comps)
+        comp_rhos = validate_densities(
+            [np.outer(x, x.conj()) for x in v.T[w > tol.eig]], tol)
+        comp_certs = _certificates([cert1.mirror, cert2.mirror], [h1, h2],
+                                   _event_pairs(h1, h2), comp_rhos, tol)
+        components = tuple(contrary_bound_check(h1, h2, tuple(c), r, tol)
+                           for r, c in zip(comp_rhos, comp_certs))
 
     p1, p2 = probability(h1, rho), probability(h2, rho)
     p_e2 = float(np.trace(e2.matrix @ rho.matrix).real)

@@ -28,6 +28,7 @@ from .matcore import (
     Tolerances,
     max_norm,
     validate_density,
+    validate_densities,
     validate_projection,
 )
 
@@ -242,11 +243,8 @@ def assemble_pointer_model(psi1: np.ndarray, psi2: np.ndarray,
             h1 = h
         elif second_is_e2 and provided[h.label] is u:
             h2 = h
-    rho = validate_density(np.outer(psi, psi.conj()), tol)
-    branch1 = np.kron(psi1, np.array([0.0, 1.0]))
-    branch2 = np.kron(psi2, np.array([1.0, 0.0]))
-    rho1 = validate_density(np.outer(branch1, branch1.conj()), tol)
-    rho2 = validate_density(np.outer(branch2, branch2.conj()), tol)
+    vectors = (psi, np.kron(psi1, [0.0, 1.0]), np.kron(psi2, [1.0, 0.0]))
+    rho, rho1, rho2 = validate_densities([np.outer(v, v.conj()) for v in vectors], tol)
     return PointerModel(spatial_dim, psi1, psi2, psi, e1, f1, e2, t, u,
                         family, h1, h2, provided, rho, rho1, rho2)
 

@@ -619,7 +619,7 @@ def test_ordered_against_reference_with_mismatched_context():
 
 def decoherence_matrix(family, rho):
     chains = chain_stack(event_stacks(family))
-    return np.vstack([block for _, block in
+    return np.vstack([block[0] for *_, block in
                       consistency._decoherence_blocks(chains, rho)])
 
 
@@ -659,10 +659,32 @@ def test_block_budget_does_not_change_reports(monkeypatch):
     monkeypatch.setattr(consistency, "_BLOCK_BYTES", 16 * n * 5)
     blocks = list(consistency._decoherence_blocks(
         chain_stack(event_stacks(cases[0][0])), cases[0][1]))
-    assert len(blocks) == 13 and blocks[-1][1].shape == (4, n)
+    assert len(blocks) == 13 and blocks[-1][2].shape == (1, 4, n)
     for (f, rho), want, matrix in zip(cases, whole, matrices):
         assert [check(f, rho, TOL) for check in checks] == want
         assert np.array_equal(decoherence_matrix(f, rho), matrix)
+
+
+def test_block_budget_does_not_change_stacked_reports(monkeypatch):
+    """Several states in one pass: blocks hold whole states or lie within
+    one, and any budget gives the reports of the whole-matrix pass."""
+    rng = np.random.default_rng(14)
+    family = HistoryFamily(tuple(random_resolution(8, (2, 2, 2, 2), rng, TOL)
+                                 for _ in range(3)))
+    states = [random_density(8, rng, rank=r, tol=TOL) for r in (1, 3, 8)]
+    analysis = FamilyAnalysis(family, TOL)
+    reductions = (analysis.weak_each, analysis.medium_each)
+    whole = [each(states) for each in reductions]
+    assert len({r.worst_residual for r in whole[0]}) == len(states)
+    n = len(analysis.histories)
+    within = [(s, i, (1, min(5, n - i), n)) for s in range(3) for i in range(0, n, 5)]
+    # five rows of 64 per block, or two whole states per block
+    for rows_per_block, layout in ((5, within), (2 * n, [(0, 0, (2, n, n)),
+                                                         (2, 0, (1, n, n))])):
+        monkeypatch.setattr(consistency, "_BLOCK_BYTES", 16 * n * rows_per_block)
+        assert [(s, i, block.shape) for s, i, block
+                in consistency._decoherence_blocks(analysis.chains, *states)] == layout
+        assert [each(states) for each in reductions] == whole
 
 
 def test_reports_carry_python_types():
@@ -715,7 +737,8 @@ def test_one_analysis_matches_pairwise_reference_on_many_states(case):
             assert_same_report(analysis.sum_rule(state),
                                reference_sum_rule(family, state))
         probs = analysis.probabilities(state)
-        d = np.vstack([b for _, b in analysis.decoherence_blocks(state)])
+        d = np.vstack([b[0] for *_, b in
+                       consistency._decoherence_blocks(analysis.chains, state)])
         for i, h in enumerate(hs):
             assert probs[i] == pytest.approx(probability(h, state), abs=1e-12)
         for i, j in itertools.combinations_with_replacement(range(len(hs)), 2):

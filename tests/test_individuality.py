@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qhistories.consistency import FamilyAnalysis
 from qhistories.errors import (
     BadParameters,
     DimensionMismatch,
@@ -12,6 +13,7 @@ from qhistories.errors import (
 from qhistories.individuality import (
     DEFAULT_LAMBDA_GRID,
     IndividualityWitness,
+    PropertyPredicate,
     condition_C_probe,
     individuality_violation_search,
     linear_positivity_property,
@@ -30,7 +32,12 @@ from qhistories.matcore import (
     validate_projection,
 )
 from qhistories.mirror import least_mirror
-from qhistories.sampling import pointer_model, random_density, random_family
+from qhistories.sampling import (
+    pointer_model,
+    random_density,
+    random_family,
+    random_state,
+)
 from qhistories.scenarios import build_example1, build_example2
 
 TOL = DEFAULT_TOL
@@ -216,3 +223,137 @@ def test_condition_probe_rejects_degenerate_vectors():
         condition_C_probe(inst.h1, inst.psi1, 2.0 * inst.psi1, TOL)
     with pytest.raises(BadParameters):
         condition_C_probe(inst.h1, inst.psi1, -inst.psi1, TOL)
+
+
+# The stacked evaluator against the one-state predicate.
+
+FACTORIES = (weak_decoherence_property, medium_decoherence_property,
+             linear_positivity_property, self_decoherence_property)
+
+
+def _grid_states(rho1, rho2):
+    return [rho1, rho2, *(mixture(rho1, rho2, lam, TOL)
+                          for lam in DEFAULT_LAMBDA_GRID)]
+
+
+def _equivalence_cases():
+    """(family, provided mirrors, states) with the components first."""
+    rng = np.random.default_rng(61)
+    # pi/3 at the default phase: the weak and medium witnesses at lam = 1/2
+    # hold only within about 4e-9 of it
+    for inst in (build_example1(np.pi / 3), *(
+            build_example1(theta, float(rng.uniform(0.0, np.pi)))
+            for theta in (np.pi / 2, 1.0, 2.0))):
+        yield inst.family, None, _grid_states(inst.rho1, inst.rho2)
+    for d in (3, 4, 5, 6):
+        family = random_family(d, 2, rng, TOL)
+        for rank in (None, 1, d - 1):  # mixed and rank-deficient
+            rho1, rho2 = (random_density(d, rng, rank=rank, tol=TOL)
+                          for _ in range(2))
+            yield family, None, _grid_states(rho1, rho2)
+    for spatial in (2, 3):
+        m = pointer_model(spatial, rng, TOL)
+        for provided in (None, m.provided_mirrors):
+            yield m.family, provided, _grid_states(m.rho1, m.rho2)
+    # an eigenvalue just above tol.eig widens the support the least
+    # mirror must close over
+    m = pointer_model(2, rng, TOL)
+    stray = random_state(m.family.dim, rng)
+    weights = np.array([1.0 - 2.0 * TOL.eig, 2.0 * TOL.eig])
+    edge = validate_density(weights[0] * m.rho.matrix
+                            + weights[1] * np.outer(stray, stray.conj()), TOL)
+    yield m.family, None, [m.rho, edge, m.rho1]
+    yield m.family, m.provided_mirrors, [edge, m.rho]
+
+
+def test_stacked_verdicts_equal_one_state_verdicts():
+    verdicts = {factory.__name__: set() for factory in FACTORIES}
+    for family, provided, states in _equivalence_cases():
+        for factory in FACTORIES:
+            prop = (factory(family, TOL, provided)
+                    if factory is self_decoherence_property
+                    else factory(family, TOL))
+            got = prop.evaluator(states)
+            assert list(got) == [prop.holds(rho) for rho in states], prop.name
+            verdicts[factory.__name__].update(got)
+    assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+
+
+def test_stacked_reports_match_one_state_reports():
+    """Residuals agree with the one-state reduction to rounding."""
+    for family, _, states in _equivalence_cases():
+        analysis = FamilyAnalysis(family, TOL)
+        for each, one in ((analysis.weak_each, analysis.weak),
+                          (analysis.medium_each, analysis.medium),
+                          (analysis.linear_positivity_each,
+                           analysis.linear_positivity)):
+            for got, rho in zip(each(states), states):
+                want = one(rho)
+                assert got.verdict == want.verdict
+                assert got.pair_count == want.pair_count
+                assert got.worst_residual == pytest.approx(want.worst_residual,
+                                                           abs=1e-12)
+
+
+def test_search_asks_the_evaluator_once_for_every_state():
+    inst = build_example1(np.pi / 3)
+    for factory in FACTORIES:
+        prop = factory(inst.family, TOL)
+        calls = []
+        counted = PropertyPredicate(prop.name, lambda rhos, prop=prop: (
+            calls.append(len(rhos)) or prop.evaluator(rhos)))
+        got = individuality_violation_search(counted, inst.rho1, inst.rho2,
+                                             DEFAULT_LAMBDA_GRID, TOL)
+        want = individuality_violation_search(prop, inst.rho1, inst.rho2,
+                                              DEFAULT_LAMBDA_GRID, TOL)
+        assert calls == [2 + len(DEFAULT_LAMBDA_GRID)], prop.name
+        assert [(w.lam, w.holds_on_mixture) for w in got] == [
+            (w.lam, w.holds_on_mixture) for w in want]
+
+
+def test_search_keeps_the_mixture_guards():
+    """A bad weight or mismatched components raise before the predicate
+    is asked anything."""
+    inst = build_example1(np.pi / 3)
+    calls = []
+    prop = weak_decoherence_property(inst.family, TOL)
+    counted = PropertyPredicate(prop.name, lambda rhos: (
+        calls.append(len(rhos)) or prop.evaluator(rhos)))
+    for lams in ((0.3, 1.0), (0.0,), (0.5, -0.2, 0.7)):
+        with pytest.raises(LambdaOutOfRange):
+            individuality_violation_search(counted, inst.rho1, inst.rho2,
+                                           lams, TOL)
+    with pytest.raises(DimensionMismatch):
+        individuality_violation_search(counted, inst.rho1,
+                                       validate_density(np.eye(2) / 2.0),
+                                       (0.5,), TOL)
+    assert calls == []
+
+
+def _probe_cases():
+    m = build_example2()
+    b1 = np.kron(m.psi1, [0.0, 1.0])
+    b2 = np.kron(m.psi2, [1.0, 0.0])
+    inst = build_example1(np.pi / 3)
+    e1 = validate_projection(np.diag([1.0, 0.0]))
+    e2 = validate_projection(np.full((2, 2), 0.5))
+    return [(m.h1, b1, b2), (m.h2, b1, b2), (inst.h1, inst.psi1, inst.psi2),
+            (History((e1, e2), "(1,1)"), np.array([1.0, 0.0]),
+             np.array([0.0, 1.0]))]
+
+
+def test_condition_probe_equals_separate_least_mirrors():
+    for h, psi1, psi2 in _probe_cases():
+        probe = condition_C_probe(h, psi1, psi2, TOL)
+        total = psi1 + psi2
+        for found, vec in ((probe.found_1, psi1), (probe.found_2, psi2),
+                           (probe.found_sum, total / np.linalg.norm(total))):
+            want = least_mirror(h, validate_density(np.outer(vec, vec.conj()),
+                                                    TOL), TOL)
+            assert (found is None) == (not want.verified)
+            if found is not None:
+                assert found.mirror.rank == want.mirror.rank
+                assert max_norm(found.mirror.matrix - want.mirror.matrix) <= 1e-12
+                np.testing.assert_allclose(
+                    found.residual_m1 + found.residual_m2,
+                    want.residual_m1 + want.residual_m2, rtol=0, atol=1e-12)

@@ -21,6 +21,7 @@ from qhistories.matcore import (
     max_norm,
     projection_leq,
     projector_onto,
+    validate_densities,
     validate_density,
     validate_projection,
     validate_projections,
@@ -100,6 +101,61 @@ def test_stacked_validation_raises_for_the_first_failing_matrix():
         assert exc.value.residual == pytest.approx(residual)
     with pytest.raises(DimensionMismatch):
         validate_projections(np.zeros((2, 2, 3)), TOL)
+
+
+def _density_stack(rng):
+    """Pure, mixed and rank-deficient states of dimension 4, one with an
+    eigenvalue dipping below 0 within ``tol.eig`` and one whose trace and
+    Hermiticity are off within ``tol.op``."""
+    stack = []
+    for rank in (1, 2, 4):
+        u = haar_unitary(4, rng)[:, :rank]
+        w = rng.dirichlet(np.ones(rank))
+        stack.append((u * w) @ u.conj().T)
+    v = haar_unitary(4, rng)
+    stack.append((v * [0.6, 0.4 + 5e-9, -5e-9, 0.0]) @ v.conj().T)
+    off = stack[1] + 2e-11 * np.eye(4)
+    off[0, 1] += 3e-11
+    stack.append(off)
+    return stack
+
+
+def test_stacked_density_validation_matches_one_at_a_time():
+    stack = _density_stack(np.random.default_rng(19))
+    got = validate_densities(stack, TOL)
+    assert len(got) == len(stack)
+    for rho, m in zip(got, stack):
+        want = validate_density(m, TOL)
+        assert np.array_equal(rho.matrix, want.matrix)
+        assert not rho.matrix.flags.writeable
+        assert rho.purity == want.purity
+        assert rho.eigenvalue_floor == want.eigenvalue_floor
+        assert rho.trace_residual == want.trace_residual
+        assert all(type(x) is float for x in
+                   (rho.purity, rho.eigenvalue_floor, rho.trace_residual))
+    assert got[3].eigenvalue_floor < 0.0
+    assert got[4].trace_residual > 0.0
+
+
+def test_stacked_density_validation_raises_for_the_first_failing_matrix():
+    """Class, message and residual are those the failing matrix raises alone."""
+    good = np.diag([0.5, 0.5])
+    negative = np.diag([1.5, -0.5])
+    long_trace = np.diag([0.7, 0.7])
+    skew = np.array([[0.5, 0.2], [0.0, 0.5]])
+    cases = (([good, negative, skew], negative, NotPositive),
+             ([good, good, skew, negative], skew, NotHermitian),
+             ([long_trace, negative], long_trace, TraceNotOne),
+             ([good, skew, long_trace], skew, NotHermitian))
+    for stack, culprit, error in cases:
+        with pytest.raises(error) as alone:
+            validate_density(culprit, TOL)
+        with pytest.raises(error) as stacked:
+            validate_densities(stack, TOL)
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.residual == alone.value.residual
+    with pytest.raises(DimensionMismatch):
+        validate_densities(np.zeros((2, 2, 3)), TOL)
 
 
 def test_validate_density_rejections():

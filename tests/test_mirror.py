@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from qhistories import mirror
-from qhistories.consistency import FamilyAnalysis, check_weak_decoherence
+from qhistories.consistency import (
+    FamilyAnalysis,
+    check_linear_positivity,
+    check_weak_decoherence,
+)
 from qhistories.errors import (
     DimensionMismatch,
     MirrorNotVerified,
@@ -19,8 +23,13 @@ from qhistories.histories import (
     elementary_histories,
     make_resolution,
 )
+from qhistories.individuality import (
+    individuality_violation_search,
+    linear_positivity_property,
+)
 from qhistories.matcore import (
     DEFAULT_TOL,
+    Tolerances,
     identity_projection,
     max_norm,
     projection_leq,
@@ -31,10 +40,12 @@ from qhistories.mirror import (
     check_self_decoherence,
     contrary_bound_check,
     least_mirror,
+    least_mirrors,
     mirror_correlation,
     occurrence_probability,
     proposition1_check,
     self_decoherence,
+    self_decoherence_each,
     verify_mirror,
 )
 from qhistories.sampling import (
@@ -222,6 +233,29 @@ def test_a_provided_mirror_of_the_wrong_dimension_raises():
         verify_mirror(small, m.h1, m.rho, TOL)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_state_of_another_dimension_raises(dim):
+    """A dimension-2k state against a dimension-k history or family
+    raises; its entries are never read as k x k states."""
+    rng = np.random.default_rng(40 + dim)
+    family = random_family(dim, 2, rng, TOL)
+    h = elementary_histories(family)[0]
+    good, bad = random_density(dim, rng, tol=TOL), random_density(2 * dim, rng, tol=TOL)
+    prop = linear_positivity_property(family, TOL)
+    calls = [lambda: verify_mirror(identity_projection(dim), h, bad, TOL),
+             lambda: least_mirror(h, bad, TOL),
+             lambda: least_mirrors(h, [good, bad], TOL),
+             lambda: check_self_decoherence(family, bad, None, TOL),
+             lambda: check_linear_positivity(family, bad, TOL),
+             lambda: check_weak_decoherence(family, bad, TOL),
+             lambda: prop.holds(bad),
+             lambda: prop.evaluator([good, bad]),
+             lambda: individuality_violation_search(prop, bad, bad, (0.5,), TOL)]
+    for call in calls:
+        with pytest.raises(DimensionMismatch):
+            call()
+
+
 def test_self_decoherence_needs_two_slots():
     r = make_resolution([diag_proj(1, 0), diag_proj(0, 1)], TOL)
     rho = validate_density(np.diag([0.5, 0.5]))
@@ -331,6 +365,26 @@ def test_contrary_bound_mixed_state_needs_opt_in():
     assert report.passed
     assert report.components
     assert report.p_h1 + report.p_h2 == pytest.approx(report.p_e2, abs=1e-12)
+    _same_components(report, h1, h2, (cert1, cert2), rho)
+
+
+def _bound_values(report):
+    return (report.p_h1, report.p_h2, report.p_e2, report.bound_residual,
+            report.conditional_sum, report.passed, report.components)
+
+
+def _same_components(report, h1, h2, certs, rho):
+    """The decomposed reports are those of each support eigenvector, with
+    both mirrors verified on it one at a time."""
+    w, v = np.linalg.eigh(rho.matrix)
+    want = []
+    for i in np.flatnonzero(w > TOL.eig):
+        comp = validate_density(np.outer(v[:, i], v[:, i].conj()), TOL)
+        comp_certs = tuple(verify_mirror(c.mirror, h, comp, TOL)
+                           for c, h in zip(certs, (h1, h2)))
+        want.append(contrary_bound_check(h1, h2, comp_certs, comp, TOL))
+    assert [_bound_values(c) for c in report.components] == [
+        _bound_values(c) for c in want]
 
 
 def test_pointer_models_satisfy_every_mirror_identity():
@@ -469,6 +523,26 @@ def test_contrary_bound_holds_on_each_eigenvector_for_least_mirrors():
                                       allow_mixed=True)
         assert report.passed, trial
         assert len(report.components) == 2, trial
+        _same_components(report, m.h1, m.h2, certs, rho)
+
+
+def test_mixed_contrary_bound_needs_mirrors_exact_on_every_eigenvector():
+    """A mirror that verifies on the mixture only within tol.prob can fail
+    on an eigenvector; the decomposition then raises, as it did with one
+    certificate per eigenvector."""
+    tol = Tolerances(prob=5e-8)  # a support weight above tol.eig fits in tol.prob
+    e1, f1 = diag_proj(1, 0, 0), diag_proj(0, 1, 0)
+    eye = identity_projection(3)
+    h1, h2 = History((e1, eye), "(1,1)"), History((f1, eye), "(2,1)")
+    rho = validate_density(np.diag([0.5 - 1e-8, 0.5 - 1e-8, 2e-8]), tol)
+    loose = diag_proj(1, 0, 1)  # holds the third support direction
+    certs = (verify_mirror(loose, h1, rho, tol), verify_mirror(f1, h2, rho, tol))
+    assert certs[0].verified and certs[1].verified
+    with pytest.raises(PreconditionFailed):
+        contrary_bound_check(h1, h2, certs, rho, tol, allow_mixed=True)
+    exact = (least_mirror(h1, rho, tol), least_mirror(h2, rho, tol))
+    report = contrary_bound_check(h1, h2, exact, rho, tol, allow_mixed=True)
+    assert len(report.components) == 3 and report.passed
 
 
 def test_contrary_inference_pair_has_mirrors_that_fail_the_consequences():
@@ -642,6 +716,28 @@ def test_one_analysis_decides_many_states_like_fresh_calls(source):
         _same_report(got, want)
         assert got.coarse_sum_mirrors == want.coarse_sum_mirrors
     assert len(analyses) < sum(1 for _ in _batched_cases(source))
+
+
+@pytest.mark.parametrize("source", ["pointer", "generic", "example1",
+                                    "zero-event", "partial"])
+def test_stacked_self_decoherence_matches_one_state_calls(source):
+    """All states of a family in one pass: the same reports as one call
+    per state, residuals within 1e-12."""
+    by_family = {}
+    for family, rho, provided in _batched_cases(source):
+        key = (id(family), tuple(sorted(provided or {})))
+        by_family.setdefault(key, (family, provided, []))[2].append(rho)
+    for family, provided, states in by_family.values():
+        analysis = FamilyAnalysis(family, TOL)
+        got = self_decoherence_each(analysis, states, provided)
+        assert len(got) == len(states)
+        for report, rho in zip(got, states):
+            assert report.state is rho
+            _same_report(report, self_decoherence(analysis, rho, provided))
+        h = analysis.histories[0]
+        for cert, rho in zip(least_mirrors(h, states, TOL), states):
+            assert cert.state is rho
+            _same_certificate(cert, least_mirror(h, rho, TOL))
 
 
 def _turned(u, p):
