@@ -2,12 +2,14 @@
 
 The golden files under ``data/report_bytes`` hold the output and exit
 status of each command line below.  A refactor must reproduce them
-byte for byte; a change that alters them on purpose records why in
-CHANGES.md, bumps the report version and regenerates them with
+byte for byte.  A new case gets its golden file and exit status from
 
     PYTHONPATH=src python tests/test_report_bytes.py
 
-which rewrites every golden file from the current code.
+which writes only the goldens that do not exist yet and leaves every
+existing one as it is.  A change that alters output on purpose records
+why in CHANGES.md, bumps the report version, deletes the golden files
+it re-blesses and runs the same command.
 """
 
 import json
@@ -21,11 +23,16 @@ from qhistories.cli import main
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "report_bytes"
 POINTER = DATA / "pointer_problem.json"  # sampling.pointer_model(3, seed 7)
+# sampling.random_family(4, 3, seed 11, max_blocks=2) with the same
+# generator's random_density(4, rank=3): three slots of two events each.
+THREE_SLOT = DATA / "three_slot_problem.json"
 
 THIRD = "1.0471975511965976"  # pi / 3
 CASES = {
     "check-pointer-table": ["check", "{pointer}"],
     "check-pointer-report": ["check", "{pointer}", "--format", "report"],
+    "check-three-slot-table": ["check", "{three_slot}"],
+    "check-three-slot-report": ["check", "{three_slot}", "--format", "report"],
     "check-pointer-ordered-first": [
         "check", "{pointer}", "--notions", "ordered,medium,sum-rule",
         "--format", "report"],
@@ -43,11 +50,15 @@ CASES = {
                     "3.1", "--steps", "5", "--theta", "2.0"],
     "sweep-lam": ["sweep", "--param", "lam", "--start", "0.1", "--stop",
                   "0.9", "--steps", "5", "--state", "rho"],
+    "sweep-lam-wide": ["sweep", "--param", "lam", "--start", "0.05",
+                       "--stop", "0.95", "--steps", "12", "--theta", "2.2",
+                       "--alpha", "0.7"],
 }
 
 
 def run_case(argv, out: Path) -> int:
-    argv = [a.replace("{pointer}", str(POINTER)) for a in argv]
+    argv = [a.replace("{pointer}", str(POINTER))
+            .replace("{three_slot}", str(THREE_SLOT)) for a in argv]
     return main(argv + ["--out", str(out)])
 
 
@@ -60,11 +71,17 @@ def test_output_bytes_match_golden(name, tmp_path):
 
 
 def regenerate() -> None:
+    """Write the golden file and exit status of every case that has no
+    golden file yet; existing goldens and statuses stay untouched."""
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    status = {}
+    status_file = GOLDEN / "exit_status.json"
+    status = json.loads(status_file.read_text()) if status_file.exists() else {}
     for name, argv in sorted(CASES.items()):
-        status[name] = run_case(argv, GOLDEN / f"{name}.txt")
-    (GOLDEN / "exit_status.json").write_text(
+        golden = GOLDEN / f"{name}.txt"
+        if not golden.exists():
+            status[name] = run_case(argv, golden)
+            print(f"wrote {golden}")
+    status_file.write_text(
         json.dumps(status, indent=2, sort_keys=True) + "\n")
 
 
