@@ -31,7 +31,7 @@ from ..errors import (
     ToolkitError,
 )
 from ..histories import HistoryFamily, History, elementary_histories
-from ..individuality import mixture
+from ..individuality import _mixtures
 from ..matcore import DensityOperator, Tolerances
 from ..mirror import (
     MirrorCertificate,
@@ -119,7 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--theta", type=float, default=math.pi / 3.0)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--state", choices=("rho", "rho1", "rho2"), default="rho1")
+    p.add_argument("--state", choices=("rho", "rho1", "rho2"), default="rho1",
+                   help="state of each step; ignored under --param lam, "
+                        "whose states are the lam mixtures of rho1 and rho2")
     p.add_argument("--dim", type=int, default=3)
     _add_common(p)
 
@@ -257,8 +259,11 @@ def _run_notions(analysis: FamilyAnalysis, rho: DensityOperator,
 
 def _elementary_probabilities(analysis: FamilyAnalysis, rho: DensityOperator,
                               ) -> dict[str, ProbabilityValue]:
-    return {h.label: _probability_value(probability(h, rho), analysis.tol)
-            for h in analysis.histories}
+    """:func:`probability`'s arithmetic over the chain stack, bit for bit."""
+    c = analysis.chains
+    raw = np.trace(c @ rho.matrix @ c.conj().swapaxes(1, 2), axis1=1, axis2=2).real
+    return {analysis.label(i): _probability_value(p, analysis.tol)
+            for i, p in enumerate(raw.tolist())}
 
 
 def _cmd_check(args) -> int:
@@ -294,8 +299,7 @@ def _cmd_example1(args) -> int:
     notes = []
     if args.state == "rho1":
         expected = example1_expected(args.theta)
-        p1 = probability(instance.h1, rho)
-        p2 = probability(instance.h2, rho)
+        p1, p2 = (probabilities[h.label].raw for h in (instance.h1, instance.h2))
         notes.append(f"closed form p(h1) = {expected.p_h1:.12g}, "
                      f"computed {p1:.12g}")
         notes.append(f"closed form p(h2) = {expected.p_h2:.12g}, "
@@ -361,20 +365,23 @@ def _cmd_sweep(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    any_fail = False
-    for value in np.linspace(args.start, args.stop, args.steps):
-        v = float(value)
-        instance = build_example1(v if args.param == "theta" else args.theta,
-                                  v if args.param == "alpha" else args.alpha,
-                                  args.dim, tol)
-        if args.param == "lam":
-            if not 0.0 < v < 1.0:
-                raise BadParameters(f"lam value {v} outside (0, 1)")
-            rho = mixture(instance.rho1, instance.rho2, v, tol)
-        else:
-            rho = getattr(instance, args.state)
-        row = [args.param, format(v, ".17g")]
+    values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
+    if args.param == "lam":  # only the state changes: one family, one analysis
+        instance = build_example1(args.theta, args.alpha, args.dim, tol)
+        if outside := [v for v in values if not 0.0 < v < 1.0]:
+            raise BadParameters(f"lam value {outside[0]} outside (0, 1)")
         analysis = FamilyAnalysis(instance.family, tol)
+        steps = ((instance, analysis, rho) for rho in
+                 _mixtures(instance.rho1, instance.rho2, values, tol))
+    else:
+        instances = (build_example1(v if args.param == "theta" else args.theta,
+                                    v if args.param == "alpha" else args.alpha,
+                                    args.dim, tol) for v in values)
+        steps = ((i, FamilyAnalysis(i.family, tol), getattr(i, args.state))
+                 for i in instances)
+    any_fail = False
+    for v, (instance, analysis, rho) in zip(values, steps):
+        row = [args.param, format(v, ".17g")]
         for reduce in (analysis.weak, analysis.medium,
                        analysis.linear_positivity, analysis.sum_rule):
             r = reduce(rho)

@@ -28,6 +28,7 @@ from ..matcore import (
     Tolerances,
     validate_density,
     validate_projection,
+    validate_projections,
 )
 
 __all__ = [
@@ -220,18 +221,29 @@ def projection_named(operators: dict[str, np.ndarray], name: str,
         raise _prefixed(exc, f"operator {name!r}")
 
 
+def _projections_named(operators: dict[str, np.ndarray], names: list[str],
+                       tol: Tolerances) -> list[Projection]:
+    """:func:`projection_named` over ``names`` in one stacked validation."""
+    try:
+        return validate_projections([operators[n] for n in names], tol) if names else []
+    except ValidationError:
+        for name in names:
+            projection_named(operators, name, tol)
+        raise
+
+
 def problem_to_objects(problem: ProblemFile,
                        tol: Tolerances = DEFAULT_TOL,
                        ) -> tuple[HistoryFamily, DensityOperator,
                                   dict[str, Projection]]:
     """Validate the document's operators into typed objects.
 
-    Raises :class:`ValidationError` subclasses carrying the offending
-    operator name and residual.
+    The first failure in file order raises its :class:`ValidationError`
+    subclass, carrying the offending operator name and residual.
     """
     slots = []
     for k, names in enumerate(problem.resolutions):
-        events = [projection_named(problem.operators, n, tol) for n in names]
+        events = _projections_named(problem.operators, names, tol)
         try:
             slots.append(make_resolution(events, tol))
         except ValidationError as exc:
@@ -256,12 +268,14 @@ def problem_to_objects(problem: ProblemFile,
     mirrors: dict[str, Projection] = {}
     if problem.mirrors:
         labels = {h.label for h in elementary_histories(family)}
-        for label, name in problem.mirrors.items():
-            if label not in labels:
-                raise ParseError(
-                    f"mirror label {label!r} matches no elementary history "
-                    f"(have {', '.join(sorted(labels))})")
-            mirrors[label] = projection_named(problem.operators, name, tol)
+        given = list(problem.mirrors)
+        known = next((k for k, lb in enumerate(given) if lb not in labels), len(given))
+        mirrors = dict(zip(given, _projections_named(
+            problem.operators, [problem.mirrors[lb] for lb in given[:known]], tol)))
+        if known < len(given):
+            raise ParseError(
+                f"mirror label {given[known]!r} matches no elementary history "
+                f"(have {', '.join(sorted(labels))})")
     return family, rho, mirrors
 
 

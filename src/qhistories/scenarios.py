@@ -31,8 +31,8 @@ from .matcore import (
     Projection,
     Tolerances,
     projector_onto,
-    validate_density,
-    validate_projection,
+    validate_densities,
+    validate_projections,
 )
 from .sampling import PointerModel, assemble_pointer_model
 
@@ -99,19 +99,18 @@ def build_example1(theta: float, alpha: float | None = None, dim: int = 3,
     chi = np.zeros(dim, dtype=complex)
     chi[0] = math.cos(theta / 2.0)
     chi[1] = np.exp(1j * alpha) * math.sin(theta / 2.0)
-    e1 = validate_projection(np.outer(phi, phi.conj()), tol)
-    e2 = validate_projection(np.outer(chi, chi.conj()), tol)
+    first, second = np.outer(phi, phi.conj()), np.outer(chi, chi.conj())
     eye = np.eye(dim, dtype=complex)
-    family = HistoryFamily((
-        make_resolution([e1, validate_projection(eye - e1.matrix, tol)], tol),
-        make_resolution([e2, validate_projection(eye - e2.matrix, tol)], tol),
-    ))
+    e1, e2, e1c, e2c = validate_projections(
+        [first, second, eye - first, eye - second], tol)
+    family = HistoryFamily((make_resolution([e1, e1c], tol),
+                            make_resolution([e2, e2c], tol)))
     elems = elementary_histories(family)
     h1, h2 = elems[0], elems[2]
     h_coarse = history_sum(h1, h2, tol)
-    rho1 = validate_density(np.outer(psi1, psi1.conj()), tol)
-    rho2 = validate_density(np.outer(psi2, psi2.conj()), tol)
-    rho = validate_density(0.5 * rho1.matrix + 0.5 * rho2.matrix, tol)
+    pure1, pure2 = np.outer(psi1, psi1.conj()), np.outer(psi2, psi2.conj())
+    rho1, rho2, rho = validate_densities(
+        [pure1, pure2, 0.5 * pure1 + 0.5 * pure2], tol)
     return Example1Instance(dim, theta, alpha, psi1, psi2, phi, e1, e2,
                             family, h1, h2, h_coarse, rho1, rho2, rho)
 

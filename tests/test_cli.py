@@ -21,6 +21,7 @@ from qhistories.cli.files import (
 )
 from qhistories.consistency import FamilyAnalysis
 from qhistories.errors import (
+    NotHermitian,
     NotIdempotent,
     NotOrthogonal,
     ParseError,
@@ -136,6 +137,50 @@ def test_problem_objects_keep_the_failure_class():
     assert exc.value.pair == (1, 3)
     e1 = problem.operators["E1"]
     assert exc.value.residual == pytest.approx(np.max(np.abs(e1 @ e1)))
+
+
+def test_problem_objects_raise_the_first_failure_in_file_order():
+    """Each resolution and the mirrors are validated as stacks; the error
+    is still the first one in file order, with its name, class and pair."""
+    problem = example2_problem()
+    ops = problem.operators
+    skew = ops["E2"] + 0.1j * (np.eye(4) - np.diag([1, 0, 0, 0]))
+    overlap_then_skew = ProblemFile(
+        dim=4, operators=dict(ops, SKEW=skew),
+        resolutions=[["E1", "F1", "E1"], ["SKEW", "E2c"]], state="Psi")
+    with pytest.raises(NotOrthogonal) as exc:
+        problem_to_objects(overlap_then_skew, TOL)
+    assert str(exc.value).startswith("resolution 1: ")
+    assert exc.value.pair == (1, 3)
+    two_bad = ProblemFile(
+        dim=4, operators=dict(ops, HALF=0.5 * ops["E2"], SKEW=skew),
+        resolutions=[["E1", "F1"], ["E2c", "SKEW", "HALF"]], state="Psi")
+    with pytest.raises(NotHermitian) as exc:
+        problem_to_objects(two_bad, TOL)
+    assert str(exc.value).startswith("operator 'SKEW': ")
+    two_bad = ProblemFile(
+        dim=4, operators=dict(ops, HALF=0.5 * ops["E2"], SKEW=skew),
+        resolutions=[["E1", "F1"], ["E2c", "HALF", "SKEW"]], state="Psi")
+    with pytest.raises(NotIdempotent) as exc:
+        problem_to_objects(two_bad, TOL)
+    assert str(exc.value).startswith("operator 'HALF': ")
+    assert exc.value.residual == pytest.approx(0.25)
+    half_mirror = ProblemFile(
+        dim=4, operators=dict(ops, HALF=0.5 * ops["U"]),
+        resolutions=problem.resolutions, state="Psi",
+        mirrors={"(1,1)": "T", "(2,1)": "HALF"})
+    with pytest.raises(NotIdempotent) as exc:
+        problem_to_objects(half_mirror, TOL)
+    assert str(exc.value).startswith("operator 'HALF': ")
+    assert exc.value.residual == pytest.approx(0.25)
+    # A bad mirror before an unknown label fails first, and the reverse.
+    for mirrors, error in (({"(2,1)": "HALF", "(9,9)": "T"}, NotIdempotent),
+                           ({"(9,9)": "T", "(2,1)": "HALF"}, ParseError)):
+        with pytest.raises(error):
+            problem_to_objects(ProblemFile(
+                dim=4, operators=dict(ops, HALF=0.5 * ops["U"]),
+                resolutions=problem.resolutions, state="Psi",
+                mirrors=mirrors), TOL)
 
 
 def test_problem_objects_support_mixture_states():
@@ -449,6 +494,72 @@ def test_sweep_lambda_recovers_weak_only_at_the_middle(tmp_path):
     verdicts = {float(r[value_col]): r[weak_col] for r in body}
     assert verdicts[0.5] == "true"
     assert all(v == "false" for lam, v in verdicts.items() if lam != 0.5)
+
+
+def test_sweep_lambda_rejects_the_first_value_outside_the_interval(capsys):
+    assert main(["sweep", "--param", "lam", "--start", "0.5", "--stop",
+                 "1.5", "--steps", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lam value 1.0 outside (0, 1)\n"
+
+
+@pytest.mark.parametrize("param, start, stop, builds", [
+    ("lam", "0.1", "0.9", 1), ("theta", "0.3", "2.8", 7),
+    ("alpha", "0.0", "3.1", 7)])
+def test_sweep_builds_one_family_per_distinct_family(
+        tmp_path, monkeypatch, param, start, stop, builds):
+    """Along lam only the state changes, so one instance and one analysis
+    serve every step; theta and alpha change the family at each step."""
+    import qhistories.cli as cli
+    calls = {"build_example1": 0, "FamilyAnalysis": 0}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(["sweep", "--param", param, "--start", start, "--stop", stop,
+                 "--steps", "7", "--out", str(tmp_path / "s.csv")]) == 1
+    assert len(tmp_path.joinpath("s.csv").read_text().splitlines()) == 8
+    assert calls == {"build_example1": builds, "FamilyAnalysis": builds}
+
+
+@pytest.mark.parametrize("dim, slots, rank", [
+    (d, slots, rank) for d in (3, 5, 8, 16) for slots in (2, 3)
+    for rank in (1, 2, None)])
+def test_stacked_elementary_probabilities_match_probability_bit_for_bit(
+        dim, slots, rank):
+    """The report's probabilities trace the chain stack with the arithmetic
+    of ``probability``, so every value keeps its bits."""
+    from qhistories.cli import _elementary_probabilities
+    from qhistories.consistency import probability
+    from qhistories.sampling import random_density, random_family
+    rng = np.random.default_rng(1000 * dim + 10 * slots + (rank or 0))
+    family = random_family(dim, slots, rng, TOL)
+    rho = random_density(dim, rng, rank=rank or dim, tol=TOL)
+    analysis = FamilyAnalysis(family, TOL)
+    got = _elementary_probabilities(analysis, rho)
+    assert list(got) == [h.label for h in analysis.histories]
+    for h in analysis.histories:
+        assert got[h.label].raw == probability(h, rho), h.label
+
+
+@pytest.mark.parametrize("theta", [0.3, np.pi / 3, 1.7, 2.2, 2.9])
+def test_example1_probabilities_match_probability_bit_for_bit(theta):
+    from qhistories.cli import _elementary_probabilities
+    from qhistories.consistency import probability
+    inst = build_example1(theta, 0.7)
+    analysis = FamilyAnalysis(inst.family, TOL)
+    for rho in (inst.rho, inst.rho1, inst.rho2):
+        got = _elementary_probabilities(analysis, rho)
+        for h in analysis.histories:
+            assert got[h.label].raw == probability(h, rho), h.label
 
 
 def test_sweep_is_deterministic(tmp_path):

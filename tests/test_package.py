@@ -5,12 +5,17 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import qhistories
 
-MODULES = [m.name for m in pkgutil.walk_packages(qhistories.__path__, "qhistories.")]
+# Library modules; ``qhistories.__main__`` is the ``python -m`` entry script.
+MODULES = [m.name for m in pkgutil.walk_packages(qhistories.__path__, "qhistories.")
+           if m.name != "qhistories.__main__"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -52,3 +57,15 @@ def test_consistency_does_not_import_the_sampler():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not any("sampling" in name for name in imported)
+
+
+def test_python_dash_m_runs_the_command_line_from_a_checkout(tmp_path):
+    """``PYTHONPATH=src python -m qhistories ...`` needs no install."""
+    src = Path(qhistories.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "qhistories", "example1", "--theta", "1.0",
+         "--state", "rho"], cwd=tmp_path, env={"PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1, out.stderr  # weak holds, self-decoherence fails
+    assert out.stdout.startswith("qhistories 0.2.0  tol op=1e-10")
+    assert "weak              pass" in out.stdout
