@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from qhistories.cli import SWEEP_COLUMNS, main
+import qhistories.cli as cli
+from qhistories.cli import SWEEP_COLUMNS, _elementary_probabilities, main
 from qhistories.cli.files import (
     NotionResult,
     ProblemFile,
@@ -19,7 +20,7 @@ from qhistories.cli.files import (
     report_table,
     serialize_problem,
 )
-from qhistories.consistency import FamilyAnalysis
+from qhistories.consistency import FamilyAnalysis, probability
 from qhistories.errors import (
     NotHermitian,
     NotIdempotent,
@@ -29,6 +30,7 @@ from qhistories.errors import (
 )
 from qhistories.matcore import DEFAULT_TOL
 from qhistories.mirror import self_decoherence, verify_mirror
+from qhistories.sampling import random_density, random_family
 from qhistories.scenarios import build_example1, build_example2
 
 TOL = DEFAULT_TOL
@@ -511,7 +513,6 @@ def test_sweep_builds_one_family_per_distinct_family(
         tmp_path, monkeypatch, param, start, stop, builds):
     """Along lam only the state changes, so one instance and one analysis
     serve every step; theta and alpha change the family at each step."""
-    import qhistories.cli as cli
     calls = {"build_example1": 0, "FamilyAnalysis": 0}
 
     def counted(name):
@@ -537,9 +538,6 @@ def test_stacked_elementary_probabilities_match_probability_bit_for_bit(
         dim, slots, rank):
     """The report's probabilities trace the chain stack with the arithmetic
     of ``probability``, so every value keeps its bits."""
-    from qhistories.cli import _elementary_probabilities
-    from qhistories.consistency import probability
-    from qhistories.sampling import random_density, random_family
     rng = np.random.default_rng(1000 * dim + 10 * slots + (rank or 0))
     family = random_family(dim, slots, rng, TOL)
     rho = random_density(dim, rng, rank=rank or dim, tol=TOL)
@@ -552,8 +550,6 @@ def test_stacked_elementary_probabilities_match_probability_bit_for_bit(
 
 @pytest.mark.parametrize("theta", [0.3, np.pi / 3, 1.7, 2.2, 2.9])
 def test_example1_probabilities_match_probability_bit_for_bit(theta):
-    from qhistories.cli import _elementary_probabilities
-    from qhistories.consistency import probability
     inst = build_example1(theta, 0.7)
     analysis = FamilyAnalysis(inst.family, TOL)
     for rho in (inst.rho, inst.rho1, inst.rho2):
