@@ -186,8 +186,8 @@ class _SlotHistories:
         return chain_stack(self.stacks)
 
     def label(self, i: int) -> str:
-        return "(" + ",".join(self.slot_labels[k][j]
-                              for k, j in enumerate(self.index[i])) + ")"
+        return "(" + ",".join(names[j] for names, j
+                              in zip(self.slot_labels, self.index[i].tolist())) + ")"
 
     def probabilities(self, rho: DensityOperator) -> np.ndarray:
         return _probabilities(self.chains, rho)

@@ -93,7 +93,10 @@ def self_decoherence_property(family: HistoryFamily,
     A mirror of a mixture is a mirror of each component: its two
     positive defect operators vanish on the mixture's support, which
     contains each component's.  So the predicate has no individuality
-    witness.
+    witness.  The least mirror depends on a state only through its
+    support, and every mixture of a weight grid has the support
+    ``supp rho1 + supp rho2``, so the mixtures of a search share one
+    closure per history (see :func:`qhistories.mirror.least_mirrors`).
     """
     analysis = FamilyAnalysis(family, tol)
     return _predicate("self-decoherence",

@@ -130,10 +130,45 @@ def _event_pairs(*histories: History) -> np.ndarray:
     return np.array([[e.matrix for e in h.events] for h in histories])
 
 
-def _least_projections(events: np.ndarray, states: np.ndarray,
+def _supports(states: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list[int]]:
+    """Bases of the distinct supports of ``states`` and, for each state,
+    the position of its own among them.
+
+    A support is spanned by the eigenvectors above ``tol.eig`` (the other
+    columns zero).  A state shares the support of the first earlier state
+    whose support projection lies within ``tol.eig`` of its own in the
+    Frobenius norm.  That distance is ``sqrt(2 sum sin^2 theta_i)`` over the
+    principal angles when the ranks agree, and at least 1 when they do not,
+    so it joins only supports of one rank r whose stacked bases
+    ``[V_s, V_t]`` have rank r at ``tol.eig``, the closure's own rank rule.
+    ``V`` depends on a state only through its support, and
+    ``supp(lam rho1 + (1 - lam) rho2)`` is ``supp rho1 + supp rho2`` for
+    every ``lam`` whose weighted eigenvalues stay above ``tol.eig``, so the
+    mixtures of a weight grid are closed once.
+    """
+    w, vecs = np.linalg.eigh(states)
+    bases = vecs * (w > tol.eig)[:, None]
+    if len(states) == 1:
+        return bases, [0]
+    proj = (bases @ bases.conj().swapaxes(-1, -2)).reshape(len(states), -1)
+    near: list[list[bool]] = []
+    step = max(1, _BLOCK_BYTES // (16 * proj.size))  # rows of the pair table
+    for k in range(0, len(proj), step):
+        diff = proj[k:k + step, None] - proj
+        near += ((diff * diff.conj()).real.sum(-1) <= tol.eig ** 2).tolist()
+    leads: list[int] = []
+    which: list[int] = []
+    for s, row in enumerate(near):
+        which.append(next((g for g, t in enumerate(leads) if row[t]), len(leads)))
+        if which[-1] == len(leads):
+            leads.append(s)
+    return bases[leads], which
+
+
+def _least_projections(events: np.ndarray, supports: np.ndarray,
                        tol: Tolerances) -> np.ndarray:
-    """Projections onto ``V`` (see :func:`least_mirror`) for all (state,
-    history) pairs, state-major: each closure round is one stacked SVD of
+    """Projections onto ``V`` (see :func:`least_mirror`) for all (support,
+    history) pairs, support-major: each closure round is one stacked SVD of
     ``[P, e1 P, e2 P]``, ``P`` a basis padded with zero columns (which adds
     only zero singular values), and a pair is updated while its rank grows."""
     n, d = len(events), events.shape[-1]
@@ -143,10 +178,8 @@ def _least_projections(events: np.ndarray, states: np.ndarray,
         rank = np.count_nonzero(s > tol.eig, axis=-1)
         return u * (np.arange(d) < rank[:, None])[:, None], rank
 
-    w, vecs = np.linalg.eigh(states)
-    supports = (vecs * (w > tol.eig)[:, None])[:, None]
-    basis, rank = span((events[:, 0] @ supports).reshape(-1, d, d))
-    live = np.arange(len(basis))  # pair s * n + i: state s, history i
+    basis, rank = span((events[:, 0] @ supports[:, None]).reshape(-1, d, d))
+    live = np.arange(len(basis))  # pair g * n + i: support g, history i
     for _ in range(d):
         live = live[(rank[live] > 0) & (rank[live] < d)]  # these cannot grow
         if not live.size:
@@ -163,14 +196,22 @@ def _least_projections(events: np.ndarray, states: np.ndarray,
 def _certificates(mirrors: Sequence[Optional[Projection]],
                   histories: Sequence[History], events: np.ndarray,
                   rhos: Sequence[DensityOperator], tol: Tolerances,
+                  supports: Optional[tuple[np.ndarray, list[int]]] = None,
                   ) -> list[list[MirrorCertificate]]:
     """Certificates ``[s][i]`` under ``rhos[s]`` for ``mirrors[i]`` of
-    ``histories[i]``, or for its least mirror candidate where that is ``None``."""
+    ``histories[i]``, or for its least mirror candidate where that is
+    ``None``.  Least candidates are closed and validated once per distinct
+    support (``supports`` is :func:`_supports` of the states, computed here
+    when not given), and every certificate is traced against its own state."""
     states = _state_stack(rhos, events.shape[-1])
     least = [i for i, t in enumerate(mirrors) if t is None]
-    found = iter(validate_projections(
-        _least_projections(events[least], states, tol), tol) if least else ())
-    chosen = [[next(found) if t is None else t for t in mirrors] for _ in rhos]
+    candidates: list[list[Projection]] = [[] for _ in rhos]
+    if least:
+        bases, which = supports if supports is not None else _supports(states, tol)
+        found = validate_projections(_least_projections(events[least], bases, tol), tol)
+        candidates = [found[g * len(least):(g + 1) * len(least)] for g in which]
+    chosen = [[next(row) if t is None else t for t in mirrors]
+              for row in map(iter, candidates)]
     for t in mirrors:
         if t is not None and t.matrix.shape != events.shape[2:]:
             raise DimensionMismatch(
@@ -246,7 +287,16 @@ def least_mirror(h: History, rho: DensityOperator,
 
 def least_mirrors(h: History, rhos: Sequence[DensityOperator],
                   tol: Tolerances = DEFAULT_TOL) -> list[MirrorCertificate]:
-    """:func:`least_mirror` for each of a sequence of states, in one pass."""
+    """:func:`least_mirror` for each of a sequence of states, in one pass.
+
+    ``V`` depends on a state only through its support, so states whose
+    support projections lie within ``tol.eig`` of each other (Frobenius
+    norm; see :func:`_supports`) share one closure and one least projection:
+    all the mixtures ``lam rho1 + (1 - lam) rho2`` of a weight grid have
+    the support ``supp rho1 + supp rho2``, unless ``lam`` is so close to 0
+    or 1 that a weighted eigenvalue falls below ``tol.eig``.  Each
+    certificate is still traced against its own state.
+    """
     return [row[0] for row in _certificates([None], [h], _event_pairs(h), rhos, tol)]
 
 
@@ -277,16 +327,24 @@ def self_decoherence(analysis: FamilyAnalysis, rho: DensityOperator,
 def self_decoherence_each(analysis: FamilyAnalysis, rhos: Sequence[DensityOperator],
                           provided: Optional[Mapping[str, Projection]] = None,
                           ) -> list[SelfDecoherenceReport]:
-    """:func:`self_decoherence` for many states, decided in one pass."""
+    """:func:`self_decoherence` for many states, decided in one pass.
+
+    The supports of the states are computed once per call, and states
+    whose supports coincide at ``tol.eig`` share the closure of every
+    history without a provided mirror, as in :func:`least_mirrors`; the
+    certificates are traced against each state's own matrix.
+    """
     family, tol = analysis.family, analysis.tol
     if family.length != 2:
         raise WrongHistoryLength("self-decoherence is defined for 2-slot families")
     provided = provided or {}
     elems = analysis.histories
+    supports = (_supports(_state_stack(rhos, family.dim), tol)
+                if any(h.label not in provided for h in elems) else None)
     # blocks of histories whose closure stacks [P, e1 P, e2 P] fit the budget
     step = max(1, _BLOCK_BYTES // (3 * 16 * family.dim ** 2 * len(rhos)))
-    blocks = [_certificates([provided.get(h.label) for h in elems[rows]],
-                            elems[rows], analysis.event_pairs[rows], rhos, tol)
+    blocks = [_certificates([provided.get(h.label) for h in elems[rows]], elems[rows],
+                            analysis.event_pairs[rows], rhos, tol, supports)
               for rows in (slice(k, k + step) for k in range(0, len(elems), step))]
     pers = [{h.label: cert if h.label in provided or cert.verified else None
              for h, cert in zip(elems, sum(row, []))} for row in zip(*blocks)]

@@ -746,6 +746,19 @@ def test_one_analysis_matches_pairwise_reference_on_many_states(case):
                 decoherence_functional(hs[i], hs[j], state), abs=1e-12)
 
 
+def test_labels_are_the_history_labels_in_order():
+    """Each label read alone is the label of its elementary history or
+    member, in order."""
+    for family, _ in equivalence_cases():
+        analysis = FamilyAnalysis(family, TOL)
+        parts = [(analysis, elementary_histories(family))]
+        if family_member_count(family) <= 64:
+            parts.append((analysis.members(), family_members(family, TOL)))
+        for part, histories in parts:
+            assert [part.label(i) for i in range(len(histories))] == [
+                h.label for h in histories]
+
+
 def change_of_basis(family, rho, u):
     """The family and state in the basis given by the unitary ``u``."""
     def turn(m):

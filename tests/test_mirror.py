@@ -24,12 +24,15 @@ from qhistories.histories import (
     make_resolution,
 )
 from qhistories.individuality import (
+    DEFAULT_LAMBDA_GRID,
     individuality_violation_search,
     linear_positivity_property,
+    mixture,
 )
 from qhistories.matcore import (
     DEFAULT_TOL,
     Tolerances,
+    _state_stack,
     identity_projection,
     max_norm,
     projection_leq,
@@ -56,6 +59,7 @@ from qhistories.sampling import (
     random_projection,
     random_pure_density,
     random_resolution,
+    random_state,
     random_unitary,
 )
 from qhistories.scenarios import (
@@ -738,6 +742,95 @@ def test_stacked_self_decoherence_matches_one_state_calls(source):
         for cert, rho in zip(least_mirrors(h, states, TOL), states):
             assert cert.state is rho
             _same_certificate(cert, least_mirror(h, rho, TOL))
+
+
+def _grid_states(rho1, rho2):
+    return [rho1, rho2, *(mixture(rho1, rho2, lam, TOL) for lam in DEFAULT_LAMBDA_GRID)]
+
+
+@pytest.mark.parametrize("source", ["pointer", "example1"])
+def test_grid_mixtures_share_one_least_projection(source, monkeypatch):
+    """The nine grid mixtures have one support, ``supp rho1 + supp rho2``,
+    so one closure serves them all while each component keeps its own;
+    every certificate is traced against its own state and matches the
+    one-state least mirror."""
+    rng = np.random.default_rng(101)
+    inst = (pointer_model(2, rng, TOL) if source == "pointer"
+            else build_example1(1.0, 0.4))
+    states = _grid_states(inst.rho1, inst.rho2)
+    analysis = FamilyAnalysis(inst.family, TOL)
+    closed = []
+    closure = mirror._least_projections
+    monkeypatch.setattr(mirror, "_least_projections", lambda events, supports, tol: (
+        closed.append(len(supports) * len(events)) or closure(events, supports, tol)))
+    reports = self_decoherence_each(analysis, states)
+    assert closed == [3 * len(analysis.histories)]  # 12 pairs, not 44
+    for report, rho in zip(reports, states):
+        assert report.state is rho
+        _same_report(report, self_decoherence(analysis, rho))
+    for h in analysis.histories:
+        certs = least_mirrors(h, states, TOL)
+        shared = certs[2].mirror
+        assert all(c.mirror is shared for c in certs[2:])
+        assert len({id(c.mirror) for c in certs}) == 3
+        for cert, rho in zip(certs, states):
+            assert cert.state is rho
+            _same_certificate(cert, least_mirror(h, rho, TOL))
+
+
+def test_supports_that_differ_at_tol_eig_are_closed_apart(monkeypatch):
+    """A mixture weighted so close to 0 or 1 that an eigenvalue falls below
+    ``tol.eig`` has only one component's support, a stray direction of
+    weight just above ``tol.eig`` widens a support, and a support turned by
+    1e-6 is another support: none of them joins the grid mixtures'
+    closure, and every verdict is the one-state verdict."""
+    rng = np.random.default_rng(103)
+    m = pointer_model(2, rng, TOL)
+    grid = [mixture(m.rho1, m.rho2, lam, TOL) for lam in (0.3, 0.7)]
+    tiny = TOL.eig / 4.0
+    near = [mixture(m.rho1, m.rho2, lam, TOL) for lam in (tiny, 1.0 - tiny)]
+    stray = random_state(m.family.dim, rng)
+
+    def outside(rho):
+        v = stray - rho.matrix @ np.linalg.pinv(rho.matrix, hermitian=True) @ stray
+        return v / np.linalg.norm(v)
+
+    def plus(rho, v, weight):
+        return validate_density((1.0 - weight) * rho.matrix
+                                + weight * np.outer(v, v.conj()), TOL)
+
+    # the edge state of the stacked-verdict tests, one of the mixtures'
+    # rank with a stray direction outside supp rho1, and a grid-like state
+    # whose second branch is turned by 1e-6 out of the grid's support
+    psi2 = np.linalg.eigh(m.rho2.matrix)[1][:, -1]
+    turned = psi2 + 1e-6 * outside(grid[0])
+    apart = [plus(m.rho, stray, 2.0 * TOL.eig),
+             plus(m.rho1, outside(m.rho1), 2.0 * TOL.eig),
+             plus(m.rho1, turned / np.linalg.norm(turned), 0.5)]
+    # the grid mixtures lead, so a smaller support inside theirs could join
+    states = [*grid, *near, m.rho1, m.rho2, *apart]
+    ranks = [int(np.count_nonzero(np.linalg.eigvalsh(r.matrix) > TOL.eig))
+             for r in states]
+    assert ranks == [2, 2, 1, 1, 1, 1, 2, 2, 2]
+    analysis = FamilyAnalysis(m.family, TOL)
+    for report, rho in zip(self_decoherence_each(analysis, states), states):
+        _same_report(report, self_decoherence(analysis, rho))
+    for h in analysis.histories:
+        certs = least_mirrors(h, states, TOL)
+        shared, other, near2, near1, rho1, rho2, *rest = (c.mirror for c in certs)
+        assert other is shared
+        assert near2 is rho2 and near1 is rho1  # the support left at tol.eig
+        assert len({id(t) for t in (shared, rho1, rho2, *rest)}) == 6
+        for cert, rho in zip(certs, states):
+            assert cert.state is rho
+            _same_certificate(cert, least_mirror(h, rho, TOL))
+    # the table of support distances, whole and one row per block
+    stack = _state_stack(states, m.family.dim)
+    bases, which = mirror._supports(stack, TOL)
+    assert which == [0, 0, 1, 2, 2, 1, 3, 4, 5]
+    monkeypatch.setattr(mirror, "_BLOCK_BYTES", 16 * stack.size)
+    rows, which_rows = mirror._supports(stack, TOL)
+    assert which_rows == which and np.array_equal(rows, bases)
 
 
 def _turned(u, p):
