@@ -53,15 +53,11 @@ from .histories import (
     History,
     HistoryFamily,
     ResolutionOfIdentity,
-    alternative,
     chain_operator,
     elementary_histories,
     family_member_count,
-    family_members,
-    history_leq,
     history_sum,
     is_commutative,
-    is_member,
     make_resolution,
     summable,
 )
@@ -118,7 +114,6 @@ from .sampling import (
     random_commuting_events,
     random_density,
     random_family,
-    random_hermitian,
     random_projection,
     random_pure_density,
     random_resolution,

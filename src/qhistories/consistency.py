@@ -44,11 +44,11 @@ from .histories import (
     member_options,
 )
 from .matcore import (
-    _BLOCK_BYTES,
     DEFAULT_TOL,
     DensityOperator,
     Projection,
     Tolerances,
+    _blocks,
     _state_stack,
     complement,
     max_norm,
@@ -115,18 +115,16 @@ def _decoherence_blocks(chains: np.ndarray, *rhos: DensityOperator):
 
     ``chains`` is an ``(N, d, d)`` chain stack; ``Tr(A B^dag)`` is the
     sum of ``A * conj(B)``, so each block is one matrix product.  Blocks
-    stay within ``_BLOCK_BYTES`` (the whole matrix for N = 4096
-    elementary histories would take 268 MB); ``C_i rho_s`` is built per block.
+    fit the block budget (the whole matrix for N = 4096 elementary
+    histories would take 268 MB); ``C_i rho_s`` is built per block.
     """
     n, d, _ = chains.shape
     states = _state_stack(rhos, d)[:, None]
     right = chains.reshape(n, d * d).conj().T
-    step = max(1, _BLOCK_BYTES // (right.itemsize * n))
-    per = max(1, step // n)
-    for s in range(0, len(states), per):
-        left = (chains @ states[s:s + per]).reshape(-1, n, d * d)
-        for i in range(0, n, step):
-            yield s, i, left[:, i:i + step] @ right
+    for s in _blocks(len(states), right.itemsize * n * n):
+        left = (chains @ states[s]).reshape(-1, n, d * d)
+        for i in _blocks(n, right.itemsize * n):
+            yield s.start, i.start, left[:, i] @ right
 
 
 def _probabilities(chains: np.ndarray, rho: DensityOperator) -> np.ndarray:
@@ -156,8 +154,9 @@ class _SlotHistories:
 
     Every relation between two such histories is a lookup of per-slot
     tables over their index tuples.  The tables apply the max-norm tests
-    of :func:`summable`, :func:`alternative`, :func:`history_leq` and
-    :func:`is_commutative`, and assume nothing about the events beyond
+    of :func:`summable` and :func:`is_commutative`, and the alternative
+    and domination tests whose pairwise form ``tests/pairwise_reference.py``
+    keeps as their oracle.  They assume nothing about the events beyond
     that (a resolution may hold several zero events, which are then both
     equal and orthogonal).
     """
@@ -252,12 +251,10 @@ class FamilyAnalysis(_SlotHistories):
 
     def _upper_pairs(self, pairs) -> np.ndarray:
         """``pairs(rows)`` against all histories, kept for ``i < j`` and
-        evaluated in row blocks whose tables stay within ``_BLOCK_BYTES``."""
+        evaluated in row blocks whose tables fit the block budget."""
         n = len(self.index)
         mask = np.empty((n, n), dtype=bool)
-        step = max(1, _BLOCK_BYTES // (8 * n))
-        for start in range(0, n, step):
-            rows = slice(start, start + step)
+        for rows in _blocks(n, 8 * n):
             mask[rows] = pairs(rows) & (np.arange(n) > np.arange(n)[rows, None])
         return mask
 
@@ -433,9 +430,11 @@ def check_sum_rule(family: HistoryFamily, rho: DensityOperator,
     """Brute-force additivity over every summable pair of family members.
 
     Also checks that the elementary probabilities sum to 1.  Raises
-    :class:`FamilyTooLarge` past ``cap`` members.  Equivalent to weak
-    decoherence; kept as an independent oracle: it never reads the
-    decoherence-functional matrix, and evaluates each merged member's
+    :class:`FamilyTooLarge` past ``cap`` members.  Its verdict equals weak
+    decoherence's on 2-slot families only: with three or more slots weak
+    decoherence checks summable elementary pairs alone, and a state can
+    pass it while a coarse-grained member pair fails here.  It never reads
+    the decoherence-functional matrix, and evaluates each merged member's
     probability from its own chain operator.
     """
     return FamilyAnalysis(family, tol).sum_rule(rho, cap)

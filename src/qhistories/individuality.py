@@ -36,6 +36,7 @@ from .matcore import (
 from .mirror import MirrorCertificate, least_mirrors, self_decoherence_each
 
 __all__ = [
+    "DEFAULT_LAMBDA_GRID",
     "PropertyPredicate",
     "IndividualityWitness",
     "MirrorComponentReport",

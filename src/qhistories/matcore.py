@@ -75,6 +75,13 @@ DEFAULT_TOL = Tolerances()
 _BLOCK_BYTES = 1 << 24
 
 
+def _blocks(count: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices over ``count`` items of ``item_bytes`` bytes each,
+    as many items per slice as fit in ``_BLOCK_BYTES`` and at least one."""
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    return [slice(k, k + step) for k in range(0, count, step)]
+
+
 def square_matrix(entries) -> np.ndarray:
     """Coerce ``entries`` to an immutable complex square matrix (dim >= 1)."""
     m = np.array(entries, dtype=complex)

@@ -35,11 +35,11 @@ from .errors import (
 )
 from .histories import History, HistoryFamily, history_sum
 from .matcore import (
-    _BLOCK_BYTES,
     DEFAULT_TOL,
     DensityOperator,
     Projection,
     Tolerances,
+    _blocks,
     _state_stack,
     commutator,
     join,
@@ -152,9 +152,8 @@ def _supports(states: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list[int
         return bases, [0]
     proj = (bases @ bases.conj().swapaxes(-1, -2)).reshape(len(states), -1)
     near: list[list[bool]] = []
-    step = max(1, _BLOCK_BYTES // (16 * proj.size))  # rows of the pair table
-    for k in range(0, len(proj), step):
-        diff = proj[k:k + step, None] - proj
+    for rows in _blocks(len(proj), 16 * proj.size):  # rows of the pair table
+        diff = proj[rows, None] - proj
         near += ((diff * diff.conj()).real.sum(-1) <= tol.eig ** 2).tolist()
     leads: list[int] = []
     which: list[int] = []
@@ -196,38 +195,40 @@ def _least_projections(events: np.ndarray, supports: np.ndarray,
 def _certificates(mirrors: Sequence[Optional[Projection]],
                   histories: Sequence[History], events: np.ndarray,
                   rhos: Sequence[DensityOperator], tol: Tolerances,
-                  supports: Optional[tuple[np.ndarray, list[int]]] = None,
                   ) -> list[list[MirrorCertificate]]:
     """Certificates ``[s][i]`` under ``rhos[s]`` for ``mirrors[i]`` of
     ``histories[i]``, or for its least mirror candidate where that is
     ``None``.  Least candidates are closed and validated once per distinct
-    support (``supports`` is :func:`_supports` of the states, computed here
-    when not given), and every certificate is traced against its own state."""
-    states = _state_stack(rhos, events.shape[-1])
-    least = [i for i, t in enumerate(mirrors) if t is None]
-    candidates: list[list[Projection]] = [[] for _ in rhos]
-    if least:
-        bases, which = supports if supports is not None else _supports(states, tol)
-        found = validate_projections(_least_projections(events[least], bases, tol), tol)
-        candidates = [found[g * len(least):(g + 1) * len(least)] for g in which]
-    chosen = [[next(row) if t is None else t for t in mirrors]
-              for row in map(iter, candidates)]
+    support (:func:`_supports`), and every certificate is traced against
+    its own state, in history blocks whose ``[P, e1 P, e2 P]`` fit the budget."""
+    d = events.shape[-1]
+    states = _state_stack(rhos, d)
     for t in mirrors:
-        if t is not None and t.matrix.shape != events.shape[2:]:
-            raise DimensionMismatch(
-                f"dimension mismatch: {t.matrix.shape} vs {events.shape[2:]}")
-    t = np.array([[m.matrix for m in row] for row in chosen])[:, :, None]
-    te = t @ events
-    m1 = np.abs(te - events @ t).max(axis=(3, 4)).tolist()
-    traces = (np.concatenate([te[:, :, :1], t], axis=2) @ states[:, None, None]
-              ).trace(axis1=3, axis2=4).tolist()
-    firsts = (events[:, 0] @ states[:, None]).trace(axis1=2, axis2=3).tolist()
-    m2 = [[(abs(te1 - t1), abs(te1 - e)) for (te1, t1), e in zip(*rows)]
-          for rows in zip(traces, firsts)]
-    return [[MirrorCertificate(m, h, rho, tuple(r1), r2,
-                               all(r <= tol.prob for r in (*r1, *r2)))
-             for m, h, r1, r2 in zip(row, histories, row_m1, row_m2)]
-            for row, rho, row_m1, row_m2 in zip(chosen, rhos, m1, m2)]
+        if t is not None and t.matrix.shape != (d, d):
+            raise DimensionMismatch(f"dimension mismatch: {t.matrix.shape} vs {d, d}")
+    bases, which = (_supports(states, tol) if None in mirrors
+                    else (None, [0] * len(rhos)))
+    certs: list[list[MirrorCertificate]] = [[] for _ in rhos]
+    for rows in _blocks(len(mirrors), 3 * 16 * d * d * len(rhos)):
+        pairs, given = events[rows], mirrors[rows]
+        least = [i for i, t in enumerate(given) if t is None]
+        found = (validate_projections(_least_projections(pairs[least], bases, tol), tol)
+                 if least else [])
+        chosen = [[next(row) if t is None else t for t in given]
+                  for row in (iter(found[g * len(least):]) for g in which)]
+        t = np.array([[m.matrix for m in row] for row in chosen])[:, :, None]
+        te = t @ pairs
+        m1 = np.abs(te - pairs @ t).max(axis=(3, 4)).tolist()
+        traces = (np.concatenate([te[:, :, :1], t], axis=2) @ states[:, None, None]
+                  ).trace(axis1=3, axis2=4).tolist()
+        firsts = (pairs[:, 0] @ states[:, None]).trace(axis1=2, axis2=3).tolist()
+        m2 = [[(abs(te1 - t1), abs(te1 - e)) for (te1, t1), e in zip(*per)]
+              for per in zip(traces, firsts)]
+        for out, row, rho, row_m1, row_m2 in zip(certs, chosen, rhos, m1, m2):
+            out += [MirrorCertificate(m, h, rho, tuple(r1), r2,
+                                      all(r <= tol.prob for r in (*r1, *r2)))
+                    for m, h, r1, r2 in zip(row, histories[rows], row_m1, row_m2)]
+    return certs
 
 
 def verify_mirror(t: Projection, h: History, rho: DensityOperator,
@@ -339,15 +340,10 @@ def self_decoherence_each(analysis: FamilyAnalysis, rhos: Sequence[DensityOperat
         raise WrongHistoryLength("self-decoherence is defined for 2-slot families")
     provided = provided or {}
     elems = analysis.histories
-    supports = (_supports(_state_stack(rhos, family.dim), tol)
-                if any(h.label not in provided for h in elems) else None)
-    # blocks of histories whose closure stacks [P, e1 P, e2 P] fit the budget
-    step = max(1, _BLOCK_BYTES // (3 * 16 * family.dim ** 2 * len(rhos)))
-    blocks = [_certificates([provided.get(h.label) for h in elems[rows]], elems[rows],
-                            analysis.event_pairs[rows], rhos, tol, supports)
-              for rows in (slice(k, k + step) for k in range(0, len(elems), step))]
+    certs = _certificates([provided.get(h.label) for h in elems], elems,
+                          analysis.event_pairs, rhos, tol)
     pers = [{h.label: cert if h.label in provided or cert.verified else None
-             for h, cert in zip(elems, sum(row, []))} for row in zip(*blocks)]
+             for h, cert in zip(elems, row)} for row in certs]
     return [SelfDecoherenceReport(
         analysis, per, all(c is not None and c.verified for c in per.values()), rho)
         for per, rho in zip(pers, rhos)]

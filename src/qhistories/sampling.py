@@ -35,7 +35,6 @@ from .matcore import (
 __all__ = [
     "random_unitary",
     "random_state",
-    "random_hermitian",
     "random_projection",
     "random_density",
     "random_pure_density",
@@ -60,11 +59,6 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (z + z.conj().T) / 2.0
 
 
 def random_projection(dim: int, rng: np.random.Generator,

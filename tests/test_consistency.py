@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qhistories import consistency
+from qhistories import consistency, matcore
 from qhistories.consistency import (
     ConsistencyReport,
     FamilyAnalysis,
@@ -31,14 +31,11 @@ from qhistories.errors import (
 from qhistories.histories import (
     History,
     HistoryFamily,
-    alternative,
     chain_operator,
     chain_stack,
     elementary_histories,
     event_stacks,
     family_member_count,
-    family_members,
-    history_leq,
     history_sum,
     is_commutative,
     make_resolution,
@@ -65,6 +62,9 @@ from qhistories.scenarios import (
     example1_expected,
     linear_positivity_expected,
 )
+
+from mirror_reference import hermitian_basis
+from pairwise_reference import alternative, family_members, history_leq
 
 TOL = DEFAULT_TOL
 
@@ -208,6 +208,39 @@ def test_sum_rule_agrees_with_weak_on_two_slot_families():
         assert weak.verdict == rule.verdict, trial
         agreements += 1
     assert agreements == 100
+
+
+def test_weak_is_strictly_weaker_than_the_sum_rule_with_three_slots():
+    """``weak`` checks summable elementary pairs only.  With three slots a
+    state can meet it while the sum rule fails on a coarse-grained pair:
+    the least-squares state nearest a random full-rank density subject to
+    ``Tr rho = 1`` and ``Re D = 0`` on the summable pairs."""
+    rng = np.random.default_rng(11)
+    basis = np.array(hermitian_basis(4))  # rho = sum_k x_k B_k
+    decided = 0
+    for trial in range(5):
+        family = HistoryFamily(tuple(random_resolution(4, [2, 2], rng, TOL)
+                                     for _ in range(3)))
+        start = random_density(4, rng, rank=4, tol=TOL)
+        hs = elementary_histories(family)
+        chains = chain_stack(event_stacks(family))
+        a = np.array([np.trace(basis, axis1=1, axis2=2).real] + [
+            np.trace(chains[i] @ basis @ chains[j].conj().T, axis1=1, axis2=2).real
+            for i, j in itertools.combinations(range(len(hs)), 2)
+            if summable(hs[i], hs[j], TOL) is not None])
+        x = np.trace(basis @ start.matrix, axis1=1, axis2=2).real
+        x -= np.linalg.pinv(a) @ (a @ x - np.eye(len(a))[0])
+        rho = np.tensordot(x, basis, 1)
+        if np.linalg.eigvalsh(rho).min() <= 0.0:
+            continue
+        state = validate_density(rho, TOL)
+        weak = check_weak_decoherence(family, state, TOL)
+        rule = check_sum_rule(family, state, TOL)
+        assert weak.verdict and weak.worst_residual <= 1e-15, trial
+        assert not rule.verdict and rule.worst_residual > 1e-2, trial
+        assert any("+" in label for label in rule.worst_pair), trial
+        decided += 1
+    assert decided == 3
 
 
 def test_sum_rule_passes_on_classical_family():
@@ -656,7 +689,7 @@ def test_block_budget_does_not_change_reports(monkeypatch):
     matrices = [decoherence_matrix(f, rho) for f, rho in cases]
     n = len(matrices[0])
     # five rows of 64 per block: 13 blocks, the last one partial
-    monkeypatch.setattr(consistency, "_BLOCK_BYTES", 16 * n * 5)
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 16 * n * 5)
     blocks = list(consistency._decoherence_blocks(
         chain_stack(event_stacks(cases[0][0])), cases[0][1]))
     assert len(blocks) == 13 and blocks[-1][2].shape == (1, 4, n)
@@ -681,7 +714,7 @@ def test_block_budget_does_not_change_stacked_reports(monkeypatch):
     # five rows of 64 per block, or two whole states per block
     for rows_per_block, layout in ((5, within), (2 * n, [(0, 0, (2, n, n)),
                                                          (2, 0, (1, n, n))])):
-        monkeypatch.setattr(consistency, "_BLOCK_BYTES", 16 * n * rows_per_block)
+        monkeypatch.setattr(matcore, "_BLOCK_BYTES", 16 * n * rows_per_block)
         assert [(s, i, block.shape) for s, i, block
                 in consistency._decoherence_blocks(analysis.chains, *states)] == layout
         assert [each(states) for each in reductions] == whole

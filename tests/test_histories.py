@@ -13,19 +13,17 @@ from qhistories.errors import (
 from qhistories.histories import (
     History,
     HistoryFamily,
-    alternative,
     chain_operator,
     elementary_histories,
     family_member_count,
-    family_members,
-    history_leq,
     history_sum,
     is_commutative,
-    is_member,
     make_resolution,
     summable,
 )
 from qhistories.matcore import DEFAULT_TOL, max_norm, validate_projection
+
+from pairwise_reference import alternative, family_members, history_leq, is_member
 
 TOL = DEFAULT_TOL
 

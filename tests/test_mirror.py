@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qhistories import mirror
+from qhistories import matcore, mirror
 from qhistories.consistency import (
     FamilyAnalysis,
     check_linear_positivity,
@@ -677,16 +677,25 @@ def test_mirror_block_budget_does_not_change_reports(monkeypatch):
              (diagonal, random_density(8, rng, tol=TOL), None)]
     whole = [check_self_decoherence(f, rho, p, TOL) for f, rho, p in cases]
     # three histories of dimension 8 (five of dimension 6) per block
-    monkeypatch.setattr(mirror, "_BLOCK_BYTES", 3 * 8 * 8 * 16 * 3)
-    blocks = []
-    batched = mirror._certificates
-    monkeypatch.setattr(mirror, "_certificates", lambda mirrors, *rest: (
-        blocks.append(len(mirrors)) or batched(mirrors, *rest)))
-    for (f, rho, p), want, sizes in zip(cases, whole, ([5, 5, 5, 1],
-                                                       [3, 3, 2])):
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 3 * 8 * 8 * 16 * 3)
+    blocks, closed = [], []
+    split, closure = mirror._blocks, mirror._least_projections
+
+    def counted(count, item_bytes):
+        slices = split(count, item_bytes)
+        blocks.extend(len(range(count)[rows]) for rows in slices)
+        return slices
+
+    monkeypatch.setattr(mirror, "_blocks", counted)
+    monkeypatch.setattr(mirror, "_least_projections", lambda events, supports, tol: (
+        closed.append(len(events)) or closure(events, supports, tol)))
+    # one closure per block, of the block's histories without a given mirror
+    for (f, rho, p), want, sizes, least in zip(
+            cases, whole, ([5, 5, 5, 1], [3, 3, 2]), ([2, 3, 2, 1], [3, 3, 2])):
         blocks.clear()
+        closed.clear()
         got = check_self_decoherence(f, rho, p, TOL)
-        assert blocks == sizes
+        assert blocks == sizes and closed == least
         assert got.verdict == want.verdict
         assert list(got.per_history) == list(want.per_history)
         for label, cert in want.per_history.items():
@@ -778,6 +787,42 @@ def test_grid_mixtures_share_one_least_projection(source, monkeypatch):
             _same_certificate(cert, least_mirror(h, rho, TOL))
 
 
+def test_blocked_states_are_stacked_and_supported_once(monkeypatch):
+    """Eleven states over history blocks of one history each: one state
+    stack and one support table serve every block, and every certificate
+    is bit for bit the one-block call's."""
+    m = pointer_model(2, np.random.default_rng(107), TOL)
+    states = _grid_states(m.rho1, m.rho2)
+    analysis = FamilyAnalysis(m.family, TOL)
+    whole = self_decoherence_each(analysis, states)
+    calls = {"_supports": 0, "_state_stack": 0}
+    for name in calls:
+        def counted(*args, original=getattr(mirror, name), name=name):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(mirror, name, counted)
+    closed = []
+    closure = mirror._least_projections
+    monkeypatch.setattr(mirror, "_least_projections", lambda events, supports, tol: (
+        closed.append(len(events)) or closure(events, supports, tol)))
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES",
+                        3 * 16 * m.family.dim ** 2 * len(states))
+    got = self_decoherence_each(analysis, states)
+    assert calls == {"_supports": 1, "_state_stack": 1}
+    assert closed == [1] * len(analysis.histories) and len(closed) >= 3
+    for report, want in zip(got, whole):
+        assert report.verdict == want.verdict
+        assert list(report.per_history) == list(want.per_history)
+        for label, cert in want.per_history.items():
+            other = report.per_history[label]
+            assert (other is None) == (cert is None), label
+            if cert is not None:
+                assert np.array_equal(other.mirror.matrix, cert.mirror.matrix)
+                assert other.residual_m1 == cert.residual_m1
+                assert other.residual_m2 == cert.residual_m2
+                assert other.verified == cert.verified
+
+
 def test_supports_that_differ_at_tol_eig_are_closed_apart(monkeypatch):
     """A mixture weighted so close to 0 or 1 that an eigenvalue falls below
     ``tol.eig`` has only one component's support, a stray direction of
@@ -828,7 +873,7 @@ def test_supports_that_differ_at_tol_eig_are_closed_apart(monkeypatch):
     stack = _state_stack(states, m.family.dim)
     bases, which = mirror._supports(stack, TOL)
     assert which == [0, 0, 1, 2, 2, 1, 3, 4, 5]
-    monkeypatch.setattr(mirror, "_BLOCK_BYTES", 16 * stack.size)
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 16 * stack.size)
     rows, which_rows = mirror._supports(stack, TOL)
     assert which_rows == which and np.array_equal(rows, bases)
 

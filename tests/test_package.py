@@ -1,5 +1,6 @@
-"""Package surface: every name a module exports exists, and only the
-sampler takes seeds."""
+"""Package surface: every name a module exports exists, the package
+re-exports only module exports, only the sampler takes seeds, and only
+``matcore`` sizes blocks."""
 
 import ast
 import importlib
@@ -57,6 +58,34 @@ def test_consistency_does_not_import_the_sampler():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not any("sampling" in name for name in imported)
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "qhistories.matcore"])
+def test_only_matcore_sizes_blocks(name):
+    """The block budget is decided in one place, ``matcore._blocks``."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.ImportFrom, ast.Import)):
+            named.update(alias.name for alias in node.names)
+    assert "_BLOCK_BYTES" not in named
+
+
+def test_package_reexports_only_module_exports():
+    """Every name the package imports from a module is in that module's
+    ``__all__``."""
+    tree = ast.parse(inspect.getsource(qhistories))
+    missing = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"qhistories.{node.module}")
+            missing += [f"{node.module}.{alias.name}" for alias in node.names
+                        if alias.name not in module.__all__]
+    assert missing == []
 
 
 def test_python_dash_m_runs_the_command_line_from_a_checkout(tmp_path):
