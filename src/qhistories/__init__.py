@@ -125,6 +125,7 @@ from .scenarios import (
     Example1Instance,
     build_contrary_inference,
     build_example1,
+    build_example1_grid,
     build_example2,
     example1_decoherence_expected,
     example1_expected,

@@ -30,7 +30,7 @@ from ..errors import (
     PreconditionFailed,
     ToolkitError,
 )
-from ..histories import HistoryFamily, History, elementary_histories
+from ..histories import History, HistoryFamily, chain_operator, elementary_histories
 from ..individuality import _mixtures
 from ..matcore import DensityOperator, Tolerances
 from ..mirror import (
@@ -45,6 +45,7 @@ from ..mirror import (
 )
 from ..scenarios import (
     build_example1,
+    build_example1_grid,
     build_example2,
     example1_expected,
     linear_positivity_range_note,
@@ -257,11 +258,17 @@ def _run_notions(analysis: FamilyAnalysis, rho: DensityOperator,
     return results, sd
 
 
+def _traced_probabilities(chains: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """:func:`probability`'s arithmetic over chain and state stacks that
+    broadcast against each other, bit for bit."""
+    return np.trace(chains @ states @ chains.conj().swapaxes(-1, -2),
+                    axis1=-2, axis2=-1).real
+
+
 def _elementary_probabilities(analysis: FamilyAnalysis, rho: DensityOperator,
                               ) -> dict[str, ProbabilityValue]:
-    """:func:`probability`'s arithmetic over the chain stack, bit for bit."""
-    c = analysis.chains
-    raw = np.trace(c @ rho.matrix @ c.conj().swapaxes(1, 2), axis1=1, axis2=2).real
+    """:func:`probability` of every elementary history, bit for bit."""
+    raw = _traced_probabilities(analysis.chains[0], rho.matrix)
     return {analysis.label(i): _probability_value(p, analysis.tol)
             for i, p in enumerate(raw.tolist())}
 
@@ -362,36 +369,36 @@ def _cmd_sweep(args) -> int:
     tol = _tolerances(args)
     if args.steps < 1:
         raise BadParameters("steps must be at least 1")
+    values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
+    grid = build_example1_grid({
+        "theta": [(v, args.alpha) for v in values],
+        "alpha": [(args.theta, v) for v in values],
+        "lam": [(args.theta, args.alpha)]}[args.param], args.dim, tol)
+    if args.param != "lam":
+        rhos = [getattr(grid[0], args.state)]
+    elif outside := [v for v in values if not 0.0 < v < 1.0]:
+        raise BadParameters(f"lam value {outside[0]} outside (0, 1)")
+    else:
+        rhos = _mixtures(grid[0].rho1, grid[0].rho2, values, tol)
+    # one stacked call per notion: a family per step, or a state per step
+    analysis = FamilyAnalysis([i.family for i in grid], tol)
+    columns = [each(rhos) for each in (
+        analysis.weak_each, analysis.medium_each,
+        analysis.linear_positivity_each, analysis.sum_rule_each)]
+    chains = np.array([[chain_operator(h) for h in (i.h1, i.h2, i.h_coarse)]
+                       for i in grid])
+    probabilities = _traced_probabilities(
+        chains, np.array([rho.matrix for rho in rhos])[:, None]).tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
-    if args.param == "lam":  # only the state changes: one family, one analysis
-        instance = build_example1(args.theta, args.alpha, args.dim, tol)
-        if outside := [v for v in values if not 0.0 < v < 1.0]:
-            raise BadParameters(f"lam value {outside[0]} outside (0, 1)")
-        analysis = FamilyAnalysis(instance.family, tol)
-        steps = ((instance, analysis, rho) for rho in
-                 _mixtures(instance.rho1, instance.rho2, values, tol))
-    else:
-        instances = (build_example1(v if args.param == "theta" else args.theta,
-                                    v if args.param == "alpha" else args.alpha,
-                                    args.dim, tol) for v in values)
-        steps = ((i, FamilyAnalysis(i.family, tol), getattr(i, args.state))
-                 for i in instances)
-    any_fail = False
-    for v, (instance, analysis, rho) in zip(values, steps):
-        row = [args.param, format(v, ".17g")]
-        for reduce in (analysis.weak, analysis.medium,
-                       analysis.linear_positivity, analysis.sum_rule):
-            r = reduce(rho)
-            any_fail = any_fail or not r.verdict
-            row += [str(r.verdict).lower(), format(r.worst_residual, ".17g")]
-        row += [format(probability(h, rho), ".17g")
-                for h in (instance.h1, instance.h2, instance.h_coarse)]
-        writer.writerow(row)
+    for v, reports, probs in zip(values, zip(*columns), probabilities):
+        writer.writerow([args.param, format(v, ".17g"), *(
+            cell for r in reports for cell in (str(r.verdict).lower(),
+                                               format(r.worst_residual, ".17g"))),
+            *(format(p, ".17g") for p in probs)])
     _emit(args, buf.getvalue())
-    return 1 if any_fail else 0
+    return 0 if all(r.verdict for reports in columns for r in reports) else 1
 
 
 def _cmd_mirror(args) -> int:

@@ -27,6 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
+    FamilyTooLarge,
     NotCommuting,
     PreconditionFailed,
     ZeroConditioningEvent,
@@ -39,9 +41,9 @@ from .histories import (
     chain_stack,
     elementary_histories,
     event_stacks,
+    family_member_count,
     is_commutative,
     make_resolution,
-    member_options,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -53,6 +55,7 @@ from .matcore import (
     complement,
     max_norm,
     validate_density,
+    validate_projections,
 )
 
 __all__ = [
@@ -109,38 +112,54 @@ def probability(h: History, rho: DensityOperator) -> float:
     return float(np.trace(c @ rho.matrix @ c.conj().T).real)
 
 
-def _decoherence_blocks(chains: np.ndarray, *rhos: DensityOperator):
-    """Blocks ``(s, i, D[s:s+k, i:i+r])`` of ``D[s, i, j] = Tr(C_i rho_s C_j^dag)``:
-    k whole states from state s (then i = 0), or r rows of state s (k = 1).
+def _groups(families: int, states: int) -> int:
+    """The G groups of F families and S states: F = S, or one of them is 1."""
+    if families != states and 1 not in (families, states):
+        raise DimensionMismatch(f"{states} states for {families} families")
+    return states if families == 1 else families
 
-    ``chains`` is an ``(N, d, d)`` chain stack; ``Tr(A B^dag)`` is the
+
+def _pick(stack: np.ndarray, groups) -> np.ndarray:
+    """The entries ``groups`` of a stack that broadcasts along its first axis."""
+    return stack if len(stack) == 1 else stack[groups]
+
+
+def _decoherence_blocks(chains: np.ndarray, *rhos: DensityOperator):
+    """Blocks ``(g, i, D[g:g+k, i:i+r])`` of ``D[g, i, j] = Tr(C_i rho C_j^dag)``
+    over the groups of :func:`_groups`: k whole groups from group g (then
+    i = 0), or r rows of group g (k = 1).
+
+    ``chains`` is an ``(F, N, d, d)`` chain stack; ``Tr(A B^dag)`` is the
     sum of ``A * conj(B)``, so each block is one matrix product.  Blocks
     fit the block budget (the whole matrix for N = 4096 elementary
-    histories would take 268 MB); ``C_i rho_s`` is built per block.
+    histories would take 268 MB); ``C_i rho`` is built per block.
     """
-    n, d, _ = chains.shape
+    f, n, d, _ = chains.shape
     states = _state_stack(rhos, d)[:, None]
-    right = chains.reshape(n, d * d).conj().T
-    for s in _blocks(len(states), right.itemsize * n * n):
-        left = (chains @ states[s]).reshape(-1, n, d * d)
+    right = chains.reshape(f, n, d * d).conj().swapaxes(1, 2)
+    for g in _blocks(_groups(f, len(states)), right.itemsize * n * n):
+        left = (_pick(chains, g) @ _pick(states, g)).reshape(-1, n, d * d)
         for i in _blocks(n, right.itemsize * n):
-            yield s.start, i.start, left[:, i] @ right
+            yield g.start, i.start, left[:, i] @ _pick(right, g)
 
 
-def _probabilities(chains: np.ndarray, rho: DensityOperator) -> np.ndarray:
-    """``Tr(C rho C^dag)`` for every chain in the stack (the diagonal of D)."""
-    return np.einsum("iab,iab->i", chains @ rho.matrix, chains.conj()).real
+def _probabilities(chains: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``Tr(C rho C^dag)`` over chain and state stacks that broadcast
+    against each other (the diagonal of D)."""
+    return np.einsum("...ab,...ab->...", chains @ states, chains.conj()).real
 
 
-def _worst(values: np.ndarray, mask) -> tuple[float, Optional[int]]:
-    """Largest masked value and its first flat position, or ``(0.0, None)``
-    when no masked value exceeds 0: the running maximum of a loop that
-    starts at 0 and keeps the first strictly larger value."""
-    masked = np.where(mask, values, 0.0).ravel()
-    at = int(np.argmax(masked)) if masked.size else 0
-    if not masked.size or not masked[at] > 0.0:
-        return 0.0, None
-    return float(masked[at]), at
+def _worst(values: np.ndarray, mask) -> list[tuple[float, Optional[int]]]:
+    """For each entry of the leading axis, the largest masked value and its
+    first flat position, or ``(0.0, None)`` when no masked value exceeds 0:
+    the running maximum of a loop that starts at 0 and keeps the first
+    strictly larger value."""
+    masked = np.where(mask, values, 0.0)
+    if not masked.size:
+        return [(0.0, None)] * len(masked)
+    masked = masked.reshape(len(masked), -1)  # max and argmax agree on NaN
+    return [(v, a) if v > 0.0 else (0.0, None) for v, a in zip(
+        masked.max(axis=1).tolist(), masked.argmax(axis=1).tolist())]
 
 
 def _max_norms(stack: np.ndarray) -> np.ndarray:
@@ -152,13 +171,14 @@ class _SlotHistories:
     their index tuples in lexicographic order; each part is computed when
     first read.
 
-    Every relation between two such histories is a lookup of per-slot
-    tables over their index tuples.  The tables apply the max-norm tests
-    of :func:`summable` and :func:`is_commutative`, and the alternative
-    and domination tests whose pairwise form ``tests/pairwise_reference.py``
-    keeps as their oracle.  They assume nothing about the events beyond
-    that (a resolution may hold several zero events, which are then both
-    equal and orthogonal).
+    Slot k's stack is ``(F, n_k, d, d)`` over F families of one shape.
+    Every relation between two histories is a lookup of per-slot tables,
+    one per family, over their index tuples.  The tables apply the
+    max-norm tests of :func:`summable` and :func:`is_commutative`, and the
+    alternative and domination tests whose pairwise form
+    ``tests/pairwise_reference.py`` keeps as their oracle.  They assume
+    nothing about the events beyond that (a resolution may hold several
+    zero events, which are then both equal and orthogonal).
     """
 
     def __init__(self, stacks: list[np.ndarray], slot_labels: list[list[str]],
@@ -167,17 +187,18 @@ class _SlotHistories:
 
     @functools.cached_property
     def index(self) -> np.ndarray:
-        sizes = [len(s) for s in self.stacks]
+        sizes = [s.shape[1] for s in self.stacks]
         return np.indices(sizes).reshape(len(sizes), -1).T
 
     @functools.cached_property
     def tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``equal[i, j]`` and ``orthogonal[i, j]`` over each slot's events."""
+        """``equal[f, i, j]`` and ``orthogonal[f, i, j]`` over each slot's events."""
         tables = []
         for e in self.stacks:
-            small = _max_norms(e[:, None] @ e[None]) <= self.tol.op
-            tables.append((_max_norms(e[:, None] - e[None]) <= self.tol.op,
-                           small & small.T))
+            a, b = e[:, :, None], e[:, None]
+            small = _max_norms(a @ b) <= self.tol.op
+            tables.append((_max_norms(a - b) <= self.tol.op,
+                           small & small.swapaxes(1, 2)))
         return tables
 
     @functools.cached_property
@@ -188,17 +209,20 @@ class _SlotHistories:
         return "(" + ",".join(names[j] for names, j
                               in zip(self.slot_labels, self.index[i].tolist())) + ")"
 
-    def probabilities(self, rho: DensityOperator) -> np.ndarray:
-        return _probabilities(self.chains, rho)
+    def probabilities(self, *rhos: DensityOperator) -> np.ndarray:
+        """``Tr(C rho C^dag)``, ``(G, N)`` over the groups of :func:`_groups`."""
+        return _probabilities(self.chains,
+                              _state_stack(rhos, self.chains.shape[-1])[:, None])
 
     def summable_slots(self, rows: slice = slice(None)) -> np.ndarray:
-        """The 1-based merge slot of :func:`summable` for histories
-        ``rows`` against all, or 0 where a pair is not summable."""
+        """``[f, a, b]``: the 1-based merge slot of :func:`summable` for
+        histories ``rows`` against all, or 0 where a pair is not summable."""
         index = self.index
-        slot = np.zeros((len(index[rows]), len(index)), dtype=np.intp)
+        slot = np.zeros((len(self.stacks[0]), len(index[rows]), len(index)),
+                        dtype=np.intp)
         ok = np.ones(slot.shape, dtype=bool)
         for k, (equal, orthogonal) in enumerate(self.tables):
-            pair = (index[rows, k, None], index[None, :, k])
+            pair = (slice(None), index[rows, k, None], index[None, :, k])
             same = equal[pair]
             merge = orthogonal[pair] & ~same
             ok &= (same | merge) & ~(merge & (slot > 0))
@@ -206,17 +230,20 @@ class _SlotHistories:
         return np.where(ok, slot, 0)
 
     def leq(self, upper: "_SlotHistories") -> np.ndarray:
-        """``[a, b]``: history ``a`` is dominated slot-wise by history ``b``
+        """``[f, a, b]``: history ``a`` is dominated slot-wise by history ``b``
         of ``upper``."""
-        out = np.ones((len(self.index), len(upper.index)), dtype=bool)
+        out = np.ones((len(self.stacks[0]), len(self.index), len(upper.index)),
+                      dtype=bool)
         for k, (low, up) in enumerate(zip(self.stacks, upper.stacks)):
-            table = _max_norms(up[None] @ low[:, None] - low[:, None]) <= self.tol.op
-            out &= table[self.index[:, k, None], upper.index[None, :, k]]
+            low = low[:, :, None]
+            table = _max_norms(up[:, None] @ low - low) <= self.tol.op
+            out &= table[:, self.index[:, k, None], upper.index[None, :, k]]
         return out
 
 
 class FamilyAnalysis(_SlotHistories):
-    """Everything about a family that does not depend on the state.
+    """Everything about a family, or about F families of one shape, that
+    does not depend on the state.
 
     Event stacks, index tuples and labels, relation tables, the
     upper-triangular summable and alternative pair masks, the
@@ -226,13 +253,21 @@ class FamilyAnalysis(_SlotHistories):
     command line) builds them once.  The notion methods are the
     reductions behind the public checkers: ``check_weak_decoherence(
     family, rho, tol)`` is ``FamilyAnalysis(family, tol).weak(rho)``.
+
+    Given F families of one shape, every part has a leading family axis
+    and the ``*_each`` reductions decide the groups of :func:`_groups`.
+    ``family``, ``histories`` and the one-state methods read the first
+    family, the only one when F = 1.
     """
 
-    def __init__(self, family: HistoryFamily, tol: Tolerances = DEFAULT_TOL):
-        stacks = event_stacks(family)
-        super().__init__(stacks, [[str(i + 1) for i in range(len(s))]
+    def __init__(self, family: HistoryFamily | Sequence[HistoryFamily],
+                 tol: Tolerances = DEFAULT_TOL):
+        self.families = ((family,) if isinstance(family, HistoryFamily)
+                         else tuple(family))
+        stacks = event_stacks(*self.families)
+        self.family = self.families[0]
+        super().__init__(stacks, [[str(i + 1) for i in range(s.shape[1])]
                                   for s in stacks], tol)
-        self.family = family
         self._members: dict[int, _SlotHistories] = {}
 
     @functools.cached_property
@@ -246,64 +281,84 @@ class FamilyAnalysis(_SlotHistories):
     @functools.cached_property
     def alternative_mask(self) -> np.ndarray:
         return self._upper_pairs(lambda rows: np.logical_or.reduce([
-            orthogonal[self.index[rows, k, None], self.index[None, :, k]]
+            orthogonal[:, self.index[rows, k, None], self.index[None, :, k]]
             for k, (_, orthogonal) in enumerate(self.tables)]))
 
     def _upper_pairs(self, pairs) -> np.ndarray:
         """``pairs(rows)`` against all histories, kept for ``i < j`` and
         evaluated in row blocks whose tables fit the block budget."""
-        n = len(self.index)
-        mask = np.empty((n, n), dtype=bool)
-        for rows in _blocks(n, 8 * n):
-            mask[rows] = pairs(rows) & (np.arange(n) > np.arange(n)[rows, None])
+        f, n = len(self.stacks[0]), len(self.index)
+        mask = np.empty((f, n, n), dtype=bool)
+        for rows in _blocks(n, 8 * n * f):
+            mask[:, rows] = pairs(rows) & (np.arange(n) > np.arange(n)[rows, None])
         return mask
 
     @functools.cached_property
     def commutative(self) -> np.ndarray:
-        out = np.ones(len(self.index), dtype=bool)
+        out = np.ones((len(self.stacks[0]), len(self.index)), dtype=bool)
         for k, m in itertools.combinations(range(len(self.stacks)), 2):
-            a, b = self.stacks[k][:, None], self.stacks[m][None]
+            a, b = self.stacks[k][:, :, None], self.stacks[m][:, None]
             commute = _max_norms(a @ b - b @ a) <= self.tol.op
-            out &= commute[self.index[:, k], self.index[:, m]]
+            out &= commute[:, self.index[:, k], self.index[:, m]]
         return out
 
     @functools.cached_property
     def event_pairs(self) -> np.ndarray:
-        """``(N, 2, d, d)`` first and second events of every elementary
+        """``(F, N, 2, d, d)`` first and second events of every elementary
         history of a 2-slot family."""
         first, second = self.stacks
-        return np.concatenate([first, second])[self.index + (0, len(first))]
+        return np.concatenate([first, second], axis=1)[
+            :, self.index + (0, first.shape[1])]
 
     def members(self, cap: int = DEFAULT_MEMBER_CAP) -> _SlotHistories:
-        """The members over per-slot option stacks; raises
+        """The members over per-slot stacks of the nonempty subset sums of
+        each slot's events, labelled like ``"1+3"``; raises
         :class:`FamilyTooLarge` past ``cap`` members."""
         if cap not in self._members:
-            options = member_options(self.family, self.tol, cap)
-            self._members[cap] = _SlotHistories(
-                [np.array([p.matrix for _, p in slot]) for slot in options],
-                [[label for label, _ in slot] for slot in options], self.tol)
+            if (count := family_member_count(self.family)) > cap:
+                raise FamilyTooLarge(f"family has {count} members, above the "
+                                     f"enumeration cap {cap}")
+            stacks, labels = [], []
+            for events in self.stacks:
+                n, d = events.shape[1], events.shape[-1]
+                subsets = [s for size in range(1, n + 1)
+                           for s in itertools.combinations(range(n), size)]
+                slot = events.swapaxes(0, 1)
+                sums = np.ascontiguousarray(np.array(
+                    [sum(slot[i] for i in s) for s in subsets]).swapaxes(0, 1))
+                validate_projections(sums.reshape(-1, d, d), self.tol)
+                stacks.append(sums)
+                labels.append(["+".join(str(i + 1) for i in s) for s in subsets])
+            self._members[cap] = _SlotHistories(stacks, labels, self.tol)
         return self._members[cap]
 
     def chain_traces(self, *rhos: DensityOperator) -> np.ndarray:
-        """``Tr(C rho)`` for every state and elementary history, ``(S, N)``."""
-        return np.einsum("iab,sba->si", self.chains,
-                         _state_stack(rhos, self.chains.shape[-1]))
+        """``Tr(C rho)``, ``(G, N)`` over the groups of :func:`_groups`; with
+        F = S > 1 each group keeps the bits of its one-family call."""
+        f, n, d, _ = self.chains.shape
+        states = _state_stack(rhos, d)
+        if 1 < f == len(states):
+            return np.array([np.einsum("iab,ba->i", c, rho)
+                             for c, rho in zip(self.chains, states)])
+        _groups(f, len(states))
+        return np.einsum("fiab,sba->fsi", self.chains, states).reshape(-1, n)
 
     def _pair_reports(self, notion: str, rhos: Sequence[DensityOperator],
                       mask: np.ndarray, residual) -> list[ConsistencyReport]:
-        """Largest ``residual(D)`` over the masked pairs, for each state;
+        """Largest ``residual(D)`` over the masked pairs, for each group;
         ties go to the first pair in label order, and the worst stays 0
         with no pair when nothing exceeds 0."""
-        n, count = len(mask), int(np.count_nonzero(mask))
-        worst, where = [0.0] * len(rhos), [None] * len(rhos)
-        for s, i, block in _decoherence_blocks(self.chains, *rhos):
-            m = mask[i:i + block.shape[1]]
-            for k, values in enumerate(residual(block), start=s):
-                value, at = _worst(values, m)
+        n, groups = mask.shape[-1], _groups(len(mask), len(rhos))
+        counts = [int(np.count_nonzero(m)) for m in mask]
+        worst, where = [0.0] * groups, [None] * groups
+        for g, i, block in _decoherence_blocks(self.chains, *rhos):
+            m = _pick(mask, slice(g, g + len(block)))[:, i:i + block.shape[1]]
+            for k, (value, at) in enumerate(_worst(residual(block), m), start=g):
                 if value > worst[k]:
                     worst[k] = value
                     where[k] = (self.label(i + at // n), self.label(at % n))
-        return [self._report(notion, w, pair, count) for w, pair in zip(worst, where)]
+        return [self._report(notion, w, pair, counts[k % len(counts)])
+                for k, (w, pair) in enumerate(zip(worst, where))]
 
     def _report(self, notion: str, worst: float, pair, count: int,
                 ) -> ConsistencyReport:
@@ -334,34 +389,49 @@ class FamilyAnalysis(_SlotHistories):
                 for row, i in zip(negated, negated.argmax(axis=1).tolist())]
 
     def C1(self, rho: DensityOperator) -> ConsistencyReport:
-        residuals = np.abs(self.probabilities(rho) - self.chain_traces(rho)[0])
-        worst, at = _worst(residuals, self.commutative)
+        residuals = np.abs(self.probabilities(rho) - self.chain_traces(rho))
+        worst, at = _worst(residuals, self.commutative)[0]
         return self._report("C1-compat", worst,
                             None if at is None else (self.label(at),) * 2,
-                            int(np.count_nonzero(self.commutative)))
+                            int(np.count_nonzero(self.commutative[0])))
 
     def sum_rule(self, rho: DensityOperator,
                  cap: int = DEFAULT_MEMBER_CAP) -> ConsistencyReport:
+        return self.sum_rule_each([rho], cap)[0]
+
+    def sum_rule_each(self, rhos: Sequence[DensityOperator],
+                      cap: int = DEFAULT_MEMBER_CAP) -> list[ConsistencyReport]:
+        """Every summable member pair ``(a, b)``, ``a < b``, of every group is
+        merged and evaluated from its own chain operator, in one stack."""
         m = self.members(cap)
-        probs = m.probabilities(rho)
-        slots = m.summable_slots()
-        a, b = np.nonzero(np.triu(slots, 1))
+        states = _state_stack(rhos, self.chains.shape[-1])
+        groups = _groups(len(self.chains), len(states))
+        slots = np.triu(m.summable_slots(), 1)
+        g, a, b = np.nonzero(slots.repeat(groups // len(slots), axis=0))
+        f = g % len(slots)
         merged = []
         for k, events in enumerate(m.stacks):
-            slot_events = events[m.index[a, k]]
-            here = slots[a, b] == k + 1
-            slot_events[here] += events[m.index[b[here], k]]
+            slot_events = events[f, m.index[a, k]]
+            here = slots[f, a, b] == k + 1
+            slot_events[here] += events[f[here], m.index[b[here], k]]
             merged.append(slot_events)
         chains = merged[0]
         for slot_events in merged[1:]:
             chains = slot_events @ chains
-        residuals = np.abs(_probabilities(chains, rho) - probs[a] - probs[b])
-        worst, at = _worst(residuals, True)
-        pair = None if at is None else (m.label(a[at]), m.label(b[at]))
-        norm_defect = float(abs(np.sum(self.probabilities(rho)) - 1.0))
-        if norm_defect > worst:
-            worst, pair = norm_defect, None
-        return self._report("sum-rule", worst, pair, len(a))
+        probs = _probabilities(m.chains, states[:, None])
+        residuals = np.abs(_probabilities(chains, _pick(states, g))
+                           - probs[g, a] - probs[g, b])
+        defects = np.abs(_probabilities(self.chains, states[:, None]).sum(axis=1)
+                         - 1.0).tolist()
+        bounds = np.searchsorted(g, np.arange(groups + 1)).tolist()
+        reports = []
+        for lo, hi, defect in zip(bounds, bounds[1:], defects):
+            worst, at = _worst(residuals[None, lo:hi], True)[0]
+            pair = None if at is None else (m.label(a[lo + at]), m.label(b[lo + at]))
+            if defect > worst:
+                worst, pair = defect, None
+            reports.append(self._report("sum-rule", worst, pair, hi - lo))
+        return reports
 
     def ordered(self, rho: DensityOperator,
                 context: Sequence[HistoryFamily] = (),
@@ -382,7 +452,7 @@ class FamilyAnalysis(_SlotHistories):
                     f"{name} is not medium-decohering (worst residual "
                     f"{med.worst_residual:.3e})")
         own = self.members(cap)
-        own_probs = own.probabilities(rho)
+        own_probs = own.probabilities(rho)[0]
         worst, pair, count = 0.0, None, 0
         for other in analyses:
             theirs = other.members(cap)
@@ -390,10 +460,11 @@ class FamilyAnalysis(_SlotHistories):
                     or other.family.dim != self.family.dim):
                 continue
             their_probs = (own_probs if theirs is own
-                           else theirs.probabilities(rho))
-            leq = own.leq(theirs)
+                           else theirs.probabilities(rho)[0])
+            leq = own.leq(theirs)[0]
             count += int(np.count_nonzero(leq))
-            violation, at = _worst(own_probs[:, None] - their_probs[None], leq)
+            violation, at = _worst((own_probs[:, None] - their_probs[None])[None],
+                                   leq)[0]
             if violation > worst:
                 i, j = divmod(at, len(theirs.index))
                 worst, pair = violation, (own.label(i), theirs.label(j))

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    FamilyTooLarge,
     NotComplete,
     NotOrthogonal,
     NotSummable,
@@ -30,7 +29,6 @@ from .matcore import (
     commutator,
     max_norm,
     validate_projection,
-    validate_projections,
 )
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "HistoryFamily",
     "make_resolution",
     "elementary_histories",
-    "member_options",
     "family_member_count",
     "summable",
     "history_sum",
@@ -176,29 +173,6 @@ def family_member_count(family: HistoryFamily) -> int:
     return n
 
 
-def member_options(family: HistoryFamily, tol: Tolerances = DEFAULT_TOL,
-                   cap: int = DEFAULT_MEMBER_CAP,
-                   ) -> list[list[tuple[str, Projection]]]:
-    """Per slot, every nonempty subset sum of its resolution with its label.
-
-    Labels join the summed 1-based indices with ``+``, e.g. ``"1+3"``.
-    Raises :class:`FamilyTooLarge` when the member count exceeds ``cap``.
-    """
-    count = family_member_count(family)
-    if count > cap:
-        raise FamilyTooLarge(
-            f"family has {count} members, above the enumeration cap {cap}")
-    per_slot: list[list[tuple[str, Projection]]] = []
-    for r in family.resolutions:
-        subsets = [s for size in range(1, len(r.events) + 1)
-                   for s in itertools.combinations(range(len(r.events)), size)]
-        sums = validate_projections(
-            [sum(r.events[i].matrix for i in s) for s in subsets], tol)
-        per_slot.append([("+".join(str(i + 1) for i in s), p)
-                         for s, p in zip(subsets, sums)])
-    return per_slot
-
-
 def summable(h1: History, h2: History,
              tol: Tolerances = DEFAULT_TOL) -> Optional[int]:
     """The 1-based slot where the histories can be merged, or ``None``.
@@ -255,20 +229,25 @@ def is_commutative(h: History, tol: Tolerances = DEFAULT_TOL) -> bool:
     return True
 
 
-def event_stacks(family: HistoryFamily) -> list[np.ndarray]:
-    """Each slot's resolution events stacked as an ``(n_k, d, d)`` array."""
-    return [np.array([e.matrix for e in r.events]) for r in family.resolutions]
+def event_stacks(*families: HistoryFamily) -> list[np.ndarray]:
+    """Each slot's resolution events stacked as an ``(F, n_k, d, d)`` array
+    over F families of one shape (one dimension, one size per slot)."""
+    if len({(f.dim, *map(len, f.resolutions)) for f in families}) != 1:
+        raise DimensionMismatch("event stacks take one or more families of one shape")
+    return [np.array([[e.matrix for e in f.resolutions[k].events] for f in families])
+            for k in range(families[0].length)]
 
 
 def chain_stack(stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """``(N, d, d)`` chain operators of every history over ``stacks``.
+    """``(F, N, d, d)`` chain operators of every history over per-slot
+    stacks ``(F, n_k, d, d)`` of F families.
 
     One batched product per slot, each applying the later event on the
     left as :func:`chain_operator` does, in lexicographic order of the
     histories' slot indices.
     """
     chains = stacks[0]
-    d = chains.shape[-1]
+    f, d = len(chains), chains.shape[-1]
     for events in stacks[1:]:
-        chains = (events[None] @ chains[:, None]).reshape(-1, d, d)
+        chains = (events[:, None] @ chains[:, :, None]).reshape(f, -1, d, d)
     return chains

@@ -77,8 +77,9 @@ _BLOCK_BYTES = 1 << 24
 
 def _blocks(count: int, item_bytes: int) -> list[slice]:
     """Consecutive slices over ``count`` items of ``item_bytes`` bytes each,
-    as many items per slice as fit in ``_BLOCK_BYTES`` and at least one."""
-    step = max(1, _BLOCK_BYTES // item_bytes)
+    as many items per slice as fit in ``_BLOCK_BYTES`` and at least one;
+    items of no bytes (a stack of no states) all fit in one slice."""
+    step = max(1, _BLOCK_BYTES // max(item_bytes, 1))
     return [slice(k, k + step) for k in range(0, count, step)]
 
 
@@ -150,11 +151,11 @@ def _square_stack(stack) -> tuple[np.ndarray, list[float]]:
 
 
 def _state_stack(rhos, dim: int) -> np.ndarray:
-    """The ``(S, dim, dim)`` stack of one or more states of dimension ``dim``."""
+    """The ``(S, dim, dim)`` stack of S >= 0 states of dimension ``dim``."""
     for rho in rhos:
         if rho.matrix.shape != (dim, dim):
             raise DimensionMismatch(f"state of dimension {rho.dim}, expected {dim}")
-    return np.array([rho.matrix for rho in rhos])
+    return np.array([rho.matrix for rho in rhos]).reshape(-1, dim, dim)
 
 
 def validate_projection(entries, tol: Tolerances = DEFAULT_TOL) -> Projection:

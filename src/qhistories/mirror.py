@@ -108,7 +108,7 @@ class SelfDecoherenceReport:
     def coarse_sum_mirrors(self) -> dict[str, bool]:
         elems, tol = self.analysis.histories, self.analysis.tol
         coarse: dict[str, bool] = {}
-        for i, j in zip(*np.nonzero(self.analysis.summable_mask)):
+        for i, j in zip(*np.nonzero(self.analysis.summable_mask[0])):
             c1, c2 = (self.per_history[elems[k].label] for k in (i, j))
             if (c1 and c2 and c1.verified and c2.verified
                     and max_norm(c1.mirror.matrix @ c2.mirror.matrix) <= tol.op):
@@ -148,8 +148,8 @@ def _supports(states: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list[int
     """
     w, vecs = np.linalg.eigh(states)
     bases = vecs * (w > tol.eig)[:, None]
-    if len(states) == 1:
-        return bases, [0]
+    if len(states) < 2:
+        return bases, list(range(len(states)))
     proj = (bases @ bases.conj().swapaxes(-1, -2)).reshape(len(states), -1)
     near: list[list[bool]] = []
     for rows in _blocks(len(proj), 16 * proj.size):  # rows of the pair table
@@ -216,7 +216,8 @@ def _certificates(mirrors: Sequence[Optional[Projection]],
                  if least else [])
         chosen = [[next(row) if t is None else t for t in given]
                   for row in (iter(found[g * len(least):]) for g in which)]
-        t = np.array([[m.matrix for m in row] for row in chosen])[:, :, None]
+        t = np.array([[m.matrix for m in row] for row in chosen],
+                     dtype=complex).reshape(len(rhos), len(pairs), 1, d, d)
         te = t @ pairs
         m1 = np.abs(te - pairs @ t).max(axis=(3, 4)).tolist()
         traces = (np.concatenate([te[:, :, :1], t], axis=2) @ states[:, None, None]
@@ -341,7 +342,7 @@ def self_decoherence_each(analysis: FamilyAnalysis, rhos: Sequence[DensityOperat
     provided = provided or {}
     elems = analysis.histories
     certs = _certificates([provided.get(h.label) for h in elems], elems,
-                          analysis.event_pairs, rhos, tol)
+                          analysis.event_pairs[0], rhos, tol)
     pers = [{h.label: cert if h.label in provided or cert.verified else None
              for h, cert in zip(elems, row)} for row in certs]
     return [SelfDecoherenceReport(

@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .consistency import ContraryInferenceInstance, contrary_inference
-from .errors import BadParameters
+from .errors import BadParameters, NotComplete, NotOrthogonal, NotSummable
 from .histories import (
     History,
     HistoryFamily,
-    elementary_histories,
-    history_sum,
-    make_resolution,
+    ResolutionOfIdentity,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -40,6 +39,7 @@ __all__ = [
     "Example1Instance",
     "Example1Expected",
     "build_example1",
+    "build_example1_grid",
     "example1_expected",
     "example1_decoherence_expected",
     "linear_positivity_expected",
@@ -85,34 +85,63 @@ def build_example1(theta: float, alpha: float | None = None, dim: int = 3,
     imaginary off-diagonal form; ``theta`` must lie strictly inside
     ``(0, pi)``.
     """
+    return build_example1_grid([(theta, alpha)], dim, tol)[0]
+
+
+def build_example1_grid(angles: Sequence[tuple[float, float | None]],
+                        dim: int = 3, tol: Tolerances = DEFAULT_TOL,
+                        ) -> list[Example1Instance]:
+    """:func:`build_example1` at each ``(theta, alpha)``, with its checks made
+    in stacked passes: one validation of all 4F events and one of the F
+    coarse events.  The three states are shared.  The first failing value
+    raises what it raises alone."""
     if dim < 2:
         raise BadParameters(f"dimension {dim} is too small, need at least 2")
-    if not 0.0 < theta < math.pi:
-        raise BadParameters(f"theta {theta} is not strictly inside (0, pi)")
-    if alpha is None:
-        alpha = math.pi / 2.0
-    psi1 = np.zeros(dim, dtype=complex)
-    psi2 = np.zeros(dim, dtype=complex)
-    psi1[0] = 1.0
-    psi2[1] = 1.0
+    thetas = [theta for theta, _ in angles]
+    for theta in thetas:
+        if not 0.0 < theta < math.pi:
+            raise BadParameters(f"theta {theta} is not strictly inside (0, pi)")
+    alphas = [math.pi / 2.0 if alpha is None else alpha for _, alpha in angles]
+    psi1, psi2 = np.eye(dim, dtype=complex)[:2]
     phi = (psi1 + psi2) / math.sqrt(2.0)
-    chi = np.zeros(dim, dtype=complex)
-    chi[0] = math.cos(theta / 2.0)
-    chi[1] = np.exp(1j * alpha) * math.sin(theta / 2.0)
-    first, second = np.outer(phi, phi.conj()), np.outer(chi, chi.conj())
+    chi = np.zeros((len(angles), dim), dtype=complex)
+    chi[:, 0] = [math.cos(theta / 2.0) for theta in thetas]
+    chi[:, 1] = np.exp(1j * np.array(alphas)) * [math.sin(t / 2.0) for t in thetas]
+    second = chi[:, :, None] * chi.conj()[:, None]
+    first = np.broadcast_to(np.outer(phi, phi.conj()), second.shape)
     eye = np.eye(dim, dtype=complex)
-    e1, e2, e1c, e2c = validate_projections(
-        [first, second, eye - first, eye - second], tol)
-    family = HistoryFamily((make_resolution([e1, e1c], tol),
-                            make_resolution([e2, e2c], tol)))
-    elems = elementary_histories(family)
-    h1, h2 = elems[0], elems[2]
-    h_coarse = history_sum(h1, h2, tol)
+    events = np.stack([first, second, eye - first, eye - second], axis=1)
+    projections = validate_projections(events.reshape(-1, dim, dim), tol)
+    # make_resolution's tests of each event and its complement, and
+    # history_sum's of h1 and h2, whose first events must be orthogonal
+    # both ways (they differ, as e1 = 1 - e1c is a projection)
+    e, c = events[:, :2], events[:, 2:]
+    for overlap, gap, back in zip(*(np.abs(m).max(axis=(-2, -1)).tolist() for m in (
+            e @ c, e + c - eye, c[:, 0] @ e[:, 0]))):
+        for r, g in zip(overlap, gap):
+            if r > tol.op:
+                raise NotOrthogonal(f"resolution events 1 and 2 overlap (residual "
+                                    f"{r:.3e})", r, (1, 2))
+            if g > tol.op:
+                raise NotComplete(f"resolution does not sum to the identity "
+                                  f"(residual {g:.3e})", g)
+        if back > tol.op:
+            raise NotSummable("histories differ in more than one slot or are "
+                              "not orthogonal there")
+    coarse = validate_projections(e[:, 0] + c[:, 0], tol)
     pure1, pure2 = np.outer(psi1, psi1.conj()), np.outer(psi2, psi2.conj())
     rho1, rho2, rho = validate_densities(
         [pure1, pure2, 0.5 * pure1 + 0.5 * pure2], tol)
-    return Example1Instance(dim, theta, alpha, psi1, psi2, phi, e1, e2,
-                            family, h1, h2, h_coarse, rho1, rho2, rho)
+    out = []
+    for theta, alpha, (e1, e2, e1c, e2c), merged in zip(
+            thetas, alphas, zip(*[iter(projections)] * 4), coarse):
+        family = HistoryFamily((ResolutionOfIdentity((e1, e1c)),
+                                ResolutionOfIdentity((e2, e2c))))
+        out.append(Example1Instance(
+            dim, theta, alpha, psi1, psi2, phi, e1, e2, family,
+            History((e1, e2), "(1,1)"), History((e1c, e2), "(2,1)"),
+            History((merged, e2), "(1,1)+(2,1)"), rho1, rho2, rho))
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Test-local reference: the pairwise relations between histories.
 
-Membership, alternative pairs, slot-wise domination and the member list
-of a family, each decided one history or one pair at a time by max-norm
-tests on the event matrices.  The checkers in
+Membership, alternative pairs, slot-wise domination, the member options
+and the member list of a family, each decided one history or one pair
+at a time by max-norm tests on the event matrices.  The checkers in
 :mod:`qhistories.consistency` read the same relations from per-slot
 tables over index tuples; these functions are the independent oracle the
 consistency tests check those tables against.  Summability
@@ -15,14 +15,44 @@ import itertools
 
 import numpy as np
 
-from qhistories.errors import DimensionMismatch
+from qhistories.errors import DimensionMismatch, FamilyTooLarge
 from qhistories.histories import (
     DEFAULT_MEMBER_CAP,
     History,
     HistoryFamily,
-    member_options,
+    family_member_count,
 )
-from qhistories.matcore import DEFAULT_TOL, Tolerances, max_norm, projection_leq
+from qhistories.matcore import (
+    DEFAULT_TOL,
+    Projection,
+    Tolerances,
+    max_norm,
+    projection_leq,
+    validate_projections,
+)
+
+
+def member_options(family: HistoryFamily, tol: Tolerances = DEFAULT_TOL,
+                   cap: int = DEFAULT_MEMBER_CAP,
+                   ) -> list[list[tuple[str, Projection]]]:
+    """Per slot, every nonempty subset sum of its resolution with its label.
+
+    Labels join the summed 1-based indices with ``+``, e.g. ``"1+3"``.
+    Raises :class:`FamilyTooLarge` when the member count exceeds ``cap``.
+    """
+    count = family_member_count(family)
+    if count > cap:
+        raise FamilyTooLarge(
+            f"family has {count} members, above the enumeration cap {cap}")
+    per_slot: list[list[tuple[str, Projection]]] = []
+    for r in family.resolutions:
+        subsets = [s for size in range(1, len(r.events) + 1)
+                   for s in itertools.combinations(range(len(r.events)), size)]
+        sums = validate_projections(
+            [sum(r.events[i].matrix for i in s) for s in subsets], tol)
+        per_slot.append([("+".join(str(i + 1) for i in s), p)
+                         for s, p in zip(subsets, sums)])
+    return per_slot
 
 
 def family_members(family: HistoryFamily, tol: Tolerances = DEFAULT_TOL,

@@ -511,16 +511,19 @@ def test_sweep_lambda_rejects_the_first_value_outside_the_interval(capsys):
     ("alpha", "0.0", "3.1", 7)])
 def test_sweep_builds_one_family_per_distinct_family(
         tmp_path, monkeypatch, param, start, stop, builds):
-    """Along lam only the state changes, so one instance and one analysis
-    serve every step; theta and alpha change the family at each step."""
-    calls = {"build_example1": 0, "FamilyAnalysis": 0}
+    """Along lam only the state changes, so the grid holds one family;
+    theta and alpha change the family at each step.  Either way one grid
+    call builds the families and one analysis decides them all."""
+    calls = {"build_example1": 0, "build_example1_grid": 0, "FamilyAnalysis": 0}
+    made = []
 
     def counted(name):
         real = getattr(cli, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return real(*args, **kwargs)
+            made.append(real(*args, **kwargs))
+            return made[-1]
         return wrapper
 
     for name in calls:
@@ -528,7 +531,10 @@ def test_sweep_builds_one_family_per_distinct_family(
     assert main(["sweep", "--param", param, "--start", start, "--stop", stop,
                  "--steps", "7", "--out", str(tmp_path / "s.csv")]) == 1
     assert len(tmp_path.joinpath("s.csv").read_text().splitlines()) == 8
-    assert calls == {"build_example1": builds, "FamilyAnalysis": builds}
+    assert calls == {"build_example1": 0, "build_example1_grid": 1,
+                     "FamilyAnalysis": 1}
+    grid, analysis = made
+    assert len(grid) == len(analysis.families) == builds
 
 
 @pytest.mark.parametrize("dim, slots, rank", [
@@ -586,11 +592,21 @@ def test_sweep_alpha_flips_linear_positivity_at_the_cotangent(tmp_path):
     assert got == expected
 
 
-def test_sweep_rejects_out_of_range_values():
+def test_sweep_rejects_out_of_range_values(capsys):
     assert main(["sweep", "--param", "lam", "--start", "0.0", "--stop",
                  "0.9", "--steps", "3"]) == 2
-    assert main(["sweep", "--param", "theta", "--start", "0.5", "--stop",
-                 "3.5", "--steps", "3"]) == 2
+    capsys.readouterr()
+    # build_example1_grid names the first failing value, as one build per
+    # value would
+    for argv, message in (
+            (["--param", "theta", "--start", "0.5", "--stop", "3.5",
+              "--steps", "3"], "theta 3.5 is not strictly inside (0, pi)"),
+            (["--param", "alpha", "--start", "0", "--stop", "1", "--steps",
+              "3", "--dim", "1"], "dimension 1 is too small, need at least 2")):
+        assert main(["sweep", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_mirror_commands(tmp_path, capsys):

@@ -23,6 +23,7 @@ from qhistories.consistency import (
 )
 from qhistories.errors import (
     BadParameters,
+    DimensionMismatch,
     FamilyTooLarge,
     NotCommuting,
     PreconditionFailed,
@@ -44,6 +45,7 @@ from qhistories.histories import (
 from qhistories.matcore import (
     DEFAULT_TOL,
     Tolerances,
+    identity_projection,
     projector_onto,
     validate_density,
     validate_projection,
@@ -223,7 +225,7 @@ def test_weak_is_strictly_weaker_than_the_sum_rule_with_three_slots():
                                      for _ in range(3)))
         start = random_density(4, rng, rank=4, tol=TOL)
         hs = elementary_histories(family)
-        chains = chain_stack(event_stacks(family))
+        chains = chain_stack(event_stacks(family))[0]
         a = np.array([np.trace(basis, axis1=1, axis2=2).real] + [
             np.trace(chains[i] @ basis @ chains[j].conj().T, axis1=1, axis2=2).real
             for i, j in itertools.combinations(range(len(hs)), 2)
@@ -769,7 +771,7 @@ def test_one_analysis_matches_pairwise_reference_on_many_states(case):
         if small:
             assert_same_report(analysis.sum_rule(state),
                                reference_sum_rule(family, state))
-        probs = analysis.probabilities(state)
+        probs = analysis.probabilities(state)[0]
         d = np.vstack([b[0] for *_, b in
                        consistency._decoherence_blocks(analysis.chains, state)])
         for i, h in enumerate(hs):
@@ -777,6 +779,52 @@ def test_one_analysis_matches_pairwise_reference_on_many_states(case):
         for i, j in itertools.combinations_with_replacement(range(len(hs)), 2):
             assert d[i, j] == pytest.approx(
                 decoherence_functional(hs[i], hs[j], state), abs=1e-12)
+
+
+def one_shape_families(dim, sizes, rng):
+    """Four random families with ``sizes[k]`` block ranks in slot k, and a
+    fifth of the same shape whose first slot is the identity and two zero
+    events, which are both equal and orthogonal."""
+    families = [HistoryFamily(tuple(random_resolution(dim, s, rng, TOL)
+                                    for s in sizes)) for _ in range(4)]
+    zero = zero_projection(dim, TOL)
+    first = make_resolution([identity_projection(dim, TOL), zero, zero], TOL)
+    return families + [HistoryFamily((first, *(
+        random_resolution(dim, s, rng, TOL) for s in sizes[1:])))]
+
+
+@pytest.mark.parametrize("dim, sizes", [
+    (3, [(1, 1, 1), (1, 2)]), (4, [(1, 1, 2), (2, 2)]),
+    (4, [(1, 1, 2), (1, 3), (2, 2)])])
+def test_family_axis_matches_per_family_analyses(dim, sizes):
+    """F families of one shape in one analysis decide, report for report
+    and so bit for bit, what F one-family analyses decide: every family
+    against one state, and each family against its own state.  Masks stay
+    per family: the family with two zero events has summable pairs the
+    others lack."""
+    rng = np.random.default_rng(10 * dim + len(sizes))
+    families = one_shape_families(dim, sizes, rng)
+    states = [random_density(dim, rng, rank=r, tol=TOL)
+              for r in (1, dim, 2, dim, 1)]
+    analysis = FamilyAnalysis(families, TOL)
+    alone = [FamilyAnalysis(f, TOL) for f in families]
+    for name in ("summable_mask", "alternative_mask", "commutative"):
+        for k, one in enumerate(alone):
+            assert np.array_equal(getattr(analysis, name)[k],
+                                  getattr(one, name)[0]), (name, k)
+    assert not np.array_equal(analysis.summable_mask[-1],
+                              analysis.summable_mask[0])
+    for each in ("weak_each", "medium_each", "linear_positivity_each",
+                 "sum_rule_each"):
+        one = each[:-len("_each")]
+        assert getattr(analysis, each)(states[:1]) == [
+            getattr(a, one)(states[0]) for a in alone], each
+        assert getattr(analysis, each)(states) == [
+            getattr(a, one)(rho) for a, rho in zip(alone, states)], each
+    with pytest.raises(DimensionMismatch):
+        analysis.weak_each(states[:2])
+    with pytest.raises(DimensionMismatch):
+        FamilyAnalysis([families[0], classical_family(dim)], TOL)
 
 
 def test_labels_are_the_history_labels_in_order():

@@ -910,3 +910,25 @@ def test_self_decoherence_is_invariant_under_a_change_of_basis():
                     cert.residual_m1 + cert.residual_m2, rtol=0, atol=1e-12)
         verdicts.add(want.verdict)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("entry", [
+    "weak_each", "medium_each", "linear_positivity_each", "sum_rule_each",
+    "self_decoherence_each", "self_decoherence_each/provided", "least_mirrors",
+    "linear_positivity_property"])
+def test_stacked_entry_points_decide_no_states_as_an_empty_list(entry):
+    """An empty state list is zero states, not an error of the batching:
+    every stacked entry point returns ``[]``."""
+    m = pointer_model(2, np.random.default_rng(109), TOL)
+    analysis = FamilyAnalysis(m.family, TOL)
+    calls = {
+        "self_decoherence_each": lambda: self_decoherence_each(analysis, []),
+        "self_decoherence_each/provided": lambda: self_decoherence_each(
+            analysis, [], m.provided_mirrors),
+        "least_mirrors": lambda: least_mirrors(analysis.histories[0], [], TOL),
+        "linear_positivity_property": lambda: linear_positivity_property(
+            m.family, TOL).evaluator([]),
+    }
+    assert (calls[entry] if entry in calls else
+            lambda: getattr(analysis, entry)([]))() == []
+    assert _state_stack([], m.family.dim).shape == (0, m.family.dim, m.family.dim)

@@ -48,6 +48,11 @@ CASES = {
                     "--stop", "2.8", "--steps", "6"],
     "sweep-alpha": ["sweep", "--param", "alpha", "--start", "0", "--stop",
                     "3.1", "--steps", "5", "--theta", "2.0"],
+    # At theta = pi/2 the end rows put e2 on e1 and on e1^perp: p_h2 is
+    # about 1e-32 there, so any change of summation order shows.
+    "sweep-alpha-meeting": ["sweep", "--param", "alpha", "--start", "0",
+                            "--stop", "3.141592653589793", "--steps", "5",
+                            "--theta", "1.5707963267948966"],
     "sweep-lam": ["sweep", "--param", "lam", "--start", "0.1", "--stop",
                   "0.9", "--steps", "5", "--state", "rho"],
     "sweep-lam-wide": ["sweep", "--param", "lam", "--start", "0.05",

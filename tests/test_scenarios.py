@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qhistories import scenarios
 from qhistories.consistency import (
     check_medium_decoherence,
     check_weak_decoherence,
@@ -14,6 +15,7 @@ from qhistories.histories import elementary_histories
 from qhistories.matcore import DEFAULT_TOL, max_norm
 from qhistories.scenarios import (
     build_example1,
+    build_example1_grid,
     build_example2,
     example1_decoherence_expected,
     example1_expected,
@@ -31,6 +33,33 @@ def test_example1_parameter_guards():
             build_example1(theta)
     with pytest.raises(BadParameters):
         build_example1(1.0, dim=1)
+
+
+def test_example1_grid_builds_every_instance_of_a_one_value_build(monkeypatch):
+    """A grid validates its 4F events in one stacked call and its F coarse
+    events in another, and each instance holds the matrices, labels and
+    angles of its one-value build, bit for bit."""
+    angles = [(0.3, None), (1.2, 0.4), (np.pi / 2, np.pi), (2.9, -1.0)]
+    sizes, validate = [], scenarios.validate_projections
+    monkeypatch.setattr(scenarios, "validate_projections", lambda stack, tol: (
+        sizes.append(len(stack)) or validate(stack, tol)))
+    grid = build_example1_grid(angles, 4, TOL)
+    assert sizes == [16, 4]
+    monkeypatch.undo()
+
+    def parts(inst):
+        return [inst.theta, inst.alpha, inst.h1.label, inst.h2.label,
+                inst.h_coarse.label, *(e.matrix.tobytes() for h in (
+                    inst.h1, inst.h2, inst.h_coarse) for e in h.events),
+                *(e.matrix.tobytes() for r in inst.family.resolutions
+                  for e in r.events),
+                *(rho.matrix.tobytes() for rho in (inst.rho1, inst.rho2, inst.rho))]
+    for inst, (theta, alpha) in zip(grid, angles, strict=True):
+        assert parts(inst) == parts(build_example1(theta, alpha, 4, TOL))
+    with pytest.raises(BadParameters, match=r"^theta 3\.5 is not"):
+        build_example1_grid([(1.0, None), (3.5, None), (-1.0, None)])
+    with pytest.raises(BadParameters, match="dimension 1"):
+        build_example1_grid([(4.0, None)], dim=1)
 
 
 def test_example1_second_event_matrix_at_pi_third():
