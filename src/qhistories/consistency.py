@@ -13,8 +13,9 @@ by enumeration).
 Each checker is a reduction over one :class:`FamilyAnalysis`: over the
 matrix ``D`` of all elementary pairs, computed from one chain-operator
 stack in row blocks of bounded size, or over that stack's traces, with
-the pairs selected by per-slot relation tables.  :func:`contrary_inference`
-decides whether two orthogonal events are both retrodicted with certainty.
+the pairs selected by per-slot relation tables (medium reads them all).
+:func:`contrary_inference` decides whether two orthogonal events are both
+retrodicted with certainty.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .matcore import (
     complement,
     max_norm,
     validate_density,
-    validate_projections,
 )
 
 __all__ = [
@@ -166,24 +166,31 @@ def _max_norms(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).max(axis=(-2, -1))
 
 
-class _SlotHistories:
-    """The histories over per-slot stacks of event matrices, numbered by
-    their index tuples in lexicographic order; each part is computed when
-    first read.
+def _bitmasks(subsets: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
+    """``[a, e]``: event ``e`` of n is in subset ``a``."""
+    return np.array([[e in s for e in range(n)] for s in subsets], dtype=bool)
 
-    Slot k's stack is ``(F, n_k, d, d)`` over F families of one shape.
-    Every relation between two histories is a lookup of per-slot tables,
-    one per family, over their index tuples.  The tables apply the
-    max-norm tests of :func:`summable` and :func:`is_commutative`, and the
-    alternative and domination tests whose pairwise form
-    ``tests/pairwise_reference.py`` keeps as their oracle.  They assume
-    nothing about the events beyond that (a resolution may hold several
-    zero events, which are then both equal and orthogonal).
+
+class _SlotHistories:
+    """The histories over per-slot stacks of options, numbered by their
+    index tuples in lexicographic order; each part is computed when first
+    read.
+
+    Slot k's stack is ``(F, n_k, d, d)`` over F families of one shape, and
+    ``options[k]`` holds each option's bitmask: the events of slot k's
+    resolution it sums (one event, or a member's subset).  ``equal`` and
+    ``orthogonal`` are per-slot tables read off the bitmasks, as the
+    resolutions are certified; an event counts as zero iff its validated
+    rank is 0.  Domination relates events of different resolutions and
+    keeps its max-norm test.
     """
 
-    def __init__(self, stacks: list[np.ndarray], slot_labels: list[list[str]],
-                 tol: Tolerances):
-        self.stacks, self.slot_labels, self.tol = stacks, slot_labels, tol
+    def __init__(self, families: Sequence[HistoryFamily], stacks: list[np.ndarray],
+                 options: list[list[tuple[int, ...]]], tol: Tolerances):
+        self.families, self.stacks, self.options, self.tol = (
+            families, stacks, options, tol)
+        self.slot_labels = [["+".join([str(e + 1) for e in s]) for s in subsets]
+                            for subsets in options]
 
     @functools.cached_property
     def index(self) -> np.ndarray:
@@ -192,13 +199,16 @@ class _SlotHistories:
 
     @functools.cached_property
     def tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``equal[f, i, j]`` and ``orthogonal[f, i, j]`` over each slot's events."""
+        """``equal[f, a, b]`` iff ``(A ^ B) & L`` and ``orthogonal[f, a, b]``
+        iff ``A & B & L`` is empty, L the nonzero events of family f."""
         tables = []
-        for e in self.stacks:
-            a, b = e[:, :, None], e[:, None]
-            small = _max_norms(a @ b) <= self.tol.op
-            tables.append((_max_norms(a - b) <= self.tol.op,
-                           small & small.swapaxes(1, 2)))
+        for k, subsets in enumerate(self.options):
+            live = np.array([[e.rank > 0 for e in f.resolutions[k].events]
+                             for f in self.families])[:, None, None]
+            masks = _bitmasks(subsets, live.shape[-1])
+            a, b = masks[:, None], masks[None]
+            tables.append((~((a ^ b) & live).any(axis=-1),
+                           ~(a & b & live).any(axis=-1)))
         return tables
 
     @functools.cached_property
@@ -246,13 +256,14 @@ class FamilyAnalysis(_SlotHistories):
     does not depend on the state.
 
     Event stacks, index tuples and labels, relation tables, the
-    upper-triangular summable and alternative pair masks, the
-    commutativity mask, the chain stack, the elementary histories and
-    the 2-slot event stacks are each computed when first read and then
-    kept, so a caller asking about many states (mixture predicates, the
-    command line) builds them once.  The notion methods are the
-    reductions behind the public checkers: ``check_weak_decoherence(
-    family, rho, tol)`` is ``FamilyAnalysis(family, tol).weak(rho)``.
+    upper-triangular summable pair mask, the commutativity mask, the
+    chain stack, the elementary histories, the 2-slot event stacks and
+    the members are each computed when first read and then kept, so a
+    caller asking about many states (mixture predicates, the command line)
+    builds them once.  The notion methods are the reductions behind the
+    public checkers: ``check_weak_decoherence(family, rho, tol)`` is
+    ``FamilyAnalysis(family, tol).weak(rho)``.  Any two distinct
+    elementary histories are alternatives, so medium reads every pair.
 
     Given F families of one shape, every part has a leading family axis
     and the ``*_each`` reductions decide the groups of :func:`_groups`.
@@ -262,13 +273,10 @@ class FamilyAnalysis(_SlotHistories):
 
     def __init__(self, family: HistoryFamily | Sequence[HistoryFamily],
                  tol: Tolerances = DEFAULT_TOL):
-        self.families = ((family,) if isinstance(family, HistoryFamily)
-                         else tuple(family))
-        stacks = event_stacks(*self.families)
-        self.family = self.families[0]
-        super().__init__(stacks, [[str(i + 1) for i in range(s.shape[1])]
-                                  for s in stacks], tol)
-        self._members: dict[int, _SlotHistories] = {}
+        families = (family,) if isinstance(family, HistoryFamily) else tuple(family)
+        self.family, stacks = families[0], event_stacks(*families)
+        super().__init__(families, stacks,
+                         [[(e,) for e in range(s.shape[1])] for s in stacks], tol)
 
     @functools.cached_property
     def histories(self) -> list[History]:
@@ -276,21 +284,12 @@ class FamilyAnalysis(_SlotHistories):
 
     @functools.cached_property
     def summable_mask(self) -> np.ndarray:
-        return self._upper_pairs(lambda rows: self.summable_slots(rows) > 0)
-
-    @functools.cached_property
-    def alternative_mask(self) -> np.ndarray:
-        return self._upper_pairs(lambda rows: np.logical_or.reduce([
-            orthogonal[:, self.index[rows, k, None], self.index[None, :, k]]
-            for k, (_, orthogonal) in enumerate(self.tables)]))
-
-    def _upper_pairs(self, pairs) -> np.ndarray:
-        """``pairs(rows)`` against all histories, kept for ``i < j`` and
-        evaluated in row blocks whose tables fit the block budget."""
+        """``[f, a, b]``: ``a < b`` are summable, in row blocks."""
         f, n = len(self.stacks[0]), len(self.index)
         mask = np.empty((f, n, n), dtype=bool)
         for rows in _blocks(n, 8 * n * f):
-            mask[:, rows] = pairs(rows) & (np.arange(n) > np.arange(n)[rows, None])
+            mask[:, rows] = ((self.summable_slots(rows) > 0)
+                             & (np.arange(n) > np.arange(n)[rows, None]))
         return mask
 
     @functools.cached_property
@@ -310,27 +309,23 @@ class FamilyAnalysis(_SlotHistories):
         return np.concatenate([first, second], axis=1)[
             :, self.index + (0, first.shape[1])]
 
-    def members(self, cap: int = DEFAULT_MEMBER_CAP) -> _SlotHistories:
-        """The members over per-slot stacks of the nonempty subset sums of
-        each slot's events, labelled like ``"1+3"``; raises
-        :class:`FamilyTooLarge` past ``cap`` members."""
-        if cap not in self._members:
-            if (count := family_member_count(self.family)) > cap:
-                raise FamilyTooLarge(f"family has {count} members, above the "
-                                     f"enumeration cap {cap}")
-            stacks, labels = [], []
-            for events in self.stacks:
-                n, d = events.shape[1], events.shape[-1]
-                subsets = [s for size in range(1, n + 1)
-                           for s in itertools.combinations(range(n), size)]
-                slot = events.swapaxes(0, 1)
-                sums = np.ascontiguousarray(np.array(
-                    [sum(slot[i] for i in s) for s in subsets]).swapaxes(0, 1))
-                validate_projections(sums.reshape(-1, d, d), self.tol)
-                stacks.append(sums)
-                labels.append(["+".join(str(i + 1) for i in s) for s in subsets])
-            self._members[cap] = _SlotHistories(stacks, labels, self.tol)
-        return self._members[cap]
+    @functools.cached_property
+    def members(self) -> _SlotHistories:
+        """The members over the nonempty subset sums of each slot's events, by
+        size then lexicographically, trusted as sums of certified events;
+        raises :class:`FamilyTooLarge` past :data:`DEFAULT_MEMBER_CAP` members."""
+        if (count := family_member_count(self.family)) > DEFAULT_MEMBER_CAP:
+            raise FamilyTooLarge(f"family has {count} members, above the "
+                                 f"enumeration cap {DEFAULT_MEMBER_CAP}")
+        stacks, options = [], []
+        for events in self.stacks:
+            f, n, d, _ = events.shape
+            subsets = [s for size in range(1, n + 1)
+                       for s in itertools.combinations(range(n), size)]
+            stacks.append((_bitmasks(subsets, n) @ events.reshape(f, n, d * d))
+                          .reshape(f, -1, d, d))
+            options.append(subsets)
+        return _SlotHistories(self.families, stacks, options, self.tol)
 
     def chain_traces(self, *rhos: DensityOperator) -> np.ndarray:
         """``Tr(C rho)``, ``(G, N)`` over the groups of :func:`_groups`; with
@@ -376,7 +371,9 @@ class FamilyAnalysis(_SlotHistories):
         return self.medium_each([rho])[0]
 
     def medium_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
-        return self._pair_reports("medium", rhos, self.alternative_mask, np.abs)
+        f, n = self.chains.shape[:2]
+        distinct = np.broadcast_to(np.triu(np.ones((n, n), dtype=bool), 1), (f, n, n))
+        return self._pair_reports("medium", rhos, distinct, np.abs)
 
     def linear_positivity(self, rho: DensityOperator) -> ConsistencyReport:
         return self.linear_positivity_each([rho])[0]
@@ -395,15 +392,13 @@ class FamilyAnalysis(_SlotHistories):
                             None if at is None else (self.label(at),) * 2,
                             int(np.count_nonzero(self.commutative[0])))
 
-    def sum_rule(self, rho: DensityOperator,
-                 cap: int = DEFAULT_MEMBER_CAP) -> ConsistencyReport:
-        return self.sum_rule_each([rho], cap)[0]
+    def sum_rule(self, rho: DensityOperator) -> ConsistencyReport:
+        return self.sum_rule_each([rho])[0]
 
-    def sum_rule_each(self, rhos: Sequence[DensityOperator],
-                      cap: int = DEFAULT_MEMBER_CAP) -> list[ConsistencyReport]:
+    def sum_rule_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
         """Every summable member pair ``(a, b)``, ``a < b``, of every group is
         merged and evaluated from its own chain operator, in one stack."""
-        m = self.members(cap)
+        m = self.members
         states = _state_stack(rhos, self.chains.shape[-1])
         groups = _groups(len(self.chains), len(states))
         slots = np.triu(m.summable_slots(), 1)
@@ -435,7 +430,6 @@ class FamilyAnalysis(_SlotHistories):
 
     def ordered(self, rho: DensityOperator,
                 context: Sequence[HistoryFamily] = (),
-                cap: int = DEFAULT_MEMBER_CAP,
                 medium: Optional[ConsistencyReport] = None,
                 ) -> ConsistencyReport:
         """``medium`` is this family's medium report for ``rho``, when the
@@ -451,11 +445,11 @@ class FamilyAnalysis(_SlotHistories):
                 raise PreconditionFailed(
                     f"{name} is not medium-decohering (worst residual "
                     f"{med.worst_residual:.3e})")
-        own = self.members(cap)
+        own = self.members
         own_probs = own.probabilities(rho)[0]
         worst, pair, count = 0.0, None, 0
         for other in analyses:
-            theirs = other.members(cap)
+            theirs = other.members
             if (other.family.length != self.family.length
                     or other.family.dim != self.family.dim):
                 continue
@@ -496,19 +490,18 @@ def check_linear_positivity(family: HistoryFamily, rho: DensityOperator,
 
 
 def check_sum_rule(family: HistoryFamily, rho: DensityOperator,
-                   tol: Tolerances = DEFAULT_TOL,
-                   cap: int = DEFAULT_MEMBER_CAP) -> ConsistencyReport:
+                   tol: Tolerances = DEFAULT_TOL) -> ConsistencyReport:
     """Brute-force additivity over every summable pair of family members.
 
     Also checks that the elementary probabilities sum to 1.  Raises
-    :class:`FamilyTooLarge` past ``cap`` members.  Its verdict equals weak
-    decoherence's on 2-slot families only: with three or more slots weak
-    decoherence checks summable elementary pairs alone, and a state can
-    pass it while a coarse-grained member pair fails here.  It never reads
-    the decoherence-functional matrix, and evaluates each merged member's
-    probability from its own chain operator.
+    :class:`FamilyTooLarge` past :data:`DEFAULT_MEMBER_CAP` members.  Its
+    verdict equals weak decoherence's on 2-slot families only: with three
+    or more slots weak decoherence checks summable elementary pairs alone,
+    and a state can pass it while a coarse-grained member pair fails here.
+    It never reads the decoherence-functional matrix, and evaluates each
+    merged member's probability from its own chain operator.
     """
-    return FamilyAnalysis(family, tol).sum_rule(rho, cap)
+    return FamilyAnalysis(family, tol).sum_rule(rho)
 
 
 def check_C1_compatibility(h: History, rho: DensityOperator,
@@ -532,8 +525,7 @@ def check_C1_family(family: HistoryFamily, rho: DensityOperator,
 
 def check_ordered_consistency(family: HistoryFamily, rho: DensityOperator,
                               context: Sequence[HistoryFamily] = (),
-                              tol: Tolerances = DEFAULT_TOL,
-                              cap: int = DEFAULT_MEMBER_CAP) -> ConsistencyReport:
+                              tol: Tolerances = DEFAULT_TOL) -> ConsistencyReport:
     """Probability monotonicity along slot-wise domination.
 
     The family itself and every context family must be medium-decohering
@@ -541,7 +533,7 @@ def check_ordered_consistency(family: HistoryFamily, rho: DensityOperator,
     otherwise).  Compares every member of ``family`` to every member of
     the family and each context family.
     """
-    return FamilyAnalysis(family, tol).ordered(rho, context, cap)
+    return FamilyAnalysis(family, tol).ordered(rho, context)
 
 
 def conditional_probability(h: History, rho: DensityOperator,

@@ -26,6 +26,7 @@ from .matcore import (
     DEFAULT_TOL,
     Projection,
     Tolerances,
+    _blocks,
     commutator,
     max_norm,
     validate_projection,
@@ -137,18 +138,30 @@ def make_resolution(projections: Sequence[Projection],
         if e.dim != dim:
             raise DimensionMismatch(
                 f"resolution events have mixed dimensions {dim} and {e.dim}")
-    for i, j in itertools.combinations(range(len(events)), 2):
-        r = max_norm(events[i].matrix @ events[j].matrix)
-        if r > tol.op:
-            raise NotOrthogonal(
-                f"resolution events {i + 1} and {j + 1} overlap "
-                f"(residual {r:.3e})", r, (i + 1, j + 1))
-    total = sum(e.matrix for e in events)
-    r = max_norm(total - np.eye(dim))
-    if r > tol.op:
-        raise NotComplete(f"resolution does not sum to the identity "
-                          f"(residual {r:.3e})", r)
+    _check_resolutions(np.array([[e.matrix for e in events]]), tol)
     return ResolutionOfIdentity(events)
+
+
+def _check_resolutions(events: np.ndarray, tol: Tolerances) -> None:
+    """:func:`make_resolution`'s tests over an ``(R, n, d, d)`` stack of R
+    resolutions: both products ``e_i e_j`` and ``e_j e_i`` of every pair
+    ``i < j``, then completeness.  The first failing resolution raises
+    :class:`NotOrthogonal` for its first overlapping pair, or
+    :class:`NotComplete`."""
+    r, n, d, _ = events.shape
+    overlap = np.empty((r, n, n))
+    for rows in _blocks(n, events.itemsize * r * n * d * d):
+        overlap[:, rows] = np.abs(events[:, rows, None] @ events[:, None]).max((-2, -1))
+    bad = np.triu(np.maximum(overlap, overlap.swapaxes(1, 2)) > tol.op, 1)
+    gaps = np.abs(events.sum(axis=1) - np.eye(d)).max(axis=(-2, -1)).tolist()
+    for over, pairs, gap in zip(overlap, bad, gaps):
+        for i, j in np.argwhere(pairs)[:1].tolist():
+            res = float(over[i, j] if over[i, j] > tol.op else over[j, i])
+            raise NotOrthogonal(f"resolution events {i + 1} and {j + 1} overlap "
+                                f"(residual {res:.3e})", res, (i + 1, j + 1))
+        if gap > tol.op:
+            raise NotComplete(f"resolution does not sum to the identity "
+                              f"(residual {gap:.3e})", gap)
 
 
 def elementary_histories(family: HistoryFamily) -> list[History]:

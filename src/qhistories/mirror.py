@@ -33,7 +33,7 @@ from .errors import (
     WrongHistoryLength,
     ZeroConditioningEvent,
 )
-from .histories import History, HistoryFamily, history_sum
+from .histories import History, HistoryFamily
 from .matcore import (
     DEFAULT_TOL,
     DensityOperator,
@@ -94,7 +94,8 @@ class SelfDecoherenceReport:
     ``per_history[label]`` is ``None`` exactly when the history has no
     provided mirror and no mirror exists.  ``coarse_sum_mirrors``
     records, for summable pairs whose mirrors are orthogonal, whether
-    the mirror sum verifies against the history sum under ``state``.
+    the mirror sum verifies against the history sum under ``state``; each
+    pair merges at the slot that the analysis's relation tables name.
     It is computed when first read, is informational only and never
     affects the verdict.
     """
@@ -107,12 +108,17 @@ class SelfDecoherenceReport:
     @functools.cached_property
     def coarse_sum_mirrors(self) -> dict[str, bool]:
         elems, tol = self.analysis.histories, self.analysis.tol
+        slots = np.triu(self.analysis.summable_slots()[0], 1)
         coarse: dict[str, bool] = {}
-        for i, j in zip(*np.nonzero(self.analysis.summable_mask[0])):
+        for i, j in zip(*np.nonzero(slots)):
             c1, c2 = (self.per_history[elems[k].label] for k in (i, j))
             if (c1 and c2 and c1.verified and c2.verified
                     and max_norm(c1.mirror.matrix @ c2.mirror.matrix) <= tol.op):
-                s = history_sum(elems[i], elems[j], tol)
+                h1, h2, k = elems[i], elems[j], slots[i, j] - 1
+                merged = (validate_projection(h1.events[k].matrix
+                                              + h2.events[k].matrix, tol),)
+                s = History(h1.events[:k] + merged + h1.events[k + 1:],
+                            f"{h1.label}+{h2.label}")
                 t_sum = validate_projection(c1.mirror.matrix + c2.mirror.matrix, tol)
                 coarse[s.label] = verify_mirror(t_sum, s, self.state, tol).verified
         return coarse

@@ -18,11 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from .consistency import ContraryInferenceInstance, contrary_inference
-from .errors import BadParameters, NotComplete, NotOrthogonal, NotSummable
+from .errors import BadParameters
 from .histories import (
     History,
     HistoryFamily,
     ResolutionOfIdentity,
+    _check_resolutions,
 )
 from .matcore import (
     DEFAULT_TOL,
@@ -92,9 +93,9 @@ def build_example1_grid(angles: Sequence[tuple[float, float | None]],
                         dim: int = 3, tol: Tolerances = DEFAULT_TOL,
                         ) -> list[Example1Instance]:
     """:func:`build_example1` at each ``(theta, alpha)``, with its checks made
-    in stacked passes: one validation of all 4F events and one of the F
-    coarse events.  The three states are shared.  The first failing value
-    raises what it raises alone."""
+    in stacked passes: one validation of all 4F events, one check of the 2F
+    resolutions and one validation of the F coarse events.  The three states
+    are shared.  The first failing value raises what it raises alone."""
     if dim < 2:
         raise BadParameters(f"dimension {dim} is too small, need at least 2")
     thetas = [theta for theta, _ in angles]
@@ -110,30 +111,15 @@ def build_example1_grid(angles: Sequence[tuple[float, float | None]],
     second = chi[:, :, None] * chi.conj()[:, None]
     first = np.broadcast_to(np.outer(phi, phi.conj()), second.shape)
     eye = np.eye(dim, dtype=complex)
-    events = np.stack([first, second, eye - first, eye - second], axis=1)
+    events = np.stack([first, eye - first, second, eye - second], axis=1)
     projections = validate_projections(events.reshape(-1, dim, dim), tol)
-    # make_resolution's tests of each event and its complement, and
-    # history_sum's of h1 and h2, whose first events must be orthogonal
-    # both ways (they differ, as e1 = 1 - e1c is a projection)
-    e, c = events[:, :2], events[:, 2:]
-    for overlap, gap, back in zip(*(np.abs(m).max(axis=(-2, -1)).tolist() for m in (
-            e @ c, e + c - eye, c[:, 0] @ e[:, 0]))):
-        for r, g in zip(overlap, gap):
-            if r > tol.op:
-                raise NotOrthogonal(f"resolution events 1 and 2 overlap (residual "
-                                    f"{r:.3e})", r, (1, 2))
-            if g > tol.op:
-                raise NotComplete(f"resolution does not sum to the identity "
-                                  f"(residual {g:.3e})", g)
-        if back > tol.op:
-            raise NotSummable("histories differ in more than one slot or are "
-                              "not orthogonal there")
-    coarse = validate_projections(e[:, 0] + c[:, 0], tol)
+    _check_resolutions(events.reshape(-1, 2, dim, dim), tol)
+    coarse = validate_projections(events[:, 0] + events[:, 1], tol)
     pure1, pure2 = np.outer(psi1, psi1.conj()), np.outer(psi2, psi2.conj())
     rho1, rho2, rho = validate_densities(
         [pure1, pure2, 0.5 * pure1 + 0.5 * pure2], tol)
     out = []
-    for theta, alpha, (e1, e2, e1c, e2c), merged in zip(
+    for theta, alpha, (e1, e1c, e2, e2c), merged in zip(
             thetas, alphas, zip(*[iter(projections)] * 4), coarse):
         family = HistoryFamily((ResolutionOfIdentity((e1, e1c)),
                                 ResolutionOfIdentity((e2, e2c))))

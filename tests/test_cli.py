@@ -422,6 +422,25 @@ def test_check_reports_uncapped_notions_on_large_families(tmp_path):
         out.unlink()
 
 
+def test_check_reports_a_sum_rule_verdict_at_the_op_tolerance(tmp_path):
+    """Every operator is a projection and both slots are resolutions within
+    ``tol.op``, while the sum of the first two events of slot 1 is not a
+    projection within it: a valid input still gets a report."""
+    x = 0.9 * TOL.op
+    ops = {f"A{k + 1}": np.diag(d) for k, d in enumerate(
+        [(1 + x, 0, 0), (x, 1, 1), (-x, 0, 0), (-x, 0, 0)])}
+    ops.update(B1=np.diag([1.0, 0, 0]), B2=np.diag([0, 1.0, 1.0]),
+               rho=np.diag([0.5, 0.3, 0.2]))
+    path = tmp_path / "edge.json"
+    path.write_text(serialize_problem(ProblemFile(
+        dim=3, operators=ops, resolutions=[["A1", "A2", "A3", "A4"], ["B1", "B2"]],
+        state="rho", mirrors=None)))
+    out = tmp_path / "report.json"
+    assert main(["check", str(path), "--notions", "weak,sum-rule",
+                 "--format", "report", "--out", str(out)]) in (0, 1)
+    assert ReportFile.loads(out.read_text()).notions["sum-rule"].verdict is True
+
+
 def test_check_rejects_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")

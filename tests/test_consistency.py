@@ -26,6 +26,7 @@ from qhistories.errors import (
     DimensionMismatch,
     FamilyTooLarge,
     NotCommuting,
+    NotIdempotent,
     PreconditionFailed,
     ZeroConditioningEvent,
 )
@@ -51,6 +52,7 @@ from qhistories.matcore import (
     validate_projection,
     zero_projection,
 )
+from qhistories.mirror import check_self_decoherence
 from qhistories.sampling import (
     random_density,
     random_family,
@@ -808,7 +810,7 @@ def test_family_axis_matches_per_family_analyses(dim, sizes):
               for r in (1, dim, 2, dim, 1)]
     analysis = FamilyAnalysis(families, TOL)
     alone = [FamilyAnalysis(f, TOL) for f in families]
-    for name in ("summable_mask", "alternative_mask", "commutative"):
+    for name in ("summable_mask", "commutative"):
         for k, one in enumerate(alone):
             assert np.array_equal(getattr(analysis, name)[k],
                                   getattr(one, name)[0]), (name, k)
@@ -834,10 +836,56 @@ def test_labels_are_the_history_labels_in_order():
         analysis = FamilyAnalysis(family, TOL)
         parts = [(analysis, elementary_histories(family))]
         if family_member_count(family) <= 64:
-            parts.append((analysis.members(), family_members(family, TOL)))
+            parts.append((analysis.members, family_members(family, TOL)))
         for part, histories in parts:
             assert [part.label(i) for i in range(len(histories))] == [
                 h.label for h in histories]
+
+
+# A first slot at the op-tolerance edge: each event and each product of
+# two events is within ``TOL.op`` of the ideal, so ``make_resolution``
+# accepts it, but sums of two events can miss the tolerance.
+EDGE = 0.9 * TOL.op
+
+
+def edge_family(*first):
+    """The diagonal first slot ``first`` times ``[diag(1,0,0), diag(0,1,1)]``."""
+    return HistoryFamily((
+        make_resolution([validate_projection(np.diag(d)) for d in first], TOL),
+        make_resolution([diag_proj(1, 0, 0), diag_proj(0, 1, 1)], TOL)))
+
+
+def test_sum_rule_decides_members_whose_sums_miss_the_op_tolerance():
+    """The member sum of the first two events is idempotent only to twice
+    ``EDGE``; the members are trusted, not validated again."""
+    x = EDGE
+    family = edge_family((1 + x, 0, 0), (x, 1, 1), (-x, 0, 0), (-x, 0, 0))
+    first = family.resolutions[0].events
+    with pytest.raises(NotIdempotent):
+        validate_projection(first[0].matrix + first[1].matrix)
+    report = check_sum_rule(family, validate_density(np.diag([0.5, 0.3, 0.2])), TOL)
+    assert report.verdict and report.pair_count == 213
+
+
+def test_zero_events_relate_by_rank_at_the_op_tolerance():
+    """``diag(x,0,0)`` and ``diag(-x,0,0)`` have rank 0, so the tables make
+    them equal, though their difference 2x is above ``TOL.op``: ``(2,1)``
+    and ``(3,2)`` are summable at slot 2, where pairwise :func:`summable`
+    sees two differing slots.  The coarse mirror sums merge that pair at
+    the slot the tables name."""
+    x = EDGE
+    family = edge_family((1, 1, 1), (x, 0, 0), (-x, 0, 0))
+    analysis = FamilyAnalysis(family, TOL)
+    labels = [analysis.label(i) for i in range(6)]
+    a, b, c = (labels.index(h) for h in ("(2,1)", "(3,2)", "(3,1)"))
+    hs = elementary_histories(family)
+    assert analysis.summable_slots()[0, a, b] == 2
+    assert analysis.summable_mask[0, a, b] and summable(hs[a], hs[b], TOL) is None
+    assert not analysis.summable_mask[0, a, c] and summable(hs[a], hs[c], TOL) == 1
+    rho = validate_density(np.diag([0.5, 0.3, 0.2]))
+    coarse = check_self_decoherence(family, rho, None, TOL).coarse_sum_mirrors
+    assert coarse["(2,1)+(3,2)"] is True
+    assert "(2,1)+(3,1)" not in coarse
 
 
 def change_of_basis(family, rho, u):

@@ -13,6 +13,7 @@ from qhistories.errors import (
 from qhistories.histories import (
     History,
     HistoryFamily,
+    _check_resolutions,
     chain_operator,
     elementary_histories,
     family_member_count,
@@ -64,6 +65,28 @@ def test_make_resolution_rejects_overlap():
 def test_make_resolution_rejects_incomplete():
     with pytest.raises(NotComplete):
         make_resolution([diag_proj(1, 0, 0), diag_proj(0, 1, 0)], TOL)
+
+
+def test_stacked_resolution_check_raises_the_first_failure():
+    """Over a stack of resolutions the first failing one raises what
+    :func:`make_resolution` raises for it alone: class, message and pair."""
+    good = [diag_proj(1, 0, 0), diag_proj(0, 1, 0), diag_proj(0, 0, 1)]
+    overlap = [diag_proj(1, 0, 0), diag_proj(0, 1, 1), diag_proj(0, 0, 1)]
+    gap = [diag_proj(1, 0, 0), diag_proj(0, 1, 0), diag_proj(0, 0, 0)]
+    stack = np.array([[e.matrix for e in r] for r in (good, overlap, gap)])
+    _check_resolutions(stack[:1], TOL)
+    for events, rest, error in ((overlap, stack[1:], NotOrthogonal),
+                                (gap, stack[2:], NotComplete)):
+        with pytest.raises(error) as alone:
+            make_resolution(events, TOL)
+        with pytest.raises(error) as stacked:
+            _check_resolutions(rest, TOL)
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.args == alone.value.args
+    assert alone.value.args[0].startswith("resolution does not sum")
+    with pytest.raises(NotOrthogonal) as exc:
+        _check_resolutions(stack, TOL)
+    assert exc.value.pair == (2, 3)
 
 
 def test_elementary_labels_are_one_based_lexicographic():

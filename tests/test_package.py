@@ -26,13 +26,13 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-SEARCH_KNOBS = {"seed", "rng", "trials"}
+SEARCH_KNOBS = {"seed", "rng", "trials", "cap"}
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "qhistories.sampling"])
 def test_only_the_sampler_takes_seeds(name):
     """Verdicts are decisions: no exported callable outside the sampler
-    takes a seed, a generator or a trial budget."""
+    takes a seed, a generator, a trial budget or an enumeration budget."""
     module = importlib.import_module(name)
     knobs = {}
     for export in module.__all__:
@@ -73,6 +73,19 @@ def test_only_matcore_sizes_blocks(name):
         elif isinstance(node, (ast.ImportFrom, ast.Import)):
             named.update(alias.name for alias in node.names)
     assert "_BLOCK_BYTES" not in named
+
+
+def test_only_histories_raises_resolution_errors():
+    """Resolutions are checked in one place, ``histories._check_resolutions``."""
+    raisers = set()
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None)
+                    in ("NotOrthogonal", "NotComplete")):
+                raisers.add(name)
+    assert raisers == {"qhistories.histories"}
 
 
 def test_package_reexports_only_module_exports():
