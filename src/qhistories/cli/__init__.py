@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import __version__
-from ..consistency import NOTIONS, FamilyAnalysis, probability
+from ..consistency import NOTIONS, FamilyAnalysis, _functional, probability
 from ..errors import (
     BadParameters,
     FamilyTooLarge,
@@ -258,17 +258,10 @@ def _run_notions(analysis: FamilyAnalysis, rho: DensityOperator,
     return results, sd
 
 
-def _traced_probabilities(chains: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """:func:`probability`'s arithmetic over chain and state stacks that
-    broadcast against each other, bit for bit."""
-    return np.trace(chains @ states @ chains.conj().swapaxes(-1, -2),
-                    axis1=-2, axis2=-1).real
-
-
 def _elementary_probabilities(analysis: FamilyAnalysis, rho: DensityOperator,
                               ) -> dict[str, ProbabilityValue]:
-    """:func:`probability` of every elementary history, bit for bit."""
-    raw = _traced_probabilities(analysis.chains[0], rho.matrix)
+    """:func:`probability` of every elementary history, in one stacked call."""
+    raw = _functional(analysis.chains[0], rho.matrix, analysis.chains[0]).real
     return {analysis.label(i): _probability_value(p, analysis.tol)
             for i, p in enumerate(raw.tolist())}
 
@@ -387,8 +380,8 @@ def _cmd_sweep(args) -> int:
         analysis.linear_positivity_each, analysis.sum_rule_each)]
     chains = np.array([[chain_operator(h) for h in (i.h1, i.h2, i.h_coarse)]
                        for i in grid])
-    probabilities = _traced_probabilities(
-        chains, np.array([rho.matrix for rho in rhos])[:, None]).tolist()
+    probabilities = _functional(
+        chains, np.array([rho.matrix for rho in rhos])[:, None], chains).real.tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)

@@ -227,11 +227,8 @@ def history_sum(h1: History, h2: History,
 
 
 def chain_operator(h: History) -> np.ndarray:
-    """Product of the events, last applied first removed: ``E_n ... E_1``."""
-    c = h.events[0].matrix
-    for e in h.events[1:]:
-        c = e.matrix @ c
-    return c
+    """The product ``E_n ... E_1`` of the events: :func:`chain_stack`'s one history."""
+    return chain_stack([e.matrix[None, None] for e in h.events])[0, 0]
 
 
 def is_commutative(h: History, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -256,8 +253,7 @@ def chain_stack(stacks: Sequence[np.ndarray]) -> np.ndarray:
     stacks ``(F, n_k, d, d)`` of F families.
 
     One batched product per slot, each applying the later event on the
-    left as :func:`chain_operator` does, in lexicographic order of the
-    histories' slot indices.
+    left, in lexicographic order of the histories' slot indices.
     """
     chains = stacks[0]
     f, d = len(chains), chains.shape[-1]

@@ -46,7 +46,6 @@ from .matcore import (
     max_norm,
     validate_density,
     validate_densities,
-    validate_projection,
     validate_projections,
 )
 
@@ -93,11 +92,11 @@ class SelfDecoherenceReport:
 
     ``per_history[label]`` is ``None`` exactly when the history has no
     provided mirror and no mirror exists.  ``coarse_sum_mirrors``
-    records, for summable pairs whose mirrors are orthogonal, whether
-    the mirror sum verifies against the history sum under ``state``; each
-    pair merges at the slot that the analysis's relation tables name.
-    It is computed when first read, is informational only and never
-    affects the verdict.
+    records, for summable pairs whose verified mirrors are orthogonal,
+    whether the mirror sum verifies against the history sum (merged at the
+    slot the relation tables name) under ``state``: both are trusted sums
+    of certified matrices, all pairs in one :func:`_residuals` call.  It is
+    computed when first read and never affects the verdict.
     """
 
     analysis: FamilyAnalysis
@@ -107,21 +106,22 @@ class SelfDecoherenceReport:
 
     @functools.cached_property
     def coarse_sum_mirrors(self) -> dict[str, bool]:
-        elems, tol = self.analysis.histories, self.analysis.tol
-        slots = np.triu(self.analysis.summable_slots()[0], 1)
-        coarse: dict[str, bool] = {}
-        for i, j in zip(*np.nonzero(slots)):
-            c1, c2 = (self.per_history[elems[k].label] for k in (i, j))
-            if (c1 and c2 and c1.verified and c2.verified
-                    and max_norm(c1.mirror.matrix @ c2.mirror.matrix) <= tol.op):
-                h1, h2, k = elems[i], elems[j], slots[i, j] - 1
-                merged = (validate_projection(h1.events[k].matrix
-                                              + h2.events[k].matrix, tol),)
-                s = History(h1.events[:k] + merged + h1.events[k + 1:],
-                            f"{h1.label}+{h2.label}")
-                t_sum = validate_projection(c1.mirror.matrix + c2.mirror.matrix, tol)
-                coarse[s.label] = verify_mirror(t_sum, s, self.state, tol).verified
-        return coarse
+        tol = self.analysis.tol
+        labels, certs = list(self.per_history), list(self.per_history.values())
+        live = [k for k, c in enumerate(certs) if c is not None and c.verified]
+        events = self.analysis.event_pairs[0][live]
+        mirrors = np.array([certs[k].mirror.matrix for k in live]
+                           ).reshape(events[:, 0].shape)
+        slots = np.triu(self.analysis.summable_slots()[0], 1)[np.ix_(live, live)]
+        a, b = np.nonzero(slots)
+        keep = np.abs(mirrors[a] @ mirrors[b]).max(axis=(-2, -1)) <= tol.op
+        a, b = a[keep], b[keep]
+        merged, k = events[a], slots[a, b] - 1
+        merged[np.arange(len(a)), k] += events[b, k]
+        res = _residuals((mirrors[a] + mirrors[b])[None], merged,
+                         self.state.matrix[None], tol)[0]
+        return {f"{labels[live[x]]}+{labels[live[y]]}": r[2] for x, y, r
+                in zip(a.tolist(), b.tolist(), res)}
 
 
 # Batched kernels over the ``(n, 2, d, d)`` event stack of n 2-event
@@ -198,6 +198,24 @@ def _least_projections(events: np.ndarray, supports: np.ndarray,
     return basis @ basis.conj().swapaxes(-1, -2)
 
 
+def _residuals(mirrors: np.ndarray, pairs: np.ndarray, states: np.ndarray,
+               tol: Tolerances) -> list[list[tuple]]:
+    """``[s][i]``: the commutator max-norms of ``mirrors[s, i]`` with the events
+    ``pairs[i]``, the defects of ``Tr(t e1 rho)`` against ``Tr(t rho)`` and
+    ``Tr(e1 rho)`` for ``rho = states[s]``, and whether all four are within
+    ``tol.prob``: a certificate's ``(residual_m1, residual_m2, verified)``."""
+    t = mirrors[:, :, None]
+    te = t @ pairs
+    m1 = np.abs(te - pairs @ t).max(axis=(3, 4)).tolist()
+    traces = (np.concatenate([te[:, :, :1], t], axis=2) @ states[:, None, None]
+              ).trace(axis1=3, axis2=4).tolist()
+    firsts = (pairs[:, 0] @ states[:, None]).trace(axis1=2, axis2=3).tolist()
+    m2 = [[(abs(te1 - t1), abs(te1 - e)) for (te1, t1), e in zip(*per)]
+          for per in zip(traces, firsts)]
+    return [[(tuple(r1), r2, all(r <= tol.prob for r in (*r1, *r2)))
+             for r1, r2 in zip(*row)] for row in zip(m1, m2)]
+
+
 def _certificates(mirrors: Sequence[Optional[Projection]],
                   histories: Sequence[History], events: np.ndarray,
                   rhos: Sequence[DensityOperator], tol: Tolerances,
@@ -205,8 +223,9 @@ def _certificates(mirrors: Sequence[Optional[Projection]],
     """Certificates ``[s][i]`` under ``rhos[s]`` for ``mirrors[i]`` of
     ``histories[i]``, or for its least mirror candidate where that is
     ``None``.  Least candidates are closed and validated once per distinct
-    support (:func:`_supports`), and every certificate is traced against
-    its own state, in history blocks whose ``[P, e1 P, e2 P]`` fit the budget."""
+    support (:func:`_supports`), and the residuals of every certificate
+    come from one :func:`_residuals` call against its own state, in history
+    blocks whose ``[P, e1 P, e2 P]`` fit the budget."""
     d = events.shape[-1]
     states = _state_stack(rhos, d)
     for t in mirrors:
@@ -223,18 +242,11 @@ def _certificates(mirrors: Sequence[Optional[Projection]],
         chosen = [[next(row) if t is None else t for t in given]
                   for row in (iter(found[g * len(least):]) for g in which)]
         t = np.array([[m.matrix for m in row] for row in chosen],
-                     dtype=complex).reshape(len(rhos), len(pairs), 1, d, d)
-        te = t @ pairs
-        m1 = np.abs(te - pairs @ t).max(axis=(3, 4)).tolist()
-        traces = (np.concatenate([te[:, :, :1], t], axis=2) @ states[:, None, None]
-                  ).trace(axis1=3, axis2=4).tolist()
-        firsts = (pairs[:, 0] @ states[:, None]).trace(axis1=2, axis2=3).tolist()
-        m2 = [[(abs(te1 - t1), abs(te1 - e)) for (te1, t1), e in zip(*per)]
-              for per in zip(traces, firsts)]
-        for out, row, rho, row_m1, row_m2 in zip(certs, chosen, rhos, m1, m2):
-            out += [MirrorCertificate(m, h, rho, tuple(r1), r2,
-                                      all(r <= tol.prob for r in (*r1, *r2)))
-                    for m, h, r1, r2 in zip(row, histories[rows], row_m1, row_m2)]
+                     dtype=complex).reshape(len(rhos), len(pairs), d, d)
+        for out, row, rho, res in zip(certs, chosen, rhos,
+                                      _residuals(t, pairs, states, tol)):
+            out += [MirrorCertificate(m, h, rho, *r)
+                    for m, h, r in zip(row, histories[rows], res)]
     return certs
 
 
@@ -392,6 +404,18 @@ def occurrence_probability(h: History, t: Projection, rho: DensityOperator,
     return OccurrenceProbability(via_mirror.real, via_mirror, via_first, via_chain)
 
 
+def _contrary_events(h1: History, h2: History, tol: Tolerances):
+    """``e1``, ``e2`` and ``f1`` of the histories ``(e1, e2)`` and ``(f1, e2)``,
+    after checking that they share their final event and that their first
+    events are orthogonal."""
+    (e1, e2), (f1, f2) = ([e.matrix for e in h.events] for h in (h1, h2))
+    if max_norm(e2 - f2) > tol.op:
+        raise PreconditionFailed("histories do not share their final event")
+    if max_norm(e1 @ f1) > tol.op:
+        raise PreconditionFailed("first events are not orthogonal")
+    return e1, e2, f1
+
+
 @dataclass(frozen=True)
 class Proposition1Report:
     """Residuals of the three orthogonality/additivity consequences for a
@@ -424,18 +448,13 @@ def proposition1_check(t: Projection, u: Projection, h1: History, h2: History,
             raise PreconditionFailed(
                 f"{which} mirror fails with residuals m1={cert.residual_m1}, "
                 f"m2={cert.residual_m2}")
-    e1, f1 = h1.events[0], h2.events[0]
-    e2 = h1.events[1]
-    if max_norm(e2.matrix - h2.events[1].matrix) > tol.op:
-        raise PreconditionFailed("histories do not share their final event")
-    if max_norm(e1.matrix @ f1.matrix) > tol.op:
-        raise PreconditionFailed("first events are not orthogonal")
+    e1, e2, f1 = _contrary_events(h1, h2, tol)
     t_psi = t.matrix @ psi
     u_psi = u.matrix @ psi
     r_orth = abs(complex(np.vdot(t_psi, u_psi)))
     joined = join(t, u, tol)
     r_join = float(np.linalg.norm(joined.matrix @ psi - t_psi - u_psi))
-    r_cross = abs(complex(np.vdot(psi, e1.matrix @ e2.matrix @ f1.matrix @ psi)))
+    r_cross = abs(complex(np.vdot(psi, e1 @ e2 @ f1 @ psi)))
     passed = all(r <= 10.0 * tol.prob for r in (r_orth, r_join, r_cross))
     return Proposition1Report(r_orth, r_join, r_cross, passed)
 
@@ -478,12 +497,7 @@ def contrary_bound_check(h1: History, h2: History,
     cert1, cert2 = certificates
     if not (cert1.verified and cert2.verified):
         raise PreconditionFailed("both mirror certificates must be verified")
-    e1, f1 = h1.events[0], h2.events[0]
-    e2 = h1.events[1]
-    if max_norm(e2.matrix - h2.events[1].matrix) > tol.op:
-        raise PreconditionFailed("histories do not share their final event")
-    if max_norm(e1.matrix @ f1.matrix) > tol.op:
-        raise PreconditionFailed("first events are not orthogonal")
+    e2 = _contrary_events(h1, h2, tol)[1]
     components: tuple[ContraryBoundReport, ...] = ()
     if rho.purity < 1.0 - tol.prob:
         if not allow_mixed:
@@ -499,7 +513,7 @@ def contrary_bound_check(h1: History, h2: History,
                            for r, c in zip(comp_rhos, comp_certs))
 
     p1, p2 = probability(h1, rho), probability(h2, rho)
-    p_e2 = float(np.trace(e2.matrix @ rho.matrix).real)
+    p_e2 = float(np.trace(e2 @ rho.matrix).real)
     bound_residual = p1 + p2 - p_e2
     conditional_sum = (p1 + p2) / p_e2 if p_e2 > tol.prob else None
     passed = bound_residual <= tol.prob and (

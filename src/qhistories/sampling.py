@@ -221,22 +221,11 @@ def assemble_pointer_model(psi1: np.ndarray, psi2: np.ndarray,
         slot2.append(validate_projection(comp, tol))
     family = HistoryFamily((make_resolution(slot1, tol),
                             make_resolution(slot2, tol)))
-    zero = validate_projection(np.zeros((dim, dim), dtype=complex), tol)
-    provided: dict[str, Projection] = {}
-    h1 = h2 = None
-    for h in elementary_histories(family):
-        first = h.events[0]
-        if max_norm(first.matrix - e1.matrix) <= tol.op:
-            provided[h.label] = t
-        elif max_norm(first.matrix - f1.matrix) <= tol.op:
-            provided[h.label] = u
-        else:
-            provided[h.label] = zero
-        second_is_e2 = max_norm(h.events[1].matrix - e2.matrix) <= tol.op
-        if second_is_e2 and provided[h.label] is t:
-            h1 = h
-        elif second_is_e2 and provided[h.label] is u:
-            h2 = h
+    # histories run over slot 2 fastest: (e1, .) get t, (f1, .) u, (rest, .) zero
+    mirrors = (t, u, validate_projection(np.zeros((dim, dim), dtype=complex), tol))
+    histories = elementary_histories(family)
+    provided = {h.label: mirrors[i // len(slot2)] for i, h in enumerate(histories)}
+    h1, h2 = histories[0], histories[len(slot2)]
     vectors = (psi, np.kron(psi1, [0.0, 1.0]), np.kron(psi2, [1.0, 0.0]))
     rho, rho1, rho2 = validate_densities([np.outer(v, v.conj()) for v in vectors], tol)
     return PointerModel(spatial_dim, psi1, psi2, psi, e1, f1, e2, t, u,

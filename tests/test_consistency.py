@@ -800,10 +800,9 @@ def one_shape_families(dim, sizes, rng):
     (4, [(1, 1, 2), (1, 3), (2, 2)])])
 def test_family_axis_matches_per_family_analyses(dim, sizes):
     """F families of one shape in one analysis decide, report for report
-    and so bit for bit, what F one-family analyses decide: every family
-    against one state, and each family against its own state.  Masks stay
-    per family: the family with two zero events has summable pairs the
-    others lack."""
+    and so bit for bit, what F one-family analyses decide against one
+    state; F families against F states raise.  Masks stay per family: the
+    family with two zero events has summable pairs the others lack."""
     rng = np.random.default_rng(10 * dim + len(sizes))
     families = one_shape_families(dim, sizes, rng)
     states = [random_density(dim, rng, rank=r, tol=TOL)
@@ -821,8 +820,8 @@ def test_family_axis_matches_per_family_analyses(dim, sizes):
         one = each[:-len("_each")]
         assert getattr(analysis, each)(states[:1]) == [
             getattr(a, one)(states[0]) for a in alone], each
-        assert getattr(analysis, each)(states) == [
-            getattr(a, one)(rho) for a, rho in zip(alone, states)], each
+        with pytest.raises(DimensionMismatch):
+            getattr(analysis, each)(states)
     with pytest.raises(DimensionMismatch):
         analysis.weak_each(states[:2])
     with pytest.raises(DimensionMismatch):
@@ -886,6 +885,48 @@ def test_zero_events_relate_by_rank_at_the_op_tolerance():
     coarse = check_self_decoherence(family, rho, None, TOL).coarse_sum_mirrors
     assert coarse["(2,1)+(3,2)"] is True
     assert "(2,1)+(3,1)" not in coarse
+
+
+def test_coarse_sum_mirrors_are_decided_where_sums_miss_the_op_tolerance():
+    """The family of the sum-rule edge test self-decoheres, and its coarse
+    mirror sums are trusted sums of certified matrices: merging ``(1,1)``
+    and ``(2,1)`` gives ``diag(1+2x,1,1)``, idempotent only to twice
+    ``EDGE``, and still gets a verdict."""
+    x = EDGE
+    family = edge_family((1 + x, 0, 0), (x, 1, 1), (-x, 0, 0), (-x, 0, 0))
+    report = check_self_decoherence(
+        family, validate_density(np.diag([0.5, 0.3, 0.2])), None, TOL)
+    assert report.verdict
+    coarse = report.coarse_sum_mirrors
+    assert len(coarse) == 14 and all(v is True for v in coarse.values())
+    assert "(1,1)+(2,1)" in coarse
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3])
+def test_one_history_routines_equal_an_explicit_product_and_trace(slots):
+    """``chain_operator``, ``probability`` and ``decoherence_functional``
+    are the one-item cases of stacked routines, and keep, bit for bit, the
+    arithmetic of a product loop and ``np.trace``."""
+    rng = np.random.default_rng(40 + slots)
+    for dim in (2, 3, 5, 8, 16):
+        family = random_family(dim, slots, rng, TOL)
+        rho = random_density(dim, rng, tol=TOL)
+        hs = elementary_histories(family)
+        chains = []
+        for h in hs:
+            c = h.events[0].matrix
+            for e in h.events[1:]:
+                c = e.matrix @ c
+            chains.append(c)
+            assert chain_operator(h).tobytes() == c.tobytes()
+            p = float(np.trace(c @ rho.matrix @ c.conj().T).real)
+            assert probability(h, rho).hex() == p.hex()
+        some = list(zip(hs, chains))[:3]
+        for (h1, c1), (h2, c2) in itertools.product(some, repeat=2):
+            want = complex(np.trace(c1 @ rho.matrix @ c2.conj().T))
+            got = decoherence_functional(h1, h2, rho)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(),
+                                                         want.imag.hex())
 
 
 def change_of_basis(family, rho, u):

@@ -1,6 +1,7 @@
 """Package surface: every name a module exports exists, the package
-re-exports only module exports, only the sampler takes seeds, and only
-``matcore`` sizes blocks."""
+re-exports only module exports, only the sampler takes seeds, only
+``matcore`` sizes blocks, and the command line does no probability
+arithmetic."""
 
 import ast
 import importlib
@@ -73,6 +74,15 @@ def test_only_matcore_sizes_blocks(name):
         elif isinstance(node, (ast.ImportFrom, ast.Import)):
             named.update(alias.name for alias in node.names)
     assert "_BLOCK_BYTES" not in named
+
+
+def test_the_cli_holds_no_probability_arithmetic():
+    """Reported probabilities come from ``consistency``: the command line
+    calls no ``trace`` or ``einsum``."""
+    tree = ast.parse(inspect.getsource(importlib.import_module("qhistories.cli")))
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not called & {"trace", "einsum"}
 
 
 def test_only_histories_raises_resolution_errors():

@@ -107,6 +107,11 @@ def test_pointer_model_structure():
         assert np.vdot(m.psi1, m.psi2) == pytest.approx(0.0, abs=1e-12)
         labels = {h.label for h in elementary_histories(m.family)}
         assert set(m.provided_mirrors) == labels, trial
+        for h in elementary_histories(m.family):
+            first, got = h.events[0], m.provided_mirrors[h.label]
+            want = m.t if first is m.e1 else m.u if first is m.f1 else None
+            assert got is want if want else got.rank == 0, (trial, h.label)
+        assert m.h1.events == (m.e1, m.e2) and m.h2.events == (m.f1, m.e2)
 
 
 def test_pointer_model_with_wider_branches():
