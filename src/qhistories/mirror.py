@@ -223,9 +223,9 @@ def _certificates(mirrors: Sequence[Optional[Projection]],
     """Certificates ``[s][i]`` under ``rhos[s]`` for ``mirrors[i]`` of
     ``histories[i]``, or for its least mirror candidate where that is
     ``None``.  Least candidates are closed and validated once per distinct
-    support (:func:`_supports`), and the residuals of every certificate
-    come from one :func:`_residuals` call against its own state, in history
-    blocks whose ``[P, e1 P, e2 P]`` fit the budget."""
+    support (:func:`_supports`), and every certificate is traced against
+    its own state by one :func:`_residuals` call per history block; blocks
+    hold the histories whose ``[P, e1 P, e2 P]`` fit the budget."""
     d = events.shape[-1]
     states = _state_stack(rhos, d)
     for t in mirrors:
@@ -404,7 +404,7 @@ def occurrence_probability(h: History, t: Projection, rho: DensityOperator,
     return OccurrenceProbability(via_mirror.real, via_mirror, via_first, via_chain)
 
 
-def _contrary_events(h1: History, h2: History, tol: Tolerances):
+def _contrary_events(h1: History, h2: History, tol: Tolerances) -> tuple:
     """``e1``, ``e2`` and ``f1`` of the histories ``(e1, e2)`` and ``(f1, e2)``,
     after checking that they share their final event and that their first
     events are orthogonal."""
