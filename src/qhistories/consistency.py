@@ -101,7 +101,10 @@ def _functional(left: np.ndarray, states: np.ndarray,
     operators and states: every reported probability and functional value.
     The notions keep the ``einsum`` diagonal of :func:`_probabilities`:
     reports in that form change 14 of the 18 report goldens, and notions in
-    this form the C1, ordered or sum-rule residuals of 8."""
+    this form the C1, ordered or sum-rule residuals of 8.  It keeps its
+    conjugated copy of ``B``: conjugating the product in place instead, as
+    :func:`_decoherence_blocks` does, gives ``-0.0`` where the imaginary
+    part of ``decoherence_functional`` is ``+0.0`` today."""
     return np.trace(left @ states @ right.conj().swapaxes(-1, -2),
                     axis1=-2, axis2=-1)
 
@@ -141,21 +144,40 @@ def _decoherence_blocks(chains: np.ndarray, *rhos: DensityOperator):
     ``chains`` is an ``(F, N, d, d)`` chain stack; ``Tr(A B^dag)`` is the
     sum of ``A * conj(B)``, so each block is one matrix product.  Blocks
     fit the block budget (the whole matrix for N = 4096 elementary
-    histories would take 268 MB); ``C_i rho`` is built per block.
+    histories would take 268 MB); ``C_i rho`` is built per block of
+    groups by :func:`_left`, conjugated in place and multiplied by the
+    transposed view of the chain stack, and each block is conjugated back
+    in place: no conjugated copy of the stack is made.
     """
     f, n, d, _ = chains.shape
-    states = _state_stack(rhos, d)[:, None]
-    right = chains.reshape(f, n, d * d).conj().swapaxes(1, 2)
-    for g in _blocks(_groups(f, len(states)), right.itemsize * n * n):
-        left = (_pick(chains, g) @ _pick(states, g)).reshape(-1, n, d * d)
-        for i in _blocks(n, right.itemsize * n):
-            yield g.start, i.start, left[:, i] @ _pick(right, g)
+    states = _state_stack(rhos, d)
+    right = chains.reshape(f, n, d * d).swapaxes(1, 2)
+    for g in _blocks(_groups(f, len(states)), chains.itemsize * n * n):
+        left = _left(_pick(chains, g), _pick(states, g)).reshape(-1, n, d * d)
+        np.conjugate(left, out=left)
+        for i in _blocks(n, chains.itemsize * n):
+            block = left[:, i] @ _pick(right, g)
+            yield g.start, i.start, np.conjugate(block, out=block)
+
+
+def _left(chains: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``C rho``, ``(G, N, d, d)``, for an ``(F, N, d, d)`` chain stack and
+    ``(S, d, d)`` states that broadcast: one tall ``(N d) x d`` product
+    per group, not N products of ``d x d``, with the same bits."""
+    f, n, d, _ = chains.shape
+    return (chains.reshape(f, n * d, d) @ states).reshape(-1, n, d, d)
 
 
 def _probabilities(chains: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """``Tr(C rho C^dag)`` over chain and state stacks that broadcast
-    against each other (the diagonal of D)."""
-    return np.einsum("...ab,...ab->...", chains @ states, chains.conj()).real
+    """``Tr(C rho C^dag)``, ``(G, N)``, the diagonal of D, for an
+    ``(F, N, d, d)`` chain stack and ``(S, d, d)`` states that broadcast
+    (the sum rule's P merged chains against their P states are the
+    ``N = 1`` case).  ``C rho`` is conjugated in place, and the real part
+    of ``sum(conj(C rho) * C)`` is that of ``sum(C rho * conj(C))``, bit
+    for bit."""
+    left = _left(chains, states)
+    return np.einsum("...ab,...ab->...", np.conjugate(left, out=left),
+                     chains).real
 
 
 def _worst(values: np.ndarray, mask) -> list[tuple[float, Optional[int]]]:
@@ -175,6 +197,17 @@ def _max_norms(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).max(axis=(-2, -1))
 
 
+def _on_axes(table: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
+    """An ``(F, n_1, ..., n_r)`` table as an ``(F, ...)`` view with ``ndim``
+    axes after F, its axis j on axis ``axes[j - 1]`` (increasing) and
+    length 1 elsewhere: broadcasting such views combines per-slot tables
+    into a table over index tuples."""
+    shape = [len(table)] + [1] * ndim
+    for axis, size in zip(axes, table.shape[1:]):
+        shape[1 + axis] = size
+    return table.reshape(shape)
+
+
 def _bitmasks(subsets: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
     """``[a, e]``: event ``e`` of n is in subset ``a``."""
     return np.array([[e in s for e in range(n)] for s in subsets], dtype=bool)
@@ -185,7 +218,9 @@ class _SlotHistories:
     index tuples in lexicographic order; each part is computed when first
     read.
 
-    Slot k's stack is ``(F, n_k, d, d)`` over F families of one shape, and
+    Slot k's stack is ``(F, n_k, d, d)`` over F families of one shape
+    (``shape`` is ``(F, n_1, ..., n_K)``, and a pair table over the
+    histories is one over ``(F, n_1..n_K, n_1..n_K)``), and
     ``options[k]`` holds each option's bitmask: the events of slot k's
     resolution it sums (one event, or a member's subset).  ``equal`` and
     ``orthogonal`` are per-slot tables read off the bitmasks, as the
@@ -198,13 +233,13 @@ class _SlotHistories:
                  options: list[list[tuple[int, ...]]], tol: Tolerances):
         self.families, self.stacks, self.options, self.tol = (
             families, stacks, options, tol)
+        self.shape = (len(stacks[0]), *[s.shape[1] for s in stacks])
         self.slot_labels = [["+".join([str(e + 1) for e in s]) for s in subsets]
                             for subsets in options]
 
     @functools.cached_property
     def index(self) -> np.ndarray:
-        sizes = [s.shape[1] for s in self.stacks]
-        return np.indices(sizes).reshape(len(sizes), -1).T
+        return np.indices(self.shape[1:]).reshape(len(self.stacks), -1).T
 
     @functools.cached_property
     def tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -230,34 +265,39 @@ class _SlotHistories:
 
     def probabilities(self, *rhos: DensityOperator) -> np.ndarray:
         """``Tr(C rho C^dag)``, ``(G, N)`` over the groups of :func:`_groups`."""
-        return _probabilities(self.chains,
-                              _state_stack(rhos, self.chains.shape[-1])[:, None])
+        return _probabilities(self.chains, _state_stack(rhos, self.chains.shape[-1]))
 
     def summable_slots(self, rows: slice = slice(None)) -> np.ndarray:
         """``[f, a, b]``: the 1-based merge slot of :func:`summable` for
-        histories ``rows`` against all, or 0 where a pair is not summable."""
-        index = self.index
-        slot = np.zeros((len(self.stacks[0]), len(index[rows]), len(index)),
-                        dtype=np.intp)
-        ok = np.ones(slot.shape, dtype=bool)
+        histories ``rows`` against all, or 0 where a pair is not summable.
+
+        Slot k's code is 0 where options are equal, ``K + 2 + k`` where
+        they are orthogonal and not equal, and ``4(K + 1)`` otherwise, for
+        K slots.  Each code table is gathered over the rows' own slot-k
+        indices only and laid on the slot-k axis of ``(F, rows, n_1..n_K)``;
+        the pair's total ``t`` lies strictly between ``K + 1`` and
+        ``2(K + 1)`` iff exactly one slot merges and all others are equal,
+        and that slot is ``t - (K + 1)``."""
+        index, slots, total = self.index[rows], len(self.stacks), 0
         for k, (equal, orthogonal) in enumerate(self.tables):
-            pair = (slice(None), index[rows, k, None], index[None, :, k])
-            same = equal[pair]
-            merge = orthogonal[pair] & ~same
-            ok &= (same | merge) & ~(merge & (slot > 0))
-            slot[merge] = k + 1
-        return np.where(ok, slot, 0)
+            code = np.where(equal, 0, np.where(orthogonal, slots + 2 + k,
+                                               4 * (slots + 1)))
+            total = total + _on_axes(code[:, index[:, k]], [0, 1 + k], 1 + slots)
+        total = total.reshape(len(total), len(index), -1)
+        return np.where((total > slots + 1) & (total < 2 * (slots + 1)),
+                        total - (slots + 1), 0)
 
     def leq(self, upper: "_SlotHistories") -> np.ndarray:
         """``[f, a, b]``: history ``a`` is dominated slot-wise by history ``b``
-        of ``upper``."""
-        out = np.ones((len(self.stacks[0]), len(self.index), len(upper.index)),
-                      dtype=bool)
+        of ``upper``: the AND of the per-slot tables laid on the slot axes
+        of ``(F, n_1..n_K, m_1..m_K)``."""
+        slots = len(self.stacks)
+        out = np.ones(self.shape + upper.shape[1:], dtype=bool)
         for k, (low, up) in enumerate(zip(self.stacks, upper.stacks)):
             low = low[:, :, None]
             table = _max_norms(up[:, None] @ low - low) <= self.tol.op
-            out &= table[:, self.index[:, k, None], upper.index[None, :, k]]
-        return out
+            out &= _on_axes(table, [k, slots + k], 2 * slots)
+        return out.reshape(len(out), len(self.index), len(upper.index))
 
 
 class FamilyAnalysis(_SlotHistories):
@@ -304,12 +344,15 @@ class FamilyAnalysis(_SlotHistories):
 
     @functools.cached_property
     def commutative(self) -> np.ndarray:
-        out = np.ones((len(self.stacks[0]), len(self.index)), dtype=bool)
-        for k, m in itertools.combinations(range(len(self.stacks)), 2):
+        """``[f, a]``: the events of history ``a`` commute pairwise: the AND
+        of the tables of every slot pair laid on the slot axes of
+        ``(F, n_1..n_K)``."""
+        slots = len(self.stacks)
+        out = np.ones(self.shape, dtype=bool)
+        for k, m in itertools.combinations(range(slots), 2):
             a, b = self.stacks[k][:, :, None], self.stacks[m][:, None]
-            commute = _max_norms(a @ b - b @ a) <= self.tol.op
-            out &= commute[:, self.index[:, k], self.index[:, m]]
-        return out
+            out &= _on_axes(_max_norms(a @ b - b @ a) <= self.tol.op, [k, m], slots)
+        return out.reshape(len(out), -1)
 
     @functools.cached_property
     def event_pairs(self) -> np.ndarray:
@@ -419,10 +462,10 @@ class FamilyAnalysis(_SlotHistories):
         chains = merged[0]
         for slot_events in merged[1:]:
             chains = slot_events @ chains
-        probs = _probabilities(m.chains, states[:, None])
-        residuals = np.abs(_probabilities(chains, _pick(states, g))
+        probs = _probabilities(m.chains, states)
+        residuals = np.abs(_probabilities(chains[:, None], _pick(states, g))[:, 0]
                            - probs[g, a] - probs[g, b])
-        defects = np.abs(_probabilities(self.chains, states[:, None]).sum(axis=1)
+        defects = np.abs(_probabilities(self.chains, states).sum(axis=1)
                          - 1.0).tolist()
         bounds = np.searchsorted(g, np.arange(groups + 1)).tolist()
         reports = []
@@ -542,11 +585,15 @@ def check_ordered_consistency(family: HistoryFamily, rho: DensityOperator,
     return FamilyAnalysis(family, tol).ordered(rho, context)
 
 
+def _event_probability(event: np.ndarray, rho: DensityOperator) -> float:
+    """``Tr(E rho)`` of an event matrix (or a product of events)."""
+    return float(np.trace(event @ rho.matrix).real)
+
+
 def conditional_probability(h: History, rho: DensityOperator,
                             tol: Tolerances = DEFAULT_TOL) -> float:
     """``p(h) / Tr(E_last rho)`` with the final event as the condition."""
-    e_last = h.events[-1]
-    denom = float(np.trace(e_last.matrix @ rho.matrix).real)
+    denom = _event_probability(h.events[-1].matrix, rho)
     if denom <= tol.prob:
         raise ZeroConditioningEvent(
             f"conditioning event has probability {denom:.3e}")
@@ -598,7 +645,7 @@ def contrary_inference(psi, e1: Projection, f1: Projection, e2: Projection,
     if max_norm(e1.matrix @ f1.matrix) > tol.op:
         raise PreconditionFailed("first events are not orthogonal")
     rho = validate_density(np.outer(psi, psi.conj()), tol)
-    p_e2 = float(np.trace(e2.matrix @ rho.matrix).real)
+    p_e2 = _event_probability(e2.matrix, rho)
     if p_e2 <= tol.prob:
         return None
     weak_1, weak_2 = (check_weak_decoherence(_two_event_family(x, e2, tol), rho, tol)

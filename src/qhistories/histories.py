@@ -253,10 +253,12 @@ def chain_stack(stacks: Sequence[np.ndarray]) -> np.ndarray:
     stacks ``(F, n_k, d, d)`` of F families.
 
     One batched product per slot, each applying the later event on the
-    left, in lexicographic order of the histories' slot indices.
+    left, in lexicographic order of the histories' slot indices: the slot's
+    ``n_k`` events stacked as one tall ``(n_k d) x d`` matrix times each
+    chain so far, with the bits of one ``d x d`` product per pair.
     """
     chains = stacks[0]
     f, d = len(chains), chains.shape[-1]
     for events in stacks[1:]:
-        chains = (events[:, None] @ chains[:, :, None]).reshape(f, -1, d, d)
+        chains = (events.reshape(f, 1, -1, d) @ chains).reshape(f, -1, d, d)
     return chains

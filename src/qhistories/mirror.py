@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .consistency import FamilyAnalysis, probability
+from .consistency import FamilyAnalysis, _event_probability, probability
 from .errors import (
     DimensionMismatch,
     IdentityChainMismatch,
@@ -267,9 +267,9 @@ def mirror_correlation(t: Projection, e1: Projection, rho: DensityOperator,
     if r > tol.op:
         raise NotCommuting(
             f"candidate does not commute with the event (residual {r:.3e})")
-    tr_te1 = float(np.trace(t.matrix @ e1.matrix @ rho.matrix).real)
-    tr_t = float(np.trace(t.matrix @ rho.matrix).real)
-    tr_e1 = float(np.trace(e1.matrix @ rho.matrix).real)
+    tr_te1 = _event_probability(t.matrix @ e1.matrix, rho)
+    tr_t = _event_probability(t.matrix, rho)
+    tr_e1 = _event_probability(e1.matrix, rho)
     if tr_e1 <= tol.prob or tr_t <= tol.prob:
         raise ZeroConditioningEvent(
             f"conditioning probabilities are ({tr_e1:.3e}, {tr_t:.3e})")
@@ -513,7 +513,7 @@ def contrary_bound_check(h1: History, h2: History,
                            for r, c in zip(comp_rhos, comp_certs))
 
     p1, p2 = probability(h1, rho), probability(h2, rho)
-    p_e2 = float(np.trace(e2 @ rho.matrix).real)
+    p_e2 = _event_probability(e2, rho)
     bound_residual = p1 + p2 - p_e2
     conditional_sum = (p1 + p2) / p_e2 if p_e2 > tol.prob else None
     passed = bound_residual <= tol.prob and (

@@ -646,6 +646,29 @@ def test_zero_events_keep_matrix_level_pair_counts():
     assert weak.pair_count != index_level
 
 
+@pytest.mark.parametrize("slot, zeros", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_zero_events_in_a_later_slot_match_the_pairwise_relations(slot, zeros):
+    """Zero events in the middle or last of three slots: the summable slots,
+    the summable mask and domination agree with pairwise :func:`summable`
+    and :func:`history_leq` on the elementary histories, and on the
+    members where there are at most 64."""
+    rng = np.random.default_rng(20 + 2 * slot + zeros)
+    family = with_zero_events(random_family(3, 3, rng, TOL, max_blocks=2),
+                              slot=slot, zeros=zeros)
+    analysis = FamilyAnalysis(family, TOL)
+    parts = [(analysis, elementary_histories(family))]
+    if family_member_count(family) <= 64:
+        parts.append((analysis.members, family_members(family, TOL)))
+    for part, hs in parts:
+        slots, leq = part.summable_slots()[0], part.leq(part)[0]
+        for (a, h1), (b, h2) in itertools.product(enumerate(hs), repeat=2):
+            assert slots[a, b] == (summable(h1, h2, TOL) or 0), (a, b)
+            assert leq[a, b] == history_leq(h1, h2, TOL), (a, b)
+    want = np.triu(analysis.summable_slots()[0] > 0, 1)
+    assert np.array_equal(analysis.summable_mask[0], want)
+    assert len(parts) == 2 or zeros == 2
+
+
 def test_ordered_against_reference_with_mismatched_context():
     family, rho = decohering_family(3, [(1, 2), (1, 1, 1)],
                                     np.random.default_rng(8))

@@ -1,0 +1,117 @@
+"""The consistency kernel against its gather-and-copy reference, bit for bit.
+
+Pair tables built as broadcasts over the slot axes, chains and ``C rho``
+from tall products, and conjugation in place must give the bytes of the
+direct forms in :mod:`kernel_reference`: every table, the chains,
+``C rho``, every probability, the real part of every ``D`` block (its
+imaginary part up to the sign of zero), and the reports of every notion.
+"""
+
+import numpy as np
+import pytest
+
+import kernel_reference as ref
+from qhistories import consistency
+from qhistories.consistency import FamilyAnalysis
+from qhistories.errors import FamilyTooLarge, PreconditionFailed
+from qhistories.histories import HistoryFamily, family_member_count
+from qhistories.matcore import DEFAULT_TOL, _state_stack
+from qhistories.sampling import random_density, random_resolution
+from test_consistency import decohering_family
+
+TOL = DEFAULT_TOL
+
+
+def random_slots(dim, sizes, rng):
+    return HistoryFamily(tuple(random_resolution(dim, s, rng, TOL) for s in sizes))
+
+
+SMALL = [(1, 1, 2), (2, 2), (1, 3)]  # N = 12, 63 members
+
+
+def kernel_cases():
+    """``(families, states)``: d = 16 with N = 64 and a full-rank state;
+    d = 8 with (2,2,2,2) x 3; a grid of F = 3 families of one shape; one
+    family against S = 11 states; and two families small enough for the
+    sum rule and ordered consistency."""
+    rng = np.random.default_rng(15)
+    cases = [([random_slots(16, [(4, 4, 4, 4)] * 3, rng)],
+              [random_density(16, rng, rank=16, tol=TOL)]),
+             ([random_slots(8, [(2, 2, 2, 2)] * 3, rng)],
+              [random_density(8, rng, tol=TOL)]),
+             ([random_slots(4, SMALL, rng) for _ in range(3)],
+              [random_density(4, rng, tol=TOL)]),
+             ([random_slots(8, [(2, 2, 2, 2)] * 3, rng)],
+              [random_density(8, rng, rank=r, tol=TOL) for r in (1, 2, 8) * 3 + (4, 5)]),
+             ([random_slots(4, SMALL, rng)], [random_density(4, rng, tol=TOL)])]
+    family, rho = decohering_family(4, SMALL, rng)
+    return cases + [([family], [rho])]
+
+
+@pytest.mark.parametrize("case", range(len(kernel_cases())))
+def test_kernel_tables_products_and_probabilities_keep_their_bytes(case):
+    families, rhos = kernel_cases()[case]
+    analysis = FamilyAnalysis(families, TOL)
+    parts = [analysis]
+    if family_member_count(analysis.family) <= 64:
+        parts.append(analysis.members)
+    for part in parts:
+        for rows in (slice(None), slice(5, 11)):
+            assert (part.summable_slots(rows).tobytes()
+                    == ref.summable_slots(part, rows).tobytes())
+        assert part.leq(part).tobytes() == ref.leq(part, part).tobytes()
+        assert part.chains.tobytes() == ref.chain_stack(part.stacks).tobytes()
+        assert (part.probabilities(*rhos).tobytes() == ref.probabilities(
+            part.chains, _state_stack(rhos, part.chains.shape[-1])).tobytes())
+    n = len(analysis.index)
+    upper = np.arange(n) > np.arange(n)[:, None]
+    assert (analysis.summable_mask.tobytes()
+            == ((ref.summable_slots(analysis) > 0) & upper).tobytes())
+    assert analysis.commutative.tobytes() == ref.commutative(analysis).tobytes()
+    states = _state_stack(rhos, analysis.chains.shape[-1])
+    assert (consistency._left(analysis.chains, states).tobytes()
+            == (analysis.chains @ states[:, None]).tobytes())
+    got = list(consistency._decoherence_blocks(analysis.chains, *rhos))
+    want = list(ref.decoherence_blocks(analysis.chains, *rhos))
+    assert [(g, i, block.real.tobytes()) for g, i, block in got] == [
+        (g, i, block.real.tobytes()) for g, i, block in want]
+    # conjugating back turns an exact +0.0 imaginary part into -0.0, which
+    # no reduction reads: weak takes the real part, medium the modulus
+    assert all(np.array_equal(a.imag, b.imag) for (*_, a), (*_, b) in zip(got, want))
+
+
+def reports(families, rhos):
+    analysis = FamilyAnalysis(families, TOL)
+    out = [*analysis.weak_each(rhos), *analysis.medium_each(rhos),
+           *analysis.linear_positivity_each(rhos)]
+    if len(families) * len(rhos) == 1:
+        out.append(analysis.C1(rhos[0]))
+        try:
+            out.append(analysis.ordered(rhos[0]))
+        except (PreconditionFailed, FamilyTooLarge) as e:
+            out.append(type(e))
+    try:
+        out += analysis.sum_rule_each(rhos)
+    except FamilyTooLarge as e:
+        out.append(type(e))
+    return [(r.notion, r.verdict, r.worst_pair, r.worst_residual.hex(), r.pair_count)
+            if isinstance(r, consistency.ConsistencyReport) else r for r in out]
+
+
+@pytest.mark.parametrize("case", range(len(kernel_cases())))
+def test_reports_keep_their_bits_over_the_reference_kernel(case, monkeypatch):
+    families, rhos = kernel_cases()[case]
+    got = reports(families, rhos)
+    monkeypatch.setattr(consistency, "chain_stack", ref.chain_stack)
+    monkeypatch.setattr(consistency, "_decoherence_blocks", ref.decoherence_blocks)
+    monkeypatch.setattr(consistency, "_probabilities", ref.probabilities)
+    monkeypatch.setattr(consistency._SlotHistories, "summable_slots", ref.summable_slots)
+    monkeypatch.setattr(consistency._SlotHistories, "leq", ref.leq)
+    monkeypatch.setattr(FamilyAnalysis, "commutative", property(ref.commutative))
+    assert got == reports(families, rhos)
+
+
+def test_the_cases_reach_every_notion():
+    ran = {r[0] for case in kernel_cases() for r in reports(*case)
+           if isinstance(r, tuple)}
+    assert ran == set(consistency.NOTIONS)
