@@ -30,7 +30,7 @@ from ..errors import (
     PreconditionFailed,
     ToolkitError,
 )
-from ..histories import History, HistoryFamily, chain_operator, elementary_histories
+from ..histories import History, HistoryFamily, chain_stack, elementary_histories
 from ..individuality import _mixtures
 from ..matcore import DensityOperator, Tolerances
 from ..mirror import (
@@ -88,32 +88,29 @@ def _int_tuple(text: str) -> tuple[int, ...]:
             f"expected comma-separated integers, got {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qhistories",
-        description="consistency checkers for quantum history families")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run notion checkers on a problem file")
+def _check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("problem", type=Path, help="path to a problem file")
     p.add_argument("--notions", default=None,
                    help="comma-separated subset of: " + ", ".join(NOTION_ORDER))
     _add_common(p)
 
-    p = sub.add_parser("example1", help="angle-parametrized rank-1 instance")
+
+def _example1_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--state", choices=("rho", "rho1", "rho2"), default="rho")
     p.add_argument("--dim", type=int, default=3)
     _add_common(p)
 
-    p = sub.add_parser("example2", help="two-slit instance with record qubit")
+
+def _example2_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spatial-dim", type=int, default=2)
     p.add_argument("--delta", type=_int_tuple, default=(1,),
                    help="detector cells, comma-separated 1-based indices")
     _add_common(p)
 
-    p = sub.add_parser("sweep", help="CSV over a parameter grid")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--param", choices=("theta", "alpha", "lam"), required=True)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
@@ -126,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=3)
     _add_common(p)
 
-    p = sub.add_parser("mirror", help="verify or construct mirror projections")
+
+def _mirror_args(p: argparse.ArgumentParser) -> None:
     msub = p.add_subparsers(dest="mirror_command", required=True)
     v = msub.add_parser("verify", help="verify a named candidate")
     v.add_argument("--problem", type=Path, required=True)
@@ -140,14 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--history", required=True)
     _add_common(s)
 
-    p = sub.add_parser("prop1", help="join additivity and cross-term check")
+
+def _prop1_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", type=Path, required=True)
     p.add_argument("--t", required=True, help="mirror operator for h1")
     p.add_argument("--u", required=True, help="mirror operator for h2")
     p.add_argument("--h1", required=True, help="elementary history label")
     p.add_argument("--h2", required=True, help="elementary history label")
     _add_common(p)
-    return parser
 
 
 def _tolerances(args) -> Tolerances:
@@ -378,8 +376,10 @@ def _cmd_sweep(args) -> int:
     columns = [each(rhos) for each in (
         analysis.weak_each, analysis.medium_each,
         analysis.linear_positivity_each, analysis.sum_rule_each)]
-    chains = np.array([[chain_operator(h) for h in (i.h1, i.h2, i.h_coarse)]
-                       for i in grid])
+    # h1, h2 and h_coarse of each step as one-history families
+    slots = zip(*(h.events for i in grid for h in (i.h1, i.h2, i.h_coarse)))
+    chains = chain_stack([np.array([[e.matrix] for e in s]) for s in slots]
+                         ).reshape(len(grid), 3, args.dim, args.dim)
     probabilities = _functional(
         chains, np.array([rho.matrix for rho in rhos])[:, None], chains).real.tolist()
     buf = io.StringIO()
@@ -434,19 +434,39 @@ def _cmd_prop1(args) -> int:
     ))
 
 
+# name -> (help, argument builder, handler), in help order
+_SUBCOMMANDS = {
+    "check": ("run notion checkers on a problem file", _check_args, _cmd_check),
+    "example1": ("angle-parametrized rank-1 instance", _example1_args, _cmd_example1),
+    "example2": ("two-slit instance with record qubit", _example2_args, _cmd_example2),
+    "sweep": ("CSV over a parameter grid", _sweep_args, _cmd_sweep),
+    "mirror": ("verify or construct mirror projections", _mirror_args, _cmd_mirror),
+    "prop1": ("join additivity and cross-term check", _prop1_args, _cmd_prop1),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone."""
+    parser = argparse.ArgumentParser(
+        prog="qhistories",
+        description="consistency checkers for quantum history families")
+    # with one command built, name every command in usage lines as the full
+    # parser does; no metavar otherwise, as its errors name the command by it
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"))
+    for name, (text, arguments, _) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            arguments(sub.add_parser(name, help=text))
+    return parser
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "check": _cmd_check,
-        "example1": _cmd_example1,
-        "example2": _cmd_example2,
-        "sweep": _cmd_sweep,
-        "mirror": _cmd_mirror,
-        "prop1": _cmd_prop1,
-    }
+    """Run one command line, building only its subcommand's parser."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return _SUBCOMMANDS[args.command][2](args)
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,20 @@
 """File formats and command driver: parsing, round trips, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qhistories.cli as cli
-from qhistories.cli import SWEEP_COLUMNS, _elementary_probabilities, main
+from qhistories.cli import (
+    SWEEP_COLUMNS,
+    _elementary_probabilities,
+    build_parser,
+    main,
+)
 from qhistories.cli.files import (
     NotionResult,
     ProblemFile,
@@ -705,3 +713,57 @@ def test_non_idempotent_operator_exits_2_with_its_name(tmp_path, capsys):
         resolutions=problem.resolutions, state="Psi", mirrors=None)))
     assert main(["check", str(broken)]) == 2
     assert "operator 'E1':" in capsys.readouterr().err
+
+
+# Command lines that argparse answers itself, with help or a usage error.
+# ``main`` builds only a known first word's parser, so the unknown options
+# after ``check`` and ``example2`` must still print the full usage line;
+# the first four get the full parser and its wording ("required: command",
+# "invalid choice").
+PARSER_ARGVS = [
+    [], ["-h"], ["bogus"], ["--tol-op", "1", "check"],
+    *([name, "-h"] for name in ("check", "example1", "example2", "sweep",
+                                "mirror", "prop1")),
+    ["mirror", "verify", "-h"], ["mirror", "search", "-h"],
+    ["check", "p.json", "--bogus"], ["example2", "--delta", "1", "--bogus", "x"],
+    ["check"], ["example1"], ["mirror"], ["mirror", "bogus"],
+    ["mirror", "verify", "--problem", "p.json"],
+    ["example1", "--theta", "1", "--state", "rho3"],
+    ["sweep", "--param", "beta", "--start", "0", "--stop", "1", "--steps", "2"],
+    ["example2", "--delta", "1,x"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS,
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_answers_help_and_usage_errors_as_the_full_parser(
+        argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert (got.value.code, capsys.readouterr()) == (full.value.code, expected)
+
+
+def test_top_level_usage_errors_name_the_command_argument(capsys):
+    """The full parser's own wording, which a command metavar would change."""
+    for argv, message in (
+            ([], "error: the following arguments are required: command\n"),
+            (["bogus"], "error: argument command: invalid choice: 'bogus'")):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert message in capsys.readouterr().err
+
+
+def test_python_dash_m_prints_what_main_prints(capsys):
+    """``run()`` reads ``sys.argv``; its output is ``main``'s, byte for byte."""
+    argv = ["example2", "--format", "table"]
+    src = Path(cli.__file__).resolve().parents[2]
+    out = subprocess.run([sys.executable, "-m", "qhistories", *argv],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert main(argv) == 0
+    assert out.stdout == capsys.readouterr().out.encode()
