@@ -346,12 +346,16 @@ class FamilyAnalysis(_SlotHistories):
     def commutative(self) -> np.ndarray:
         """``[f, a]``: the events of history ``a`` commute pairwise: the AND
         of the tables of every slot pair laid on the slot axes of
-        ``(F, n_1..n_K)``."""
-        slots = len(self.stacks)
+        ``(F, n_1..n_K)``, each from ``n_k + n_m`` products of one slot's
+        events stacked as a tall ``(n_k d) x d`` matrix, as in :func:`chain_stack`."""
+        slots, f, d = len(self.stacks), self.shape[0], self.stacks[0].shape[-1]
         out = np.ones(self.shape, dtype=bool)
         for k, m in itertools.combinations(range(slots), 2):
-            a, b = self.stacks[k][:, :, None], self.stacks[m][:, None]
-            out &= _on_axes(_max_norms(a @ b - b @ a) <= self.tol.op, [k, m], slots)
+            a, b = self.stacks[k], self.stacks[m]
+            ab = (a.reshape(f, 1, -1, d) @ b).reshape(f, b.shape[1], -1, d, d)
+            ba = (b.reshape(f, 1, -1, d) @ a).reshape(f, a.shape[1], -1, d, d)
+            out &= _on_axes(_max_norms(ab.swapaxes(1, 2) - ba) <= self.tol.op,
+                            [k, m], slots)
         return out.reshape(len(out), -1)
 
     @functools.cached_property

@@ -118,7 +118,7 @@ class SelfDecoherenceReport:
         a, b = a[keep], b[keep]
         merged, k = events[a], slots[a, b] - 1
         merged[np.arange(len(a)), k] += events[b, k]
-        res = _residuals((mirrors[a] + mirrors[b])[None], merged,
+        res = _residuals((mirrors[a] + mirrors[b])[None], [0], merged,
                          self.state.matrix[None], tol)[0]
         return {f"{labels[live[x]]}+{labels[live[y]]}": r[2] for x, y, r
                 in zip(a.tolist(), b.tolist(), res)}
@@ -198,22 +198,34 @@ def _least_projections(events: np.ndarray, supports: np.ndarray,
     return basis @ basis.conj().swapaxes(-1, -2)
 
 
-def _residuals(mirrors: np.ndarray, pairs: np.ndarray, states: np.ndarray,
-               tol: Tolerances) -> list[list[tuple]]:
-    """``[s][i]``: the commutator max-norms of ``mirrors[s, i]`` with the events
-    ``pairs[i]``, the defects of ``Tr(t e1 rho)`` against ``Tr(t rho)`` and
-    ``Tr(e1 rho)`` for ``rho = states[s]``, and whether all four are within
-    ``tol.prob``: a certificate's ``(residual_m1, residual_m2, verified)``."""
+def _residuals(mirrors: np.ndarray, which: Sequence[int], pairs: np.ndarray,
+               states: np.ndarray, tol: Tolerances) -> list[list[tuple]]:
+    """``[s][i]``: the commutator max-norms of ``t = mirrors[which[s], i]``
+    with the events ``pairs[i]``, the defects of ``Tr(t e1 rho)`` against
+    ``Tr(t rho)`` and ``Tr(e1 rho)`` for ``rho = states[s]``, and whether all
+    four are within ``tol.prob``: a certificate's ``(residual_m1,
+    residual_m2, verified)``.
+
+    ``mirrors`` stacks the ``(G, n, d, d)`` mirrors of G groups of states,
+    so the commutators are formed once per (group, history), one ``d x d``
+    product each way.  ``Tr(X rho)`` sums the elementwise products of ``X``
+    and ``rho^T`` over their contiguous ``d^2`` axis, with no product formed
+    only to be traced; that sum keeps its bits whatever the stack's shape,
+    as ``einsum`` does not.  The defects' moduli are Python's ``abs``, as
+    ``np.abs`` differs from it in the last bit of some complex values."""
+    d = pairs.shape[-1]
     t = mirrors[:, :, None]
     te = t @ pairs
     m1 = np.abs(te - pairs @ t).max(axis=(3, 4)).tolist()
-    traces = (np.concatenate([te[:, :, :1], t], axis=2) @ states[:, None, None]
-              ).trace(axis1=3, axis2=4).tolist()
-    firsts = (pairs[:, 0] @ states[:, None]).trace(axis1=2, axis2=3).tolist()
+    flat = np.concatenate([te[:, :, :1], t], axis=2).reshape(*te.shape[:3], d * d)
+    rho_t = states.swapaxes(1, 2).reshape(-1, 1, d * d)  # rho^T, one row each
+    traces = (flat.take(which, 0) * rho_t[:, :, None]).sum(-1).tolist()
+    firsts = (pairs[:, 0].reshape(-1, d * d) * rho_t).sum(-1).tolist()
     m2 = [[(abs(te1 - t1), abs(te1 - e)) for (te1, t1), e in zip(*per)]
           for per in zip(traces, firsts)]
-    return [[(tuple(r1), r2, all(r <= tol.prob for r in (*r1, *r2)))
-             for r1, r2 in zip(*row)] for row in zip(m1, m2)]
+    p = tol.prob
+    return [[((a, b), (c, e), a <= p and b <= p and c <= p and e <= p)
+             for (a, b), (c, e) in zip(m1[g], row)] for g, row in zip(which, m2)]
 
 
 def _certificates(mirrors: Sequence[Optional[Projection]],
@@ -222,10 +234,12 @@ def _certificates(mirrors: Sequence[Optional[Projection]],
                   ) -> list[list[MirrorCertificate]]:
     """Certificates ``[s][i]`` under ``rhos[s]`` for ``mirrors[i]`` of
     ``histories[i]``, or for its least mirror candidate where that is
-    ``None``.  Least candidates are closed and validated once per distinct
-    support (:func:`_supports`), and every certificate is traced against
-    its own state by one :func:`_residuals` call per history block; blocks
-    hold the histories whose ``[P, e1 P, e2 P]`` fit the budget."""
+    ``None``.  State s reads group ``which[s]`` of G: the distinct supports
+    of :func:`_supports` when some mirror is ``None``, else one group.
+    Least candidates are closed and validated once per group, whose
+    certificates share them, and the ``(G, n, d, d)`` mirror stack is traced
+    against every state by one :func:`_residuals` call per history block;
+    blocks hold the histories whose ``[P, e1 P, e2 P]`` fit the budget."""
     d = events.shape[-1]
     states = _state_stack(rhos, d)
     for t in mirrors:
@@ -239,14 +253,14 @@ def _certificates(mirrors: Sequence[Optional[Projection]],
         least = [i for i, t in enumerate(given) if t is None]
         found = (validate_projections(_least_projections(pairs[least], bases, tol), tol)
                  if least else [])
-        chosen = [[next(row) if t is None else t for t in given]
-                  for row in (iter(found[g * len(least):]) for g in which)]
+        chosen = [[next(row) if t is None else t for t in given] for row in (
+            iter(found[g * len(least):]) for g in range(len(set(which))))]
         t = np.array([[m.matrix for m in row] for row in chosen],
-                     dtype=complex).reshape(len(rhos), len(pairs), d, d)
-        for out, row, rho, res in zip(certs, chosen, rhos,
-                                      _residuals(t, pairs, states, tol)):
+                     dtype=complex).reshape(len(chosen), len(pairs), d, d)
+        for out, g, rho, res in zip(certs, which, rhos,
+                                    _residuals(t, which, pairs, states, tol)):
             out += [MirrorCertificate(m, h, rho, *r)
-                    for m, h, r in zip(row, histories[rows], res)]
+                    for m, h, r in zip(chosen[g], histories[rows], res)]
     return certs
 
 

@@ -823,6 +823,97 @@ def test_blocked_states_are_stacked_and_supported_once(monkeypatch):
                 assert other.verified == cert.verified
 
 
+def test_mirrors_are_stacked_once_per_support_group(monkeypatch):
+    """Provided mirrors form one group whatever the states; least mirrors
+    over a grid form one group per distinct support: the grid mixtures'
+    and each component's."""
+    m = pointer_model(2, np.random.default_rng(113), TOL)
+    states = _grid_states(m.rho1, m.rho2)
+    analysis = FamilyAnalysis(m.family, TOL)
+    groups = []
+    residuals = mirror._residuals
+    monkeypatch.setattr(mirror, "_residuals", lambda mirrors, *rest: (
+        groups.append(len(mirrors)) or residuals(mirrors, *rest)))
+    provided = self_decoherence_each(analysis, states, m.provided_mirrors)
+    assert groups == [1]
+    groups.clear()
+    searched = self_decoherence_each(analysis, states)
+    assert groups == [3]
+    for report in (*provided, *searched):
+        assert report.verdict
+    assert self_decoherence_each(analysis, []) == []
+
+
+def _certified_cases():
+    """Every certificate of the seeded pointer, generic, example-1 and
+    partial-assignment cases, one state at a time and over the pointer
+    models' 11 grid states."""
+    for source in ("pointer", "generic", "example1", "partial"):
+        for family, rho, provided in _batched_cases(source):
+            report = check_self_decoherence(family, rho, provided, TOL)
+            yield from (c for c in report.per_history.values() if c is not None)
+            yield from (least_mirror(h, rho, TOL)
+                        for h in elementary_histories(family))
+    for spatial in (2, 3):
+        m = pointer_model(spatial, np.random.default_rng(127), TOL)
+        analysis = FamilyAnalysis(m.family, TOL)
+        states = _grid_states(m.rho1, m.rho2)
+        for provided in (m.provided_mirrors, None):
+            for report in self_decoherence_each(analysis, states, provided):
+                yield from report.per_history.values()
+
+
+def test_residuals_equal_explicit_products():
+    """``residual_m1`` is the commutator max-norm of one ``d x d`` product
+    each way, bit for bit; ``residual_m2`` lies within 1e-15 of the defects
+    of explicit products and traces."""
+    count = 0
+    for cert in _certified_cases():
+        t, rho = cert.mirror.matrix, cert.state.matrix
+        e1, e2 = (e.matrix for e in cert.history.events)
+        assert cert.residual_m1 == (np.abs(t @ e1 - e1 @ t).max(),
+                                    np.abs(t @ e2 - e2 @ t).max())
+        te1 = np.trace(t @ e1 @ rho)
+        np.testing.assert_allclose(
+            cert.residual_m2, (abs(te1 - np.trace(t @ rho)),
+                               abs(te1 - np.trace(e1 @ rho))), rtol=0, atol=1e-15)
+        count += 1
+    assert count > 300
+
+
+@pytest.mark.parametrize("factor, verified", [(0.5, True), (2.0, False)])
+def test_trace_defects_near_tol_prob(factor, verified):
+    """A provided mirror that commutes exactly and misses ``Tr(t e1 rho) =
+    Tr(t rho)`` by ``factor * tol.prob`` verifies iff the factor is below
+    1, alone and inside an 11-state stack."""
+    first = make_resolution([diag_proj(1, 0, 0), diag_proj(0, 1, 1)], TOL)
+    second = make_resolution([diag_proj(1, 1, 0), diag_proj(0, 0, 1)], TOL)
+    family = HistoryFamily((first, second))
+    h = elementary_histories(family)[0]
+    t = diag_proj(1, 1, 0)
+    defect = factor * TOL.prob
+
+    def state(p1, p2=0.25):
+        return validate_density(np.diag([1.0 - p1 - p2, p1, p2]), TOL)
+
+    edge = state(defect)
+    alone = verify_mirror(t, h, edge, TOL)
+    assert alone.verified is verified
+    assert alone.residual_m1 == (0.0, 0.0)
+    assert alone.residual_m2[0] == pytest.approx(defect, rel=1e-6)
+    assert alone.residual_m2[1] <= 1e-15
+    states = [state(p1) for p1 in np.linspace(0.0, 0.5, 10)]
+    states.insert(5, edge)
+    reports = self_decoherence_each(FamilyAnalysis(family, TOL), states,
+                                    {h.label: t})
+    got = reports[5].per_history[h.label]
+    assert got.state is edge and got.verified is verified
+    assert got.residual_m1 == alone.residual_m1
+    assert got.residual_m2 == alone.residual_m2
+    assert [r.per_history[h.label].verified for r in reports] == (
+        [True] + [False] * 4 + [verified] + [False] * 5)
+
+
 def test_supports_that_differ_at_tol_eig_are_closed_apart(monkeypatch):
     """A mixture weighted so close to 0 or 1 that an eigenvalue falls below
     ``tol.eig`` has only one component's support, a stray direction of
