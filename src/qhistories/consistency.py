@@ -11,9 +11,10 @@ verdict to every coarse-graining (the additivity checker verifies this
 by enumeration).
 
 Each checker is a reduction over one :class:`FamilyAnalysis`: over the
-matrix ``D`` of all elementary pairs, computed from one chain-operator
-stack in row blocks of bounded size, or over that stack's traces, with
-the pairs selected by per-slot relation tables (medium reads them all).
+final-event blocks of ``D`` (zero between histories whose final events
+differ), computed from one chain-operator stack in blocks of bounded
+size, or over that stack's traces, with pairs selected and counted by
+per-slot relation tables.
 :func:`contrary_inference` decides whether two orthogonal events are both
 retrodicted with certainty.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -103,7 +105,7 @@ def _functional(left: np.ndarray, states: np.ndarray,
     reports in that form change 14 of the 18 report goldens, and notions in
     this form the C1, ordered or sum-rule residuals of 8.  It keeps its
     conjugated copy of ``B``: conjugating the product in place instead, as
-    :func:`_decoherence_blocks` does, gives ``-0.0`` where the imaginary
+    :func:`_final_blocks` does, gives ``-0.0`` where the imaginary
     part of ``decoherence_functional`` is ``+0.0`` today."""
     return np.trace(left @ states @ right.conj().swapaxes(-1, -2),
                     axis1=-2, axis2=-1)
@@ -136,27 +138,28 @@ def _pick(stack: np.ndarray, groups) -> np.ndarray:
     return stack if len(stack) == 1 else stack[groups]
 
 
-def _decoherence_blocks(chains: np.ndarray, *rhos: DensityOperator):
-    """Blocks ``(g, i, D[g:g+k, i:i+r])`` of ``D[g, i, j] = Tr(C_i rho C_j^dag)``
-    over the groups of :func:`_groups`: k whole groups from group g (then
-    i = 0), or r rows of group g (k = 1).
+def _final_blocks(chains: np.ndarray, last: int, *rhos: DensityOperator):
+    """Blocks ``(g, i, B)`` of ``D[g, x, y] = Tr(C_x rho C_y^dag)`` over the
+    groups of :func:`_groups`, on pairs with one final event:
+    ``B[k, e, p, q] = D[g + k, (i + p) n + e, q n + e]`` for the n = ``last``
+    final events e and prefix histories p, q (rows are lexicographic, so
+    block e is rows and columns ``e::n``); k whole groups from group g (then
+    i = 0), or r prefix rows of group g (k = 1), within the block budget.
 
-    ``chains`` is an ``(F, N, d, d)`` chain stack; ``Tr(A B^dag)`` is the
-    sum of ``A * conj(B)``, so each block is one matrix product.  Blocks
-    fit the block budget (the whole matrix for N = 4096 elementary
-    histories would take 268 MB); ``C_i rho`` is built per block of
-    groups by :func:`_left`, conjugated in place and multiplied by the
-    transposed view of the chain stack, and each block is conjugated back
-    in place: no conjugated copy of the stack is made.
-    """
+    Off the blocks, cyclicity puts ``P_b P_a`` of two final events inside
+    the trace: ``|D(x, y)| <= ||P_b P_a||_F <= d eps``, ``eps`` the overlap
+    :func:`make_resolution` certified.  Each block is one product, batched:
+    ``C rho`` from :func:`_left`, conjugated in place, times the transposed
+    stride-n view of the chain stack (no conjugated copy), conjugated back."""
     f, n, d, _ = chains.shape
+    m = n // last
     states = _state_stack(rhos, d)
-    right = chains.reshape(f, n, d * d).swapaxes(1, 2)
-    for g in _blocks(_groups(f, len(states)), chains.itemsize * n * n):
-        left = _left(_pick(chains, g), _pick(states, g)).reshape(-1, n, d * d)
-        np.conjugate(left, out=left)
-        for i in _blocks(n, chains.itemsize * n):
-            block = left[:, i] @ _pick(right, g)
+    right = chains.reshape(f, m, last, d * d).transpose(0, 2, 3, 1)
+    for g in _blocks(_groups(f, len(states)), chains.itemsize * n * m):
+        left = _left(_pick(chains, g), _pick(states, g)).reshape(-1, m, last, d * d)
+        left = np.conjugate(left, out=left).swapaxes(1, 2)
+        for i in _blocks(m, chains.itemsize * n):
+            block = left[:, :, i] @ _pick(right, g)
             yield g.start, i.start, np.conjugate(block, out=block)
 
 
@@ -267,23 +270,25 @@ class _SlotHistories:
         """``Tr(C rho C^dag)``, ``(G, N)`` over the groups of :func:`_groups`."""
         return _probabilities(self.chains, _state_stack(rhos, self.chains.shape[-1]))
 
-    def summable_slots(self, rows: slice = slice(None)) -> np.ndarray:
-        """``[f, a, b]``: the 1-based merge slot of :func:`summable` for
-        histories ``rows`` against all, or 0 where a pair is not summable.
+    def summable_slots(self, slots: Optional[int] = None) -> np.ndarray:
+        """``[f, a, b]``: the 1-based merge slot of :func:`summable` for the
+        histories over the first ``slots`` slots (all by default), or 0
+        where a pair is not summable.
 
         Slot k's code is 0 where options are equal, ``K + 2 + k`` where
         they are orthogonal and not equal, and ``4(K + 1)`` otherwise, for
-        K slots.  Each code table is gathered over the rows' own slot-k
-        indices only and laid on the slot-k axis of ``(F, rows, n_1..n_K)``;
-        the pair's total ``t`` lies strictly between ``K + 1`` and
-        ``2(K + 1)`` iff exactly one slot merges and all others are equal,
-        and that slot is ``t - (K + 1)``."""
-        index, slots, total = self.index[rows], len(self.stacks), 0
-        for k, (equal, orthogonal) in enumerate(self.tables):
+        K slots, laid on the slot axes of ``(F, n_1..n_K, n_1..n_K)``; the
+        pair's total ``t`` lies strictly between ``K + 1`` and ``2(K + 1)``
+        iff exactly one slot merges and all others are equal, and that slot
+        is ``t - (K + 1)``."""
+        tables = self.tables[:slots]
+        slots = len(tables)
+        total = np.zeros((self.shape[0],) + (1,) * 2 * slots, dtype=int)
+        for k, (equal, orthogonal) in enumerate(tables):
             code = np.where(equal, 0, np.where(orthogonal, slots + 2 + k,
                                                4 * (slots + 1)))
-            total = total + _on_axes(code[:, index[:, k]], [0, 1 + k], 1 + slots)
-        total = total.reshape(len(total), len(index), -1)
+            total = total + _on_axes(code, [k, slots + k], 2 * slots)
+        total = total.reshape(len(total), math.prod(self.shape[1:1 + slots]), -1)
         return np.where((total > slots + 1) & (total < 2 * (slots + 1)),
                         total - (slots + 1), 0)
 
@@ -305,14 +310,14 @@ class FamilyAnalysis(_SlotHistories):
     does not depend on the state.
 
     Event stacks, index tuples and labels, relation tables, the
-    upper-triangular summable pair mask, the commutativity mask, the
+    summable prefix-pair mask, the commutativity mask, the
     chain stack, the elementary histories, the 2-slot event stacks and
     the members are each computed when first read and then kept, so a
     caller asking about many states (mixture predicates, the command line)
     builds them once.  The notion methods are the reductions behind the
     public checkers: ``check_weak_decoherence(family, rho, tol)`` is
     ``FamilyAnalysis(family, tol).weak(rho)``.  Any two distinct
-    elementary histories are alternatives, so medium reads every pair.
+    elementary histories are alternatives, so medium decides every pair.
 
     Given F families of one shape, every part has a leading family axis
     and the ``*_each`` reductions decide the groups of :func:`_groups`:
@@ -333,21 +338,19 @@ class FamilyAnalysis(_SlotHistories):
         return elementary_histories(self.family)
 
     @functools.cached_property
-    def summable_mask(self) -> np.ndarray:
-        """``[f, a, b]``: ``a < b`` are summable, in row blocks."""
-        f, n = len(self.stacks[0]), len(self.index)
-        mask = np.empty((f, n, n), dtype=bool)
-        for rows in _blocks(n, 8 * n * f):
-            mask[:, rows] = ((self.summable_slots(rows) > 0)
-                             & (np.arange(n) > np.arange(n)[rows, None]))
-        return mask
+    def block_mask(self) -> np.ndarray:
+        """``[f, p, q]``: prefix histories ``p < q`` (slots 1..K-1) are
+        summable, as are p and q of any one final-event block."""
+        m = np.arange(len(self.index) // self.shape[-1])
+        return (self.summable_slots(len(self.stacks) - 1) > 0) & np.less.outer(m, m)
 
     @functools.cached_property
     def commutative(self) -> np.ndarray:
         """``[f, a]``: the events of history ``a`` commute pairwise: the AND
         of the tables of every slot pair laid on the slot axes of
         ``(F, n_1..n_K)``, each from ``n_k + n_m`` products of one slot's
-        events stacked as a tall ``(n_k d) x d`` matrix, as in :func:`chain_stack`."""
+        events stacked as a tall ``(n_k d) x d`` matrix, as in :func:`chain_stack`.
+        The AND stops once no history commutes."""
         slots, f, d = len(self.stacks), self.shape[0], self.stacks[0].shape[-1]
         out = np.ones(self.shape, dtype=bool)
         for k, m in itertools.combinations(range(slots), 2):
@@ -356,6 +359,8 @@ class FamilyAnalysis(_SlotHistories):
             ba = (b.reshape(f, 1, -1, d) @ a).reshape(f, a.shape[1], -1, d, d)
             out &= _on_axes(_max_norms(ab.swapaxes(1, 2) - ba) <= self.tol.op,
                             [k, m], slots)
+            if not out.any():
+                break
         return out.reshape(len(out), -1)
 
     @functools.cached_property
@@ -392,19 +397,24 @@ class FamilyAnalysis(_SlotHistories):
         return np.einsum("fiab,sba->fsi", self.chains, states).reshape(-1, n)
 
     def _pair_reports(self, notion: str, rhos: Sequence[DensityOperator],
-                      mask: np.ndarray, residual) -> list[ConsistencyReport]:
-        """Largest ``residual(D)`` over the masked pairs, for each group;
-        ties go to the first pair in label order, and the worst stays 0
-        with no pair when nothing exceeds 0."""
-        n, groups = mask.shape[-1], _groups(len(mask), len(rhos))
-        counts = [int(np.count_nonzero(m)) for m in mask]
+                      mask: np.ndarray, counts: list[int],
+                      residual) -> list[ConsistencyReport]:
+        """Largest ``residual(D)`` over the pairs of every final-event block
+        that ``mask[f, p, q]`` selects, for each group; ties go to the first
+        pair in label order (rows are read in (prefix, final event) order),
+        and the worst stays 0 with no pair when nothing exceeds 0.
+        ``counts[f]`` includes the off-block pairs, which
+        :func:`make_resolution` certifies as zero."""
+        last, groups = self.shape[-1], _groups(len(self.chains), len(rhos))
         worst, where = [0.0] * groups, [None] * groups
-        for g, i, block in _decoherence_blocks(self.chains, *rhos):
-            m = _pick(mask, slice(g, g + len(block)))[:, i:i + block.shape[1]]
-            for k, (value, at) in enumerate(_worst(residual(block), m), start=g):
+        for g, i, block in _final_blocks(self.chains, last, *rhos):
+            values = residual(block).swapaxes(1, 2)
+            m = _pick(mask, slice(g, g + len(block)))[:, i:i + values.shape[1], None]
+            for k, (value, at) in enumerate(_worst(values, m), start=g):
                 if value > worst[k]:
+                    x, q = divmod(at, values.shape[-1])
                     worst[k] = value
-                    where[k] = (self.label(i + at // n), self.label(at % n))
+                    where[k] = self.label(i * last + x), self.label(q * last + x % last)
         return [self._report(notion, w, pair, counts[k % len(counts)])
                 for k, (w, pair) in enumerate(zip(worst, where))]
 
@@ -417,16 +427,25 @@ class FamilyAnalysis(_SlotHistories):
         return self.weak_each([rho])[0]
 
     def weak_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
-        return self._pair_reports("weak", rhos, self.summable_mask,
+        """Summable pairs off the blocks are counted, not read:
+        ``E_pre O_K / 2 + U_pre E_K`` for E the equal and O the orthogonal,
+        not equal option pairs of a slot, ``E_pre`` E's product over the
+        prefix slots and ``U_pre`` the summable prefix pairs."""
+        *prefix, (equal, orthogonal) = self.tables
+        counts = [int(math.prod(np.count_nonzero(e[f]) for e, _ in prefix)
+                      * np.count_nonzero(orthogonal[f] & ~equal[f]) // 2
+                      + np.count_nonzero(mask) * np.count_nonzero(equal[f]))
+                  for f, mask in enumerate(self.block_mask)]
+        return self._pair_reports("weak", rhos, self.block_mask, counts,
                                   lambda block: np.abs(block.real))
 
     def medium(self, rho: DensityOperator) -> ConsistencyReport:
         return self.medium_each([rho])[0]
 
     def medium_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
-        f, n = self.chains.shape[:2]
-        distinct = np.broadcast_to(np.triu(np.ones((n, n), dtype=bool), 1), (f, n, n))
-        return self._pair_reports("medium", rhos, distinct, np.abs)
+        n, m = len(self.index), np.arange(len(self.index) // self.shape[-1])
+        return self._pair_reports("medium", rhos, np.less.outer(m, m)[None],
+                                  [n * (n - 1) // 2], np.abs)
 
     def linear_positivity(self, rho: DensityOperator) -> ConsistencyReport:
         return self.linear_positivity_each([rho])[0]
@@ -439,6 +458,10 @@ class FamilyAnalysis(_SlotHistories):
                 for row, i in zip(negated, negated.argmax(axis=1).tolist())]
 
     def C1(self, rho: DensityOperator) -> ConsistencyReport:
+        """A family with no commutative history reports ``(0.0, None, 0)``
+        without reading chains, probabilities or chain traces."""
+        if not self.commutative[0].any():
+            return self._report("C1-compat", 0.0, None, 0)
         residuals = np.abs(self.probabilities(rho) - self.chain_traces(rho))
         worst, at = _worst(residuals, self.commutative)[0]
         return self._report("C1-compat", worst,

@@ -18,16 +18,16 @@ from qhistories.consistency import _groups, _max_norms, _pick
 from qhistories.matcore import _blocks, _state_stack
 
 
-def summable_slots(histories, rows=slice(None)):
+def summable_slots(histories, slots=None):
     """``_SlotHistories.summable_slots``: per slot, the equal and orthogonal
-    tables gathered over all pairs, and the merge slot kept while no
-    second slot merges."""
-    index = histories.index
-    slot = np.zeros((len(histories.stacks[0]), len(index[rows]), len(index)),
-                    dtype=np.intp)
+    tables gathered over all pairs of index tuples of the first ``slots``
+    slots, and the merge slot kept while no second slot merges."""
+    tables = histories.tables[:slots]
+    index = np.array(list(itertools.product(*map(range, histories.shape[1:][:len(tables)]))))
+    slot = np.zeros((len(histories.stacks[0]), len(index), len(index)), dtype=np.intp)
     ok = np.ones(slot.shape, dtype=bool)
-    for k, (equal, orthogonal) in enumerate(histories.tables):
-        pair = (slice(None), index[rows, k, None], index[None, :, k])
+    for k, (equal, orthogonal) in enumerate(tables):
+        pair = (slice(None), index[:, k, None], index[None, :, k])
         same = equal[pair]
         merge = orthogonal[pair] & ~same
         ok &= (same | merge) & ~(merge & (slot > 0))
@@ -68,16 +68,20 @@ def chain_stack(stacks):
     return chains
 
 
-def decoherence_blocks(chains, *rhos):
-    """``_decoherence_blocks``: ``C rho`` as one ``d x d`` product per
-    history, against a conjugated copy of the chain stack."""
+def final_blocks(chains, last, *rhos):
+    """``_final_blocks``: ``C rho`` as one ``d x d`` product per history,
+    and each final-event block of each group as its own 2-D product against
+    a conjugated copy of the block's chains."""
     f, n, d, _ = chains.shape
+    m = n // last
     states = _state_stack(rhos, d)[:, None]
-    right = chains.reshape(f, n, d * d).conj().swapaxes(1, 2)
-    for g in _blocks(_groups(f, len(states)), right.itemsize * n * n):
+    for g in _blocks(_groups(f, len(states)), chains.itemsize * n * m):
         left = (_pick(chains, g) @ _pick(states, g)).reshape(-1, n, d * d)
-        for i in _blocks(n, right.itemsize * n):
-            yield g.start, i.start, left[:, i] @ _pick(right, g)
+        right = _pick(chains, g).reshape(-1, n, d * d).conj()
+        for i in _blocks(m, chains.itemsize * n):
+            yield g.start, i.start, np.array([
+                [left[k, e::last][i] @ right[k % len(right), e::last].T
+                 for e in range(last)] for k in range(len(left))])
 
 
 def probabilities(chains, states):

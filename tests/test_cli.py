@@ -298,7 +298,7 @@ PINNED_REPORT = """\
     "prob": 1.0000000000000001e-09
   },
   "tool": "qhistories",
-  "version": "0.2.0"
+  "version": "0.3.0"
 }
 """
 
@@ -307,7 +307,7 @@ def test_report_schema_is_pinned():
     """Every field populated; the bytes pin key names, order, nulls,
     tuples written as lists and the float format."""
     report = ReportFile(
-        tool="qhistories", version="0.2.0",
+        tool="qhistories", version="0.3.0",
         tolerances={"op": 1e-10, "eig": 1e-08, "prob": 1e-09},
         notions={
             "weak": NotionResult(False, 0.125, ("(1,1)", "(1,2)"), 2),

@@ -649,7 +649,7 @@ def test_zero_events_keep_matrix_level_pair_counts():
 @pytest.mark.parametrize("slot, zeros", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_zero_events_in_a_later_slot_match_the_pairwise_relations(slot, zeros):
     """Zero events in the middle or last of three slots: the summable slots,
-    the summable mask and domination agree with pairwise :func:`summable`
+    the block mask and domination agree with pairwise :func:`summable`
     and :func:`history_leq` on the elementary histories, and on the
     members where there are at most 64."""
     rng = np.random.default_rng(20 + 2 * slot + zeros)
@@ -664,8 +664,9 @@ def test_zero_events_in_a_later_slot_match_the_pairwise_relations(slot, zeros):
         for (a, h1), (b, h2) in itertools.product(enumerate(hs), repeat=2):
             assert slots[a, b] == (summable(h1, h2, TOL) or 0), (a, b)
             assert leq[a, b] == history_leq(h1, h2, TOL), (a, b)
-    want = np.triu(analysis.summable_slots()[0] > 0, 1)
-    assert np.array_equal(analysis.summable_mask[0], want)
+    want, last = np.triu(analysis.summable_slots()[0] > 0, 1), analysis.shape[-1]
+    for e in range(last):
+        assert np.array_equal(analysis.block_mask[0], want[e::last, e::last])
     assert len(parts) == 2 or zeros == 2
 
 
@@ -678,9 +679,17 @@ def test_ordered_against_reference_with_mismatched_context():
 
 
 def decoherence_matrix(family, rho):
-    chains = chain_stack(event_stacks(family))
-    return np.vstack([block[0] for *_, block in
-                      consistency._decoherence_blocks(chains, rho)])
+    """D with its final-event blocks from the kernel and zeros off them."""
+    return block_matrix(FamilyAnalysis(family, TOL), rho)
+
+
+def block_matrix(analysis, rho):
+    n, last = len(analysis.index), analysis.shape[-1]
+    d = np.zeros((n, n), dtype=complex)
+    for _, i, block in consistency._final_blocks(analysis.chains, last, rho):
+        for e, rows in enumerate(block[0]):
+            d[(i + np.arange(len(rows))) * last + e, e::last] = rows
+    return d
 
 
 def test_decoherence_matrix_invariants():
@@ -715,11 +724,13 @@ def test_block_budget_does_not_change_reports(monkeypatch):
     whole = [[check(f, rho, TOL) for check in checks] for f, rho in cases]
     matrices = [decoherence_matrix(f, rho) for f, rho in cases]
     n = len(matrices[0])
-    # five rows of 64 per block: 13 blocks, the last one partial
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 16 * n * 5)
-    blocks = list(consistency._decoherence_blocks(
-        chain_stack(event_stacks(cases[0][0])), cases[0][1]))
-    assert len(blocks) == 13 and blocks[-1][2].shape == (1, 4, n)
+    # seven prefix rows of 16 per block, in each of the four final-event
+    # blocks: 3 blocks, the last one partial.  A one-row tail would change
+    # bits: OpenBLAS computes a product of one row by another kernel.
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 16 * n * 7)
+    blocks = list(consistency._final_blocks(
+        chain_stack(event_stacks(cases[0][0])), 4, cases[0][1]))
+    assert len(blocks) == 3 and blocks[-1][2].shape == (1, 4, 2, n // 4)
     for (f, rho), want, matrix in zip(cases, whole, matrices):
         assert [check(f, rho, TOL) for check in checks] == want
         assert np.array_equal(decoherence_matrix(f, rho), matrix)
@@ -736,15 +747,118 @@ def test_block_budget_does_not_change_stacked_reports(monkeypatch):
     reductions = (analysis.weak_each, analysis.medium_each)
     whole = [each(states) for each in reductions]
     assert len({r.worst_residual for r in whole[0]}) == len(states)
-    n = len(analysis.histories)
-    within = [(s, i, (1, min(5, n - i), n)) for s in range(3) for i in range(0, n, 5)]
-    # five rows of 64 per block, or two whole states per block
-    for rows_per_block, layout in ((5, within), (2 * n, [(0, 0, (2, n, n)),
-                                                         (2, 0, (1, n, n))])):
+    n, m = len(analysis.histories), len(analysis.histories) // 4
+    within = [(s, i, (1, 4, min(7, m - i), m)) for s in range(3) for i in range(0, m, 7)]
+    # seven prefix rows of 16 per block, or two whole states per block
+    for rows_per_block, layout in ((7, within), (2 * m, [(0, 0, (2, 4, m, m)),
+                                                         (2, 0, (1, 4, m, m))])):
         monkeypatch.setattr(matcore, "_BLOCK_BYTES", 16 * n * rows_per_block)
         assert [(s, i, block.shape) for s, i, block
-                in consistency._decoherence_blocks(analysis.chains, *states)] == layout
+                in consistency._final_blocks(analysis.chains, 4, *states)] == layout
         assert [each(states) for each in reductions] == whole
+
+
+def assert_same_pair_report(got, want, family, rho):
+    """The pairwise reference's report, and a worst pair whose residual is
+    the reference's worst up to rounding: pairs that tie up to rounding
+    (as ``D`` on blocks 1 and 2 of a pair whose prefixes differ in the
+    last prefix slot, for two final events) may come out either way."""
+    assert_same_report(got, want)
+    if want.worst_residual > 1e-12:
+        hs = {h.label: h for h in elementary_histories(family)}
+        value = decoherence_functional(*(hs[x] for x in got.worst_pair), rho)
+        value = abs(value.real if got.notion == "weak" else value)
+        assert abs(value - want.worst_residual) <= 1e-12, (got, want)
+
+
+def test_final_event_blocks_match_the_pairwise_reference():
+    """Weak and medium read D on its final-event blocks only and count the
+    off-block pairs from the tables: reports and pair counts equal the
+    pairwise reference over every pair, with zero events in the last or a
+    prefix slot, one slot, three slots, S = 11 states and an F = 3 grid."""
+    rng = np.random.default_rng(18)
+    family, _ = decohering_family(3, [(1, 2), (1, 1, 1)], rng)
+    families = [with_zero_events(family, slot=1),
+                with_zero_events(random_family(3, 2, rng, TOL)),
+                random_family(4, 1, rng, TOL),
+                random_family(3, 3, rng, TOL, max_blocks=2)]
+    checks = ((reference_weak, "weak_each"), (reference_medium, "medium_each"))
+    for family in families:
+        states = [random_density(family.dim, rng, rank=r, tol=TOL)
+                  for r in (1, 2, 3) * 3 + (1, 2)]
+        analysis = FamilyAnalysis(family, TOL)
+        for reference, each in checks:
+            for got, rho in zip(getattr(analysis, each)(states), states):
+                assert_same_pair_report(got, reference(family, rho), family, rho)
+    grid = one_shape_families(4, [(1, 1, 2), (2, 2)], rng)[2:]
+    rho = random_density(4, rng, tol=TOL)
+    analysis = FamilyAnalysis(grid, TOL)
+    for reference, each in checks:
+        for got, family in zip(getattr(analysis, each)([rho]), grid):
+            assert_same_pair_report(got, reference(family, rho), family, rho)
+
+
+def test_tied_blocks_report_the_first_pair_in_label_order():
+    """Four prefix events ``|a><a|`` and final events ``|+_23><+_23|``,
+    ``|+_01><+_01|`` and the rest, with ``+_ij`` the equal superposition
+    of ``|i>`` and ``|j>``, against the uniform pure state: every nonzero
+    pair residual is 1/8 exactly, in block 1 at prefix row 3 only, and the
+    worst pair reported is the first in label order, (1,2)-(2,2) of block
+    2, as the pairwise reference finds it."""
+    def plus(i, j):
+        v = np.zeros(4)
+        v[[i, j]] = 1.0
+        return validate_projection(np.outer(v, v) / 2)
+
+    first, second = plus(2, 3), plus(0, 1)
+    family = HistoryFamily((
+        make_resolution([diag_proj(*e) for e in np.eye(4)], TOL),
+        make_resolution([first, second, validate_projection(
+            np.eye(4) - first.matrix - second.matrix)], TOL)))
+    rho = validate_density(np.full((4, 4), 0.25))
+    for check, reference in ((check_weak_decoherence, reference_weak),
+                             (check_medium_decoherence, reference_medium)):
+        got = check(family, rho, TOL)
+        assert got.worst_residual == 0.125
+        assert got.worst_pair == ("(1,2)", "(2,2)") == reference(family, rho).worst_pair
+
+
+def test_overlapping_final_events_keep_the_reference_verdicts():
+    """Final events ``diag(1, x, 0)`` and ``diag(0, 1 - x, 1)`` overlap at
+    x = 0.5 ``TOL.op``: the off-block values the reference reads stay
+    within ``d x`` of zero, and every verdict and pair count is its."""
+    x = 0.5 * TOL.op
+    last = make_resolution([validate_projection(np.diag([1, x, 0])),
+                            validate_projection(np.diag([0, 1 - x, 1]))], TOL)
+    rng = np.random.default_rng(19)
+    diagonal = make_resolution([diag_proj(1, 0, 0), diag_proj(0, 1, 1)], TOL)
+    states = [validate_density(np.diag([0.5, 0.3, 0.2])),
+              random_density(3, rng, tol=TOL)]
+    for first in (diagonal, random_resolution(3, (1, 2), rng, TOL)):
+        family = HistoryFamily((first, last))
+        for rho in states:
+            for check, reference in ((check_weak_decoherence, reference_weak),
+                                     (check_medium_decoherence, reference_medium)):
+                got, want = check(family, rho, TOL), reference(family, rho)
+                assert (got.verdict, got.pair_count) == (want.verdict, want.pair_count)
+                assert abs(got.worst_residual - want.worst_residual) <= 3 * x
+    got = check_medium_decoherence(HistoryFamily((diagonal, last)), states[0], TOL)
+    want = reference_medium(HistoryFamily((diagonal, last)), states[0])
+    assert got.worst_residual == 0.0 < want.worst_residual
+
+
+def test_C1_without_commutative_histories_reads_no_chains(monkeypatch):
+    family = random_family(4, 3, np.random.default_rng(21), TOL)
+    rho = random_density(4, np.random.default_rng(22), tol=TOL)
+    assert not FamilyAnalysis(family, TOL).commutative.any()
+
+    def no_chains(stacks):
+        raise AssertionError("C1 read the chain stack")
+
+    monkeypatch.setattr(consistency, "chain_stack", no_chains)
+    report = check_C1_family(family, rho, TOL)
+    assert (report.verdict, report.worst_residual, report.worst_pair,
+            report.pair_count) == (True, 0.0, None, 0)
 
 
 def test_reports_carry_python_types():
@@ -797,8 +911,7 @@ def test_one_analysis_matches_pairwise_reference_on_many_states(case):
             assert_same_report(analysis.sum_rule(state),
                                reference_sum_rule(family, state))
         probs = analysis.probabilities(state)[0]
-        d = np.vstack([b[0] for *_, b in
-                       consistency._decoherence_blocks(analysis.chains, state)])
+        d = block_matrix(analysis, state)
         for i, h in enumerate(hs):
             assert probs[i] == pytest.approx(probability(h, state), abs=1e-12)
         for i, j in itertools.combinations_with_replacement(range(len(hs)), 2):
@@ -832,12 +945,12 @@ def test_family_axis_matches_per_family_analyses(dim, sizes):
               for r in (1, dim, 2, dim, 1)]
     analysis = FamilyAnalysis(families, TOL)
     alone = [FamilyAnalysis(f, TOL) for f in families]
-    for name in ("summable_mask", "commutative"):
+    for name in ("block_mask", "commutative"):
         for k, one in enumerate(alone):
             assert np.array_equal(getattr(analysis, name)[k],
                                   getattr(one, name)[0]), (name, k)
-    assert not np.array_equal(analysis.summable_mask[-1],
-                              analysis.summable_mask[0])
+    assert not np.array_equal(analysis.block_mask[-1],
+                              analysis.block_mask[0])
     for each in ("weak_each", "medium_each", "linear_positivity_each",
                  "sum_rule_each"):
         one = each[:-len("_each")]
@@ -902,8 +1015,9 @@ def test_zero_events_relate_by_rank_at_the_op_tolerance():
     a, b, c = (labels.index(h) for h in ("(2,1)", "(3,2)", "(3,1)"))
     hs = elementary_histories(family)
     assert analysis.summable_slots()[0, a, b] == 2
-    assert analysis.summable_mask[0, a, b] and summable(hs[a], hs[b], TOL) is None
-    assert not analysis.summable_mask[0, a, c] and summable(hs[a], hs[c], TOL) == 1
+    assert summable(hs[a], hs[b], TOL) is None
+    # (2,1) and (3,1) share their final event: prefixes 2 and 3 of its block
+    assert not analysis.block_mask[0, 1, 2] and summable(hs[a], hs[c], TOL) == 1
     rho = validate_density(np.diag([0.5, 0.3, 0.2]))
     coarse = check_self_decoherence(family, rho, None, TOL).coarse_sum_mirrors
     assert coarse["(2,1)+(3,2)"] is True

@@ -3,8 +3,9 @@
 Pair tables built as broadcasts over the slot axes, chains and ``C rho``
 from tall products, and conjugation in place must give the bytes of the
 direct forms in :mod:`kernel_reference`: every table, the chains,
-``C rho``, every probability, the real part of every ``D`` block (its
-imaginary part up to the sign of zero), and the reports of every notion.
+``C rho``, every probability, the real part of every final-event block of
+``D`` (its imaginary part up to the sign of zero), and the reports of
+every notion.
 """
 
 import numpy as np
@@ -56,23 +57,27 @@ def test_kernel_tables_products_and_probabilities_keep_their_bytes(case):
     if family_member_count(analysis.family) <= 64:
         parts.append(analysis.members)
     for part in parts:
-        for rows in (slice(None), slice(5, 11)):
-            assert (part.summable_slots(rows).tobytes()
-                    == ref.summable_slots(part, rows).tobytes())
+        for slots in (None, len(part.stacks) - 1):
+            assert (part.summable_slots(slots).tobytes()
+                    == ref.summable_slots(part, slots).tobytes())
         assert part.leq(part).tobytes() == ref.leq(part, part).tobytes()
         assert part.chains.tobytes() == ref.chain_stack(part.stacks).tobytes()
         assert (part.probabilities(*rhos).tobytes() == ref.probabilities(
             part.chains, _state_stack(rhos, part.chains.shape[-1])).tobytes())
-    n = len(analysis.index)
+    n, last = len(analysis.index), analysis.shape[-1]
     upper = np.arange(n) > np.arange(n)[:, None]
-    assert (analysis.summable_mask.tobytes()
-            == ((ref.summable_slots(analysis) > 0) & upper).tobytes())
+    summable = (ref.summable_slots(analysis) > 0) & upper
+    for e in range(last):
+        assert (analysis.block_mask.tobytes()
+                == summable[:, e::last, e::last].copy().tobytes())
+    assert [r.pair_count for r in analysis.weak_each(rhos[:1])] == [
+        int(np.count_nonzero(m)) for m in summable]
     assert analysis.commutative.tobytes() == ref.commutative(analysis).tobytes()
     states = _state_stack(rhos, analysis.chains.shape[-1])
     assert (consistency._left(analysis.chains, states).tobytes()
             == (analysis.chains @ states[:, None]).tobytes())
-    got = list(consistency._decoherence_blocks(analysis.chains, *rhos))
-    want = list(ref.decoherence_blocks(analysis.chains, *rhos))
+    got = list(consistency._final_blocks(analysis.chains, last, *rhos))
+    want = list(ref.final_blocks(analysis.chains, last, *rhos))
     assert [(g, i, block.real.tobytes()) for g, i, block in got] == [
         (g, i, block.real.tobytes()) for g, i, block in want]
     # conjugating back turns an exact +0.0 imaginary part into -0.0, which
@@ -103,7 +108,7 @@ def test_reports_keep_their_bits_over_the_reference_kernel(case, monkeypatch):
     families, rhos = kernel_cases()[case]
     got = reports(families, rhos)
     monkeypatch.setattr(consistency, "chain_stack", ref.chain_stack)
-    monkeypatch.setattr(consistency, "_decoherence_blocks", ref.decoherence_blocks)
+    monkeypatch.setattr(consistency, "_final_blocks", ref.final_blocks)
     monkeypatch.setattr(consistency, "_probabilities", ref.probabilities)
     monkeypatch.setattr(consistency._SlotHistories, "summable_slots", ref.summable_slots)
     monkeypatch.setattr(consistency._SlotHistories, "leq", ref.leq)

@@ -119,5 +119,5 @@ def test_python_dash_m_runs_the_command_line_from_a_checkout(tmp_path):
          "--state", "rho"], cwd=tmp_path, env={"PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60)
     assert out.returncode == 1, out.stderr  # weak holds, self-decoherence fails
-    assert out.stdout.startswith("qhistories 0.2.0  tol op=1e-10")
+    assert out.stdout.startswith("qhistories 0.3.0  tol op=1e-10")
     assert "weak              pass" in out.stdout
