@@ -11,10 +11,10 @@ verdict to every coarse-graining (the additivity checker verifies this
 by enumeration).
 
 Each checker is a reduction over one :class:`FamilyAnalysis`: over the
-final-event blocks of ``D`` (zero between histories whose final events
-differ), computed from one chain-operator stack in blocks of bounded
-size, or over that stack's traces, with pairs selected and counted by
-per-slot relation tables.
+final-event blocks of ``D`` (or all of it, where the overlap of two final
+events could put ``|D|`` above ``tol.prob`` off them), computed from one
+chain-operator stack in blocks of bounded size, or over that stack's
+traces, with pairs selected and counted by per-slot relation tables.
 :func:`contrary_inference` decides whether two orthogonal events are both
 retrodicted with certainty.
 """
@@ -101,12 +101,8 @@ def _functional(left: np.ndarray, states: np.ndarray,
                 right: np.ndarray) -> np.ndarray:
     """``np.trace(A @ rho @ B^dag)`` over broadcasting stacks of chain
     operators and states: every reported probability and functional value.
-    The notions keep the ``einsum`` diagonal of :func:`_probabilities`:
-    reports in that form change 14 of the 18 report goldens, and notions in
-    this form the C1, ordered or sum-rule residuals of 8.  It keeps its
-    conjugated copy of ``B``: conjugating the product in place instead, as
-    :func:`_final_blocks` does, gives ``-0.0`` where the imaginary
-    part of ``decoherence_functional`` is ``+0.0`` today."""
+    It keeps its conjugated copy of ``B``: conjugating in place, as
+    :func:`_final_blocks` does, turns a ``+0.0`` imaginary part into ``-0.0``."""
     return np.trace(left @ states @ right.conj().swapaxes(-1, -2),
                     axis1=-2, axis2=-1)
 
@@ -140,17 +136,14 @@ def _pick(stack: np.ndarray, groups) -> np.ndarray:
 
 def _final_blocks(chains: np.ndarray, last: int, *rhos: DensityOperator):
     """Blocks ``(g, i, B)`` of ``D[g, x, y] = Tr(C_x rho C_y^dag)`` over the
-    groups of :func:`_groups`, on pairs with one final event:
-    ``B[k, e, p, q] = D[g + k, (i + p) n + e, q n + e]`` for the n = ``last``
-    final events e and prefix histories p, q (rows are lexicographic, so
-    block e is rows and columns ``e::n``); k whole groups from group g (then
-    i = 0), or r prefix rows of group g (k = 1), within the block budget.
-
-    Off the blocks, cyclicity puts ``P_b P_a`` of two final events inside
-    the trace: ``|D(x, y)| <= ||P_b P_a||_F <= d eps``, ``eps`` the overlap
-    :func:`make_resolution` certified.  Each block is one product, batched:
-    ``C rho`` from :func:`_left`, conjugated in place, times the transposed
-    stride-n view of the chain stack (no conjugated copy), conjugated back."""
+    groups of :func:`_groups`, on pairs with one of the n = ``last`` final
+    events: ``B[k, e, p, q] = D[g + k, (i + p) n + e, q n + e]`` (rows are
+    lexicographic, so block e is rows and columns ``e::n``; n = 1 is all of
+    D), for k whole groups from group g (then i = 0) or r prefix rows of
+    group g (k = 1), within the block budget.  Off the blocks, cyclicity
+    puts the final events side by side: ``|D(x, y)| <= ||P_b P_a||_F``.
+    Each block is one batched product, ``C rho`` (:func:`_left`) conjugated in
+    place times the transposed stride-n view of the chains, conjugated back."""
     f, n, d, _ = chains.shape
     m = n // last
     states = _state_stack(rhos, d)
@@ -338,11 +331,20 @@ class FamilyAnalysis(_SlotHistories):
         return elementary_histories(self.family)
 
     @functools.cached_property
+    def block_slots(self) -> int:
+        """Slots numbering a block's rows: K - 1, for D's n_K final-event blocks,
+        if ``d`` times the last resolution's measured overlap, which bounds
+        ``||P_b P_a||_F >= |D|`` off them, is within ``tol.prob``; else K."""
+        d = self.stacks[0].shape[-1]
+        return len(self.stacks) - all(d * f.resolutions[-1].overlap <= self.tol.prob
+                                      for f in self.families)
+
+    @functools.cached_property
     def block_mask(self) -> np.ndarray:
-        """``[f, p, q]``: prefix histories ``p < q`` (slots 1..K-1) are
-        summable, as are p and q of any one final-event block."""
-        m = np.arange(len(self.index) // self.shape[-1])
-        return (self.summable_slots(len(self.stacks) - 1) > 0) & np.less.outer(m, m)
+        """``[f, p, q]``: histories ``p < q`` over the block slots are
+        summable, as are p and q of any one block."""
+        m = np.arange(math.prod(self.shape[1:1 + self.block_slots]))
+        return (self.summable_slots(self.block_slots) > 0) & np.less.outer(m, m)
 
     @functools.cached_property
     def commutative(self) -> np.ndarray:
@@ -399,13 +401,13 @@ class FamilyAnalysis(_SlotHistories):
     def _pair_reports(self, notion: str, rhos: Sequence[DensityOperator],
                       mask: np.ndarray, counts: list[int],
                       residual) -> list[ConsistencyReport]:
-        """Largest ``residual(D)`` over the pairs of every final-event block
-        that ``mask[f, p, q]`` selects, for each group; ties go to the first
-        pair in label order (rows are read in (prefix, final event) order),
-        and the worst stays 0 with no pair when nothing exceeds 0.
-        ``counts[f]`` includes the off-block pairs, which
-        :func:`make_resolution` certifies as zero."""
-        last, groups = self.shape[-1], _groups(len(self.chains), len(rhos))
+        """Largest ``residual(D)`` over the pairs of every block that
+        ``mask[f, p, q]`` selects, for each group; ties go to the first pair
+        in label order (rows are read in (prefix, final event) order), and
+        the worst stays 0 with no pair when nothing exceeds 0.  ``counts[f]``
+        includes the off-block pairs, bounded within ``tol.prob``."""
+        last = len(self.index) // len(mask[0])
+        groups = _groups(len(self.chains), len(rhos))
         worst, where = [0.0] * groups, [None] * groups
         for g, i, block in _final_blocks(self.chains, last, *rhos):
             values = residual(block).swapaxes(1, 2)
@@ -429,9 +431,10 @@ class FamilyAnalysis(_SlotHistories):
     def weak_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
         """Summable pairs off the blocks are counted, not read:
         ``E_pre O_K / 2 + U_pre E_K`` for E the equal and O the orthogonal,
-        not equal option pairs of a slot, ``E_pre`` E's product over the
-        prefix slots and ``U_pre`` the summable prefix pairs."""
-        *prefix, (equal, orthogonal) = self.tables
+        not equal option pairs of a slot, ``E_pre`` E's product over the block
+        slots and ``U_pre`` their summable pairs (one option K if D is whole)."""
+        tables = self.tables + [(np.ones((self.shape[0], 1, 1), dtype=bool),) * 2]
+        *prefix, (equal, orthogonal) = tables[:self.block_slots + 1]
         counts = [int(math.prod(np.count_nonzero(e[f]) for e, _ in prefix)
                       * np.count_nonzero(orthogonal[f] & ~equal[f]) // 2
                       + np.count_nonzero(mask) * np.count_nonzero(equal[f]))
@@ -443,9 +446,9 @@ class FamilyAnalysis(_SlotHistories):
         return self.medium_each([rho])[0]
 
     def medium_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
-        n, m = len(self.index), np.arange(len(self.index) // self.shape[-1])
+        m = np.arange(math.prod(self.shape[1:1 + self.block_slots]))
         return self._pair_reports("medium", rhos, np.less.outer(m, m)[None],
-                                  [n * (n - 1) // 2], np.abs)
+                                  [math.comb(len(self.index), 2)], np.abs)
 
     def linear_positivity(self, rho: DensityOperator) -> ConsistencyReport:
         return self.linear_positivity_each([rho])[0]

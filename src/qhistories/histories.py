@@ -88,10 +88,12 @@ class ResolutionOfIdentity:
     """Pairwise-orthogonal projections summing to the identity.
 
     Build through :func:`make_resolution`, which enforces both
-    conditions at tolerance.
+    conditions at tolerance and records ``overlap``, the largest max-norm
+    of a product of two distinct events (infinite where none was measured).
     """
 
     events: tuple[Projection, ...]
+    overlap: float = float("inf")
 
     @property
     def dim(self) -> int:
@@ -138,16 +140,16 @@ def make_resolution(projections: Sequence[Projection],
         if e.dim != dim:
             raise DimensionMismatch(
                 f"resolution events have mixed dimensions {dim} and {e.dim}")
-    _check_resolutions(np.array([[e.matrix for e in events]]), tol)
-    return ResolutionOfIdentity(events)
+    return ResolutionOfIdentity(
+        events, *_check_resolutions(np.array([[e.matrix for e in events]]), tol))
 
 
-def _check_resolutions(events: np.ndarray, tol: Tolerances) -> None:
+def _check_resolutions(events: np.ndarray, tol: Tolerances) -> list[float]:
     """:func:`make_resolution`'s tests over an ``(R, n, d, d)`` stack of R
     resolutions: both products ``e_i e_j`` and ``e_j e_i`` of every pair
     ``i < j``, then completeness.  The first failing resolution raises
     :class:`NotOrthogonal` for its first overlapping pair, or
-    :class:`NotComplete`."""
+    :class:`NotComplete`; else each resolution's largest overlap."""
     r, n, d, _ = events.shape
     overlap = np.empty((r, n, n))
     for rows in _blocks(n, events.itemsize * r * n * d * d):
@@ -162,6 +164,7 @@ def _check_resolutions(events: np.ndarray, tol: Tolerances) -> None:
         if gap > tol.op:
             raise NotComplete(f"resolution does not sum to the identity "
                               f"(residual {gap:.3e})", gap)
+    return np.where(np.eye(n, dtype=bool), 0.0, overlap).max(axis=(1, 2)).tolist()
 
 
 def elementary_histories(family: HistoryFamily) -> list[History]:

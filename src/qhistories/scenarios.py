@@ -113,16 +113,17 @@ def build_example1_grid(angles: Sequence[tuple[float, float | None]],
     eye = np.eye(dim, dtype=complex)
     events = np.stack([first, eye - first, second, eye - second], axis=1)
     projections = validate_projections(events.reshape(-1, dim, dim), tol)
-    _check_resolutions(events.reshape(-1, 2, dim, dim), tol)
+    overlaps = _check_resolutions(events.reshape(-1, 2, dim, dim), tol)
     coarse = validate_projections(events[:, 0] + events[:, 1], tol)
     pure1, pure2 = np.outer(psi1, psi1.conj()), np.outer(psi2, psi2.conj())
     rho1, rho2, rho = validate_densities(
         [pure1, pure2, 0.5 * pure1 + 0.5 * pure2], tol)
     out = []
-    for theta, alpha, (e1, e1c, e2, e2c), merged in zip(
-            thetas, alphas, zip(*[iter(projections)] * 4), coarse):
-        family = HistoryFamily((ResolutionOfIdentity((e1, e1c)),
-                                ResolutionOfIdentity((e2, e2c))))
+    for theta, alpha, (e1, e1c, e2, e2c), merged, (o1, o2) in zip(
+            thetas, alphas, zip(*[iter(projections)] * 4), coarse,
+            zip(*[iter(overlaps)] * 2)):
+        family = HistoryFamily((ResolutionOfIdentity((e1, e1c), o1),
+                                ResolutionOfIdentity((e2, e2c), o2)))
         out.append(Example1Instance(
             dim, theta, alpha, psi1, psi2, phi, e1, e2, family,
             History((e1, e2), "(1,1)"), History((e1c, e2), "(2,1)"),

@@ -33,6 +33,7 @@ from qhistories.errors import (
 from qhistories.histories import (
     History,
     HistoryFamily,
+    ResolutionOfIdentity,
     chain_operator,
     chain_stack,
     elementary_histories,
@@ -459,30 +460,30 @@ def _label(h):
     return h.label if h.label is not None else "?"
 
 
-def reference_weak(family, rho):
+def reference_weak(family, rho, tol=TOL):
     elems = elementary_histories(family)
     worst, worst_pair, count = 0.0, None, 0
     for h1, h2 in itertools.combinations(elems, 2):
-        if summable(h1, h2, TOL) is None:
+        if summable(h1, h2, tol) is None:
             continue
         count += 1
         r = abs(decoherence_functional(h1, h2, rho).real)
         if r > worst:
             worst, worst_pair = r, (_label(h1), _label(h2))
-    return ConsistencyReport("weak", worst <= TOL.prob, worst_pair, worst, count)
+    return ConsistencyReport("weak", worst <= tol.prob, worst_pair, worst, count)
 
 
-def reference_medium(family, rho):
+def reference_medium(family, rho, tol=TOL):
     elems = elementary_histories(family)
     worst, worst_pair, count = 0.0, None, 0
     for h1, h2 in itertools.combinations(elems, 2):
-        if not alternative(h1, h2, TOL):
+        if not alternative(h1, h2, tol):
             continue
         count += 1
         r = abs(decoherence_functional(h1, h2, rho))
         if r > worst:
             worst, worst_pair = r, (_label(h1), _label(h2))
-    return ConsistencyReport("medium", worst <= TOL.prob, worst_pair, worst, count)
+    return ConsistencyReport("medium", worst <= tol.prob, worst_pair, worst, count)
 
 
 def reference_linear_positivity(family, rho):
@@ -725,8 +726,10 @@ def test_block_budget_does_not_change_reports(monkeypatch):
     matrices = [decoherence_matrix(f, rho) for f, rho in cases]
     n = len(matrices[0])
     # seven prefix rows of 16 per block, in each of the four final-event
-    # blocks: 3 blocks, the last one partial.  A one-row tail would change
-    # bits: OpenBLAS computes a product of one row by another kernel.
+    # blocks: 3 blocks, the last one partial.  Reports keep their bits only
+    # while no block is a one-row tail: OpenBLAS computes a product of one
+    # row by another kernel, so a budget that leaves one row (five rows per
+    # block here) moves that row's entries in the last bits.
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 16 * n * 7)
     blocks = list(consistency._final_blocks(
         chain_stack(event_stacks(cases[0][0])), 4, cases[0][1]))
@@ -825,8 +828,10 @@ def test_tied_blocks_report_the_first_pair_in_label_order():
 
 def test_overlapping_final_events_keep_the_reference_verdicts():
     """Final events ``diag(1, x, 0)`` and ``diag(0, 1 - x, 1)`` overlap at
-    x = 0.5 ``TOL.op``: the off-block values the reference reads stay
-    within ``d x`` of zero, and every verdict and pair count is its."""
+    x = 0.5 ``TOL.op``: d times the measured overlap, ``3 x (1 - x)``, is
+    within ``TOL.prob``, so D is read on its blocks; the off-block values
+    the reference reads stay within ``d x`` of zero, and every verdict and
+    pair count is its."""
     x = 0.5 * TOL.op
     last = make_resolution([validate_projection(np.diag([1, x, 0])),
                             validate_projection(np.diag([0, 1 - x, 1]))], TOL)
@@ -836,15 +841,61 @@ def test_overlapping_final_events_keep_the_reference_verdicts():
               random_density(3, rng, tol=TOL)]
     for first in (diagonal, random_resolution(3, (1, 2), rng, TOL)):
         family = HistoryFamily((first, last))
+        assert FamilyAnalysis(family, TOL).block_slots == 1
         for rho in states:
             for check, reference in ((check_weak_decoherence, reference_weak),
                                      (check_medium_decoherence, reference_medium)):
                 got, want = check(family, rho, TOL), reference(family, rho)
                 assert (got.verdict, got.pair_count) == (want.verdict, want.pair_count)
                 assert abs(got.worst_residual - want.worst_residual) <= 3 * x
+    # the bound is within TOL.prob: the off-block value is not reported
     got = check_medium_decoherence(HistoryFamily((diagonal, last)), states[0], TOL)
     want = reference_medium(HistoryFamily((diagonal, last)), states[0])
-    assert got.worst_residual == 0.0 < want.worst_residual
+    assert got.worst_residual == 0.0 < want.worst_residual <= x
+
+
+def test_final_events_past_tol_prob_are_read_whole():
+    """Final events ``|a><a| + R_1`` and ``|b><b| + R_2``, with ``a`` and
+    ``b`` flat and ``<a|b>`` about ``0.45 d tol.op``, pass make_resolution
+    (max-norm overlap and completeness gap within ``tol.op``) while
+    ``||P_b P_a||_F``, and so d times the measured overlap, exceeds
+    ``tol.prob``: at d = 64 with the default tolerances, and at d = 8 with
+    ``tol.op = tol.prob``.  D is then read whole, and against ``psi`` along
+    ``a + b`` weak and medium fail on the off-block pair at about
+    ``0.225 d tol.op``, as the pairwise reference finds; the final-event
+    blocks alone would pass.  Complementary events ``P`` and ``I - P`` keep
+    the blocks, unless their resolution is built without a measured
+    overlap."""
+    for d, tol in ((64, TOL), (8, Tolerances(op=1e-9, prob=1e-9))):
+        a = np.ones(d) / np.sqrt(d)
+        h = np.array([(-1.0) ** i for i in range(d)]) / np.sqrt(d)
+        b = h + 0.45 * d * tol.op * a
+        b /= np.linalg.norm(b)
+        rest = np.linalg.qr(np.column_stack([a, h, np.eye(d)[:, :d - 2]]))[0][:, 2:]
+        r1, r2 = (rest[:, k] @ rest[:, k].T for k in (slice(d // 2), slice(d // 2, None)))
+        last = make_resolution([validate_projection(np.outer(a, a) + r1, tol),
+                                validate_projection(np.outer(b, b) + r2, tol)], tol)
+        split = make_resolution([validate_projection(r1, tol),
+                                 validate_projection(np.eye(d) - r1, tol)], tol)
+        psi = (a + b) / np.linalg.norm(a + b)
+        rho = validate_density(np.outer(psi, psi), tol)
+        complementary = make_resolution([validate_projection(np.eye(d) - r1, tol),
+                                         validate_projection(r1, tol)], tol)
+        assert FamilyAnalysis(HistoryFamily((complementary,)), tol).block_slots == 0
+        unmeasured = HistoryFamily((ResolutionOfIdentity(complementary.events),))
+        assert FamilyAnalysis(unmeasured, tol).block_slots == 1
+        assert last.overlap == pytest.approx(max(
+            np.abs(p.matrix @ q.matrix).max()
+            for p, q in itertools.permutations(last.events, 2)), rel=1e-6)
+        for family in (HistoryFamily((last,)), HistoryFamily((split, last))):
+            analysis = FamilyAnalysis(family, tol)
+            assert analysis.block_slots == family.length
+            for got, reference in ((analysis.weak(rho), reference_weak),
+                                   (analysis.medium(rho), reference_medium)):
+                want = reference(family, rho, tol)
+                assert_same_report(got, want)
+                assert got.worst_pair == want.worst_pair
+                assert not got.verdict and got.worst_residual > 0.2 * d * tol.op
 
 
 def test_C1_without_commutative_histories_reads_no_chains(monkeypatch):
