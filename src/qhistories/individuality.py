@@ -94,10 +94,11 @@ def self_decoherence_property(family: HistoryFamily,
     A mirror of a mixture is a mirror of each component: its two
     positive defect operators vanish on the mixture's support, which
     contains each component's.  So the predicate has no individuality
-    witness.  The least mirror depends on a state only through its
-    support, and every mixture of a weight grid has the support
-    ``supp rho1 + supp rho2``, so the mixtures of a search share one
-    closure per history (see :func:`qhistories.mirror.least_mirrors`).
+    witness; where a mixture has it, both components do, and a search
+    returns after deciding them.  The least mirror depends on a state only
+    through its support, and every mixture of a weight grid has the
+    support ``supp rho1 + supp rho2``, so the mixtures of a search share
+    one closure per history (see :func:`qhistories.mirror.least_mirrors`).
     """
     analysis = FamilyAnalysis(family, tol)
     return _predicate("self-decoherence",
@@ -150,12 +151,16 @@ def individuality_violation_search(prop: PropertyPredicate,
                                    ) -> list[IndividualityWitness]:
     """Witnesses over a weight grid where the property holds on the
     mixture but on neither component.  An empty result means the grid
-    found nothing, not that no violating weight exists.  One call of the
-    predicate's evaluator decides both components and every mixture."""
-    states = [rho1, rho2, *_mixtures(rho1, rho2, lams, tol)]
-    on_1, on_2, *on_mix = (bool(v) for v in prop.evaluator(states))
-    witnesses = (IndividualityWitness(prop.name, lam, on, on_1, on_2)
-                 for lam, on in zip(lams, on_mix))
+    found nothing, not that no violating weight exists.  Once the
+    mixtures are validated, one call of the predicate's evaluator decides
+    both components; only when neither has the property (else no weight
+    is a witness) does a second call decide every mixture."""
+    mixtures = _mixtures(rho1, rho2, lams, tol)
+    on_1, on_2 = (bool(v) for v in prop.evaluator([rho1, rho2]))
+    if on_1 or on_2:
+        return []
+    witnesses = (IndividualityWitness(prop.name, lam, bool(on), on_1, on_2)
+                 for lam, on in zip(lams, prop.evaluator(mixtures)))
     return [w for w in witnesses if w.is_violation]
 
 

@@ -78,9 +78,16 @@ _BLOCK_BYTES = 1 << 24
 def _blocks(count: int, item_bytes: int) -> list[slice]:
     """Consecutive slices over ``count`` items of ``item_bytes`` bytes each,
     as many items per slice as fit in ``_BLOCK_BYTES`` and at least one;
-    items of no bytes (a stack of no states) all fit in one slice."""
+    items of no bytes (a stack of no states) all fit in one slice.  When
+    slices hold two or more items, one item left over joins the slice
+    before it, which then exceeds the budget by that item: OpenBLAS takes
+    a one-row product by another kernel, whose last bits differ.  A budget
+    below two items still makes one-row products."""
     step = max(1, _BLOCK_BYTES // max(item_bytes, 1))
-    return [slice(k, k + step) for k in range(0, count, step)]
+    bounds = [*range(0, count, step), count]
+    if step > 1 and len(bounds) > 2 and count - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def square_matrix(entries) -> np.ndarray:

@@ -726,17 +726,18 @@ def test_block_budget_does_not_change_reports(monkeypatch):
     matrices = [decoherence_matrix(f, rho) for f, rho in cases]
     n = len(matrices[0])
     # seven prefix rows of 16 per block, in each of the four final-event
-    # blocks: 3 blocks, the last one partial.  Reports keep their bits only
-    # while no block is a one-row tail: OpenBLAS computes a product of one
-    # row by another kernel, so a budget that leaves one row (five rows per
-    # block here) moves that row's entries in the last bits.
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 16 * n * 7)
-    blocks = list(consistency._final_blocks(
-        chain_stack(event_stacks(cases[0][0])), 4, cases[0][1]))
-    assert len(blocks) == 3 and blocks[-1][2].shape == (1, 4, 2, n // 4)
-    for (f, rho), want, matrix in zip(cases, whole, matrices):
-        assert [check(f, rho, TOL) for check in checks] == want
-        assert np.array_equal(decoherence_matrix(f, rho), matrix)
+    # blocks: 7 + 7 + 2 rows.  Five rows per block would leave a one-row
+    # tail, which OpenBLAS computes by another kernel, moving that row's
+    # entries in the last bits; the tail joins the block before it, 5 + 5 + 6.
+    for rows, layout in ((7, [7, 7, 2]), (5, [5, 5, 6])):
+        monkeypatch.setattr(matcore, "_BLOCK_BYTES", 16 * n * rows)
+        blocks = list(consistency._final_blocks(
+            chain_stack(event_stacks(cases[0][0])), 4, cases[0][1]))
+        assert [block.shape for _, _, block in blocks] == [
+            (1, 4, r, n // 4) for r in layout]
+        for (f, rho), want, matrix in zip(cases, whole, matrices):
+            assert [check(f, rho, TOL) for check in checks] == want
+            assert np.array_equal(decoherence_matrix(f, rho), matrix)
 
 
 def test_block_budget_does_not_change_stacked_reports(monkeypatch):
@@ -745,16 +746,19 @@ def test_block_budget_does_not_change_stacked_reports(monkeypatch):
     rng = np.random.default_rng(14)
     family = HistoryFamily(tuple(random_resolution(8, (2, 2, 2, 2), rng, TOL)
                                  for _ in range(3)))
-    states = [random_density(8, rng, rank=r, tol=TOL) for r in (1, 3, 8)]
+    # four states, so that two whole states per block split them in two:
+    # one state left over would join the block before it
+    states = [random_density(8, rng, rank=r, tol=TOL) for r in (1, 3, 8, 2)]
     analysis = FamilyAnalysis(family, TOL)
     reductions = (analysis.weak_each, analysis.medium_each)
     whole = [each(states) for each in reductions]
     assert len({r.worst_residual for r in whole[0]}) == len(states)
     n, m = len(analysis.histories), len(analysis.histories) // 4
-    within = [(s, i, (1, 4, min(7, m - i), m)) for s in range(3) for i in range(0, m, 7)]
+    within = [(s, i, (1, 4, min(7, m - i), m))
+              for s in range(len(states)) for i in range(0, m, 7)]
     # seven prefix rows of 16 per block, or two whole states per block
     for rows_per_block, layout in ((7, within), (2 * m, [(0, 0, (2, 4, m, m)),
-                                                         (2, 0, (1, 4, m, m))])):
+                                                         (2, 0, (2, 4, m, m))])):
         monkeypatch.setattr(matcore, "_BLOCK_BYTES", 16 * n * rows_per_block)
         assert [(s, i, block.shape) for s, i, block
                 in consistency._final_blocks(analysis.chains, 4, *states)] == layout

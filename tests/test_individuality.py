@@ -1,5 +1,8 @@
 """Mixture-versus-component behaviour of the consistency properties."""
 
+import itertools
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -295,20 +298,107 @@ def test_stacked_reports_match_one_state_reports():
                                                            abs=1e-12)
 
 
-def test_search_asks_the_evaluator_once_for_every_state():
+def _one_call_witnesses(prop, rho1, rho2, lams):
+    """The witnesses read off one evaluator call on both components and
+    every mixture."""
+    on_1, on_2, *on_mix = prop.evaluator(
+        [rho1, rho2, *(mixture(rho1, rho2, lam, TOL) for lam in lams)])
+    witnesses = (IndividualityWitness(prop.name, lam, on, on_1, on_2)
+                 for lam, on in zip(lams, on_mix))
+    return [w for w in witnesses if w.is_violation]
+
+
+def _as_tuples(witnesses):
+    return [astuple(w) for w in witnesses]
+
+
+def _within_first_event(family):
+    """The normalized first event of the first slot, as a state: on a
+    2-slot family, D vanishes off its diagonal."""
+    event = family.resolutions[0].events[0].matrix
+    return validate_density(event / np.trace(event).real, TOL)
+
+
+def test_search_asks_for_the_mixtures_only_when_no_component_holds():
+    """The components are decided first; the mixtures are asked for in a
+    second call only when neither component has the property."""
     inst = build_example1(np.pi / 3)
-    for factory in FACTORIES:
-        prop = factory(inst.family, TOL)
+    m = build_example2()
+    rng = np.random.default_rng(71)
+    generic = random_family(4, 2, rng, TOL)
+    within = _within_first_event(generic)
+    rho = random_density(4, rng, tol=TOL)
+    cases = [(inst.family, inst.rho1, inst.rho2), (m.family, m.rho1, m.rho2),
+             (generic, within, rho), (generic, rho, within)]
+    seen = set()
+    for (family, rho1, rho2), factory in itertools.product(cases, FACTORIES):
+        prop = factory(family, TOL)
         calls = []
         counted = PropertyPredicate(prop.name, lambda rhos, prop=prop: (
             calls.append(len(rhos)) or prop.evaluator(rhos)))
-        got = individuality_violation_search(counted, inst.rho1, inst.rho2,
+        got = individuality_violation_search(counted, rho1, rho2,
                                              DEFAULT_LAMBDA_GRID, TOL)
-        want = individuality_violation_search(prop, inst.rho1, inst.rho2,
-                                              DEFAULT_LAMBDA_GRID, TOL)
-        assert calls == [2 + len(DEFAULT_LAMBDA_GRID)], prop.name
-        assert [(w.lam, w.holds_on_mixture) for w in got] == [
-            (w.lam, w.holds_on_mixture) for w in want]
+        holds = (prop.holds(rho1), prop.holds(rho2))
+        assert calls == ([2] if any(holds) else [2, len(DEFAULT_LAMBDA_GRID)]), (
+            prop.name, holds)
+        assert _as_tuples(got) == _as_tuples(
+            _one_call_witnesses(prop, rho1, rho2, DEFAULT_LAMBDA_GRID))
+        seen.add(holds)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _search_cases():
+    """(family, provided mirrors, rho1, rho2, weights)."""
+    rng = np.random.default_rng(67)
+    edges = (0.01, 0.5, 0.99)
+    for theta, phase in ((np.pi / 3, 0.0), (2.0, np.pi), (1.0, 0.5)):
+        inst = build_example1(theta, phase)
+        for lams in (DEFAULT_LAMBDA_GRID, edges):
+            yield inst.family, None, inst.rho1, inst.rho2, lams
+    for d in (3, 4, 5, 6):
+        family = random_family(d, 2, rng, TOL)
+        within = _within_first_event(family)
+        for rank in (1, None):  # pure and mixed
+            rho1, rho2 = (random_density(d, rng, rank=rank, tol=TOL)
+                          for _ in range(2))
+            for pair in ((rho1, rho2), (within, rho2), (rho1, within)):
+                yield family, None, *pair, DEFAULT_LAMBDA_GRID
+        yield family, None, rho1, rho2, edges
+    for spatial in (2, 3):
+        m = pointer_model(spatial, rng, TOL)
+        for provided in (None, m.provided_mirrors):
+            for pair in ((m.rho1, m.rho2),
+                         (m.rho1, random_density(m.family.dim, rng, tol=TOL))):
+                yield m.family, provided, *pair, edges
+
+
+def test_search_finds_the_witnesses_of_one_evaluation():
+    """Deciding the components first keeps every witness that one evaluator
+    call on the components and every mixture finds, whether one, both or
+    neither component has the property; example 1 at pi/3 keeps its
+    lam = 1/2 weak and medium witnesses (criterion 4)."""
+    holding = {factory.__name__: set() for factory in FACTORIES}
+    found = set()
+    for family, provided, rho1, rho2, lams in _search_cases():
+        for factory in FACTORIES:
+            prop = (factory(family, TOL, provided)
+                    if factory is self_decoherence_property
+                    else factory(family, TOL))
+            got = individuality_violation_search(prop, rho1, rho2, lams, TOL)
+            assert _as_tuples(got) == _as_tuples(
+                _one_call_witnesses(prop, rho1, rho2, lams)), prop.name
+            holding[factory.__name__].add(
+                sum(prop.evaluator([rho1, rho2])))
+            found.update(w.property_name for w in got)
+    assert all(seen == {0, 1, 2} for seen in holding.values()), holding
+    assert found == {"weak-decoherence", "medium-decoherence",
+                     "linear-positivity"}
+    inst = build_example1(np.pi / 3)
+    for factory in (weak_decoherence_property, medium_decoherence_property):
+        got = individuality_violation_search(factory(inst.family, TOL),
+                                             inst.rho1, inst.rho2,
+                                             DEFAULT_LAMBDA_GRID, TOL)
+        assert [w.lam for w in got] == [0.5]
 
 
 def test_search_keeps_the_mixture_guards():

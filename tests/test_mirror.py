@@ -676,7 +676,8 @@ def test_mirror_block_budget_does_not_change_reports(monkeypatch):
     cases = [(generic, random_density(6, rng, tol=TOL), given),
              (diagonal, random_density(8, rng, tol=TOL), None)]
     whole = [check_self_decoherence(f, rho, p, TOL) for f, rho, p in cases]
-    # three histories of dimension 8 (five of dimension 6) per block
+    # three histories of dimension 8 (five of dimension 6) per block; the
+    # sixteenth history of dimension 6 joins the third block
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 3 * 8 * 8 * 16 * 3)
     blocks, closed = [], []
     split, closure = mirror._blocks, mirror._least_projections
@@ -691,7 +692,7 @@ def test_mirror_block_budget_does_not_change_reports(monkeypatch):
         closed.append(len(events)) or closure(events, supports, tol)))
     # one closure per block, of the block's histories without a given mirror
     for (f, rho, p), want, sizes, least in zip(
-            cases, whole, ([5, 5, 5, 1], [3, 3, 2]), ([2, 3, 2, 1], [3, 3, 2])):
+            cases, whole, ([5, 5, 6], [3, 3, 2]), ([2, 3, 3], [3, 3, 2])):
         blocks.clear()
         closed.clear()
         got = check_self_decoherence(f, rho, p, TOL)
