@@ -303,7 +303,7 @@ class FamilyAnalysis(_SlotHistories):
     does not depend on the state.
 
     Event stacks, index tuples and labels, relation tables, the
-    summable prefix-pair mask, the commutativity mask, the
+    summable prefix-pair mask, weak's pair counts, the commutativity mask, the
     chain stack, the elementary histories, the 2-slot event stacks and
     the members are each computed when first read and then kept, so a
     caller asking about many states (mixture predicates, the command line)
@@ -428,18 +428,21 @@ class FamilyAnalysis(_SlotHistories):
     def weak(self, rho: DensityOperator) -> ConsistencyReport:
         return self.weak_each([rho])[0]
 
-    def weak_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
-        """Summable pairs off the blocks are counted, not read:
-        ``E_pre O_K / 2 + U_pre E_K`` for E the equal and O the orthogonal,
+    @functools.cached_property
+    def weak_counts(self) -> list[int]:
+        """Weak's summable pairs per family; those off the blocks are counted,
+        not read: ``E_pre O_K / 2 + U_pre E_K`` for E the equal and O the orthogonal,
         not equal option pairs of a slot, ``E_pre`` E's product over the block
         slots and ``U_pre`` their summable pairs (one option K if D is whole)."""
         tables = self.tables + [(np.ones((self.shape[0], 1, 1), dtype=bool),) * 2]
         *prefix, (equal, orthogonal) = tables[:self.block_slots + 1]
-        counts = [int(math.prod(np.count_nonzero(e[f]) for e, _ in prefix)
-                      * np.count_nonzero(orthogonal[f] & ~equal[f]) // 2
-                      + np.count_nonzero(mask) * np.count_nonzero(equal[f]))
-                  for f, mask in enumerate(self.block_mask)]
-        return self._pair_reports("weak", rhos, self.block_mask, counts,
+        return [int(math.prod(np.count_nonzero(e[f]) for e, _ in prefix)
+                    * np.count_nonzero(orthogonal[f] & ~equal[f]) // 2
+                    + np.count_nonzero(mask) * np.count_nonzero(equal[f]))
+                for f, mask in enumerate(self.block_mask)]
+
+    def weak_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
+        return self._pair_reports("weak", rhos, self.block_mask, self.weak_counts,
                                   lambda block: np.abs(block.real))
 
     def medium(self, rho: DensityOperator) -> ConsistencyReport:

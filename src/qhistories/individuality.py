@@ -95,9 +95,9 @@ def self_decoherence_property(family: HistoryFamily,
     positive defect operators vanish on the mixture's support, which
     contains each component's.  So the predicate has no individuality
     witness; where a mixture has it, both components do, and a search
-    returns after deciding them.  The least mirror depends on a state only
-    through its support, and every mixture of a weight grid has the
-    support ``supp rho1 + supp rho2``, so the mixtures of a search share
+    returns after deciding ``rho1`` alone.  The least mirror depends on a
+    state only through its support, and every mixture of a weight grid has
+    the support ``supp rho1 + supp rho2``, so the mixtures of a search share
     one closure per history (see :func:`qhistories.mirror.least_mirrors`).
     """
     analysis = FamilyAnalysis(family, tol)
@@ -111,14 +111,20 @@ def mixture(rho1: DensityOperator, rho2: DensityOperator, lam: float,
     return _mixtures(rho1, rho2, [lam], tol)[0]
 
 
-def _mixtures(rho1: DensityOperator, rho2: DensityOperator,
-              lams: Sequence[float], tol: Tolerances) -> list[DensityOperator]:
-    """:func:`mixture` for every weight, validated in one stacked pass."""
+def _check_mixing(rho1: DensityOperator, rho2: DensityOperator,
+                  lams: Sequence[float]) -> None:
+    """Every weight strictly inside (0, 1) and components of one dimension."""
     for lam in lams:
         if not 0.0 < lam < 1.0:
             raise LambdaOutOfRange(f"mixing weight {lam} is not strictly in (0, 1)")
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"components have dimensions {rho1.dim} and {rho2.dim}")
+
+
+def _mixtures(rho1: DensityOperator, rho2: DensityOperator,
+              lams: Sequence[float], tol: Tolerances) -> list[DensityOperator]:
+    """:func:`mixture` for every weight, validated in one stacked pass."""
+    _check_mixing(rho1, rho2, lams)
     lam = np.array(lams, dtype=float).reshape(-1, 1, 1)
     return validate_densities(lam * rho1.matrix + (1.0 - lam) * rho2.matrix, tol)
 
@@ -151,16 +157,16 @@ def individuality_violation_search(prop: PropertyPredicate,
                                    ) -> list[IndividualityWitness]:
     """Witnesses over a weight grid where the property holds on the
     mixture but on neither component.  An empty result means the grid
-    found nothing, not that no violating weight exists.  Once the
-    mixtures are validated, one call of the predicate's evaluator decides
-    both components; only when neither has the property (else no weight
-    is a witness) does a second call decide every mixture."""
-    mixtures = _mixtures(rho1, rho2, lams, tol)
-    on_1, on_2 = (bool(v) for v in prop.evaluator([rho1, rho2]))
-    if on_1 or on_2:
+    found nothing, not that no violating weight exists.  After the guards,
+    one evaluator call decides ``rho1`` alone; only when it lacks the
+    property (else no weight is a witness) are the mixtures built and
+    validated, and a second call decides them with ``rho2``."""
+    _check_mixing(rho1, rho2, lams)
+    if prop.evaluator([rho1])[0]:
         return []
-    witnesses = (IndividualityWitness(prop.name, lam, bool(on), on_1, on_2)
-                 for lam, on in zip(lams, prop.evaluator(mixtures)))
+    on_2, *on_mix = prop.evaluator([rho2, *_mixtures(rho1, rho2, lams, tol)])
+    witnesses = (IndividualityWitness(prop.name, lam, bool(on), False, bool(on_2))
+                 for lam, on in zip(lams, on_mix))
     return [w for w in witnesses if w.is_violation]
 
 

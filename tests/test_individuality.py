@@ -6,6 +6,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from qhistories import individuality
 from qhistories.consistency import FamilyAnalysis
 from qhistories.errors import (
     BadParameters,
@@ -320,8 +321,9 @@ def _within_first_event(family):
 
 
 def test_search_asks_for_the_mixtures_only_when_no_component_holds():
-    """The components are decided first; the mixtures are asked for in a
-    second call only when neither component has the property."""
+    """``rho1`` is decided first and alone; the mixtures are asked for, in
+    a second call together with ``rho2``, only when ``rho1`` lacks the
+    property."""
     inst = build_example1(np.pi / 3)
     m = build_example2()
     rng = np.random.default_rng(71)
@@ -339,12 +341,31 @@ def test_search_asks_for_the_mixtures_only_when_no_component_holds():
         got = individuality_violation_search(counted, rho1, rho2,
                                              DEFAULT_LAMBDA_GRID, TOL)
         holds = (prop.holds(rho1), prop.holds(rho2))
-        assert calls == ([2] if any(holds) else [2, len(DEFAULT_LAMBDA_GRID)]), (
+        assert calls == ([1] if holds[0] else [1, len(DEFAULT_LAMBDA_GRID) + 1]), (
             prop.name, holds)
         assert _as_tuples(got) == _as_tuples(
             _one_call_witnesses(prop, rho1, rho2, DEFAULT_LAMBDA_GRID))
         seen.add(holds)
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_search_builds_no_mixture_when_rho1_holds(monkeypatch):
+    """No mixture is built or validated once ``rho1`` has the property,
+    and the L mixtures are validated in one stacked call otherwise."""
+    validated = []
+    real = individuality.validate_densities
+    monkeypatch.setattr(individuality, "validate_densities", lambda ms, tol: (
+        validated.append(len(ms)) or real(ms, tol)))
+    inst = build_example1(np.pi / 3)
+    m = build_example2()
+    for prop, rho1, rho2, want in (
+            (self_decoherence_property(m.family, TOL), m.rho1, m.rho2, []),
+            (weak_decoherence_property(inst.family, TOL), inst.rho1, inst.rho2,
+             [len(DEFAULT_LAMBDA_GRID)])):
+        assert prop.holds(rho1) == (not want), prop.name
+        validated.clear()
+        individuality_violation_search(prop, rho1, rho2, DEFAULT_LAMBDA_GRID, TOL)
+        assert validated == want, prop.name
 
 
 def _search_cases():

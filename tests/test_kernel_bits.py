@@ -70,8 +70,9 @@ def test_kernel_tables_products_and_probabilities_keep_their_bytes(case):
     for e in range(last):
         assert (analysis.block_mask.tobytes()
                 == summable[:, e::last, e::last].copy().tobytes())
-    assert [r.pair_count for r in analysis.weak_each(rhos[:1])] == [
-        int(np.count_nonzero(m)) for m in summable]
+    counts = [int(np.count_nonzero(m)) for m in summable]
+    assert analysis.weak_counts == counts
+    assert [r.pair_count for r in analysis.weak_each(rhos[:1])] == counts
     assert analysis.commutative.tobytes() == ref.commutative(analysis).tobytes()
     states = _state_stack(rhos, analysis.chains.shape[-1])
     assert (consistency._left(analysis.chains, states).tobytes()
