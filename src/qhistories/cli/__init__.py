@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import math
+import shutil
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -30,7 +31,7 @@ from ..errors import (
     PreconditionFailed,
     ToolkitError,
 )
-from ..histories import History, HistoryFamily, chain_stack, elementary_histories
+from ..histories import History, chain_stack, elementary_histories
 from ..individuality import _mixtures
 from ..matcore import DensityOperator, Tolerances
 from ..mirror import (
@@ -124,19 +125,31 @@ def _sweep_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
 
 
-def _mirror_args(p: argparse.ArgumentParser) -> None:
-    msub = p.add_subparsers(dest="mirror_command", required=True)
-    v = msub.add_parser("verify", help="verify a named candidate")
-    v.add_argument("--problem", type=Path, required=True)
-    v.add_argument("--history", required=True,
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--problem", type=Path, required=True)
+    p.add_argument("--history", required=True,
                    help="elementary history label, e.g. \"(1,2)\"")
-    v.add_argument("--mirror", required=True, help="operator name")
-    _add_common(v)
-    s = msub.add_parser("search", help="decide whether a mirror exists and "
-                                       "report the least one")
-    s.add_argument("--problem", type=Path, required=True)
-    s.add_argument("--history", required=True)
-    _add_common(s)
+    p.add_argument("--mirror", required=True, help="operator name")
+    _add_common(p)
+
+
+def _search_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--problem", type=Path, required=True)
+    p.add_argument("--history", required=True)
+    _add_common(p)
+
+
+# mirror's actions: name -> (help, argument builder), in help order
+_MIRROR_ACTIONS = {
+    "verify": ("verify a named candidate", _verify_args),
+    "search": ("decide whether a mirror exists and report the least one",
+               _search_args),
+}
+
+
+def _mirror_args(p: argparse.ArgumentParser, action: Optional[str] = None) -> None:
+    for name, q in _add_parsers(p, "mirror_command", _MIRROR_ACTIONS, action):
+        _MIRROR_ACTIONS[name][1](q)
 
 
 def _prop1_args(p: argparse.ArgumentParser) -> None:
@@ -178,11 +191,12 @@ def _load_problem(path: Path, tol: Tolerances):
     return (problem, *problem_to_objects(problem, tol))
 
 
-def _find_history(family: HistoryFamily, label: str) -> History:
-    for h in elementary_histories(family):
+def _find_history(histories: list[History], label: str) -> History:
+    """The elementary history of ``histories`` labelled ``label``."""
+    for h in histories:
         if h.label == label:
             return h
-    labels = ", ".join(h.label for h in elementary_histories(family))
+    labels = ", ".join(h.label for h in histories)
     raise BadParameters(f"history {label!r} is not elementary here "
                         f"(have {labels})")
 
@@ -397,7 +411,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_mirror(args) -> int:
     tol = _tolerances(args)
     problem, family, rho, _ = _load_problem(args.problem, tol)
-    h = _find_history(family, args.history)
+    h = _find_history(elementary_histories(family), args.history)
     if args.mirror_command == "search":
         cert = least_mirror(h, rho, tol)
         return _report(args, tol, {"mirror-search": _cert_result(
@@ -424,8 +438,8 @@ def _cmd_prop1(args) -> int:
     psi = vecs[:, -1]
     t = projection_named(problem.operators, args.t, tol)
     u = projection_named(problem.operators, args.u, tol)
-    h1 = _find_history(family, args.h1)
-    h2 = _find_history(family, args.h2)
+    histories = elementary_histories(family)
+    h1, h2 = _find_history(histories, args.h1), _find_history(histories, args.h2)
     prop = proposition1_check(t, u, h1, h2, psi, tol)
     return _report(args, tol, {"prop1": _prop1_result(prop)}, notes=(
         f"orthogonality residual {prop.orthogonality_residual:.3e}",
@@ -445,26 +459,48 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone."""
+def _add_parsers(parser: argparse.ArgumentParser, dest: str, table: dict,
+                 chosen: Optional[str]):
+    """Add the sub-parsers ``dest`` named by ``table`` (name -> (help, ...))
+    to ``parser``: every one, or ``chosen`` alone, each with ``parser``'s
+    formatter class.  Yields each name and its sub-parser."""
+    # with one built, name every choice in usage lines as the full set does;
+    # no metavar otherwise, as argparse's errors name the argument by it
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=(
+        None if chosen is None else "{" + ",".join(table) + "}"))
+    for name, (text, *_) in table.items():
+        if chosen in (None, name):
+            yield name, sub.add_parser(name, help=text,
+                                       formatter_class=parser.formatter_class)
+
+
+def build_parser(command: Optional[str] = None,
+                 action: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone, and under
+    ``mirror`` of both actions, or of ``action`` alone.  The terminal width
+    is read once and given to every help formatter of the parser, where
+    argparse would read it again for each argument added."""
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="qhistories",
+        prog="qhistories", formatter_class=formatter,
         description="consistency checkers for quantum history families")
-    # with one command built, name every command in usage lines as the full
-    # parser does; no metavar otherwise, as its errors name the command by it
-    sub = parser.add_subparsers(dest="command", required=True, metavar=(
-        None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"))
-    for name, (text, arguments, _) in _SUBCOMMANDS.items():
-        if command in (None, name):
-            arguments(sub.add_parser(name, help=text))
+    for name, p in _add_parsers(parser, "command", _SUBCOMMANDS, command):
+        if name == "mirror":
+            _mirror_args(p, action)
+        else:
+            _SUBCOMMANDS[name][1](p)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command line, building only its subcommand's parser."""
+    """Run one command line, building only the parser of its subcommand
+    (and of ``mirror``'s action) when argv names one."""
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    action = (argv[1] if command == "mirror" and len(argv) > 1
+              and argv[1] in _MIRROR_ACTIONS else None)
+    args = build_parser(command, action).parse_args(argv)
     try:
         return _SUBCOMMANDS[args.command][2](args)
     except (ToolkitError, OSError) as exc:

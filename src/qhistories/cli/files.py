@@ -221,29 +221,36 @@ def projection_named(operators: dict[str, np.ndarray], name: str,
         raise _prefixed(exc, f"operator {name!r}")
 
 
-def _projections_named(operators: dict[str, np.ndarray], names: list[str],
-                       tol: Tolerances) -> list[Projection]:
-    """:func:`projection_named` over ``names`` in one stacked validation."""
-    try:
-        return validate_projections([operators[n] for n in names], tol) if names else []
-    except ValidationError:
-        for name in names:
-            projection_named(operators, name, tol)
-        raise
-
-
 def problem_to_objects(problem: ProblemFile,
                        tol: Tolerances = DEFAULT_TOL,
                        ) -> tuple[HistoryFamily, DensityOperator,
                                   dict[str, Projection]]:
     """Validate the document's operators into typed objects.
 
-    The first failure in file order raises its :class:`ValidationError`
-    subclass, carrying the offending operator name and residual.
+    Every named projection (the events of every resolution, then the
+    mirrors) is validated in one stacked pass.  Only when that pass fails
+    are they validated again one at a time, in file order between the
+    resolution, state and mirror-label checks, so the first failure in file
+    order raises its :class:`ValidationError` subclass (or
+    :class:`ParseError` for an unknown mirror label), carrying the
+    offending operator name or slot and its residual.
     """
+    named_ops = [problem.operators[n] for n in (
+        *(n for names in problem.resolutions for n in names),
+        *(problem.mirrors or {}).values())]
+    try:
+        stacked = iter(validate_projections(named_ops, tol) if named_ops else [])
+    except (ValidationError, ValueError):  # ValueError: operators of two shapes
+        stacked = None
+
+    def named(names: list[str]) -> list[Projection]:
+        if stacked is None:
+            return [projection_named(problem.operators, n, tol) for n in names]
+        return [next(stacked) for _ in names]
+
     slots = []
     for k, names in enumerate(problem.resolutions):
-        events = _projections_named(problem.operators, names, tol)
+        events = named(names)
         try:
             slots.append(make_resolution(events, tol))
         except ValidationError as exc:
@@ -270,8 +277,7 @@ def problem_to_objects(problem: ProblemFile,
         labels = {h.label for h in elementary_histories(family)}
         given = list(problem.mirrors)
         known = next((k for k, lb in enumerate(given) if lb not in labels), len(given))
-        mirrors = dict(zip(given, _projections_named(
-            problem.operators, [problem.mirrors[lb] for lb in given[:known]], tol)))
+        mirrors = dict(zip(given, named([problem.mirrors[lb] for lb in given[:known]])))
         if known < len(given):
             raise ParseError(
                 f"mirror label {given[known]!r} matches no elementary history "

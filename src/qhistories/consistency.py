@@ -479,10 +479,13 @@ class FamilyAnalysis(_SlotHistories):
 
     def sum_rule_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
         """Every summable member pair ``(a, b)``, ``a < b``, of every group is
-        merged and evaluated from its own chain operator, in one stack."""
+        merged and evaluated from its own chain operator, in one stack: one
+        tall ``C rho`` product per state, as in :func:`_left`."""
         m = self.members
         states = _state_stack(rhos, self.chains.shape[-1])
         groups = _groups(len(self.chains), len(states))
+        if not groups:
+            return []
         slots = np.triu(m.summable_slots(), 1)
         g, a, b = np.nonzero(slots.repeat(groups // len(slots), axis=0))
         f = g % len(slots)
@@ -496,8 +499,10 @@ class FamilyAnalysis(_SlotHistories):
         for slot_events in merged[1:]:
             chains = slot_events @ chains
         probs = _probabilities(m.chains, states)
-        residuals = np.abs(_probabilities(chains[:, None], _pick(states, g))[:, 0]
-                           - probs[g, a] - probs[g, b])
+        # g is sorted and, given S states, every group has the same pairs
+        p_merged = _probabilities(chains.reshape(len(states), -1, *chains.shape[1:]),
+                                  states).reshape(-1)
+        residuals = np.abs(p_merged - probs[g, a] - probs[g, b])
         defects = np.abs(_probabilities(self.chains, states).sum(axis=1)
                          - 1.0).tolist()
         bounds = np.searchsorted(g, np.arange(groups + 1)).tolist()

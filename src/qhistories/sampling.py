@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BadParameters
+from .errors import BadParameters, DimensionMismatch
 from .histories import (
     History,
     HistoryFamily,
@@ -30,6 +30,7 @@ from .matcore import (
     validate_density,
     validate_densities,
     validate_projection,
+    validate_projections,
 )
 
 __all__ = [
@@ -179,6 +180,14 @@ _KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
+def _kron(a, b) -> np.ndarray:
+    """``np.kron`` of two matrices as one broadcast product: the same
+    products of the same entries, without ``np.kron``'s any-rank set-up."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def assemble_pointer_model(psi1: np.ndarray, psi2: np.ndarray,
                            p1: np.ndarray, p2: np.ndarray,
                            e2_matrix: np.ndarray,
@@ -191,6 +200,12 @@ def assemble_pointer_model(psi1: np.ndarray, psi2: np.ndarray,
     the record basis.  The provided mirrors are keyed by elementary
     label and verified downstream, so a violated precondition surfaces
     as a failed certificate rather than silently wrong bookkeeping.
+
+    The six to eight operators (``e1``, ``f1``, ``e2``, ``t``, ``u``, the
+    ``rest`` of slot 1 and the complement of ``e2`` where they are not zero,
+    and the zero mirror) are validated in that order in one stacked pass, so
+    the first invalid one raises what it raises alone.  ``p1`` and ``p2``
+    must be ``spatial_dim`` square and ``e2_matrix`` twice that.
     """
     psi1 = np.asarray(psi1, dtype=complex).reshape(-1)
     psi2 = np.asarray(psi2, dtype=complex).reshape(-1)
@@ -201,33 +216,36 @@ def assemble_pointer_model(psi1: np.ndarray, psi2: np.ndarray,
             or abs(np.linalg.norm(psi2) - 1.0) > tol.op
             or abs(np.vdot(psi1, psi2)) > tol.op):
         raise BadParameters("branch vectors must be orthonormal")
+    dim = 2 * spatial_dim
+    p1, p2 = np.asarray(p1), np.asarray(p2)
+    e2_matrix = np.asarray(e2_matrix, dtype=complex)
+    for name, m, n in (("p1", p1, spatial_dim), ("p2", p2, spatial_dim),
+                       ("e2_matrix", e2_matrix, dim)):
+        if m.shape != (n, n):
+            raise DimensionMismatch(f"{name} has shape {m.shape}, expected ({n}, {n})")
     eye2 = np.eye(2, dtype=complex)
     eye_s = np.eye(spatial_dim, dtype=complex)
-    e1 = validate_projection(np.kron(p1, eye2), tol)
-    f1 = validate_projection(np.kron(p2, eye2), tol)
-    e2 = validate_projection(e2_matrix, tol)
-    t = validate_projection(np.kron(eye_s, _KET1), tol)
-    u = validate_projection(np.kron(eye_s, _KET0), tol)
-    dim = 2 * spatial_dim
-    psi = (np.kron(psi1, np.array([0.0, 1.0])) +
-           np.kron(psi2, np.array([1.0, 0.0]))) / np.sqrt(2.0)
-    slot1 = [e1, f1]
-    rest = np.eye(dim, dtype=complex) - e1.matrix - f1.matrix
-    if max_norm(rest) > tol.op:
-        slot1.append(validate_projection(rest, tol))
-    slot2 = [e2]
-    comp = np.eye(dim, dtype=complex) - e2.matrix
-    if max_norm(comp) > tol.op:
-        slot2.append(validate_projection(comp, tol))
+    eye = np.eye(dim, dtype=complex)
+    e1_matrix, f1_matrix = _kron(p1, eye2), _kron(p2, eye2)
+    # slot 1's rest and e2's complement, each kept only where it is not zero
+    rest = [m for m in [eye - e1_matrix - f1_matrix] if max_norm(m) > tol.op]
+    comp = [m for m in [eye - e2_matrix] if max_norm(m) > tol.op]
+    e1, f1, e2, t, u, *others, zero = validate_projections(
+        [e1_matrix, f1_matrix, e2_matrix, _kron(eye_s, _KET1), _kron(eye_s, _KET0),
+         *rest, *comp, np.zeros_like(eye)], tol)
+    slot1, slot2 = [e1, f1, *others[:len(rest)]], [e2, *others[len(rest):]]
     family = HistoryFamily((make_resolution(slot1, tol),
                             make_resolution(slot2, tol)))
     # histories run over slot 2 fastest: (e1, .) get t, (f1, .) u, (rest, .) zero
-    mirrors = (t, u, validate_projection(np.zeros((dim, dim), dtype=complex), tol))
+    mirrors = (t, u, zero)
     histories = elementary_histories(family)
     provided = {h.label: mirrors[i // len(slot2)] for i, h in enumerate(histories)}
     h1, h2 = histories[0], histories[len(slot2)]
-    vectors = (psi, np.kron(psi1, [0.0, 1.0]), np.kron(psi2, [1.0, 0.0]))
-    rho, rho1, rho2 = validate_densities([np.outer(v, v.conj()) for v in vectors], tol)
+    branch1 = np.outer(psi1, [0.0, 1.0]).reshape(-1)
+    branch2 = np.outer(psi2, [1.0, 0.0]).reshape(-1)
+    psi = (branch1 + branch2) / np.sqrt(2.0)
+    rho, rho1, rho2 = validate_densities(
+        [np.outer(v, v.conj()) for v in (psi, branch1, branch2)], tol)
     return PointerModel(spatial_dim, psi1, psi2, psi, e1, f1, e2, t, u,
                         family, h1, h2, provided, rho, rho1, rho2)
 
@@ -256,5 +274,5 @@ def pointer_model(spatial_dim: int, rng: np.random.Generator,
                            rank=int(rng.integers(1, spatial_dim + 1)), tol=tol)
     q1 = random_projection(spatial_dim, rng,
                            rank=int(rng.integers(1, spatial_dim + 1)), tol=tol)
-    e2_matrix = np.kron(q0.matrix, _KET0) + np.kron(q1.matrix, _KET1)
+    e2_matrix = _kron(q0.matrix, _KET0) + _kron(q1.matrix, _KET1)
     return assemble_pointer_model(psi1, psi2, p1, p2, e2_matrix, tol)

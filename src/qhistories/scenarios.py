@@ -34,7 +34,7 @@ from .matcore import (
     validate_densities,
     validate_projections,
 )
-from .sampling import PointerModel, assemble_pointer_model
+from .sampling import PointerModel, _kron, assemble_pointer_model
 
 __all__ = [
     "Example1Instance",
@@ -223,7 +223,7 @@ def build_example2(spatial_dim: int = 2, delta: tuple[int, ...] = (1,),
     p_delta = np.zeros((spatial_dim, spatial_dim), dtype=complex)
     for c in cells:
         p_delta[c - 1, c - 1] = 1.0
-    e2_matrix = np.kron(p_delta, np.eye(2, dtype=complex))
+    e2_matrix = _kron(p_delta, np.eye(2, dtype=complex))
     return assemble_pointer_model(psi1, psi2, p1, p2, e2_matrix, tol)
 
 

@@ -1,6 +1,8 @@
 """File formats and command driver: parsing, round trips, exit codes."""
 
+import argparse
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import qhistories.cli as cli
+import qhistories.cli.files as files
 from qhistories.cli import (
     SWEEP_COLUMNS,
     _elementary_probabilities,
@@ -34,6 +37,7 @@ from qhistories.errors import (
     NotIdempotent,
     NotOrthogonal,
     ParseError,
+    TraceNotOne,
     ValidationError,
 )
 from qhistories.matcore import DEFAULT_TOL
@@ -150,8 +154,8 @@ def test_problem_objects_keep_the_failure_class():
 
 
 def test_problem_objects_raise_the_first_failure_in_file_order():
-    """Each resolution and the mirrors are validated as stacks; the error
-    is still the first one in file order, with its name, class and pair."""
+    """Every named projection is validated in one stack; the error is still
+    the first one in file order, with its name, class and pair."""
     problem = example2_problem()
     ops = problem.operators
     skew = ops["E2"] + 0.1j * (np.eye(4) - np.diag([1, 0, 0, 0]))
@@ -183,6 +187,15 @@ def test_problem_objects_raise_the_first_failure_in_file_order():
         problem_to_objects(half_mirror, TOL)
     assert str(exc.value).startswith("operator 'HALF': ")
     assert exc.value.residual == pytest.approx(0.25)
+    # The state comes before the mirrors in file order.
+    bad_state = ProblemFile(
+        dim=4, operators=dict(ops, HALF=0.5 * ops["U"], THIN=0.5 * ops["Psi"]),
+        resolutions=problem.resolutions, state="THIN",
+        mirrors={"(1,1)": "HALF", "(2,1)": "U"})
+    with pytest.raises(TraceNotOne) as exc:
+        problem_to_objects(bad_state, TOL)
+    assert str(exc.value).startswith("state 'THIN': ")
+    assert exc.value.residual == pytest.approx(0.5)
     # A bad mirror before an unknown label fails first, and the reverse.
     for mirrors, error in (({"(2,1)": "HALF", "(9,9)": "T"}, NotIdempotent),
                            ({"(9,9)": "T", "(2,1)": "HALF"}, ParseError)):
@@ -191,6 +204,29 @@ def test_problem_objects_raise_the_first_failure_in_file_order():
                 dim=4, operators=dict(ops, HALF=0.5 * ops["U"]),
                 resolutions=problem.resolutions, state="Psi",
                 mirrors=mirrors), TOL)
+
+
+def test_problem_objects_validate_the_projections_in_one_stacked_call(
+        monkeypatch):
+    """A valid document's events and mirrors are one stacked validation,
+    in file order; no operator is validated alone."""
+    calls = []
+
+    def spy(validate):
+        def wrapped(stack, tol):
+            calls.append((validate.__name__, len(stack)))
+            return validate(stack, tol)
+        return wrapped
+
+    for name in ("validate_projections", "validate_projection"):
+        monkeypatch.setattr(files, name, spy(getattr(files, name)))
+    family, _, mirrors = problem_to_objects(example2_problem(), TOL)
+    assert calls == [("validate_projections", 6)]
+    ops = example2_problem().operators
+    assert [e.matrix.tobytes() for r in family.resolutions for e in r.events] == [
+        ops[n].astype(complex).tobytes() for n in ("E1", "F1", "E2", "E2c")]
+    assert [m.matrix.tobytes() for m in mirrors.values()] == [
+        ops[n].astype(complex).tobytes() for n in ("T", "U")]
 
 
 def test_problem_objects_support_mixture_states():
@@ -664,11 +700,16 @@ def test_mirror_commands(tmp_path, capsys):
               "--history", "(1,1)", "--seed", "0"])
 
 
-def test_prop1_command(tmp_path, capsys):
+def test_prop1_command(tmp_path, capsys, monkeypatch):
     path = tmp_path / "ex2.json"
     path.write_text(serialize_problem(example2_problem()))
+    built = []
+    histories = cli.elementary_histories
+    monkeypatch.setattr(cli, "elementary_histories",
+                        lambda family: built.append(family) or histories(family))
     assert main(["prop1", "--problem", str(path), "--t", "T", "--u", "U",
                  "--h1", "(1,1)", "--h2", "(2,1)"]) == 0
+    assert len(built) == 1  # both labels are looked up in one list
     capsys.readouterr()
 
     mixed = example1_problem()
@@ -716,18 +757,21 @@ def test_non_idempotent_operator_exits_2_with_its_name(tmp_path, capsys):
 
 
 # Command lines that argparse answers itself, with help or a usage error.
-# ``main`` builds only a known first word's parser, so the unknown options
-# after ``check`` and ``example2`` must still print the full usage line;
-# the first four get the full parser and its wording ("required: command",
-# "invalid choice").
+# ``main`` builds only a known first word's parser, and under ``mirror``
+# only a known second word's, so the unknown options after ``check`` and
+# ``example2`` must still print the full usage line; the first four get the
+# full parser and its wording ("required: command", "invalid choice"), and
+# ``mirror`` without a known action gets both actions.
 PARSER_ARGVS = [
     [], ["-h"], ["bogus"], ["--tol-op", "1", "check"],
     *([name, "-h"] for name in ("check", "example1", "example2", "sweep",
                                 "mirror", "prop1")),
-    ["mirror", "verify", "-h"], ["mirror", "search", "-h"],
+    ["mirror", "verify", "-h"], ["mirror", "search", "-h"], ["mirror", "--help"],
     ["check", "p.json", "--bogus"], ["example2", "--delta", "1", "--bogus", "x"],
     ["check"], ["example1"], ["mirror"], ["mirror", "bogus"],
     ["mirror", "verify", "--problem", "p.json"],
+    ["mirror", "verify", "--problem", "p.json", "--mirror", "T"],
+    ["mirror", "search", "--history", "(1,1)", "--bogus"],
     ["example1", "--theta", "1", "--state", "rho3"],
     ["sweep", "--param", "beta", "--start", "0", "--stop", "1", "--steps", "2"],
     ["example2", "--delta", "1,x"],
@@ -745,6 +789,64 @@ def test_main_answers_help_and_usage_errors_as_the_full_parser(
     with pytest.raises(SystemExit) as got:
         main(argv)
     assert (got.value.code, capsys.readouterr()) == (full.value.code, expected)
+
+
+def test_main_builds_only_the_parsers_argv_reaches(monkeypatch, capsys):
+    """A known command, and under ``mirror`` a known action, is the only one
+    whose arguments are added; otherwise every one at that level is."""
+    built = []
+
+    def spy(table, name):
+        text, arguments, *rest = table[name]
+        monkeypatch.setitem(table, name, (
+            text, lambda p: built.append(name) or arguments(p), *rest))
+
+    for table in (cli._SUBCOMMANDS, cli._MIRROR_ACTIONS):
+        for name in table:
+            if name != "mirror":  # built by build_parser itself
+                spy(table, name)
+    everything = ["check", "example1", "example2", "sweep", "verify", "search",
+                  "prop1"]
+    for argv, want in ((["example2"], ["example2"]), (["mirror", "verify"], ["verify"]),
+                       (["mirror", "search"], ["search"]),
+                       (["mirror"], ["verify", "search"]),
+                       (["mirror", "bogus"], ["verify", "search"]), ([], everything)):
+        built.clear()
+        with pytest.raises(SystemExit):
+            main([*argv, "--help"])
+        assert built == want, argv
+    capsys.readouterr()
+
+
+def argparse_formatters(parser):
+    """``parser`` with argparse's own help formatter throughout, which reads
+    the terminal width whenever it formats."""
+    parser.formatter_class = argparse.HelpFormatter
+    for action in parser._subparsers._group_actions if parser._subparsers else ():
+        for sub in action.choices.values():
+            argparse_formatters(sub)
+    return parser
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+def test_help_is_argparse_help_at_any_width(columns, monkeypatch, capsys):
+    """Every subcommand's help, and the top level's, is what argparse's own
+    formatter prints at the width, with the width read once per build."""
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in ([], *([name] for name in cli._SUBCOMMANDS),
+                 ["mirror", "verify"], ["mirror", "search"]):
+        with pytest.raises(SystemExit):
+            argparse_formatters(build_parser()).parse_args([*argv, "--help"])
+        expected = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main([*argv, "--help"])
+        assert capsys.readouterr().out == expected, argv
+    reads = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size",
+                        lambda *a: reads.append(1) or size(*a))
+    build_parser()
+    assert len(reads) == 1
 
 
 def test_top_level_usage_errors_name_the_command_argument(capsys):

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from qhistories.errors import BadParameters
-from qhistories.histories import elementary_histories
-from qhistories.matcore import DEFAULT_TOL, max_norm
+from qhistories.errors import BadParameters, DimensionMismatch, ValidationError
+from qhistories.histories import HistoryFamily, elementary_histories, make_resolution
+from qhistories.matcore import (
+    DEFAULT_TOL,
+    max_norm,
+    validate_densities,
+    validate_projection,
+)
+from qhistories import sampling
 from qhistories.sampling import (
     assemble_pointer_model,
     pointer_model,
@@ -131,3 +137,113 @@ def test_assemble_pointer_model_rejects_bad_branches():
     with pytest.raises(BadParameters):
         assemble_pointer_model(2.0 * braid, np.array([0.0, 1.0]),
                                p1, p2, e2, TOL)  # unnormalized
+
+
+def reference_pointer_model(psi1, psi2, p1, p2, e2_matrix, tol):
+    """What :func:`assemble_pointer_model` builds, one ``np.kron`` and one
+    validation per operator, in its order (branch guards left out)."""
+    psi1 = np.asarray(psi1, dtype=complex).reshape(-1)
+    psi2 = np.asarray(psi2, dtype=complex).reshape(-1)
+    s = psi1.size
+    eye2, eye_s = np.eye(2, dtype=complex), np.eye(s, dtype=complex)
+    e1 = validate_projection(np.kron(p1, eye2), tol)
+    f1 = validate_projection(np.kron(p2, eye2), tol)
+    e2 = validate_projection(e2_matrix, tol)
+    t = validate_projection(np.kron(eye_s, np.diag([0.0, 1.0]).astype(complex)), tol)
+    u = validate_projection(np.kron(eye_s, np.diag([1.0, 0.0]).astype(complex)), tol)
+    psi = (np.kron(psi1, np.array([0.0, 1.0])) +
+           np.kron(psi2, np.array([1.0, 0.0]))) / np.sqrt(2.0)
+    slot1 = [e1, f1]
+    rest = np.eye(2 * s, dtype=complex) - e1.matrix - f1.matrix
+    if max_norm(rest) > tol.op:
+        slot1.append(validate_projection(rest, tol))
+    slot2 = [e2]
+    comp = np.eye(2 * s, dtype=complex) - e2.matrix
+    if max_norm(comp) > tol.op:
+        slot2.append(validate_projection(comp, tol))
+    family = HistoryFamily((make_resolution(slot1, tol), make_resolution(slot2, tol)))
+    zero = validate_projection(np.zeros((2 * s, 2 * s), dtype=complex), tol)
+    histories = elementary_histories(family)
+    provided = {h.label: (t, u, zero)[i // len(slot2)] for i, h in enumerate(histories)}
+    vectors = (psi, np.kron(psi1, [0.0, 1.0]), np.kron(psi2, [1.0, 0.0]))
+    rhos = validate_densities([np.outer(v, v.conj()) for v in vectors], tol)
+    return (psi, e1, f1, e2, t, u, family, histories[0], histories[len(slot2)],
+            provided, rhos)
+
+
+def pointer_bytes(psi, e1, f1, e2, t, u, family, h1, h2, provided, rhos):
+    """Every array and number of a pointer model, as bytes and reprs."""
+    def op(p):
+        return (p.matrix.dtype.str, p.matrix.tobytes(), p.rank,
+                repr(p.hermiticity_residual), repr(p.idempotency_residual))
+    return (psi.tobytes(), [op(p) for p in (e1, f1, e2, t, u)],
+            [(repr(r.overlap), [op(e) for e in r.events]) for r in family.resolutions],
+            [(h.label, [op(e) for e in h.events]) for h in (h1, h2)],
+            [(label, op(p)) for label, p in provided.items()],
+            [(r.matrix.tobytes(), repr(r.purity), repr(r.eigenvalue_floor),
+              repr(r.trace_residual)) for r in rhos])
+
+
+def pointer_ingredients(spatial, rng, full_branches=False, final_identity=False):
+    """Branch vectors, branch events and a record-diagonal final event; the
+    branch events span the spatial factor when ``full_branches`` (no
+    ``rest``), and the final event is the identity when ``final_identity``
+    (no complement)."""
+    v = sampling.random_unitary(spatial, rng)
+    cols1 = [0, *range(2, 1 + spatial // 2)] if full_branches else [0]
+    cols2 = [c for c in range(1, spatial) if c not in cols1] if full_branches else [1]
+    p1 = v[:, cols1] @ v[:, cols1].conj().T
+    p2 = v[:, cols2] @ v[:, cols2].conj().T
+    if final_identity:
+        e2 = np.eye(2 * spatial, dtype=complex)
+    else:
+        q0 = random_projection(spatial, rng, rank=1, tol=TOL).matrix
+        q1 = random_projection(spatial, rng, rank=spatial - 1, tol=TOL).matrix
+        e2 = (np.kron(q0, np.diag([1.0, 0.0])) + np.kron(q1, np.diag([0.0, 1.0])))
+    return v[:, 0], v[:, 1], p1, p2, e2
+
+
+@pytest.mark.parametrize("spatial", [2, 3, 4])
+@pytest.mark.parametrize("full_branches", [False, True])
+@pytest.mark.parametrize("final_identity", [False, True])
+def test_assemble_pointer_model_matches_the_per_operator_construction(
+        spatial, full_branches, final_identity):
+    """One stacked validation and broadcast Kronecker products build the
+    model of one ``np.kron`` and one validation per operator, byte for byte,
+    with and without slot 1's ``rest`` and slot 2's complement."""
+    rng = np.random.default_rng(100 * spatial + 10 * full_branches + final_identity)
+    ingredients = pointer_ingredients(spatial, rng, full_branches, final_identity)
+    m = assemble_pointer_model(*ingredients, TOL)
+    want = reference_pointer_model(*ingredients, TOL)
+    assert pointer_bytes(m.psi, m.e1, m.f1, m.e2, m.t, m.u, m.family, m.h1, m.h2,
+                         m.provided_mirrors, (m.rho, m.rho1, m.rho2)) == pointer_bytes(*want)
+    sizes = [len(r) for r in m.family.resolutions]
+    has_rest = not full_branches and spatial > 2
+    assert sizes == [2 + has_rest, 2 - final_identity]
+
+
+def test_assemble_pointer_model_raises_what_each_operator_raises_alone():
+    """A bad ``p1``, ``p2``, final event, or ``rest`` (overlapping branch
+    events) raises the class, message and residual of the per-operator
+    construction; the first bad operator in its order is the one named."""
+    psi1, psi2, p1, p2, e2 = pointer_ingredients(3, np.random.default_rng(7))
+    skew = np.triu(np.ones((3, 3)))
+    skew2 = np.triu(np.ones((6, 6)))
+    cases = [
+        (skew, p2, e2), (0.5 * p1, p2, e2),  # e1
+        (p1, skew, e2), (p1, 0.5 * p2, e2),  # f1
+        (p1, p2, skew2), (p1, p2, 0.5 * e2),  # e2
+        (p1, p1 + p2, e2),  # f1 overlaps e1: rest is not idempotent
+        (p1, p1, e2),  # rest = 1 - 2 e1 is not idempotent
+        (0.5 * p1, skew, skew2),  # three bad: e1's error
+        (p1, p1, 0.5 * e2),  # e2 before rest
+    ]
+    for k, (a, b, c) in enumerate(cases):
+        with pytest.raises(ValidationError) as want:
+            reference_pointer_model(psi1, psi2, a, b, c, TOL)
+        with pytest.raises(ValidationError) as got:
+            assemble_pointer_model(psi1, psi2, a, b, c, TOL)
+        assert (type(got.value), str(got.value), got.value.residual) == (
+            type(want.value), str(want.value), want.value.residual), k
+    with pytest.raises(DimensionMismatch):  # where products used to fail to broadcast
+        assemble_pointer_model(psi1, psi2, p1, p2, e2[:4, :4], TOL)
