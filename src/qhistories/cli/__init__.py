@@ -480,6 +480,7 @@ def build_parser(command: Optional[str] = None,
     ``mirror`` of both actions, or of ``action`` alone.  The terminal width
     is read once and given to every help formatter of the parser, where
     argparse would read it again for each argument added."""
+    # the width argparse uses when it reads the terminal itself
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(

@@ -803,7 +803,7 @@ def test_main_builds_only_the_parsers_argv_reaches(monkeypatch, capsys):
 
     for table in (cli._SUBCOMMANDS, cli._MIRROR_ACTIONS):
         for name in table:
-            if name != "mirror":  # built by build_parser itself
+            if name != "mirror":  # build_parser adds its actions, spied here
                 spy(table, name)
     everything = ["check", "example1", "example2", "sweep", "verify", "search",
                   "prop1"]
