@@ -161,7 +161,8 @@ def _left(chains: np.ndarray, states: np.ndarray) -> np.ndarray:
     ``(S, d, d)`` states that broadcast: one tall ``(N d) x d`` product
     per group, not N products of ``d x d``, with the same bits."""
     f, n, d, _ = chains.shape
-    return (chains.reshape(f, n * d, d) @ states).reshape(-1, n, d, d)
+    left = chains.reshape(f, n * d, d) @ states
+    return left.reshape(len(left), n, d, d)
 
 
 def _probabilities(chains: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -478,17 +479,16 @@ class FamilyAnalysis(_SlotHistories):
         return self.sum_rule_each([rho])[0]
 
     def sum_rule_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
-        """Every summable member pair ``(a, b)``, ``a < b``, of every group is
-        merged and evaluated from its own chain operator, in one stack: one
-        tall ``C rho`` product per state, as in :func:`_left`."""
+        """Every summable member pair ``(a, b)``, ``a < b``, of every family is
+        merged once and evaluated from its own chain operator, in one stack:
+        one tall ``C rho`` product per state, broadcast as in :func:`_left`."""
         m = self.members
         states = _state_stack(rhos, self.chains.shape[-1])
         groups = _groups(len(self.chains), len(states))
         if not groups:
             return []
         slots = np.triu(m.summable_slots(), 1)
-        g, a, b = np.nonzero(slots.repeat(groups // len(slots), axis=0))
-        f = g % len(slots)
+        f, a, b = np.nonzero(slots)
         merged = []
         for k, events in enumerate(m.stacks):
             slot_events = events[f, m.index[a, k]]
@@ -499,9 +499,10 @@ class FamilyAnalysis(_SlotHistories):
         for slot_events in merged[1:]:
             chains = slot_events @ chains
         probs = _probabilities(m.chains, states)
-        # g is sorted and, given S states, every group has the same pairs
-        p_merged = _probabilities(chains.reshape(len(states), -1, *chains.shape[1:]),
-                                  states).reshape(-1)
+        reps = groups // len(slots)  # S for one family and S states, else 1
+        g = (f + np.arange(reps)[:, None]).reshape(-1)  # sorted
+        a, b = (a, b) if reps == 1 else (np.tile(a, reps), np.tile(b, reps))
+        p_merged = _probabilities(chains[None], states).reshape(-1)
         residuals = np.abs(p_merged - probs[g, a] - probs[g, b])
         defects = np.abs(_probabilities(self.chains, states).sum(axis=1)
                          - 1.0).tolist()

@@ -186,7 +186,7 @@ def validate_projections(stack, tol: Tolerances = DEFAULT_TOL) -> list[Projectio
         if i > tol.op:
             raise NotIdempotent(
                 f"projection candidate is not idempotent (residual {i:.3e})", i)
-    ranks = np.count_nonzero(np.abs(np.linalg.eigvalsh(m) - 1.0) <= tol.eig, axis=1)
+    ranks = (np.abs(np.linalg.eigvalsh(m) - 1.0) <= tol.eig).sum(axis=1)
     return [Projection(*args) for args in zip(m, ranks.tolist(), herm, idem)]
 
 

@@ -146,7 +146,10 @@ def _supports(states: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list[int
     Frobenius norm.  That distance is ``sqrt(2 sum sin^2 theta_i)`` over the
     principal angles when the ranks agree, and at least 1 when they do not,
     so it joins only supports of one rank r whose stacked bases
-    ``[V_s, V_t]`` have rank r at ``tol.eig``, the closure's own rank rule.
+    ``[V_s, V_t]`` have rank r at ``tol.eig``, the rank rule of the closure's
+    SVDs.  (Its first round, ``[e1 S, e2 e1 S]``, admits an ``e1 S``
+    direction that ``e2`` keeps from ``tol.eig / sqrt(2)``, and its stop at
+    an invariance defect of ``tol.eig / 2`` is exact by Weyl's inequality.)
     ``V`` depends on a state only through its support, and
     ``supp(lam rho1 + (1 - lam) rho2)`` is ``supp rho1 + supp rho2`` for
     every ``lam`` whose weighted eigenvalues stay above ``tol.eig``, so the
@@ -173,27 +176,33 @@ def _supports(states: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list[int
 def _least_projections(events: np.ndarray, supports: np.ndarray,
                        tol: Tolerances) -> np.ndarray:
     """Projections onto ``V`` (see :func:`least_mirror`) for all (support,
-    history) pairs, support-major: each closure round is one stacked SVD of
-    ``[P, e1 P, e2 P]``, ``P`` a basis padded with zero columns (which adds
-    only zero singular values), and a pair is updated while its rank grows."""
+    history) pairs, support-major, bases padded with zero columns (which add
+    only zero singular values).  The first round is one stacked SVD of
+    ``[e1 S, e2 e1 S]``, where an ``e1 S`` direction that ``e2`` keeps counts
+    from ``tol.eig / sqrt(2)``.  A later round stops each pair whose defect
+    ``||(1 - P P^dag)[e1 P, e2 P]||_F`` is at most ``tol.eig / 2`` (by Weyl,
+    no singular value of ``[P, e1 P, e2 P]`` past ``rank P`` exceeds it) and
+    takes one stacked SVD of ``[P, e1 P, e2 P]`` for the others."""
     n, d = len(events), events.shape[-1]
 
     def span(a):
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-        rank = np.count_nonzero(s > tol.eig, axis=-1)
+        u, s, _ = np.linalg.svd(a.reshape(-1, d, a.shape[-1]), full_matrices=False)
+        rank = (s > tol.eig).sum(axis=1)
         return u * (np.arange(d) < rank[:, None])[:, None], rank
 
-    basis, rank = span((events[:, 0] @ supports[:, None]).reshape(-1, d, d))
+    first = events[:, 0] @ supports[:, None]
+    basis, rank = span(np.concatenate([first, events[:, 1] @ first], -1))
     live = np.arange(len(basis))  # pair g * n + i: support g, history i
     for _ in range(d):
-        live = live[(rank[live] > 0) & (rank[live] < d)]  # these cannot grow
-        if not live.size:
-            break
         b = basis[live]
         moved = events[live % n] @ b[:, None]
-        grown, wider = span(np.concatenate([b, moved[:, 0], moved[:, 1]], -1))
-        more = wider > rank[live]
-        live = live[more]
+        off = moved - b[:, None] @ (b.conj().swapaxes(-1, -2)[:, None] @ moved)
+        keep = (off * off.conj()).real.sum(axis=(1, 2, 3)) > (tol.eig / 2) ** 2
+        if not keep.any():
+            break
+        grown, wider = span(np.concatenate([b[keep], *moved[keep].swapaxes(0, 1)], -1))
+        more = wider > rank[live[keep]]
+        live = live[keep][more]
         basis[live], rank[live] = grown[more], wider[more]
     return basis @ basis.conj().swapaxes(-1, -2)
 
@@ -308,12 +317,17 @@ def least_mirror(h: History, rho: DensityOperator,
     its projection; when it does not verify, its residuals measure the
     obstruction.
 
-    The support takes the eigenvectors of ``rho`` above ``tol.eig`` in
-    full, whatever their weight, and ``V`` grows by
-    ``V <- ran[V, e1 V, e2 V]`` (rank at ``tol.eig``, at most ``d``
-    rounds) until its rank stops growing.  A support direction of
-    weight just above ``tol.eig`` can thus rule out every mirror while
-    a provided projection passes :func:`verify_mirror`, which bounds
+    The support ``S`` takes the eigenvectors of ``rho`` above ``tol.eig``
+    in full, whatever their weight.  ``V`` starts as ``ran[e1 S, e2 e1 S]``
+    and grows by ``V <- ran[P, e1 P, e2 P]``, ``P`` its basis, while its
+    rank at ``tol.eig`` grows.  It stops without that SVD once
+    ``||(1 - P P^dag)[e1 P, e2 P]||_F <= tol.eig / 2``: by Weyl's inequality
+    no singular value of ``[P, e1 P, e2 P]`` past ``rank P`` exceeds that
+    defect, which leaves ``tol.eig / 2`` for rounding.  An ``e1 S`` direction
+    that ``e2`` keeps has ``sqrt(2)`` times its singular value in the first
+    round, so one in ``(tol.eig / sqrt(2), tol.eig]`` enters ``V``.  A support
+    direction of weight just above ``tol.eig`` can rule out every mirror
+    while a provided projection passes :func:`verify_mirror`, which bounds
     trace residuals by ``tol.prob``.
     """
     return least_mirrors(h, [rho], tol)[0]

@@ -1057,6 +1057,38 @@ def test_sum_rule_decides_members_whose_sums_miss_the_op_tolerance():
     assert report.verdict and report.pair_count == 213
 
 
+@pytest.mark.parametrize("count", [1, 5, 12])
+def test_sum_rule_merges_a_familys_pairs_once_for_all_states(count, monkeypatch):
+    """The merged chains of one family are one ``(1, P, d, d)`` stack
+    whatever the number of states, and each state's report is its
+    one-state report, bit for bit."""
+    inst = build_example1(1.0, 0.4)
+    rng = np.random.default_rng(count)
+    states = [random_density(3, rng, tol=TOL) for _ in range(count)]
+    analysis = FamilyAnalysis(inst.family, TOL)
+    alone = [analysis.sum_rule(rho) for rho in states]
+    shapes = []
+    probabilities = consistency._probabilities
+    monkeypatch.setattr(consistency, "_probabilities", lambda chains, rhos: (
+        shapes.append(chains.shape) or probabilities(chains, rhos)))
+    got = analysis.sum_rule_each(states)
+    assert [(r.worst_residual.hex(), r) for r in got] == [
+        (r.worst_residual.hex(), r) for r in alone]
+    pairs = int(np.triu(analysis.members.summable_slots()[0], 1).astype(bool).sum())
+    assert pairs and (1, pairs, 3, 3) in shapes
+
+
+def test_sum_rule_of_a_family_without_summable_pairs_holds():
+    """One event per slot: no member pair is summable, so only the
+    probability sum is checked."""
+    whole = make_resolution([identity_projection(2)], TOL)
+    rho = validate_density(np.diag([0.5, 0.5]))
+    analysis = FamilyAnalysis(HistoryFamily((whole, whole)), TOL)
+    reports = analysis.sum_rule_each([rho, rho])
+    assert [(r.verdict, r.pair_count, r.worst_pair) for r in reports] == [
+        (True, 0, None)] * 2
+
+
 def test_zero_events_relate_by_rank_at_the_op_tolerance():
     """``diag(x,0,0)`` and ``diag(-x,0,0)`` have rank 0, so the tables make
     them equal, though their difference 2x is above ``TOL.op``: ``(2,1)``

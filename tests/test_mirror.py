@@ -513,6 +513,112 @@ def test_least_mirror_near_the_support_threshold():
     assert max_norm(below.mirror.matrix - t.matrix) <= TOL.op
 
 
+def test_first_round_keeps_e1_directions_that_e2_keeps_above_tol_eig_over_sqrt2():
+    """The first round takes the rank of ``[e1 S, e2 e1 S]``.  An ``e1 S``
+    direction of singular value ``c`` that ``e2`` fixes has ``c sqrt(2)``
+    there, so for ``c`` in ``(tol.eig / sqrt(2), tol.eig]`` it enters ``V``,
+    where the one-history reference, which first takes the rank of
+    ``e1 S`` alone, drops it; outside that band both rules agree."""
+    e1 = diag_proj(1, 1, 0, 0)
+    e2 = diag_proj(1, 0, 1, 0)  # fixes |0>
+    h = History((e1, e2), "(1,1)")
+    ranks, reference = [], []
+    for factor in (2.0, 0.8, 0.5):
+        c = factor * TOL.eig
+        psi = np.array([c, 0.0, 0.0, np.sqrt(1.0 - c * c)])
+        rho = validate_density(np.outer(psi, psi))
+        ranks.append(least_mirror(h, rho, TOL).mirror.rank)
+        reference.append(reference_least_mirror(h, rho, TOL).mirror.rank)
+    assert ranks == [1, 1, 0]
+    assert reference == [1, 0, 0]
+
+
+def _tilted_growth(sigma):
+    """``e1 = diag(1, 1, 0, 0)`` and ``e2`` onto ``|0> + b|1> + |2>`` with
+    ``psi = |0>``: the first round gives ``V1 = span{|0>, b|1> + |2>}``,
+    which ``e2`` keeps and ``e1`` moves by about ``b`` along ``|1>``, and
+    ``b`` is set so that this direction's singular value in
+    ``[P, e1 P, e2 P]``, ``P`` a basis of ``V1``, is ``sigma``."""
+    def setup(b):
+        v = np.array([1.0, b, 1.0, 0.0])
+        e2 = validate_projection(np.outer(v, v) / (v @ v))
+        p = np.linalg.svd(np.array([[1.0, 0.0, 0.0, 0.0], e2.matrix[0].real]).T,
+                          full_matrices=False)[0]
+        stack = np.hstack([p, diag_proj(1, 1, 0, 0).matrix @ p, e2.matrix @ p])
+        return e2, np.linalg.svd(stack, compute_uv=False)[2]
+
+    b = sigma
+    for _ in range(3):  # the singular value is linear in b to first order
+        b *= sigma / setup(b)[1]
+    e2, got = setup(b)
+    assert got == pytest.approx(sigma, rel=1e-6)
+    return History((diag_proj(1, 1, 0, 0), e2), "(1,1)")
+
+
+@pytest.mark.parametrize("factor, rank", [(2.0, 3), (0.25, 2)])
+def test_later_rounds_grow_at_the_reference_rank_rule(factor, rank):
+    """A second-round direction of singular value ``2 tol.eig`` enters
+    ``V`` and one of ``tol.eig / 4`` does not, as in the reference; the
+    latter's invariance defect is below ``tol.eig / 2``, so the closure
+    stops it without an SVD."""
+    h = _tilted_growth(factor * TOL.eig)
+    rho = validate_density(np.diag([1.0, 0.0, 0.0, 0.0]))
+    assert least_mirror(h, rho, TOL).mirror.rank == rank
+    assert reference_least_mirror(h, rho, TOL).mirror.rank == rank
+
+
+def _closures():
+    """``(events, support basis, closed projections)`` of the seeded
+    pointer, generic and rank-deficient cases, every support of each."""
+    rng = np.random.default_rng(131)
+    models = [pointer_model(s, rng, TOL) for s in (2, 3, 4)]
+    cases = [(m.family, [m.rho, m.rho1, m.rho2, mixture(m.rho1, m.rho2, 0.4, TOL)])
+             for m in models]
+    for d in range(3, 8):
+        states = [random_pure_density(d, rng, tol=TOL),
+                  *(random_density(d, rng, rank=r, tol=TOL) for r in range(1, d))]
+        cases += [(random_family(d, 2, rng, TOL), states),
+                  (binary_family(*random_commuting_events(d, rng, TOL)), states)]
+    for family, states in cases:
+        events = FamilyAnalysis(family, TOL).event_pairs[0]
+        bases = mirror._supports(_state_stack(states, family.dim), TOL)[0]
+        yield events, bases, mirror._least_projections(events, bases, TOL)
+
+
+def test_the_invariance_stop_is_sound():
+    """For every closed (support, history) pair, no singular value of
+    ``[P, e1 P, e2 P]`` past ``rank P`` exceeds the invariance defect
+    ``||(1 - P P^dag)[e1 P, e2 P]||_F`` (Weyl), so a pair the closure stops
+    at ``tol.eig / 2`` gets no rank growth from that SVD; every closed
+    pair gets none."""
+    stopped = 0
+    for events, _, closed in _closures():
+        for k, q in enumerate(closed):
+            w, v = np.linalg.eigh(q)
+            p = v[:, w > 0.5]
+            e1, e2 = events[k % len(events)]
+            moved = np.hstack([e1 @ p, e2 @ p])
+            defect = np.linalg.norm(moved - q @ moved)
+            s = np.linalg.svd(np.hstack([p, moved]), compute_uv=False)
+            assert np.all(s[p.shape[1]:] <= defect + 1e-15)
+            assert np.count_nonzero(s > TOL.eig) == p.shape[1]  # closed
+            stopped += defect <= TOL.eig / 2
+    assert stopped > 300
+
+
+def test_a_pointer_model_closure_takes_one_svd(monkeypatch):
+    """The first round closes every pair of example 2 and the invariance
+    defect confirms it: one stacked SVD for the whole family."""
+    m = build_example2()
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: (
+        calls.append(a[0].shape) or svd(*a, **k)))
+    report = check_self_decoherence(m.family, m.rho, None, TOL)
+    assert report.verdict
+    assert len(calls) == 1
+
+
 def test_contrary_bound_holds_on_each_eigenvector_for_least_mirrors():
     """Least mirrors of a mixed pointer state verify on every
     eigenvector in its support, so the decomposed bound always runs."""
