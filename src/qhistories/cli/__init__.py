@@ -31,7 +31,7 @@ from ..errors import (
     PreconditionFailed,
     ToolkitError,
 )
-from ..histories import History, chain_stack, elementary_histories
+from ..histories import History, chain_stack
 from ..individuality import _mixtures
 from ..matcore import DensityOperator, Tolerances
 from ..mirror import (
@@ -185,10 +185,11 @@ def _report(args, tol: Tolerances, notions: dict[str, NotionResult],
     return 0 if all(n.verdict for n in notions.values()) else 1
 
 
-def _load_problem(path: Path, tol: Tolerances):
-    """The parsed problem, then its family, state and provided mirrors."""
+def _load_problem(path: Path, tol: Tolerances, histories: bool = False):
+    """The parsed problem, then its family, state and provided mirrors, and
+    with ``histories`` its elementary histories."""
     problem = parse_problem(path.read_text())
-    return (problem, *problem_to_objects(problem, tol))
+    return (problem, *problem_to_objects(problem, tol, histories=histories))
 
 
 def _find_history(histories: list[History], label: str) -> History:
@@ -410,8 +411,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_mirror(args) -> int:
     tol = _tolerances(args)
-    problem, family, rho, _ = _load_problem(args.problem, tol)
-    h = _find_history(elementary_histories(family), args.history)
+    problem, _, rho, _, histories = _load_problem(args.problem, tol, histories=True)
+    h = _find_history(histories, args.history)
     if args.mirror_command == "search":
         cert = least_mirror(h, rho, tol)
         return _report(args, tol, {"mirror-search": _cert_result(
@@ -430,7 +431,7 @@ def _cmd_mirror(args) -> int:
 
 def _cmd_prop1(args) -> int:
     tol = _tolerances(args)
-    problem, family, rho, _ = _load_problem(args.problem, tol)
+    problem, _, rho, _, histories = _load_problem(args.problem, tol, histories=True)
     if rho.purity < 1.0 - tol.prob:
         raise PreconditionFailed(
             f"prop1 needs a pure state (purity {rho.purity:.6f})")
@@ -438,7 +439,6 @@ def _cmd_prop1(args) -> int:
     psi = vecs[:, -1]
     t = projection_named(problem.operators, args.t, tol)
     u = projection_named(problem.operators, args.u, tol)
-    histories = elementary_histories(family)
     h1, h2 = _find_history(histories, args.h1), _find_history(histories, args.h2)
     prop = proposition1_check(t, u, h1, h2, psi, tol)
     return _report(args, tol, {"prop1": _prop1_result(prop)}, notes=(

@@ -222,10 +222,11 @@ def projection_named(operators: dict[str, np.ndarray], name: str,
 
 
 def problem_to_objects(problem: ProblemFile,
-                       tol: Tolerances = DEFAULT_TOL,
-                       ) -> tuple[HistoryFamily, DensityOperator,
-                                  dict[str, Projection]]:
-    """Validate the document's operators into typed objects.
+                       tol: Tolerances = DEFAULT_TOL, *,
+                       histories: bool = False) -> tuple:
+    """Validate the document's operators into the family, the state and the
+    provided mirrors; with ``histories``, the family's elementary histories
+    follow, the one list that the mirror-label check also reads.
 
     Every named projection (the events of every resolution, then the
     mirrors) is validated in one stacked pass.  Only when that pass fails
@@ -272,9 +273,10 @@ def problem_to_objects(problem: ProblemFile,
             rho = validate_density(mixed, tol)
         except ValidationError as exc:
             raise _prefixed(exc, "state mixture")
+    elementary = elementary_histories(family) if histories or problem.mirrors else []
     mirrors: dict[str, Projection] = {}
     if problem.mirrors:
-        labels = {h.label for h in elementary_histories(family)}
+        labels = {h.label for h in elementary}
         given = list(problem.mirrors)
         known = next((k for k, lb in enumerate(given) if lb not in labels), len(given))
         mirrors = dict(zip(given, named([problem.mirrors[lb] for lb in given[:known]])))
@@ -282,7 +284,7 @@ def problem_to_objects(problem: ProblemFile,
             raise ParseError(
                 f"mirror label {given[known]!r} matches no elementary history "
                 f"(have {', '.join(sorted(labels))})")
-    return family, rho, mirrors
+    return (family, rho, mirrors, elementary) if histories else (family, rho, mirrors)
 
 
 def clamp_probability(raw: float, tol: Tolerances = DEFAULT_TOL) -> float:

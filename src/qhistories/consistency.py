@@ -344,8 +344,13 @@ class FamilyAnalysis(_SlotHistories):
     def block_mask(self) -> np.ndarray:
         """``[f, p, q]``: histories ``p < q`` over the block slots are
         summable, as are p and q of any one block."""
+        return (self.summable_slots(self.block_slots) > 0) & self.upper_mask
+
+    @functools.cached_property
+    def upper_mask(self) -> np.ndarray:
+        """``[0, p, q]``: histories ``p < q`` over the block slots (medium's)."""
         m = np.arange(math.prod(self.shape[1:1 + self.block_slots]))
-        return (self.summable_slots(self.block_slots) > 0) & np.less.outer(m, m)
+        return np.less.outer(m, m)[None]
 
     @functools.cached_property
     def commutative(self) -> np.ndarray:
@@ -421,6 +426,14 @@ class FamilyAnalysis(_SlotHistories):
         return [self._report(notion, w, pair, counts[k % len(counts)])
                 for k, (w, pair) in enumerate(zip(worst, where))]
 
+    def pair_entries(self, rho: DensityOperator, mask: np.ndarray) -> np.ndarray:
+        """The entries of ``D`` on ``rho`` that :meth:`_pair_reports` reduces
+        under a one-family ``mask``, flat, in block order.  ``D`` is linear in
+        the state, so a mixture's are the same mixture of its components'."""
+        last = len(self.index) // len(mask[0])
+        return np.concatenate([block[0][:, mask[0, i:i + block.shape[2]]].ravel()
+                               for _, i, block in _final_blocks(self.chains, last, rho)])
+
     def _report(self, notion: str, worst: float, pair, count: int,
                 ) -> ConsistencyReport:
         return ConsistencyReport(notion, worst <= self.tol.prob, pair, worst,
@@ -450,8 +463,7 @@ class FamilyAnalysis(_SlotHistories):
         return self.medium_each([rho])[0]
 
     def medium_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
-        m = np.arange(math.prod(self.shape[1:1 + self.block_slots]))
-        return self._pair_reports("medium", rhos, np.less.outer(m, m)[None],
+        return self._pair_reports("medium", rhos, self.upper_mask,
                                   [math.comb(len(self.index), 2)], np.abs)
 
     def linear_positivity(self, rho: DensityOperator) -> ConsistencyReport:

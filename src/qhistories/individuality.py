@@ -29,6 +29,7 @@ from .matcore import (
     DensityOperator,
     Projection,
     Tolerances,
+    _blocks,
     commutator,
     max_norm,
     validate_densities,
@@ -56,33 +57,52 @@ __all__ = [
 class PropertyPredicate:
     """A named yes/no property of a state, with the family baked in;
     ``evaluator`` maps a sequence of states to their verdicts, in order,
-    in one pass, and ``holds`` is its one-state case."""
+    in one pass, and ``holds`` is its one-state case.  A property read off
+    values linear in the state (weak, medium: ``D(x, y) = Tr(C_x rho
+    C_y^dag)``; linear positivity: ``Tr(C_x rho)``) also carries them:
+    ``entries(rho)``, flat, and ``decide``, each row's verdict as
+    ``evaluator`` reduces them, so a mixture is decided from its
+    components' entries ``v1``, ``v2`` as ``lam v1 + (1 - lam) v2``."""
 
     name: str
     evaluator: Callable[[Sequence[DensityOperator]], Sequence[bool]]
+    entries: Optional[Callable[[DensityOperator], np.ndarray]] = None
+    decide: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def holds(self, rho: DensityOperator) -> bool:
         return bool(self.evaluator([rho])[0])
 
 
-def _predicate(name: str, reports) -> PropertyPredicate:
-    return PropertyPredicate(name, lambda rhos: [r.verdict for r in reports(rhos)])
+def _predicate(name: str, reports, entries=None, residual=None,
+               tol: Tolerances = DEFAULT_TOL) -> PropertyPredicate:
+    """A row of entries holds iff no ``residual`` exceeds ``tol.prob``."""
+    return PropertyPredicate(
+        name, lambda rhos: [r.verdict for r in reports(rhos)], entries,
+        None if residual is None
+        else lambda values: ~(residual(values) > tol.prob).any(axis=-1))
 
 
 def weak_decoherence_property(family: HistoryFamily,
                               tol: Tolerances = DEFAULT_TOL) -> PropertyPredicate:
-    return _predicate("weak-decoherence", FamilyAnalysis(family, tol).weak_each)
+    a = FamilyAnalysis(family, tol)
+    return _predicate("weak-decoherence", a.weak_each,
+                      lambda rho: a.pair_entries(rho, a.block_mask),
+                      lambda values: np.abs(values.real), tol)
 
 
 def medium_decoherence_property(family: HistoryFamily,
                                 tol: Tolerances = DEFAULT_TOL) -> PropertyPredicate:
-    return _predicate("medium-decoherence", FamilyAnalysis(family, tol).medium_each)
+    a = FamilyAnalysis(family, tol)
+    return _predicate("medium-decoherence", a.medium_each,
+                      lambda rho: a.pair_entries(rho, a.upper_mask), np.abs, tol)
 
 
 def linear_positivity_property(family: HistoryFamily,
                                tol: Tolerances = DEFAULT_TOL) -> PropertyPredicate:
-    return _predicate("linear-positivity",
-                      FamilyAnalysis(family, tol).linear_positivity_each)
+    a = FamilyAnalysis(family, tol)
+    return _predicate("linear-positivity", a.linear_positivity_each,
+                      lambda rho: a.chain_traces(rho)[0],
+                      lambda values: -values.real, tol)
 
 
 def self_decoherence_property(family: HistoryFamily,
@@ -157,14 +177,27 @@ def individuality_violation_search(prop: PropertyPredicate,
                                    ) -> list[IndividualityWitness]:
     """Witnesses over a weight grid where the property holds on the
     mixture but on neither component.  An empty result means the grid
-    found nothing, not that no violating weight exists.  After the guards,
-    one evaluator call decides ``rho1`` alone; only when it lacks the
-    property (else no weight is a witness) are the mixtures built and
-    validated, and a second call decides them with ``rho2``."""
+    found nothing, not that no violating weight exists.  After the guards
+    ``rho1`` is decided alone (if it holds no weight is a witness); else the
+    mixtures are validated as one stack and decided with ``rho2``: from the
+    components' ``entries`` blended a column block at a time within the
+    block budget, or, for a predicate without them (self-decoherence: its
+    least mirror follows the support, not linearly), by one evaluator call."""
     _check_mixing(rho1, rho2, lams)
-    if prop.evaluator([rho1])[0]:
-        return []
-    on_2, *on_mix = prop.evaluator([rho2, *_mixtures(rho1, rho2, lams, tol)])
+    if prop.entries is None:
+        if prop.evaluator([rho1])[0]:
+            return []
+        on_2, *on_mix = prop.evaluator([rho2, *_mixtures(rho1, rho2, lams, tol)])
+    else:
+        v1 = prop.entries(rho1)
+        if prop.decide(v1[None])[0]:
+            return []
+        _mixtures(rho1, rho2, lams, tol)
+        v2 = prop.entries(rho2)
+        lam = np.array(lams, dtype=float)[:, None]
+        on_2, on_mix = prop.decide(v2[None])[0], np.ones(len(lams), dtype=bool)
+        for cols in _blocks(len(v1), v1.itemsize * len(lams)):
+            on_mix &= prop.decide(lam * v1[cols] + (1.0 - lam) * v2[cols])
     witnesses = (IndividualityWitness(prop.name, lam, bool(on), False, bool(on_2))
                  for lam, on in zip(lams, on_mix))
     return [w for w in witnesses if w.is_violation]

@@ -672,11 +672,14 @@ def test_sweep_rejects_out_of_range_values(capsys):
         assert captured.err == f"error: {message}\n"
 
 
-def test_mirror_commands(tmp_path, capsys):
+def test_mirror_commands(tmp_path, capsys, monkeypatch):
     path = tmp_path / "ex2.json"
     path.write_text(serialize_problem(example2_problem()))
+    built = _count_history_builds(monkeypatch)
     assert main(["mirror", "verify", "--problem", str(path),
                  "--history", "(1,1)", "--mirror", "T"]) == 0
+    # the mirror-label check and the history lookup read one list
+    assert len(built) == 1
     capsys.readouterr()
     assert main(["mirror", "verify", "--problem", str(path),
                  "--history", "(1,1)", "--mirror", "U"]) == 1
@@ -700,16 +703,26 @@ def test_mirror_commands(tmp_path, capsys):
               "--history", "(1,1)", "--seed", "0"])
 
 
+def _count_history_builds(monkeypatch) -> list:
+    """Every elementary-history list built through the command line's
+    modules: the problem-file reader's, and the commands' own should they
+    build one."""
+    built = []
+    histories = files.elementary_histories
+    for module in (cli, files):
+        monkeypatch.setattr(module, "elementary_histories", lambda family: (
+            built.append(family) or histories(family)), raising=False)
+    return built
+
+
 def test_prop1_command(tmp_path, capsys, monkeypatch):
     path = tmp_path / "ex2.json"
     path.write_text(serialize_problem(example2_problem()))
-    built = []
-    histories = cli.elementary_histories
-    monkeypatch.setattr(cli, "elementary_histories",
-                        lambda family: built.append(family) or histories(family))
+    built = _count_history_builds(monkeypatch)
     assert main(["prop1", "--problem", str(path), "--t", "T", "--u", "U",
                  "--h1", "(1,1)", "--h2", "(2,1)"]) == 0
-    assert len(built) == 1  # both labels are looked up in one list
+    # the mirror-label check and both labels read one list
+    assert len(built) == 1
     capsys.readouterr()
 
     mixed = example1_problem()

@@ -6,7 +6,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from qhistories import individuality
+from qhistories import consistency, individuality, matcore
 from qhistories.consistency import FamilyAnalysis
 from qhistories.errors import (
     BadParameters,
@@ -27,7 +27,7 @@ from qhistories.individuality import (
     self_decoherence_property,
     weak_decoherence_property,
 )
-from qhistories.histories import History
+from qhistories.histories import History, HistoryFamily, ResolutionOfIdentity
 from qhistories.matcore import (
     DEFAULT_TOL,
     identity_projection,
@@ -420,6 +420,131 @@ def test_search_finds_the_witnesses_of_one_evaluation():
                                              inst.rho1, inst.rho2,
                                              DEFAULT_LAMBDA_GRID, TOL)
         assert [w.lam for w in got] == [0.5]
+
+
+LINEAR = FACTORIES[:3]  # the predicates that carry their entries
+
+# blended entries against the explicit mixture's: the largest difference
+# over the 84 family and notion cases of _blend_cases is 2.2e-16, for
+# entries of modulus at most 1
+BLEND_BOUND = 1e-15
+
+
+def _state_route(prop):
+    """The same property decided by its evaluator alone."""
+    return PropertyPredicate(prop.name, prop.evaluator)
+
+
+def _blend_cases():
+    """(family, rho1, rho2): the components of every equivalence case,
+    and 3-slot random families."""
+    for family, _, (rho1, rho2, *_) in _equivalence_cases():
+        yield family, rho1, rho2
+    rng = np.random.default_rng(73)
+    for d in (3, 4, 5):
+        family = random_family(d, 3, rng, TOL)
+        yield family, *(random_density(d, rng, tol=TOL) for _ in range(2))
+        yield family, _within_first_event(family), random_density(d, rng, tol=TOL)
+
+
+def test_component_entries_blend_to_the_mixture_entries():
+    """``D`` and the chain traces are linear in the state: on every grid
+    weight, ``lam v1 + (1 - lam) v2`` is the mixture's entries up to
+    rounding, and it gives the verdict the evaluator gives the mixture."""
+    verdicts = {factory.__name__: set() for factory in LINEAR}
+    for (family, rho1, rho2), factory in itertools.product(_blend_cases(), LINEAR):
+        prop = factory(family, TOL)
+        assert prop.entries is not None and prop.decide is not None
+        v1, v2 = prop.entries(rho1), prop.entries(rho2)
+        lams = np.array(DEFAULT_LAMBDA_GRID)[:, None]
+        blend = lams * v1 + (1.0 - lams) * v2
+        mixed = [mixture(rho1, rho2, lam, TOL) for lam in DEFAULT_LAMBDA_GRID]
+        want = np.array([prop.entries(rho) for rho in mixed])
+        assert blend.shape == want.shape
+        assert np.abs(blend - want).max(initial=0.0) <= BLEND_BOUND, prop.name
+        got = prop.decide(np.concatenate([v1[None], v2[None], blend]))
+        assert list(got) == prop.evaluator([rho1, rho2, *mixed]), prop.name
+        verdicts[factory.__name__].update(got.tolist())
+    assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+
+
+def test_knife_edge_witnesses_are_the_same_on_both_routes():
+    """Example 1 at pi/3: weak holds on 1/2 +- 4.0e-9 and medium on
+    1/2 +- 2.0e-9, so of weights 1e-9 and 1e-8 either side of 1/2 exactly
+    the three inner ones are witnesses, from the components' entries and
+    from the explicit mixtures alike."""
+    inst = build_example1(np.pi / 3)
+    lams = (0.5 - 1e-8, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.5 + 1e-8)
+    for factory in (weak_decoherence_property, medium_decoherence_property):
+        prop = factory(inst.family, TOL)
+        for route in (prop, _state_route(prop)):
+            got = individuality_violation_search(route, inst.rho1, inst.rho2,
+                                                 lams, TOL)
+            assert [w.lam for w in got] == list(lams[1:4]), prop.name
+
+
+def test_search_decides_each_component_once_and_no_mixture(monkeypatch):
+    """A weak, medium or linear-positivity search computes D or the chain
+    traces on one state per call, and on two states in all: the mixtures
+    are validated but never evaluated."""
+    states = []
+    final_blocks = consistency._final_blocks
+    chain_traces = FamilyAnalysis.chain_traces
+    monkeypatch.setattr(consistency, "_final_blocks", lambda chains, last, *rhos: (
+        states.append(len(rhos)) or final_blocks(chains, last, *rhos)))
+    monkeypatch.setattr(FamilyAnalysis, "chain_traces", lambda self, *rhos: (
+        states.append(len(rhos)) or chain_traces(self, *rhos)))
+    seen = set()
+    for family, _, rho1, rho2, lams in _search_cases():
+        for factory in LINEAR:
+            prop = factory(family, TOL)
+            holds = prop.holds(rho1)
+            states.clear()
+            individuality_violation_search(prop, rho1, rho2, lams, TOL)
+            assert states == ([1] if holds else [1, 1]), prop.name
+            seen.add(holds)
+    assert seen == {True, False}
+
+
+def _read_whole(family):
+    """The family with its last resolution built directly: its overlap is
+    not measured, so weak and medium read D whole."""
+    *first, last = family.resolutions
+    return HistoryFamily((*first, ResolutionOfIdentity(last.events)))
+
+
+def test_component_route_keeps_the_witnesses_of_any_block_layout(monkeypatch):
+    """Block budgets that split D into prefix rows, down to one row per
+    block (which also splits the blend into column blocks), and families
+    read whole give the state route's witnesses."""
+    rng = np.random.default_rng(79)
+    cases = []
+    for inst in (build_example1(np.pi / 3), build_example1(2.0, 0.5)):
+        cases += [(family, inst.rho1, inst.rho2)
+                  for family in (inst.family, _read_whole(inst.family))]
+    generic = random_family(4, 2, rng, TOL)
+    for family in (generic, _read_whole(generic)):
+        cases += [(family, random_density(4, rng, tol=TOL),
+                   random_density(4, rng, tol=TOL)) for _ in range(3)]
+        cases.append((family, _within_first_event(family),
+                      random_density(4, rng, tol=TOL)))
+    found = set()
+    for (family, rho1, rho2), rows in itertools.product(cases, (None, 1, 2, 3)):
+        analysis = FamilyAnalysis(family, TOL)
+        whole = analysis.block_slots == family.length
+        if rows is not None:
+            monkeypatch.setattr(matcore, "_BLOCK_BYTES",
+                                16 * len(analysis.histories) * rows)
+        for factory in LINEAR:
+            prop = factory(family, TOL)
+            got = individuality_violation_search(prop, rho1, rho2,
+                                                 DEFAULT_LAMBDA_GRID, TOL)
+            assert _as_tuples(got) == _as_tuples(individuality_violation_search(
+                _state_route(prop), rho1, rho2, DEFAULT_LAMBDA_GRID, TOL)), prop.name
+            found.update((whole, w.property_name) for w in got)
+        monkeypatch.undo()
+    assert found == {(whole, name) for whole in (False, True) for name in (
+        "weak-decoherence", "medium-decoherence", "linear-positivity")}
 
 
 def test_search_keeps_the_mixture_guards():
