@@ -10,11 +10,16 @@ elementary histories; multilinearity of the chain operator carries each
 verdict to every coarse-graining (the additivity checker verifies this
 by enumeration).
 
-Each checker is a reduction over one :class:`FamilyAnalysis`: over the
+Each checker is a reduction over one :class:`FamilyAnalysis`.  Weak and
+medium decoherence, linear positivity and C1 read values linear in the
+state, each through its :class:`LinearNotion` entry map: the masked
 final-event blocks of ``D`` (or all of it, where the overlap of two final
 events could put ``|D|`` above ``tol.prob`` off them), computed from one
-chain-operator stack in blocks of bounded size, or over that stack's
-traces, with pairs selected and counted by per-slot relation tables.
+chain-operator stack in blocks of bounded size, or that stack's traces.
+One reduction serves all four: the largest residual, the first pair in
+label order on a tie, from 0 with no pair (linear positivity has no
+floor and always names a history).  Pairs are selected and counted by
+per-slot relation tables.
 :func:`contrary_inference` decides whether two orthogonal events are both
 retrodicted with certainty.
 """
@@ -25,7 +30,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +70,7 @@ __all__ = [
     "ConsistencyReport",
     "ContraryInferenceInstance",
     "FamilyAnalysis",
+    "LinearNotion",
     "decoherence_functional",
     "probability",
     "check_weak_decoherence",
@@ -299,6 +305,66 @@ class _SlotHistories:
         return out.reshape(len(out), len(self.index), len(upper.index))
 
 
+@dataclass(eq=False)
+class LinearNotion:
+    """A notion decided from values linear in the state: its entry map,
+    under the one reduction all such notions share.
+
+    ``entries(rhos)`` yields blocks ``(g, x, V)`` within the block budget:
+    ``V[k, r, c]`` is group ``g + k``'s value (the groups of :func:`_groups`)
+    on row ``x + r``, a history in label order, and column c, the history
+    ``c n + (x + r) % n`` for ``n = N / C`` of N histories and C columns:
+    a column of the row's final-event block of ``D``, or, one value per
+    history (C = 1), the row's own.  Values off the notion's mask are 0.
+    The reduction keeps each group's largest ``residual(V)``, the first in
+    label order on a tie, from 0 with no pair, or from the first value if
+    not ``floored``, and attaches ``counts[f]``, family f's pairs."""
+
+    analysis: FamilyAnalysis
+    name: str
+    entries: Callable[[Sequence[DensityOperator]], Iterable[tuple]]
+    residual: Callable[[np.ndarray], np.ndarray]
+    counts: list[int]
+    floored: bool = True
+
+    def _maxima(self, blocks: Iterable[tuple], states: int):
+        """Each group's worst residual and its pair of histories, or ``None``."""
+        groups = _groups(self.analysis.shape[0], states)
+        worst, where = [0.0] * groups, [None] * groups
+        for g, x, values in blocks:
+            _, rows, columns = values.shape
+            flat = self.residual(values).reshape(-1, rows * columns)
+            for k, (value, at) in enumerate(zip(flat.max(axis=1).tolist(),
+                                                flat.argmax(axis=1).tolist()), start=g):
+                if value > worst[k] or (where[k] is None and not self.floored):
+                    r, c = divmod(at, columns)
+                    n = len(self.analysis.index) // columns
+                    worst[k], where[k] = value, (x + r, c * n + (x + r) % n)
+        return worst, where
+
+    def reduce(self, blocks: Iterable[tuple], states: int) -> list[ConsistencyReport]:
+        """The reports of ``states`` states from their blocks."""
+        a, counts = self.analysis, self.counts
+        reports = []
+        for k, (worst, at) in enumerate(zip(*self._maxima(blocks, states))):
+            if at is not None:
+                row = a.label(at[0])
+                at = row, row if at[1] == at[0] else a.label(at[1])
+            reports.append(a._report(self.name, worst, at, counts[k % len(counts)]))
+        return reports
+
+    def decide(self, blocks: Iterable[tuple], states: int) -> list[bool]:
+        """The verdicts of :meth:`reduce`, without its labels."""
+        return [worst <= self.analysis.tol.prob
+                for worst in self._maxima(blocks, states)[0]]
+
+    def reports(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
+        return self.reduce(self.entries(rhos), len(rhos))
+
+    def verdicts(self, rhos: Sequence[DensityOperator]) -> list[bool]:
+        return self.decide(self.entries(rhos), len(rhos))
+
+
 class FamilyAnalysis(_SlotHistories):
     """Everything about a family, or about F families of one shape, that
     does not depend on the state.
@@ -310,8 +376,9 @@ class FamilyAnalysis(_SlotHistories):
     caller asking about many states (mixture predicates, the command line)
     builds them once.  The notion methods are the reductions behind the
     public checkers: ``check_weak_decoherence(family, rho, tol)`` is
-    ``FamilyAnalysis(family, tol).weak(rho)``.  Any two distinct
-    elementary histories are alternatives, so medium decides every pair.
+    ``FamilyAnalysis(family, tol).weak(rho)``, the notion ``linear("weak")``
+    reducing its entries.  Any two distinct elementary histories are
+    alternatives, so medium decides every pair.
 
     Given F families of one shape, every part has a leading family axis
     and the ``*_each`` reductions decide the groups of :func:`_groups`:
@@ -404,35 +471,52 @@ class FamilyAnalysis(_SlotHistories):
         _groups(f, len(states))
         return np.einsum("fiab,sba->fsi", self.chains, states).reshape(-1, n)
 
-    def _pair_reports(self, notion: str, rhos: Sequence[DensityOperator],
-                      mask: np.ndarray, counts: list[int],
-                      residual) -> list[ConsistencyReport]:
-        """Largest ``residual(D)`` over the pairs of every block that
-        ``mask[f, p, q]`` selects, for each group; ties go to the first pair
-        in label order (rows are read in (prefix, final event) order), and
-        the worst stays 0 with no pair when nothing exceeds 0.  ``counts[f]``
-        includes the off-block pairs, bounded within ``tol.prob``."""
-        last = len(self.index) // len(mask[0])
-        groups = _groups(len(self.chains), len(rhos))
-        worst, where = [0.0] * groups, [None] * groups
+    def _pair_entries(self, mask: np.ndarray, rhos: Sequence[DensityOperator]):
+        """Weak's and medium's entry map: ``D`` on the final-event blocks
+        where ``mask[f, p, q]`` selects the pair."""
+        last = len(self.index) // mask.shape[-1]
         for g, i, block in _final_blocks(self.chains, last, *rhos):
-            values = residual(block).swapaxes(1, 2)
-            m = _pick(mask, slice(g, g + len(block)))[:, i:i + values.shape[1], None]
-            for k, (value, at) in enumerate(_worst(values, m), start=g):
-                if value > worst[k]:
-                    x, q = divmod(at, values.shape[-1])
-                    worst[k] = value
-                    where[k] = self.label(i * last + x), self.label(q * last + x % last)
-        return [self._report(notion, w, pair, counts[k % len(counts)])
-                for k, (w, pair) in enumerate(zip(worst, where))]
+            k, n, r, m = block.shape
+            values = np.zeros((k, r, n, m), dtype=block.dtype)
+            np.copyto(values, block.swapaxes(1, 2),
+                      where=_pick(mask, slice(g, g + k))[:, i:i + r, None])
+            yield g, i * n, values.reshape(k, r * n, m)
 
-    def pair_entries(self, rho: DensityOperator, mask: np.ndarray) -> np.ndarray:
-        """The entries of ``D`` on ``rho`` that :meth:`_pair_reports` reduces
-        under a one-family ``mask``, flat, in block order.  ``D`` is linear in
-        the state, so a mixture's are the same mixture of its components'."""
-        last = len(self.index) // len(mask[0])
-        return np.concatenate([block[0][:, mask[0, i:i + block.shape[2]]].ravel()
-                               for _, i, block in _final_blocks(self.chains, last, rho)])
+    def _trace_entries(self, rhos: Sequence[DensityOperator]):
+        """Linear positivity's entry map: ``Tr(C rho)``."""
+        return [(0, 0, self.chain_traces(*rhos)[..., None])]
+
+    def _C1_entries(self, rhos: Sequence[DensityOperator]):
+        """C1's entry map: ``p - Tr(C rho)`` on the commutative histories;
+        no block, and no chains read, when no history commutes."""
+        if not self.commutative.any():
+            return []
+        [(g, x, traces)] = self._trace_entries(rhos)
+        return [(g, x, np.where(self.commutative[..., None],
+                                self.probabilities(*rhos)[..., None] - traces, 0.0))]
+
+    def linear(self, name: str) -> LinearNotion:
+        """The notion ``name`` linear in the state: ``"weak"``, ``"medium"``,
+        ``"linear-positive"`` or ``"C1-compat"``.  It is built on each call:
+        kept on the analysis, it would hold the analysis in a reference
+        cycle, and its arrays until the garbage collector runs."""
+        match name:
+            case "weak":
+                entries = functools.partial(self._pair_entries, self.block_mask)
+                return LinearNotion(self, name, entries,
+                                    lambda values: np.abs(values.real), self.weak_counts)
+            case "medium":
+                entries = functools.partial(self._pair_entries, self.upper_mask)
+                return LinearNotion(self, name, entries, np.abs,
+                                    [math.comb(len(self.index), 2)])
+            case "linear-positive":
+                return LinearNotion(self, name, self._trace_entries,
+                                    lambda values: -values.real, [len(self.index)],
+                                    floored=False)
+            case "C1-compat":
+                return LinearNotion(self, name, self._C1_entries, np.abs,
+                                    self.commutative.sum(axis=1).tolist())
+        raise KeyError(f"{name!r} is not a notion linear in the state")
 
     def _report(self, notion: str, worst: float, pair, count: int,
                 ) -> ConsistencyReport:
@@ -456,36 +540,27 @@ class FamilyAnalysis(_SlotHistories):
                 for f, mask in enumerate(self.block_mask)]
 
     def weak_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
-        return self._pair_reports("weak", rhos, self.block_mask, self.weak_counts,
-                                  lambda block: np.abs(block.real))
+        return self.linear("weak").reports(rhos)
 
     def medium(self, rho: DensityOperator) -> ConsistencyReport:
         return self.medium_each([rho])[0]
 
     def medium_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
-        return self._pair_reports("medium", rhos, self.upper_mask,
-                                  [math.comb(len(self.index), 2)], np.abs)
+        return self.linear("medium").reports(rhos)
 
     def linear_positivity(self, rho: DensityOperator) -> ConsistencyReport:
         return self.linear_positivity_each([rho])[0]
 
     def linear_positivity_each(self, rhos: Sequence[DensityOperator],
                                ) -> list[ConsistencyReport]:
-        negated = -self.chain_traces(*rhos).real
-        return [self._report("linear-positive", float(row[i]),
-                             (self.label(i),) * 2, len(row))
-                for row, i in zip(negated, negated.argmax(axis=1).tolist())]
+        return self.linear("linear-positive").reports(rhos)
 
     def C1(self, rho: DensityOperator) -> ConsistencyReport:
-        """A family with no commutative history reports ``(0.0, None, 0)``
-        without reading chains, probabilities or chain traces."""
-        if not self.commutative[0].any():
-            return self._report("C1-compat", 0.0, None, 0)
-        residuals = np.abs(self.probabilities(rho) - self.chain_traces(rho))
-        worst, at = _worst(residuals, self.commutative)[0]
-        return self._report("C1-compat", worst,
-                            None if at is None else (self.label(at),) * 2,
-                            int(np.count_nonzero(self.commutative[0])))
+        return self.C1_each([rho])[0]
+
+    def C1_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
+        """A family with no commutative history reports ``(0.0, None, 0)``."""
+        return self.linear("C1-compat").reports(rhos)
 
     def sum_rule(self, rho: DensityOperator) -> ConsistencyReport:
         return self.sum_rule_each([rho])[0]

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .consistency import FamilyAnalysis
+from .consistency import FamilyAnalysis, LinearNotion
 from .errors import (
     BadParameters,
     DimensionMismatch,
@@ -57,52 +57,35 @@ __all__ = [
 class PropertyPredicate:
     """A named yes/no property of a state, with the family baked in;
     ``evaluator`` maps a sequence of states to their verdicts, in order,
-    in one pass, and ``holds`` is its one-state case.  A property read off
-    values linear in the state (weak, medium: ``D(x, y) = Tr(C_x rho
-    C_y^dag)``; linear positivity: ``Tr(C_x rho)``) also carries them:
-    ``entries(rho)``, flat, and ``decide``, each row's verdict as
-    ``evaluator`` reduces them, so a mixture is decided from its
-    components' entries ``v1``, ``v2`` as ``lam v1 + (1 - lam) v2``."""
+    in one pass, and ``holds`` is its one-state case.  A property that is
+    a notion linear in the state (weak, medium, linear positivity) carries
+    the ``notion`` too, whose ``verdicts`` are its evaluator, so a search
+    decides a mixture from its components' entries."""
 
     name: str
     evaluator: Callable[[Sequence[DensityOperator]], Sequence[bool]]
-    entries: Optional[Callable[[DensityOperator], np.ndarray]] = None
-    decide: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    notion: Optional[LinearNotion] = None
 
     def holds(self, rho: DensityOperator) -> bool:
         return bool(self.evaluator([rho])[0])
 
 
-def _predicate(name: str, reports, entries=None, residual=None,
-               tol: Tolerances = DEFAULT_TOL) -> PropertyPredicate:
-    """A row of entries holds iff no ``residual`` exceeds ``tol.prob``."""
-    return PropertyPredicate(
-        name, lambda rhos: [r.verdict for r in reports(rhos)], entries,
-        None if residual is None
-        else lambda values: ~(residual(values) > tol.prob).any(axis=-1))
-
-
 def weak_decoherence_property(family: HistoryFamily,
                               tol: Tolerances = DEFAULT_TOL) -> PropertyPredicate:
-    a = FamilyAnalysis(family, tol)
-    return _predicate("weak-decoherence", a.weak_each,
-                      lambda rho: a.pair_entries(rho, a.block_mask),
-                      lambda values: np.abs(values.real), tol)
+    notion = FamilyAnalysis(family, tol).linear("weak")
+    return PropertyPredicate("weak-decoherence", notion.verdicts, notion)
 
 
 def medium_decoherence_property(family: HistoryFamily,
                                 tol: Tolerances = DEFAULT_TOL) -> PropertyPredicate:
-    a = FamilyAnalysis(family, tol)
-    return _predicate("medium-decoherence", a.medium_each,
-                      lambda rho: a.pair_entries(rho, a.upper_mask), np.abs, tol)
+    notion = FamilyAnalysis(family, tol).linear("medium")
+    return PropertyPredicate("medium-decoherence", notion.verdicts, notion)
 
 
 def linear_positivity_property(family: HistoryFamily,
                                tol: Tolerances = DEFAULT_TOL) -> PropertyPredicate:
-    a = FamilyAnalysis(family, tol)
-    return _predicate("linear-positivity", a.linear_positivity_each,
-                      lambda rho: a.chain_traces(rho)[0],
-                      lambda values: -values.real, tol)
+    notion = FamilyAnalysis(family, tol).linear("linear-positive")
+    return PropertyPredicate("linear-positivity", notion.verdicts, notion)
 
 
 def self_decoherence_property(family: HistoryFamily,
@@ -121,8 +104,8 @@ def self_decoherence_property(family: HistoryFamily,
     one closure per history (see :func:`qhistories.mirror.least_mirrors`).
     """
     analysis = FamilyAnalysis(family, tol)
-    return _predicate("self-decoherence",
-                      lambda rhos: self_decoherence_each(analysis, rhos, provided))
+    return PropertyPredicate("self-decoherence", lambda rhos: [
+        r.verdict for r in self_decoherence_each(analysis, rhos, provided)])
 
 
 def mixture(rho1: DensityOperator, rho2: DensityOperator, lam: float,
@@ -178,26 +161,31 @@ def individuality_violation_search(prop: PropertyPredicate,
     """Witnesses over a weight grid where the property holds on the
     mixture but on neither component.  An empty result means the grid
     found nothing, not that no violating weight exists.  After the guards
-    ``rho1`` is decided alone (if it holds no weight is a witness); else the
-    mixtures are validated as one stack and decided with ``rho2``: from the
-    components' ``entries`` blended a column block at a time within the
-    block budget, or, for a predicate without them (self-decoherence: its
-    least mirror follows the support, not linearly), by one evaluator call."""
+    ``rho1`` is decided alone (if it holds no weight is a witness), then
+    ``rho2`` and the mixtures together.  A predicate with a linear
+    ``notion`` decides them from the blends ``lam v1 + (1 - lam) v2`` of
+    the components' entries (``rho2`` is weight 0), a row block at a time
+    within the block budget, and builds no mixture: a mixture of valid
+    components is valid, as the Hermiticity and trace residuals are convex
+    in the state and the least eigenvalue is concave, so validating the
+    rounded mixture could only fail spuriously.  Any other predicate
+    (self-decoherence: its least mirror follows the support, not linearly)
+    gets ``rho2`` and the validated mixtures in one evaluator call."""
     _check_mixing(rho1, rho2, lams)
-    if prop.entries is None:
+    notion = prop.notion
+    if notion is None:
         if prop.evaluator([rho1])[0]:
             return []
         on_2, *on_mix = prop.evaluator([rho2, *_mixtures(rho1, rho2, lams, tol)])
     else:
-        v1 = prop.entries(rho1)
-        if prop.decide(v1[None])[0]:
+        v1 = list(notion.entries([rho1]))
+        if notion.decide(v1, 1)[0]:
             return []
-        _mixtures(rho1, rho2, lams, tol)
-        v2 = prop.entries(rho2)
-        lam = np.array(lams, dtype=float)[:, None]
-        on_2, on_mix = prop.decide(v2[None])[0], np.ones(len(lams), dtype=bool)
-        for cols in _blocks(len(v1), v1.itemsize * len(lams)):
-            on_mix &= prop.decide(lam * v1[cols] + (1.0 - lam) * v2[cols])
+        w = np.array([0.0, *lams])[:, None, None]
+        blends = ((g, x + rows.start, w * a[:, rows] + (1.0 - w) * b[:, rows])
+                  for (g, x, a), (_, _, b) in zip(v1, notion.entries([rho2]))
+                  for rows in _blocks(a.shape[1], a[:, :1].nbytes * len(w)))
+        on_2, *on_mix = notion.decide(blends, len(w))
     witnesses = (IndividualityWitness(prop.name, lam, bool(on), False, bool(on_2))
                  for lam, on in zip(lams, on_mix))
     return [w for w in witnesses if w.is_violation]

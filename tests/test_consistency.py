@@ -1007,7 +1007,7 @@ def test_family_axis_matches_per_family_analyses(dim, sizes):
     assert not np.array_equal(analysis.block_mask[-1],
                               analysis.block_mask[0])
     for each in ("weak_each", "medium_each", "linear_positivity_each",
-                 "sum_rule_each"):
+                 "C1_each", "sum_rule_each"):
         one = each[:-len("_each")]
         assert getattr(analysis, each)(states[:1]) == [
             getattr(a, one)(states[0]) for a in alone], each

@@ -27,7 +27,12 @@ from qhistories.individuality import (
     self_decoherence_property,
     weak_decoherence_property,
 )
-from qhistories.histories import History, HistoryFamily, ResolutionOfIdentity
+from qhistories.histories import (
+    History,
+    HistoryFamily,
+    ResolutionOfIdentity,
+    make_resolution,
+)
 from qhistories.matcore import (
     DEFAULT_TOL,
     identity_projection,
@@ -290,7 +295,8 @@ def test_stacked_reports_match_one_state_reports():
         for each, one in ((analysis.weak_each, analysis.weak),
                           (analysis.medium_each, analysis.medium),
                           (analysis.linear_positivity_each,
-                           analysis.linear_positivity)):
+                           analysis.linear_positivity),
+                          (analysis.C1_each, analysis.C1)):
             for got, rho in zip(each(states), states):
                 want = one(rho)
                 assert got.verdict == want.verdict
@@ -351,18 +357,22 @@ def test_search_asks_for_the_mixtures_only_when_no_component_holds():
 
 def test_search_builds_no_mixture_when_rho1_holds(monkeypatch):
     """No mixture is built or validated once ``rho1`` has the property,
-    and the L mixtures are validated in one stacked call otherwise."""
+    nor by a linear notion, which decides the mixtures from the
+    components' entries; otherwise the L mixtures are validated in one
+    stacked call."""
     validated = []
     real = individuality.validate_densities
     monkeypatch.setattr(individuality, "validate_densities", lambda ms, tol: (
         validated.append(len(ms)) or real(ms, tol)))
     inst = build_example1(np.pi / 3)
     m = build_example2()
-    for prop, rho1, rho2, want in (
-            (self_decoherence_property(m.family, TOL), m.rho1, m.rho2, []),
-            (weak_decoherence_property(inst.family, TOL), inst.rho1, inst.rho2,
+    weak = weak_decoherence_property(inst.family, TOL)
+    for prop, rho1, rho2, holds, want in (
+            (self_decoherence_property(m.family, TOL), m.rho1, m.rho2, True, []),
+            (weak, inst.rho1, inst.rho2, False, []),
+            (_state_route(weak), inst.rho1, inst.rho2, False,
              [len(DEFAULT_LAMBDA_GRID)])):
-        assert prop.holds(rho1) == (not want), prop.name
+        assert prop.holds(rho1) == holds, prop.name
         validated.clear()
         individuality_violation_search(prop, rho1, rho2, DEFAULT_LAMBDA_GRID, TOL)
         assert validated == want, prop.name
@@ -422,10 +432,11 @@ def test_search_finds_the_witnesses_of_one_evaluation():
         assert [w.lam for w in got] == [0.5]
 
 
-LINEAR = FACTORIES[:3]  # the predicates that carry their entries
+LINEAR = FACTORIES[:3]  # the predicates that carry a linear notion
+LINEAR_NOTIONS = ("weak", "medium", "linear-positive", "C1-compat")
 
 # blended entries against the explicit mixture's: the largest difference
-# over the 84 family and notion cases of _blend_cases is 2.2e-16, for
+# over the 116 family and notion cases of _blend_cases is 2.2e-16, for
 # entries of modulus at most 1
 BLEND_BOUND = 1e-15
 
@@ -437,7 +448,8 @@ def _state_route(prop):
 
 def _blend_cases():
     """(family, rho1, rho2): the components of every equivalence case,
-    and 3-slot random families."""
+    3-slot random families, and a family whose two histories through its
+    first event are its only commutative ones."""
     for family, _, (rho1, rho2, *_) in _equivalence_cases():
         yield family, rho1, rho2
     rng = np.random.default_rng(73)
@@ -445,27 +457,46 @@ def _blend_cases():
         family = random_family(d, 3, rng, TOL)
         yield family, *(random_density(d, rng, tol=TOL) for _ in range(2))
         yield family, _within_first_event(family), random_density(d, rng, tol=TOL)
+    q = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+    family = HistoryFamily((
+        make_resolution([validate_projection(np.diag(e)) for e in np.eye(3)], TOL),
+        make_resolution([validate_projection(q), validate_projection(np.eye(3) - q)],
+                        TOL)))
+    yield family, *(random_density(3, rng, tol=TOL) for _ in range(2))
 
 
 def test_component_entries_blend_to_the_mixture_entries():
-    """``D`` and the chain traces are linear in the state: on every grid
-    weight, ``lam v1 + (1 - lam) v2`` is the mixture's entries up to
-    rounding, and it gives the verdict the evaluator gives the mixture."""
-    verdicts = {factory.__name__: set() for factory in LINEAR}
-    for (family, rho1, rho2), factory in itertools.product(_blend_cases(), LINEAR):
-        prop = factory(family, TOL)
-        assert prop.entries is not None and prop.decide is not None
-        v1, v2 = prop.entries(rho1), prop.entries(rho2)
-        lams = np.array(DEFAULT_LAMBDA_GRID)[:, None]
-        blend = lams * v1 + (1.0 - lams) * v2
+    """``D`` and the chain traces are linear in the state: for every notion
+    linear in it, C1 included, and every grid weight, ``lam v1 + (1 - lam)
+    v2`` is the mixture's entries up to rounding, block for block, and
+    reduces to the mixture's own report in verdict and pair count, with its
+    residual within the bound."""
+    verdicts = {name: set() for name in LINEAR_NOTIONS}
+    counted = dict.fromkeys(LINEAR_NOTIONS, 0)
+    lams = np.array(DEFAULT_LAMBDA_GRID)[:, None, None]
+    for family, rho1, rho2 in _blend_cases():
+        analysis = FamilyAnalysis(family, TOL)
         mixed = [mixture(rho1, rho2, lam, TOL) for lam in DEFAULT_LAMBDA_GRID]
-        want = np.array([prop.entries(rho) for rho in mixed])
-        assert blend.shape == want.shape
-        assert np.abs(blend - want).max(initial=0.0) <= BLEND_BOUND, prop.name
-        got = prop.decide(np.concatenate([v1[None], v2[None], blend]))
-        assert list(got) == prop.evaluator([rho1, rho2, *mixed]), prop.name
-        verdicts[factory.__name__].update(got.tolist())
-    assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+        for name in LINEAR_NOTIONS:
+            notion = analysis.linear(name)
+            blend = [(g, x, lams * v1 + (1.0 - lams) * v2)
+                     for (g, x, v1), (_, _, v2)
+                     in zip(notion.entries([rho1]), notion.entries([rho2]))]
+            want = list(notion.entries(mixed))
+            assert len(blend) == len(want), name
+            for got, block in zip(blend, want):
+                assert got[:2] == block[:2] and got[2].shape == block[2].shape, name
+                assert np.abs(got[2] - block[2]).max(initial=0.0) <= BLEND_BOUND, name
+            for got, report in zip(notion.reduce(blend, len(mixed)),
+                                   notion.reports(mixed), strict=True):
+                assert (got.verdict, got.pair_count) == (
+                    report.verdict, report.pair_count), name
+                assert abs(got.worst_residual - report.worst_residual) <= BLEND_BOUND
+                verdicts[name].add(got.verdict)
+                counted[name] += got.pair_count
+    assert all(counted.values()), counted
+    assert verdicts == {"weak": {True, False}, "medium": {True, False},
+                        "linear-positive": {True, False}, "C1-compat": {True}}
 
 
 def test_knife_edge_witnesses_are_the_same_on_both_routes():
@@ -485,8 +516,8 @@ def test_knife_edge_witnesses_are_the_same_on_both_routes():
 
 def test_search_decides_each_component_once_and_no_mixture(monkeypatch):
     """A weak, medium or linear-positivity search computes D or the chain
-    traces on one state per call, and on two states in all: the mixtures
-    are validated but never evaluated."""
+    traces on one state per call, and on two states in all: no mixture is
+    built or evaluated."""
     states = []
     final_blocks = consistency._final_blocks
     chain_traces = FamilyAnalysis.chain_traces

@@ -1111,7 +1111,7 @@ def test_self_decoherence_is_invariant_under_a_change_of_basis():
 
 
 @pytest.mark.parametrize("entry", [
-    "weak_each", "medium_each", "linear_positivity_each", "sum_rule_each",
+    "weak_each", "medium_each", "linear_positivity_each", "C1_each", "sum_rule_each",
     "self_decoherence_each", "self_decoherence_each/provided", "least_mirrors",
     "linear_positivity_property"])
 def test_stacked_entry_points_decide_no_states_as_an_empty_list(entry):

@@ -1,7 +1,7 @@
 """Package surface: every name a module exports exists, the package
 re-exports only module exports, only the sampler takes seeds, only
-``matcore`` sizes blocks, and the command line does no probability
-arithmetic."""
+``matcore`` sizes blocks, one entry map reads each linear value, and the
+command line does no probability arithmetic."""
 
 import ast
 import importlib
@@ -74,6 +74,29 @@ def test_only_matcore_sizes_blocks(name):
         elif isinstance(node, (ast.ImportFrom, ast.Import)):
             named.update(alias.name for alias in node.names)
     assert "_BLOCK_BYTES" not in named
+
+
+def test_linear_entries_come_from_one_entry_map_each():
+    """``D``'s final-event blocks and the chain traces are each read by one
+    call, in one entry map of ``qhistories.consistency``; the individuality
+    search names neither, nor a second walk of the blocks."""
+    callers = {"_final_blocks": [], "chain_traces": []}
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if called in callers:
+                        callers[called].append((name, func.name))
+    assert callers == {"_final_blocks": [("qhistories.consistency", "_pair_entries")],
+                       "chain_traces": [("qhistories.consistency", "_trace_entries")]}
+    individuality = importlib.import_module("qhistories.individuality")
+    named = {getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+             for node in ast.walk(ast.parse(inspect.getsource(individuality)))}
+    assert not named & {"_final_blocks", "chain_traces", "pair_entries"}
 
 
 def test_the_cli_holds_no_probability_arithmetic():
