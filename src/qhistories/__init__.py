@@ -134,4 +134,4 @@ from .scenarios import (
     linear_positivity_violation_possible,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

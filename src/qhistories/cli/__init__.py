@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import __version__
-from ..consistency import NOTIONS, FamilyAnalysis, _functional, probability
+from ..consistency import NOTIONS, FamilyAnalysis, _probabilities, probability
 from ..errors import (
     BadParameters,
     FamilyTooLarge,
@@ -274,7 +274,7 @@ def _run_notions(analysis: FamilyAnalysis, rho: DensityOperator,
 def _elementary_probabilities(analysis: FamilyAnalysis, rho: DensityOperator,
                               ) -> dict[str, ProbabilityValue]:
     """:func:`probability` of every elementary history, in one stacked call."""
-    raw = _functional(analysis.chains[0], rho.matrix, analysis.chains[0]).real
+    raw = analysis.probabilities(rho)[0]
     return {analysis.label(i): _probability_value(p, analysis.tol)
             for i, p in enumerate(raw.tolist())}
 
@@ -395,8 +395,8 @@ def _cmd_sweep(args) -> int:
     slots = zip(*(h.events for i in grid for h in (i.h1, i.h2, i.h_coarse)))
     chains = chain_stack([np.array([[e.matrix] for e in s]) for s in slots]
                          ).reshape(len(grid), 3, args.dim, args.dim)
-    probabilities = _functional(
-        chains, np.array([rho.matrix for rho in rhos])[:, None], chains).real.tolist()
+    probabilities = _probabilities(
+        chains, np.array([rho.matrix for rho in rhos])).tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)

@@ -408,8 +408,9 @@ def report_table(report: ReportFile) -> str:
         f"{'pairs':<7}worst pair",
     ]
     for name, n in report.notions.items():
+        # + 0.0 drops the sign of -0.0, as the canonical report does
         residual = ("-" if n.worst_residual is None
-                    else f"{n.worst_residual:.3e}")
+                    else f"{n.worst_residual + 0.0:.3e}")
         pairs = "-" if n.pair_count is None else str(n.pair_count)
         pair = "-" if n.worst_pair is None else " ".join(n.worst_pair)
         lines.append(f"{name:<18}{_verdict_word(n.verdict):<9}{residual:<17}"

@@ -103,29 +103,20 @@ class ConsistencyReport:
     pair_count: int
 
 
-def _functional(left: np.ndarray, states: np.ndarray,
-                right: np.ndarray) -> np.ndarray:
-    """``np.trace(A @ rho @ B^dag)`` over broadcasting stacks of chain
-    operators and states: every reported probability and functional value.
-    It keeps its conjugated copy of ``B``: conjugating in place, as
-    :func:`_final_blocks` does, turns a ``+0.0`` imaginary part into ``-0.0``."""
-    return np.trace(left @ states @ right.conj().swapaxes(-1, -2),
-                    axis1=-2, axis2=-1)
-
-
 def decoherence_functional(h1: History, h2: History,
                            rho: DensityOperator) -> complex:
     """``Tr(C_1 rho C_2^dag)`` for the two chain operators."""
-    return complex(_functional(chain_operator(h1), rho.matrix, chain_operator(h2)))
+    c1, c2 = chain_operator(h1), chain_operator(h2)
+    return complex(np.trace(c1 @ rho.matrix @ c2.conj().T))
 
 
 def probability(h: History, rho: DensityOperator) -> float:
-    """``Tr(C rho C^dag)``, the diagonal of the decoherence functional.
+    """``Tr(C rho C^dag)``, the diagonal of the decoherence functional: the
+    one-history case of :func:`_probabilities`.
 
     Returned raw (not clamped); report layers clamp for display.
     """
-    c = chain_operator(h)
-    return float(_functional(c, rho.matrix, c).real)
+    return float(_probabilities(chain_operator(h)[None, None], rho.matrix[None])[0, 0])
 
 
 def _groups(families: int, states: int) -> int:
@@ -173,11 +164,11 @@ def _left(chains: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 def _probabilities(chains: np.ndarray, states: np.ndarray) -> np.ndarray:
     """``Tr(C rho C^dag)``, ``(G, N)``, the diagonal of D, for an
-    ``(F, N, d, d)`` chain stack and ``(S, d, d)`` states that broadcast
-    (the sum rule's P merged chains against their P states are the
-    ``N = 1`` case).  ``C rho`` is conjugated in place, and the real part
-    of ``sum(conj(C rho) * C)`` is that of ``sum(C rho * conj(C))``, bit
-    for bit."""
+    ``(F, N, d, d)`` chain stack and ``(S, d, d)`` states that broadcast:
+    every reported probability (:func:`probability` is the one-history
+    case).  ``C rho`` is conjugated in place, and the real part of
+    ``sum(conj(C rho) * C)`` is that of ``sum(C rho * conj(C))``, bit for
+    bit."""
     left = _left(chains, states)
     return np.einsum("...ab,...ab->...", np.conjugate(left, out=left),
                      chains).real
@@ -291,6 +282,21 @@ class _SlotHistories:
         total = total.reshape(len(total), math.prod(self.shape[1:1 + slots]), -1)
         return np.where((total > slots + 1) & (total < 2 * (slots + 1)),
                         total - (slots + 1), 0)
+
+    def unions(self, slots: np.ndarray) -> np.ndarray:
+        """``[f, a, b]``: the history with a's options off the merge slot
+        ``slots[f, a, b]`` of :meth:`summable_slots` and the union of a's
+        and b's subsets on it (history a where no slot merges), for options
+        holding every nonempty subset, as the members' do."""
+        options = []
+        for k, subsets in enumerate(self.options):
+            codes = np.array([sum(1 << e for e in s) for s in subsets])
+            position = np.zeros(codes.max() + 1, dtype=int)
+            position[codes] = np.arange(len(codes))
+            a = codes[self.index[:, k]]
+            options.append(np.where(slots == k + 1, position[a[:, None] | a[None]],
+                                    self.index[:, k, None]))
+        return np.ravel_multi_index(options, self.shape[1:])
 
     def leq(self, upper: "_SlotHistories") -> np.ndarray:
         """``[f, a, b]``: history ``a`` is dominated slot-wise by history ``b``
@@ -566,41 +572,27 @@ class FamilyAnalysis(_SlotHistories):
         return self.sum_rule_each([rho])[0]
 
     def sum_rule_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
-        """Every summable member pair ``(a, b)``, ``a < b``, of every family is
-        merged once and evaluated from its own chain operator, in one stack:
-        one tall ``C rho`` product per state, broadcast as in :func:`_left`."""
+        """Every summable member pair ``(a, b)``, ``a < b``, against its union
+        member (:meth:`_SlotHistories.unions`), which is ``a + b``: one
+        masked ``(G, M, M)`` table ``|p[union] - p[a] - p[b]|`` over the
+        members' probabilities, reduced as :meth:`ordered` reduces its own."""
         m = self.members
         states = _state_stack(rhos, self.chains.shape[-1])
         groups = _groups(len(self.chains), len(states))
-        if not groups:
-            return []
         slots = np.triu(m.summable_slots(), 1)
-        f, a, b = np.nonzero(slots)
-        merged = []
-        for k, events in enumerate(m.stacks):
-            slot_events = events[f, m.index[a, k]]
-            here = slots[f, a, b] == k + 1
-            slot_events[here] += events[f[here], m.index[b[here], k]]
-            merged.append(slot_events)
-        chains = merged[0]
-        for slot_events in merged[1:]:
-            chains = slot_events @ chains
-        probs = _probabilities(m.chains, states)
-        reps = groups // len(slots)  # S for one family and S states, else 1
-        g = (f + np.arange(reps)[:, None]).reshape(-1)  # sorted
-        a, b = (a, b) if reps == 1 else (np.tile(a, reps), np.tile(b, reps))
-        p_merged = _probabilities(chains[None], states).reshape(-1)
-        residuals = np.abs(p_merged - probs[g, a] - probs[g, b])
-        defects = np.abs(_probabilities(self.chains, states).sum(axis=1)
-                         - 1.0).tolist()
-        bounds = np.searchsorted(g, np.arange(groups + 1)).tolist()
+        p = _probabilities(m.chains, states)
+        residuals = np.abs(p[np.arange(groups)[:, None, None], m.unions(slots)]
+                           - p[:, :, None] - p[:, None])
+        defects = np.abs(_probabilities(self.chains, states).sum(axis=1) - 1.0)
+        counts = np.count_nonzero(slots.reshape(len(slots), -1), axis=1).tolist()
         reports = []
-        for lo, hi, defect in zip(bounds, bounds[1:], defects):
-            worst, at = _worst(residuals[None, lo:hi], True)[0]
-            pair = None if at is None else (m.label(a[lo + at]), m.label(b[lo + at]))
+        for k, ((worst, at), defect) in enumerate(zip(_worst(residuals, slots > 0),
+                                                      defects.tolist())):
+            pair = None if at is None else tuple(map(m.label, divmod(at, len(m.index))))
             if defect > worst:
                 worst, pair = defect, None
-            reports.append(self._report("sum-rule", worst, pair, hi - lo))
+            reports.append(self._report("sum-rule", worst, pair,
+                                        counts[k % len(counts)]))
         return reports
 
     def ordered(self, rho: DensityOperator,
@@ -673,8 +665,9 @@ def check_sum_rule(family: HistoryFamily, rho: DensityOperator,
     verdict equals weak decoherence's on 2-slot families only: with three
     or more slots weak decoherence checks summable elementary pairs alone,
     and a state can pass it while a coarse-grained member pair fails here.
-    It never reads the decoherence-functional matrix, and evaluates each
-    merged member's probability from its own chain operator.
+    It never reads the decoherence-functional matrix: each merged pair's
+    probability is that of its union member, read from its own chain
+    operator with every other member's.
     """
     return FamilyAnalysis(family, tol).sum_rule(rho)
 

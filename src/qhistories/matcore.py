@@ -176,14 +176,15 @@ def validate_projection(entries, tol: Tolerances = DEFAULT_TOL) -> Projection:
 
 def validate_projections(stack, tol: Tolerances = DEFAULT_TOL) -> list[Projection]:
     """:func:`validate_projection` over an ``(n, d, d)`` stack in one pass;
-    the first failing matrix raises what it raises on its own."""
+    the first failing matrix raises what it raises on its own.  Each test
+    fails a NaN residual, so a NaN or infinite entry raises."""
     m, herm = _square_stack(stack)
     idem = np.abs(m @ m - m).max(axis=(1, 2)).tolist()
     for h, i in zip(herm, idem):
-        if h > tol.op:
+        if not h <= tol.op:
             raise NotHermitian(
                 f"projection candidate is not Hermitian (residual {h:.3e})", h)
-        if i > tol.op:
+        if not i <= tol.op:
             raise NotIdempotent(
                 f"projection candidate is not idempotent (residual {i:.3e})", i)
     ranks = (np.abs(np.linalg.eigvalsh(m) - 1.0) <= tol.eig).sum(axis=1)
@@ -201,19 +202,23 @@ def validate_density(entries, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
 
 def validate_densities(stack, tol: Tolerances = DEFAULT_TOL) -> list[DensityOperator]:
     """:func:`validate_density` over an ``(n, d, d)`` stack in one pass;
-    the first failing matrix raises what it raises on its own."""
+    the first failing matrix raises what it raises on its own.  Each test
+    fails a NaN residual, so a NaN or infinite entry raises."""
     m, herm = _square_stack(stack)
-    floors = np.linalg.eigvalsh(m).min(axis=1).tolist()
+    try:
+        floors = np.linalg.eigvalsh(m).min(axis=1).tolist()
+    except np.linalg.LinAlgError:  # a NaN entry, which fails Hermiticity first
+        floors = np.linalg.eigvalsh(np.where(np.isfinite(m), m, 0)).min(axis=1).tolist()
     trace_res = [abs(t - 1.0) for t in np.trace(m, axis1=1, axis2=2).tolist()]
     for h, floor, tr in zip(herm, floors, trace_res):
-        if h > tol.op:
+        if not h <= tol.op:
             raise NotHermitian(
                 f"density candidate is not Hermitian (residual {h:.3e})", h)
-        if floor < -tol.eig:
+        if not floor >= -tol.eig:
             raise NotPositive(
                 f"density candidate has eigenvalue {floor:.3e} below -{tol.eig:.1e}",
                 -floor)
-        if tr > tol.op:
+        if not tr <= tol.op:
             raise TraceNotOne(f"density candidate has trace residual {tr:.3e}", tr)
     purity = np.trace(m @ m, axis1=1, axis2=2).real.tolist()
     return [DensityOperator(*args) for args in zip(m, purity, floors, trace_res)]

@@ -769,6 +769,39 @@ def test_non_idempotent_operator_exits_2_with_its_name(tmp_path, capsys):
     assert "operator 'E1':" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_operators_exit_2_with_their_names(value, tmp_path, capsys):
+    """A NaN or infinite entry in an event or in the state fails validation
+    (Python's ``json`` reads ``NaN`` and ``Infinity``); the state's NaN
+    entry once made every notion pass at 0.0."""
+    for name in ("E1", "rho1"):
+        problem = json.loads(serialize_problem(example1_problem()))
+        problem["operators"][name]["re"][0][0] = value
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(problem))
+        assert main(["check", str(path)]) == 2
+        assert f"{name!r}:" in capsys.readouterr().err
+
+
+def test_table_prints_a_zero_residual_unsigned(tmp_path, capsys):
+    """Linear positivity's residual of a diagonal family is ``-0.0`` (the
+    negated smallest zero trace); the table prints it as the canonical
+    report does, without a sign."""
+    ops = {f"P{k + 1}": np.diag([1.0 if i == k else 0.0 for i in range(3)])
+           for k in range(3)}
+    ops["rho"] = np.diag([0.2, 0.3, 0.5])
+    path = tmp_path / "diagonal.json"
+    path.write_text(serialize_problem(ProblemFile(
+        dim=3, operators=ops, resolutions=[["P1", "P2", "P3"]] * 2,
+        state="rho", mirrors=None)))
+    family, rho, _ = problem_to_objects(parse_problem(path.read_text()), TOL)
+    residual = FamilyAnalysis(family, TOL).linear_positivity(rho).worst_residual
+    assert residual.hex() == "-0x0.0p+0"
+    assert main(["check", str(path), "--notions", "linear-positive"]) == 0
+    row = capsys.readouterr().out.splitlines()[3]
+    assert row.split()[:3] == ["linear-positive", "pass", "0.000e+00"]
+
+
 # Command lines that argparse answers itself, with help or a usage error.
 # ``main`` builds only a known first word's parser, and under ``mirror``
 # only a known second word's, so the unknown options after ``check`` and

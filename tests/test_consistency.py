@@ -1059,23 +1059,65 @@ def test_sum_rule_decides_members_whose_sums_miss_the_op_tolerance():
 
 @pytest.mark.parametrize("count", [1, 5, 12])
 def test_sum_rule_merges_a_familys_pairs_once_for_all_states(count, monkeypatch):
-    """The merged chains of one family are one ``(1, P, d, d)`` stack
-    whatever the number of states, and each state's report is its
-    one-state report, bit for bit."""
+    """A family's pairs merge into their union members once for any number
+    of states, each state's report is its one-state report, bit for bit,
+    and the sum rule forms no chain product of its own: it reads the
+    probabilities of the members' and the elementary histories' chain
+    stacks, and no entry of ``D``."""
     inst = build_example1(1.0, 0.4)
     rng = np.random.default_rng(count)
     states = [random_density(3, rng, tol=TOL) for _ in range(count)]
     analysis = FamilyAnalysis(inst.family, TOL)
     alone = [analysis.sum_rule(rho) for rho in states]
-    shapes = []
+    stacks = []
     probabilities = consistency._probabilities
     monkeypatch.setattr(consistency, "_probabilities", lambda chains, rhos: (
-        shapes.append(chains.shape) or probabilities(chains, rhos)))
+        stacks.append(chains) or probabilities(chains, rhos)))
+
+    def unread(*args):
+        raise AssertionError("the sum rule reads D")
+    monkeypatch.setattr(consistency, "_final_blocks", unread)
+    monkeypatch.setattr(FamilyAnalysis, "_pair_entries", unread)
     got = analysis.sum_rule_each(states)
     assert [(r.worst_residual.hex(), r) for r in got] == [
         (r.worst_residual.hex(), r) for r in alone]
-    pairs = int(np.triu(analysis.members.summable_slots()[0], 1).astype(bool).sum())
-    assert pairs and (1, pairs, 3, 3) in shapes
+    assert [id(c) for c in stacks] == [id(analysis.members.chains),
+                                       id(analysis.chains)]
+
+
+@pytest.mark.parametrize("case", ["example1", "random", "edge", "zero"])
+def test_union_member_is_the_pairs_sum_at_the_merge_slot(case):
+    """For every summable member pair, the union member has the first
+    member's events off the merge slot and the pair's sum on it.  Two
+    subsets that share only rank-0 events are orthogonal by the tables, so
+    such a pair merges; the union counts a shared event once and the sum
+    twice, and they differ by that event, within ``TOL.op``."""
+    family = {
+        "example1": lambda: build_example1(1.0, 0.4).family,
+        "random": lambda: random_family(3, 3, np.random.default_rng(8), TOL,
+                                        max_blocks=2),
+        "edge": lambda: edge_family((1, 1, 1), (EDGE, 0, 0), (-EDGE, 0, 0)),
+        "zero": lambda: with_zero_events(
+            random_family(3, 2, np.random.default_rng(9), TOL, max_blocks=2),
+            slot=1, zeros=2),
+    }[case]()
+    m = FamilyAnalysis(family, TOL).members
+    slots = np.triu(m.summable_slots(), 1)
+    unions = m.unions(slots)
+    shared = 0
+    for a, b in zip(*np.nonzero(slots[0])):
+        k = slots[0, a, b] - 1
+        u = unions[0, a, b]
+        for j, events in enumerate(m.stacks):
+            ea, eb, eu = (events[0, m.index[i, j]] for i in (a, b, u))
+            if j != k:
+                assert m.index[u, j] == m.index[a, j]
+            else:
+                assert np.abs(eu - ea - eb).max() <= TOL.op
+                sa, sb = (set(m.options[j][m.index[i, j]]) for i in (a, b))
+                shared += bool(sa & sb)
+    assert len(np.nonzero(slots[0])[0]) > 0
+    assert (shared > 0) == (case in ("edge", "zero"))
 
 
 def test_sum_rule_of_a_family_without_summable_pairs_holds():
@@ -1129,8 +1171,8 @@ def test_coarse_sum_mirrors_are_decided_where_sums_miss_the_op_tolerance():
 @pytest.mark.parametrize("slots", [1, 2, 3])
 def test_one_history_routines_equal_an_explicit_product_and_trace(slots):
     """``chain_operator``, ``probability`` and ``decoherence_functional``
-    are the one-item cases of stacked routines, and keep, bit for bit, the
-    arithmetic of a product loop and ``np.trace``."""
+    keep, bit for bit, the arithmetic of a product loop, of the ``einsum``
+    diagonal ``sum(conj(C rho) * C)`` and of ``np.trace``."""
     rng = np.random.default_rng(40 + slots)
     for dim in (2, 3, 5, 8, 16):
         family = random_family(dim, slots, rng, TOL)
@@ -1143,7 +1185,7 @@ def test_one_history_routines_equal_an_explicit_product_and_trace(slots):
                 c = e.matrix @ c
             chains.append(c)
             assert chain_operator(h).tobytes() == c.tobytes()
-            p = float(np.trace(c @ rho.matrix @ c.conj().T).real)
+            p = float(np.einsum("ab,ab->", (c @ rho.matrix).conj(), c).real)
             assert probability(h, rho).hex() == p.hex()
         some = list(zip(hs, chains))[:3]
         for (h1, c1), (h2, c2) in itertools.product(some, repeat=2):

@@ -167,6 +167,29 @@ def test_validate_density_rejections():
         validate_density(np.array([[0.5, 0.2], [0.0, 0.5]]))
 
 
+NON_FINITE = [np.diag([np.nan, 0.5]), np.diag([np.inf, 0.0]),
+              np.array([[0.5, np.nan], [np.nan, 0.5]]),
+              np.array([[0.5, np.inf], [np.inf, 0.5]]),
+              np.full((3, 3), np.nan)]
+
+
+@pytest.mark.parametrize("case", range(len(NON_FINITE)))
+def test_nan_and_inf_entries_fail_validation(case):
+    """A NaN residual fails every test, so no NaN or infinite entry passes
+    as a projection or a state, alone or in a stack after a valid matrix
+    (``eigvalsh`` does not converge on the all-NaN one)."""
+    m = NON_FINITE[case]
+    good = np.diag([1.0] + [0.0] * (len(m) - 1))
+    with pytest.raises(NotHermitian):
+        validate_projection(m, TOL)
+    with pytest.raises(NotHermitian):
+        validate_projections([good, m], TOL)
+    with pytest.raises(NotHermitian):
+        validate_density(m, TOL)
+    with pytest.raises(NotHermitian):
+        validate_densities([good, m], TOL)
+
+
 def test_density_purity_flags():
     pure = validate_density(np.diag([1.0, 0.0, 0.0]))
     mixed = validate_density(np.diag([0.5, 0.5, 0.0]))

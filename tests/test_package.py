@@ -1,12 +1,14 @@
 """Package surface: every name a module exports exists, the package
 re-exports only module exports, only the sampler takes seeds, only
-``matcore`` sizes blocks, one entry map reads each linear value, and the
-command line does no probability arithmetic."""
+``matcore`` sizes blocks, one entry map reads each linear value, the
+command line does no probability arithmetic, and ``pyproject.toml``
+carries the package version."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,5 +144,13 @@ def test_python_dash_m_runs_the_command_line_from_a_checkout(tmp_path):
          "--state", "rho"], cwd=tmp_path, env={"PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60)
     assert out.returncode == 1, out.stderr  # weak holds, self-decoherence fails
-    assert out.stdout.startswith("qhistories 0.3.0  tol op=1e-10")
+    assert out.stdout.startswith("qhistories 0.4.0  tol op=1e-10")
     assert "weak              pass" in out.stdout
+
+
+def test_pyproject_version_is_the_package_version():
+    """A version bump touches ``pyproject.toml`` and ``qhistories.__version__``
+    together (read with a regex: ``tomllib`` is not in Python 3.10)."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.findall(r'^version = "([^"]+)"$', project, re.M) == [qhistories.__version__]
