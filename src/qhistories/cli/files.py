@@ -166,7 +166,7 @@ def parse_problem(text: str) -> ProblemFile:
             name, weight = item[0], float(item[1])
             if name not in operators:
                 raise ParseError(f"state references unknown operator {name!r}")
-            if weight <= 0.0:
+            if not weight > 0.0:  # NaN fails too
                 raise ParseError(f"mixture weight for {name!r} must be "
                                  f"positive, got {weight}")
             parsed.append((name, weight))
@@ -264,7 +264,7 @@ def problem_to_objects(problem: ProblemFile,
             raise _prefixed(exc, f"state {problem.state!r}")
     else:
         total = sum(w for _, w in problem.state)
-        if abs(total - 1.0) > tol.prob:
+        if not abs(total - 1.0) <= tol.prob:
             raise ValidationError(
                 f"mixture weights sum to {total!r}, expected 1",
                 abs(total - 1.0))

@@ -62,7 +62,7 @@ from .matcore import (
     _state_stack,
     complement,
     max_norm,
-    validate_density,
+    pure_densities,
 )
 
 __all__ = [
@@ -753,17 +753,18 @@ def contrary_inference(psi, e1: Projection, f1: Projection, e2: Projection,
                        ) -> Optional[ContraryInferenceInstance]:
     """The instance if ``(psi, e1, f1, e2)`` gives two contrary inferences.
 
-    Raises :class:`PreconditionFailed` when ``psi`` is not normalized or
-    ``e1 f1 != 0``.  Returns ``None`` when ``p(e2) <= tol.prob``, when
+    Raises :class:`PreconditionFailed` when ``psi`` is not normalized (a
+    NaN or infinite entry included) or ``e1 f1 != 0``; ``psi psi^dag`` is
+    built from the vector by :func:`~qhistories.matcore.pure_densities`.  Returns ``None`` when ``p(e2) <= tol.prob``, when
     either 2-event family fails weak decoherence, or when either
     conditional ``p(x e2) / p(e2)`` is below ``1 - tol.prob``.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(psi) - 1.0) > tol.prob:
+    if not abs(np.linalg.norm(psi) - 1.0) <= tol.prob:
         raise PreconditionFailed("state vector is not normalized")
     if max_norm(e1.matrix @ f1.matrix) > tol.op:
         raise PreconditionFailed("first events are not orthogonal")
-    rho = validate_density(np.outer(psi, psi.conj()), tol)
+    rho = pure_densities(psi[None], tol)[0]
     p_e2 = _event_probability(e2.matrix, rho)
     if p_e2 <= tol.prob:
         return None

@@ -230,8 +230,12 @@ def history_sum(h1: History, h2: History,
 
 
 def chain_operator(h: History) -> np.ndarray:
-    """The product ``E_n ... E_1`` of the events: :func:`chain_stack`'s one history."""
-    return chain_stack([e.matrix[None, None] for e in h.events])[0, 0]
+    """The product ``E_n ... E_1`` of the events, each later event applied on
+    the left: the bits of :func:`chain_stack`'s ``d x d`` products."""
+    c = h.events[0].matrix
+    for e in h.events[1:]:
+        c = e.matrix @ c
+    return c
 
 
 def is_commutative(h: History, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -11,6 +11,7 @@ function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "validate_projections",
     "validate_density",
     "validate_densities",
+    "pure_densities",
     "projector_onto",
     "identity_projection",
     "zero_projection",
@@ -73,6 +75,8 @@ DEFAULT_TOL = Tolerances()
 # decoherence functional, stacks of mirror closures), so batched checkers
 # stay in bounded memory at any family size.
 _BLOCK_BYTES = 1 << 24
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _blocks(count: int, item_bytes: int) -> list[slice]:
@@ -115,8 +119,10 @@ class Projection:
     """A validated orthogonal projection.
 
     Construct through :func:`validate_projection`.  ``rank`` counts the
-    eigenvalues near 1; the two residuals record how well the defining
-    identities held at validation time.
+    eigenvalues within ``tol.eig`` of 1, read as the rounded trace whenever
+    the two residuals prove the counts equal (see
+    :func:`validate_projections`); the residuals record how well the
+    defining identities held at validation time.
     """
 
     matrix: np.ndarray
@@ -154,7 +160,24 @@ def _square_stack(stack) -> tuple[np.ndarray, list[float]]:
         raise DimensionMismatch(f"expected a stack of square matrices, "
                                 f"got shape {m.shape}")
     m.setflags(write=False)
-    return m, np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+    return m, _hermiticity(m)
+
+
+# An infinite entry makes a NaN or infinite residual, which every test
+# fails, so numpy need not warn about it on the way.
+_quiet = np.errstate(invalid="ignore", over="ignore")
+
+
+@_quiet
+def _hermiticity(m: np.ndarray) -> list[float]:
+    """Each max-norm of ``m - m^dag`` over an ``(n, d, d)`` stack."""
+    return np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+
+
+@_quiet
+def _idempotency(m: np.ndarray) -> list[float]:
+    """Each max-norm of ``m m - m`` over an ``(n, d, d)`` stack."""
+    return np.abs(m @ m - m).max(axis=(1, 2)).tolist()
 
 
 def _state_stack(rhos, dim: int) -> np.ndarray:
@@ -169,7 +192,10 @@ def validate_projection(entries, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Check Hermiticity and idempotency and wrap the matrix.
 
     Raises :class:`NotHermitian` or :class:`NotIdempotent` with the
-    offending max-norm residual.
+    offending max-norm residual.  The rank counts the eigenvalues within
+    ``tol.eig`` of 1; it is the rounded trace when the residuals prove that
+    count equal to ``eigvalsh``'s, and ``eigvalsh``'s otherwise (see
+    :func:`validate_projections`).
     """
     return validate_projections(square_matrix(entries)[None], tol)[0]
 
@@ -177,9 +203,27 @@ def validate_projection(entries, tol: Tolerances = DEFAULT_TOL) -> Projection:
 def validate_projections(stack, tol: Tolerances = DEFAULT_TOL) -> list[Projection]:
     """:func:`validate_projection` over an ``(n, d, d)`` stack in one pass;
     the first failing matrix raises what it raises on its own.  Each test
-    fails a NaN residual, so a NaN or infinite entry raises."""
+    fails a NaN residual, so a NaN or infinite entry raises.
+
+    Ranks.  ``eigvalsh`` reads the Hermitian matrix ``A`` whose lower
+    triangle and real diagonal are those of ``m``; ``A = m + E`` with
+    ``|E_ij| <= herm``, so ``||E||_2 <= h = d herm``, and
+    ``||m m - m||_2 <= a = d idem``.  From ``A A - A = (m m - m) + A E +
+    E A - E E - E``, every eigenvalue ``x`` of ``A`` has ``|x^2 - x| <= a +
+    h (2 L + 1 + h)``, ``L = max |x|``; at ``|x| = L`` that is a quadratic
+    in ``L``, whose root ``top`` bounds ``L``.  Since ``max(|x|, |x - 1|)
+    >= 1/2``, each ``x`` lies within ``2 (a + h (2 top + 1 + h))``, about
+    ``2 d (idem + 3 herm)``, of 0 or 1.  Add ``4 d^2 eps (1 + top)^2`` for
+    the rounding of the measured residuals, of ``eigvalsh`` (backward
+    stable, so its eigenvalues move by ``O(d eps L)``) and of the trace:
+    call the sum ``b``.  When ``b <= tol.eig < 1 - b`` and ``2 d b < 1``,
+    ``eigvalsh`` counts exactly the eigenvalues near 1, and ``Re Tr m``,
+    their sum, lies within ``d b < 1/2`` of that count, so the rank is
+    ``round(Re Tr m)``.  Otherwise (``d herm`` or ``d idem`` near
+    ``tol.eig``) that matrix's rank comes from ``eigvalsh``.
+    """
     m, herm = _square_stack(stack)
-    idem = np.abs(m @ m - m).max(axis=(1, 2)).tolist()
+    idem = _idempotency(m)
     for h, i in zip(herm, idem):
         if not h <= tol.op:
             raise NotHermitian(
@@ -187,8 +231,25 @@ def validate_projections(stack, tol: Tolerances = DEFAULT_TOL) -> list[Projectio
         if not i <= tol.op:
             raise NotIdempotent(
                 f"projection candidate is not idempotent (residual {i:.3e})", i)
-    ranks = (np.abs(np.linalg.eigvalsh(m) - 1.0) <= tol.eig).sum(axis=1)
-    return [Projection(*args) for args in zip(m, ranks.tolist(), herm, idem)]
+    d = m.shape[1]
+    ranks = [round(t) for t in m.trace(axis1=1, axis2=2).real.tolist()]
+    slow = [k for k, (h, i) in enumerate(zip(herm, idem))
+            if not _trace_counts(h, i, d, tol)]
+    if slow:
+        counts = (np.abs(np.linalg.eigvalsh(m[slow]) - 1.0) <= tol.eig).sum(axis=1)
+        for k, r in zip(slow, counts.tolist()):
+            ranks[k] = r
+    return [Projection(*args) for args in zip(m, ranks, herm, idem)]
+
+
+def _trace_counts(herm: float, idem: float, d: int, tol: Tolerances) -> bool:
+    """Whether a ``d x d`` matrix with these residuals has its ``eigvalsh``
+    rank at ``round(Re Tr m)``: the bound ``b`` of
+    :func:`validate_projections`."""
+    a, h = d * idem, d * herm
+    top = (1 + 2 * h + math.sqrt((1 + 2 * h) ** 2 + 4 * (a + h + h * h))) / 2
+    b = 2 * (a + h * (2 * top + 1 + h)) + 4 * d * d * _EPS * (1 + top) ** 2
+    return b <= tol.eig < 1 - b and 2 * d * b < 1
 
 
 def validate_density(entries, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
@@ -209,7 +270,35 @@ def validate_densities(stack, tol: Tolerances = DEFAULT_TOL) -> list[DensityOper
         floors = np.linalg.eigvalsh(m).min(axis=1).tolist()
     except np.linalg.LinAlgError:  # a NaN entry, which fails Hermiticity first
         floors = np.linalg.eigvalsh(np.where(np.isfinite(m), m, 0)).min(axis=1).tolist()
-    trace_res = [abs(t - 1.0) for t in np.trace(m, axis1=1, axis2=2).tolist()]
+    return _densities(m, herm, floors, np.trace(m, axis1=1, axis2=2).tolist(), tol)
+
+
+def pure_densities(vectors, tol: Tolerances = DEFAULT_TOL) -> list[DensityOperator]:
+    """The states ``psi psi^dag`` of an ``(n, d)`` stack of vectors that the
+    caller has checked to be of unit norm, with no eigendecomposition.
+
+    The Hermiticity and trace residuals are measured and raise as in
+    :func:`validate_densities`, and purity is measured.  The eigenvalue floor
+    is a rounding bound: each stored entry is ``psi_i conj(psi_j)`` within
+    ``sqrt(5) eps/2 |psi_i| |psi_j|``, a perturbation of Frobenius norm at
+    most ``sqrt(5) eps/2 |psi|^2`` of a matrix whose eigenvalues are
+    ``|psi|^2`` and 0, and the Hermitian matrix ``eigvalsh`` would read moves
+    by at most ``d herm`` more.  So every eigenvalue is at least ``-(2 eps
+    Re Tr m + d herm)``, the recorded floor.
+    """
+    v = np.asarray(vectors, dtype=complex)
+    m, herm = _square_stack(v[:, :, None] * v.conj()[:, None, :])
+    d = m.shape[1]
+    traces = np.trace(m, axis1=1, axis2=2).tolist()
+    floors = [-(2 * _EPS * t.real + d * h) for t, h in zip(traces, herm)]
+    return _densities(m, herm, floors, traces, tol)
+
+
+def _densities(m: np.ndarray, herm: list[float], floors: list[float],
+               traces: list[complex], tol: Tolerances) -> list[DensityOperator]:
+    """Raise for the first matrix of the ``(n, d, d)`` stack ``m`` that fails
+    Hermiticity, its floor or the unit trace, else wrap each."""
+    trace_res = [abs(t - 1.0) for t in traces]
     for h, floor, tr in zip(herm, floors, trace_res):
         if not h <= tol.op:
             raise NotHermitian(

@@ -18,6 +18,7 @@ the one it returns.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -44,8 +45,7 @@ from .matcore import (
     commutator,
     join,
     max_norm,
-    validate_density,
-    validate_densities,
+    pure_densities,
     validate_projections,
 )
 
@@ -137,26 +137,30 @@ def _event_pairs(*histories: History) -> np.ndarray:
 
 
 def _supports(states: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list[int]]:
-    """Bases of the distinct supports of ``states`` and, for each state,
-    the position of its own among them.
+    """``(G, d, r)`` bases of the distinct supports of ``states`` and, for
+    each state, the position of its own among them.
 
-    A support is spanned by the eigenvectors above ``tol.eig`` (the other
-    columns zero).  A state shares the support of the first earlier state
-    whose support projection lies within ``tol.eig`` of its own in the
-    Frobenius norm.  That distance is ``sqrt(2 sum sin^2 theta_i)`` over the
-    principal angles when the ranks agree, and at least 1 when they do not,
-    so it joins only supports of one rank r whose stacked bases
-    ``[V_s, V_t]`` have rank r at ``tol.eig``, the rank rule of the closure's
-    SVDs.  (Its first round, ``[e1 S, e2 e1 S]``, admits an ``e1 S``
-    direction that ``e2`` keeps from ``tol.eig / sqrt(2)``, and its stop at
-    an invariance defect of ``tol.eig / 2`` is exact by Weyl's inequality.)
-    ``V`` depends on a state only through its support, and
+    A support is spanned by the eigenvectors above ``tol.eig``: the trailing
+    columns of ``eigh``, whose eigenvalues ascend.  Every basis keeps the
+    ``r`` trailing columns, ``r`` the largest support rank of the stack, and
+    zeroes those at or below ``tol.eig``.  A state shares the support of the
+    first earlier state whose support projection lies within ``tol.eig`` of
+    its own in the Frobenius norm.  That distance is ``sqrt(2 sum sin^2
+    theta_i)`` over the principal angles when the ranks agree, and at least
+    1 when they do not, so it joins only supports of one rank r whose
+    stacked bases ``[V_s, V_t]`` have rank r at ``tol.eig``, the rank rule of
+    the closure's SVDs.  (Its first round, ``[e1 S, e2 e1 S]``, admits an
+    ``e1 S`` direction that ``e2`` keeps from ``tol.eig / sqrt(2)``, and its
+    stop at an invariance defect of ``tol.eig / 2`` is exact by Weyl's
+    inequality.)  ``V`` depends on a state only through its support, and
     ``supp(lam rho1 + (1 - lam) rho2)`` is ``supp rho1 + supp rho2`` for
     every ``lam`` whose weighted eigenvalues stay above ``tol.eig``, so the
     mixtures of a weight grid are closed once.
     """
     w, vecs = np.linalg.eigh(states)
-    bases = vecs * (w > tol.eig)[:, None]
+    above = w > tol.eig
+    d, r = states.shape[-1], int(above.sum(axis=1).max(initial=0))
+    bases = vecs[..., d - r:] * above[:, None, d - r:]
     if len(states) < 2:
         return bases, list(range(len(states)))
     proj = (bases @ bases.conj().swapaxes(-1, -2)).reshape(len(states), -1)
@@ -176,19 +180,23 @@ def _supports(states: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list[int
 def _least_projections(events: np.ndarray, supports: np.ndarray,
                        tol: Tolerances) -> np.ndarray:
     """Projections onto ``V`` (see :func:`least_mirror`) for all (support,
-    history) pairs, support-major, bases padded with zero columns (which add
-    only zero singular values).  The first round is one stacked SVD of
+    history) pairs, support-major, from the ``(G, d, r)`` support bases.
+    The first round is one stacked SVD of the ``d x 2r`` matrices
     ``[e1 S, e2 e1 S]``, where an ``e1 S`` direction that ``e2`` keeps counts
-    from ``tol.eig / sqrt(2)``.  A later round stops each pair whose defect
+    from ``tol.eig / sqrt(2)``.  Bases keep the width that round's SVD gives,
+    ``min(d, 2r)``, with zero columns past each rank (zero columns add only
+    zero singular values).  A later round stops each pair whose defect
     ``||(1 - P P^dag)[e1 P, e2 P]||_F`` is at most ``tol.eig / 2`` (by Weyl,
     no singular value of ``[P, e1 P, e2 P]`` past ``rank P`` exceeds it) and
-    takes one stacked SVD of ``[P, e1 P, e2 P]`` for the others."""
+    takes one stacked SVD of ``[P, e1 P, e2 P]`` for the others; the bases
+    are padded to that SVD's width only when some pair grows."""
     n, d = len(events), events.shape[-1]
 
     def span(a):
-        u, s, _ = np.linalg.svd(a.reshape(-1, d, a.shape[-1]), full_matrices=False)
+        a = a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])  # r may be 0
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
         rank = (s > tol.eig).sum(axis=1)
-        return u * (np.arange(d) < rank[:, None])[:, None], rank
+        return u * (np.arange(u.shape[-1]) < rank[:, None])[:, None], rank
 
     first = events[:, 0] @ supports[:, None]
     basis, rank = span(np.concatenate([first, events[:, 1] @ first], -1))
@@ -203,6 +211,12 @@ def _least_projections(events: np.ndarray, supports: np.ndarray,
         grown, wider = span(np.concatenate([b[keep], *moved[keep].swapaxes(0, 1)], -1))
         more = wider > rank[live[keep]]
         live = live[keep][more]
+        if not live.size:
+            break
+        if grown.shape[-1] > basis.shape[-1]:
+            pad = np.zeros((*basis.shape[:2], grown.shape[-1] - basis.shape[-1]),
+                           dtype=basis.dtype)
+            basis = np.concatenate([basis, pad], -1)
         basis[live], rank[live] = grown[more], wider[more]
     return basis @ basis.conj().swapaxes(-1, -2)
 
@@ -461,15 +475,18 @@ def proposition1_check(t: Projection, u: Projection, h1: History, h2: History,
     the join acts additively on ``psi``, and that the cross term
     ``<psi| e1 e2 f1 psi>`` vanishes.
 
-    Preconditions: ``t`` and ``u`` verify as mirrors of ``h1`` and
-    ``h2`` for the pure state, the histories share their final event,
-    and their first events are orthogonal.  Residuals are reported as
+    Preconditions: ``psi`` has unit norm within ``tol.prob`` (a NaN or
+    infinite entry fails), ``t`` and ``u`` verify as mirrors of ``h1`` and
+    ``h2`` for the pure state ``psi psi^dag`` (built by
+    :func:`~qhistories.matcore.pure_densities`, which raises
+    :class:`TraceNotOne` beyond ``tol.op``), the histories share their final
+    event, and their first events are orthogonal.  Residuals are reported as
     computed; ``passed`` compares them against ``10 * tol.prob``.
     """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(psi) - 1.0) > tol.prob:
+    if not abs(np.linalg.norm(psi) - 1.0) <= tol.prob:
         raise PreconditionFailed("state vector is not normalized")
-    rho = validate_density(np.outer(psi, psi.conj()), tol)
+    rho = pure_densities(psi[None], tol)[0]
     certs = _certificates([t, u], [h1, h2], _event_pairs(h1, h2), [rho], tol)[0]
     for which, cert in zip(("first", "second"), certs):
         if not cert.verified:
@@ -533,8 +550,7 @@ def contrary_bound_check(h1: History, h2: History,
                 f"state is mixed (purity {rho.purity:.6f}); "
                 "pass allow_mixed to decompose it")
         w, v = np.linalg.eigh(rho.matrix)
-        comp_rhos = validate_densities(
-            [np.outer(x, x.conj()) for x in v.T[w > tol.eig]], tol)
+        comp_rhos = pure_densities(v.T[w > tol.eig], tol)
         comp_certs = _certificates([cert1.mirror, cert2.mirror], [h1, h2],
                                    _event_pairs(h1, h2), comp_rhos, tol)
         components = tuple(contrary_bound_check(h1, h2, tuple(c), r, tol)

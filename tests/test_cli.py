@@ -783,6 +783,21 @@ def test_non_finite_operators_exit_2_with_their_names(value, tmp_path, capsys):
         assert f"{name!r}:" in capsys.readouterr().err
 
 
+def test_a_nan_mixture_weight_exits_2_naming_its_operator(tmp_path, capsys):
+    """``weight <= 0`` and the sum test are both false for NaN; both are
+    written to fail it, so the parse error names the weight's operator
+    instead of the mixture failing Hermiticity at residual ``nan``."""
+    problem = json.loads(serialize_problem(example1_problem()))
+    problem["state"] = [["rho1", float("nan")], ["rho2", 0.5]]
+    path = tmp_path / "nan-weight.json"
+    path.write_text(json.dumps(problem))
+    with pytest.raises(ParseError, match="mixture weight for 'rho1'"):
+        parse_problem(path.read_text())
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'rho1'" in err and "nan" in err and "Hermitian" not in err
+
+
 def test_table_prints_a_zero_residual_unsigned(tmp_path, capsys):
     """Linear positivity's residual of a diagonal family is ``-0.0`` (the
     negated smallest zero trace); the table prints it as the canonical

@@ -383,6 +383,11 @@ def test_contrary_inference_preconditions():
     inst = build_contrary_inference(3, TOL)
     with pytest.raises(PreconditionFailed, match="not normalized"):
         contrary_inference(2.0 * inst.psi, inst.e1, inst.f1, inst.e2, TOL)
+    for bad in (np.nan, np.inf):  # a NaN norm fails the test too
+        psi = np.array(inst.psi, dtype=complex)
+        psi[0] = bad
+        with pytest.raises(PreconditionFailed, match="not normalized"):
+            contrary_inference(psi, inst.e1, inst.f1, inst.e2, TOL)
     with pytest.raises(PreconditionFailed, match="not orthogonal"):
         contrary_inference(inst.psi, inst.e1, inst.e1, inst.e2, TOL)
 
@@ -1168,11 +1173,12 @@ def test_coarse_sum_mirrors_are_decided_where_sums_miss_the_op_tolerance():
     assert "(1,1)+(2,1)" in coarse
 
 
-@pytest.mark.parametrize("slots", [1, 2, 3])
+@pytest.mark.parametrize("slots", [1, 2, 3, 4])
 def test_one_history_routines_equal_an_explicit_product_and_trace(slots):
     """``chain_operator``, ``probability`` and ``decoherence_functional``
     keep, bit for bit, the arithmetic of a product loop, of the ``einsum``
-    diagonal ``sum(conj(C rho) * C)`` and of ``np.trace``."""
+    diagonal ``sum(conj(C rho) * C)`` and of ``np.trace``; the chain is also
+    :func:`chain_stack`'s history, bit for bit."""
     rng = np.random.default_rng(40 + slots)
     for dim in (2, 3, 5, 8, 16):
         family = random_family(dim, slots, rng, TOL)
@@ -1185,6 +1191,8 @@ def test_one_history_routines_equal_an_explicit_product_and_trace(slots):
                 c = e.matrix @ c
             chains.append(c)
             assert chain_operator(h).tobytes() == c.tobytes()
+            stack = chain_stack([e.matrix[None, None] for e in h.events])
+            assert stack[0, 0].tobytes() == c.tobytes()
             p = float(np.einsum("ab,ab->", (c @ rho.matrix).conj(), c).real)
             assert probability(h, rho).hex() == p.hex()
         some = list(zip(hs, chains))[:3]

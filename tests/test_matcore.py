@@ -21,6 +21,7 @@ from qhistories.matcore import (
     max_norm,
     projection_leq,
     projector_onto,
+    pure_densities,
     validate_densities,
     validate_density,
     validate_projection,
@@ -101,6 +102,111 @@ def test_stacked_validation_raises_for_the_first_failing_matrix():
         assert exc.value.residual == pytest.approx(residual)
     with pytest.raises(DimensionMismatch):
         validate_projections(np.zeros((2, 2, 3)), TOL)
+
+
+def _near_projection(dim, rank, size, rng):
+    """A rank-``rank`` projection plus a random non-Hermitian perturbation
+    scaled so that its larger validation residual is about ``size``."""
+    u = haar_unitary(dim, rng)[:, :rank]
+    p = u @ u.conj().T
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+    def worst(eps):
+        m = p + eps * x
+        return max(max_norm(m - m.conj().T), max_norm(m @ m - m))
+
+    return p + size * 1e-3 / worst(1e-3) * x if size else p
+
+
+def _counting_eigvalsh(monkeypatch):
+    """Record the number of matrices each ``np.linalg.eigvalsh`` call reads."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: (
+        calls.append(len(np.reshape(a, (-1, *np.shape(a)[-2:]))))
+        or eigvalsh(a, *args, **kw)))
+    return calls, eigvalsh
+
+
+def test_trace_ranks_equal_eigvalsh_ranks(monkeypatch):
+    """On projections of every rank, 0 and d included, for d from 1 to 32,
+    validation's rank equals the ``eigvalsh`` count at ``tol.eig``.  Exact
+    projections take the rounded trace; with residuals just under
+    ``tol.op``, the bound ``2 d (idem + 3 herm)`` exceeds ``tol.eig`` once d
+    passes about 12, and those ranks come from ``eigvalsh``."""
+    rng = np.random.default_rng(83)
+    calls, eigvalsh = _counting_eigvalsh(monkeypatch)
+    fallback = []
+    for dim in range(1, 33):
+        for rank in sorted({0, dim, int(rng.integers(0, dim + 1))}):
+            for size in (0.0, 0.9 * TOL.op):
+                m = _near_projection(dim, rank, size, rng)
+                before = len(calls)
+                p = validate_projection(m, TOL)
+                assert max(p.hermiticity_residual, p.idempotency_residual) <= TOL.op
+                want = int((np.abs(eigvalsh(m) - 1.0) <= TOL.eig).sum())
+                assert p.rank == want == rank, (dim, rank, size)
+                if len(calls) > before:
+                    fallback.append((dim, size))
+    assert all(size > 0 for _, size in fallback)
+    first = min(dim for dim, _ in fallback)
+    assert 10 <= first <= 16
+    assert {dim for dim, _ in fallback} == set(range(first, 33))
+
+
+def test_rank_falls_back_to_eigvalsh_where_the_trace_could_miscount(monkeypatch):
+    """Under ``tol.op = 1e-6``, ``diag(1, 1 - 5e-7, 0)`` is idempotent within
+    ``tol.op`` and its trace rounds to 2, but ``eigvalsh`` finds one
+    eigenvalue within ``tol.eig = 1e-8`` of 1: its rank is 1.  In a stack,
+    only that matrix goes to ``eigvalsh``."""
+    tol = Tolerances(op=1e-6, eig=1e-8, prob=1e-6)
+    m = np.diag([1.0, 1.0 - 5e-7, 0.0])
+    assert round(np.trace(m)) == 2
+    calls, _ = _counting_eigvalsh(monkeypatch)
+    exact = np.diag([1.0, 1.0, 0.0])
+    got = validate_projections([exact, m, exact], tol)
+    assert [p.rank for p in got] == [2, 1, 2]
+    assert got[1].idempotency_residual == pytest.approx(5e-7, rel=1e-6)
+    assert calls == [1]
+
+
+def test_pure_densities_measure_what_validate_densities_measures():
+    """``psi psi^dag`` from unit vectors: the matrix, purity and trace
+    residual are ``validate_densities``' bit for bit; the floor is the stated
+    rounding bound, below every eigenvalue ``eigvalsh`` finds (less its own
+    rounding) and far above ``-tol.eig``."""
+    rng = np.random.default_rng(89)
+    eps = np.finfo(float).eps
+    for dim in (1, 2, 4, 7, 16):
+        z = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+        vectors = np.vstack([z / np.linalg.norm(z, axis=1)[:, None],
+                             np.linalg.eigh(z.T @ z.conj())[1].T])
+        got = pure_densities(vectors, TOL)
+        want = validate_densities([np.outer(v, v.conj()) for v in vectors], TOL)
+        for g, w in zip(got, want, strict=True):
+            assert g.matrix.tobytes() == w.matrix.tobytes()
+            assert not g.matrix.flags.writeable
+            assert (g.purity, g.trace_residual) == (w.purity, w.trace_residual)
+            herm = max_norm(g.matrix - g.matrix.conj().T)  # not 0 under FMA
+            trace = np.trace(g.matrix).real
+            assert g.eigenvalue_floor == -(2 * eps * trace + dim * herm)
+            assert g.eigenvalue_floor >= -16 * eps
+            assert np.linalg.eigvalsh(g.matrix).min() >= g.eigenvalue_floor - 4 * dim * eps
+            assert g.is_pure
+
+
+def test_pure_densities_raise_what_validate_densities_raises():
+    """A vector of norm ``1 + 3e-10`` gives a trace residual past ``tol.op``:
+    the same class, message and residual as ``validate_densities``, for the
+    first failing vector of a stack."""
+    good = np.array([0.6, 0.8j])
+    long = np.array([1.0 + 3e-10, 0.0])
+    with pytest.raises(TraceNotOne) as alone:
+        validate_densities([np.outer(good, good.conj()), np.outer(long, long)], TOL)
+    with pytest.raises(TraceNotOne) as pure:
+        pure_densities([good, long], TOL)
+    assert str(pure.value) == str(alone.value)
+    assert pure.value.residual == alone.value.residual
 
 
 def _density_stack(rng):

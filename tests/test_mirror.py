@@ -14,6 +14,7 @@ from qhistories.errors import (
     MirrorNotVerified,
     NotCommuting,
     PreconditionFailed,
+    TraceNotOne,
     WrongHistoryLength,
     ZeroConditioningEvent,
 )
@@ -320,6 +321,31 @@ def test_proposition1_preconditions():
         proposition1_check(m.t, m.t, m.h1, m.h1, m.psi, TOL)  # same history
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_proposition1_rejects_a_non_finite_state_vector(bad):
+    """The norm test fails a NaN norm, so a NaN entry is a precondition
+    failure, as an infinite one is."""
+    m = build_example2()
+    psi = np.array(m.psi, dtype=complex)
+    psi[1] = bad
+    with pytest.raises(PreconditionFailed, match="state vector is not normalized"):
+        proposition1_check(m.t, m.u, m.h1, m.h2, psi, TOL)
+
+
+def test_proposition1_state_keeps_its_trace_test():
+    """A norm of ``1 + 3e-10`` passes the ``tol.prob`` norm test, and
+    ``psi psi^dag``'s trace residual of about ``6e-10`` then fails
+    ``tol.op`` as ``validate_density`` fails it."""
+    m = build_example2()
+    psi = (1.0 + 3e-10) * np.asarray(m.psi)
+    with pytest.raises(TraceNotOne) as exc:
+        proposition1_check(m.t, m.u, m.h1, m.h2, psi, TOL)
+    with pytest.raises(TraceNotOne) as alone:
+        validate_density(np.outer(psi, psi.conj()), TOL)
+    assert str(exc.value) == str(alone.value)
+    assert exc.value.residual == pytest.approx(6e-10, rel=1e-3)
+
+
 def test_contrary_bound_on_the_pointer_model():
     m = build_example2()
     cert_t = verify_mirror(m.t, m.h1, m.rho, TOL)
@@ -617,6 +643,71 @@ def test_a_pointer_model_closure_takes_one_svd(monkeypatch):
     report = check_self_decoherence(m.family, m.rho, None, TOL)
     assert report.verdict
     assert len(calls) == 1
+
+
+def test_rank_r_closure_matches_the_reference(monkeypatch):
+    """The closure on each support's r columns (a ``d x 2r`` first round,
+    bases as wide as their rank can reach) agrees with the one-history
+    reference in rank and verdict, with projections within 1e-12, on pure,
+    rank-2 and full-rank states.  Each :func:`least_mirrors` call takes all
+    three states, so its supports have ranks 1, 2 and d, and the tilted
+    history and the generic families need a second round."""
+    rng = np.random.default_rng(97)
+    histories = [_tilted_growth(2 * TOL.eig)]
+    for d in (3, 4, 6):
+        histories += elementary_histories(random_family(d, 2, rng, TOL))
+        histories += elementary_histories(
+            binary_family(*random_commuting_events(d, rng, TOL)))
+    rounds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: (
+        rounds.append(a[0].shape) or svd(*a, **k)))
+    found = 0
+    for h in histories:
+        d = h.dim
+        states = [validate_density(np.diag([1.0] + [0.0] * (d - 1)))
+                  if h is histories[0] else random_pure_density(d, rng, tol=TOL),
+                  random_density(d, rng, rank=2, tol=TOL),
+                  random_density(d, rng, rank=d, tol=TOL)]
+        del rounds[:]
+        certs = least_mirrors(h, states, TOL)
+        assert rounds[0][1:] == (d, 2 * d), rounds  # [e1 S, e2 e1 S] at r = d
+        if h is histories[0]:
+            assert len(rounds) == 2  # the tilted direction enters in round 2
+        for cert, rho in zip(certs, states):
+            ref = reference_least_mirror(h, rho, TOL)
+            assert cert.mirror.rank == ref.mirror.rank, h.label
+            assert cert.verified == ref.verified, h.label
+            assert max_norm(cert.mirror.matrix - ref.mirror.matrix) <= 1e-12
+            found += cert.verified
+        for rho in states[:2]:  # one state alone: a d x 2r first round
+            del rounds[:]
+            least_mirror(h, rho, TOL)
+            r = int(np.count_nonzero(np.linalg.eigvalsh(rho.matrix) > TOL.eig))
+            assert rounds[0] == (1, d, 2 * r)
+    assert 0 < found < 3 * len(histories)
+
+
+def test_a_pointer_question_makes_no_eigvalsh_call(monkeypatch):
+    """Self-decoherence, both mirror checks, the occurrence probability,
+    Proposition 1 and the contrary bound of a pointer model: the least
+    projections' and the join's ranks come from their traces and ``psi
+    psi^dag`` from its vector, so no ``eigvalsh`` runs."""
+    rng = np.random.default_rng(101)
+    models = [build_example2(), *(pointer_model(s, rng, TOL) for s in (2, 3))]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: (
+        calls.append(1) or eigvalsh(*a, **k)))
+    for m in models:
+        report = check_self_decoherence(m.family, m.rho, None, TOL)
+        certs = (verify_mirror(m.t, m.h1, m.rho, TOL),
+                 verify_mirror(m.u, m.h2, m.rho, TOL))
+        occurrence_probability(m.h1, m.t, m.rho, TOL)
+        prop = proposition1_check(m.t, m.u, m.h1, m.h2, m.psi, TOL)
+        bound = contrary_bound_check(m.h1, m.h2, certs, m.rho, TOL)
+        assert report.verdict and prop.passed and bound.passed
+    assert calls == []
 
 
 def test_contrary_bound_holds_on_each_eigenvector_for_least_mirrors():
