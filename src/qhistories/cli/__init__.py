@@ -41,7 +41,7 @@ from ..mirror import (
     least_mirror,
     occurrence_probability,
     proposition1_check,
-    self_decoherence,
+    self_decoherence_each,
     verify_mirror,
 )
 from ..scenarios import (
@@ -238,15 +238,9 @@ def _run_notions(analysis: FamilyAnalysis, rho: DensityOperator,
     """One result per requested notion, and the self-decoherence report
     if that notion ran; a notion whose precondition or member cap fails
     is ``n/a`` with the reason as its note."""
-    medium = functools.cache(analysis.medium)  # also ordered's precondition
-    reductions = {
-        "weak": analysis.weak,
-        "medium": medium,
-        "linear-positive": analysis.linear_positivity,
-        "ordered": lambda rho: analysis.ordered(rho, medium=medium(rho)),
-        "sum-rule": analysis.sum_rule,
-        "C1-compat": analysis.C1,
-    }
+    # medium's report is also ordered's precondition: it is reduced once
+    medium = (analysis.reports("medium", [rho])[0]
+              if {"medium", "ordered"} & set(requested) else None)
     results: dict[str, NotionResult] = {}
     sd = None
     for name in requested:
@@ -255,12 +249,13 @@ def _run_notions(analysis: FamilyAnalysis, rho: DensityOperator,
                 results[name] = NotionResult(
                     None, note="only defined for 2-slot families")
                 continue
-            sd = self_decoherence(analysis, rho, provided)
-            results[name] = NotionResult(sd.verdict,
-                                         pair_count=len(sd.per_history))
+            [sd] = self_decoherence_each(analysis, [rho], provided)
+            results[name] = NotionResult(sd.verdict, pair_count=len(sd.per_history))
             continue
         try:
-            r = reductions[name](rho)
+            r = (medium if name == "medium"
+                 else analysis.ordered(rho, medium=medium) if name == "ordered"
+                 else analysis.reports(name, [rho])[0])
         except (PreconditionFailed, FamilyTooLarge) as exc:
             results[name] = NotionResult(None, note=str(exc))
             continue
@@ -388,9 +383,8 @@ def _cmd_sweep(args) -> int:
         rhos = _mixtures(grid[0].rho1, grid[0].rho2, values, tol)
     # one stacked call per notion: a family per step, or a state per step
     analysis = FamilyAnalysis([i.family for i in grid], tol)
-    columns = [each(rhos) for each in (
-        analysis.weak_each, analysis.medium_each,
-        analysis.linear_positivity_each, analysis.sum_rule_each)]
+    columns = [analysis.reports(name, rhos) for name in (
+        "weak", "medium", "linear-positive", "sum-rule")]
     # h1, h2 and h_coarse of each step as one-history families
     slots = zip(*(h.events for i in grid for h in (i.h1, i.h2, i.h_coarse)))
     chains = chain_stack([np.array([[e.matrix] for e in s]) for s in slots]

@@ -10,16 +10,18 @@ elementary histories; multilinearity of the chain operator carries each
 verdict to every coarse-graining (the additivity checker verifies this
 by enumeration).
 
-Each checker is a reduction over one :class:`FamilyAnalysis`.  Weak and
-medium decoherence, linear positivity and C1 read values linear in the
-state, each through its :class:`LinearNotion` entry map: the masked
-final-event blocks of ``D`` (or all of it, where the overlap of two final
-events could put ``|D|`` above ``tol.prob`` off them), computed from one
-chain-operator stack in blocks of bounded size, or that stack's traces.
-One reduction serves all four: the largest residual, the first pair in
-label order on a tie, from 0 with no pair (linear positivity has no
-floor and always names a history).  Pairs are selected and counted by
-per-slot relation tables.
+Each checker is a reduction over one :class:`FamilyAnalysis`, asked
+through :meth:`FamilyAnalysis.reports` (ordered consistency through
+:meth:`FamilyAnalysis.ordered`).  Weak and medium decoherence, linear
+positivity, C1 and the sum rule read values linear in the state, each
+through its :class:`LinearNotion` entry map: the masked final-event
+blocks of ``D`` (or all of it, where the overlap of two final events
+could put ``|D|`` above ``tol.prob`` off them), computed from one
+chain-operator stack in blocks of bounded size, that stack's traces, or
+the members' probabilities.  One reduction serves all five: the largest
+residual, the first pair in label order on a tie, from 0 with no pair
+(linear positivity has no floor and always names a history).  Pairs are
+selected and counted by per-slot relation tables.
 :func:`contrary_inference` decides whether two orthogonal events are both
 retrodicted with certainty.
 """
@@ -174,19 +176,6 @@ def _probabilities(chains: np.ndarray, states: np.ndarray) -> np.ndarray:
                      chains).real
 
 
-def _worst(values: np.ndarray, mask) -> list[tuple[float, Optional[int]]]:
-    """For each entry of the leading axis, the largest masked value and its
-    first flat position, or ``(0.0, None)`` when no masked value exceeds 0:
-    the running maximum of a loop that starts at 0 and keeps the first
-    strictly larger value."""
-    masked = np.where(mask, values, 0.0)
-    if not masked.size:
-        return [(0.0, None)] * len(masked)
-    masked = masked.reshape(len(masked), -1)  # max and argmax agree on NaN
-    return [(v, a) if v > 0.0 else (0.0, None) for v, a in zip(
-        masked.max(axis=1).tolist(), masked.argmax(axis=1).tolist())]
-
-
 def _max_norms(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).max(axis=(-2, -1))
 
@@ -318,15 +307,17 @@ class LinearNotion:
 
     ``entries(rhos)`` yields blocks ``(g, x, V)`` within the block budget:
     ``V[k, r, c]`` is group ``g + k``'s value (the groups of :func:`_groups`)
-    on row ``x + r``, a history in label order, and column c, the history
-    ``c n + (x + r) % n`` for ``n = N / C`` of N histories and C columns:
-    a column of the row's final-event block of ``D``, or, one value per
-    history (C = 1), the row's own.  Values off the notion's mask are 0.
+    on row ``x + r``, one of the N histories of ``histories`` in label
+    order, and column c, the history ``c n + (x + r) % n`` for ``n = N / C``
+    of C columns: a column of the row's final-event block of ``D``, one
+    value per history (C = 1), the row's own, or, for the sum rule's
+    members (C = N), history c.  Values off the notion's mask are 0.
     The reduction keeps each group's largest ``residual(V)``, the first in
     label order on a tie, from 0 with no pair, or from the first value if
-    not ``floored``, and attaches ``counts[f]``, family f's pairs."""
+    not ``floored``, labels its pair through ``histories`` and attaches
+    ``counts[f]``, family f's pairs."""
 
-    analysis: FamilyAnalysis
+    histories: _SlotHistories
     name: str
     entries: Callable[[Sequence[DensityOperator]], Iterable[tuple]]
     residual: Callable[[np.ndarray], np.ndarray]
@@ -335,7 +326,7 @@ class LinearNotion:
 
     def _maxima(self, blocks: Iterable[tuple], states: int):
         """Each group's worst residual and its pair of histories, or ``None``."""
-        groups = _groups(self.analysis.shape[0], states)
+        groups = _groups(self.histories.shape[0], states)
         worst, where = [0.0] * groups, [None] * groups
         for g, x, values in blocks:
             _, rows, columns = values.shape
@@ -344,24 +335,25 @@ class LinearNotion:
                                                 flat.argmax(axis=1).tolist()), start=g):
                 if value > worst[k] or (where[k] is None and not self.floored):
                     r, c = divmod(at, columns)
-                    n = len(self.analysis.index) // columns
+                    n = len(self.histories.index) // columns
                     worst[k], where[k] = value, (x + r, c * n + (x + r) % n)
         return worst, where
 
     def reduce(self, blocks: Iterable[tuple], states: int) -> list[ConsistencyReport]:
         """The reports of ``states`` states from their blocks."""
-        a, counts = self.analysis, self.counts
+        h, counts = self.histories, self.counts
         reports = []
         for k, (worst, at) in enumerate(zip(*self._maxima(blocks, states))):
             if at is not None:
-                row = a.label(at[0])
-                at = row, row if at[1] == at[0] else a.label(at[1])
-            reports.append(a._report(self.name, worst, at, counts[k % len(counts)]))
+                row = h.label(at[0])
+                at = row, row if at[1] == at[0] else h.label(at[1])
+            reports.append(ConsistencyReport(self.name, worst <= h.tol.prob, at, worst,
+                                             counts[k % len(counts)]))
         return reports
 
     def decide(self, blocks: Iterable[tuple], states: int) -> list[bool]:
         """The verdicts of :meth:`reduce`, without its labels."""
-        return [worst <= self.analysis.tol.prob
+        return [worst <= self.histories.tol.prob
                 for worst in self._maxima(blocks, states)[0]]
 
     def reports(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
@@ -380,17 +372,17 @@ class FamilyAnalysis(_SlotHistories):
     chain stack, the elementary histories, the 2-slot event stacks and
     the members are each computed when first read and then kept, so a
     caller asking about many states (mixture predicates, the command line)
-    builds them once.  The notion methods are the reductions behind the
+    builds them once.  :meth:`reports` is the one entry point behind the
     public checkers: ``check_weak_decoherence(family, rho, tol)`` is
-    ``FamilyAnalysis(family, tol).weak(rho)``, the notion ``linear("weak")``
-    reducing its entries.  Any two distinct elementary histories are
-    alternatives, so medium decides every pair.
+    ``FamilyAnalysis(family, tol).reports("weak", [rho])[0]``, the notion
+    ``linear("weak")`` reducing its entries.  Any two distinct elementary
+    histories are alternatives, so medium decides every pair.
 
     Given F families of one shape, every part has a leading family axis
-    and the ``*_each`` reductions decide the groups of :func:`_groups`:
-    F families against one state, or one family against S states.
-    ``family``, ``histories`` and the one-state methods read the first
-    family, the only one when F = 1.
+    and :meth:`reports` decides the groups of :func:`_groups`: F families
+    against one state, or one family against S states.  ``family``,
+    ``histories`` and :meth:`ordered` read the first family, the only one
+    when F = 1.
     """
 
     def __init__(self, family: HistoryFamily | Sequence[HistoryFamily],
@@ -524,14 +516,6 @@ class FamilyAnalysis(_SlotHistories):
                                     self.commutative.sum(axis=1).tolist())
         raise KeyError(f"{name!r} is not a notion linear in the state")
 
-    def _report(self, notion: str, worst: float, pair, count: int,
-                ) -> ConsistencyReport:
-        return ConsistencyReport(notion, worst <= self.tol.prob, pair, worst,
-                                 count)
-
-    def weak(self, rho: DensityOperator) -> ConsistencyReport:
-        return self.weak_each([rho])[0]
-
     @functools.cached_property
     def weak_counts(self) -> list[int]:
         """Weak's summable pairs per family; those off the blocks are counted,
@@ -545,55 +529,33 @@ class FamilyAnalysis(_SlotHistories):
                     + np.count_nonzero(mask) * np.count_nonzero(equal[f]))
                 for f, mask in enumerate(self.block_mask)]
 
-    def weak_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
-        return self.linear("weak").reports(rhos)
+    def reports(self, name: str, rhos: Sequence[DensityOperator],
+                ) -> list[ConsistencyReport]:
+        """Notion ``name``'s report for each group of :func:`_groups`.
 
-    def medium(self, rho: DensityOperator) -> ConsistencyReport:
-        return self.medium_each([rho])[0]
-
-    def medium_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
-        return self.linear("medium").reports(rhos)
-
-    def linear_positivity(self, rho: DensityOperator) -> ConsistencyReport:
-        return self.linear_positivity_each([rho])[0]
-
-    def linear_positivity_each(self, rhos: Sequence[DensityOperator],
-                               ) -> list[ConsistencyReport]:
-        return self.linear("linear-positive").reports(rhos)
-
-    def C1(self, rho: DensityOperator) -> ConsistencyReport:
-        return self.C1_each([rho])[0]
-
-    def C1_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
-        """A family with no commutative history reports ``(0.0, None, 0)``."""
-        return self.linear("C1-compat").reports(rhos)
-
-    def sum_rule(self, rho: DensityOperator) -> ConsistencyReport:
-        return self.sum_rule_each([rho])[0]
-
-    def sum_rule_each(self, rhos: Sequence[DensityOperator]) -> list[ConsistencyReport]:
-        """Every summable member pair ``(a, b)``, ``a < b``, against its union
-        member (:meth:`_SlotHistories.unions`), which is ``a + b``: one
-        masked ``(G, M, M)`` table ``|p[union] - p[a] - p[b]|`` over the
-        members' probabilities, reduced as :meth:`ordered` reduces its own."""
+        ``"weak"``, ``"medium"``, ``"linear-positive"`` and ``"C1-compat"``
+        reduce their :meth:`linear` entries (a family with no commutative
+        history reports C1 as ``(0.0, None, 0)``).  ``"sum-rule"`` reduces
+        the members' masked ``(G, M, M)`` table ``p[union] - p[a] - p[b]``
+        over every summable member pair ``a < b`` and its union member
+        (:meth:`_SlotHistories.unions`), which is ``a + b``; then the
+        elementary probabilities' defect ``|sum p - 1|`` replaces the worst
+        pair, with no pair, where it is strictly larger."""
+        if name != "sum-rule":
+            return self.linear(name).reports(rhos)
         m = self.members
-        states = _state_stack(rhos, self.chains.shape[-1])
-        groups = _groups(len(self.chains), len(states))
         slots = np.triu(m.summable_slots(), 1)
-        p = _probabilities(m.chains, states)
-        residuals = np.abs(p[np.arange(groups)[:, None, None], m.unions(slots)]
-                           - p[:, :, None] - p[:, None])
-        defects = np.abs(_probabilities(self.chains, states).sum(axis=1) - 1.0)
+        unions = m.unions(slots)
+
+        def entries(rhos):
+            p = m.probabilities(*rhos)
+            yield 0, 0, np.where(slots > 0, p[np.arange(len(p))[:, None, None], unions]
+                                 - p[:, :, None] - p[:, None], 0.0)
         counts = np.count_nonzero(slots.reshape(len(slots), -1), axis=1).tolist()
-        reports = []
-        for k, ((worst, at), defect) in enumerate(zip(_worst(residuals, slots > 0),
-                                                      defects.tolist())):
-            pair = None if at is None else tuple(map(m.label, divmod(at, len(m.index))))
-            if defect > worst:
-                worst, pair = defect, None
-            reports.append(self._report("sum-rule", worst, pair,
-                                        counts[k % len(counts)]))
-        return reports
+        reports = LinearNotion(m, name, entries, np.abs, counts).reports(rhos)
+        defects = np.abs(self.probabilities(*rhos).sum(axis=1) - 1.0).tolist()
+        return [ConsistencyReport(name, d <= self.tol.prob, None, d, r.pair_count)
+                if d > r.worst_residual else r for r, d in zip(reports, defects)]
 
     def ordered(self, rho: DensityOperator,
                 context: Sequence[HistoryFamily] = (),
@@ -604,9 +566,9 @@ class FamilyAnalysis(_SlotHistories):
         analyses = [self, *(self if f is self.family
                             else FamilyAnalysis(f, self.tol) for f in context)]
         if medium is None:
-            medium = self.medium(rho)
+            medium = self.reports("medium", [rho])[0]
         for i, other in enumerate(analyses):
-            med = medium if other is self else other.medium(rho)
+            med = medium if other is self else other.reports("medium", [rho])[0]
             if not med.verdict:
                 name = f"context family {i}" if i else "family"
                 raise PreconditionFailed(
@@ -620,28 +582,27 @@ class FamilyAnalysis(_SlotHistories):
             if (other.family.length != self.family.length
                     or other.family.dim != self.family.dim):
                 continue
-            their_probs = (own_probs if theirs is own
-                           else theirs.probabilities(rho)[0])
+            their_probs = own_probs if theirs is own else theirs.probabilities(rho)[0]
             leq = own.leq(theirs)[0]
             count += int(np.count_nonzero(leq))
-            violation, at = _worst((own_probs[:, None] - their_probs[None])[None],
-                                   leq)[0]
-            if violation > worst:
+            violations = np.where(leq, own_probs[:, None] - their_probs[None], 0.0)
+            at = int(violations.argmax())
+            if (violation := float(violations.flat[at])) > worst:
                 i, j = divmod(at, len(theirs.index))
                 worst, pair = violation, (own.label(i), theirs.label(j))
-        return self._report("ordered", worst, pair, count)
+        return ConsistencyReport("ordered", worst <= self.tol.prob, pair, worst, count)
 
 
 def check_weak_decoherence(family: HistoryFamily, rho: DensityOperator,
                            tol: Tolerances = DEFAULT_TOL) -> ConsistencyReport:
     """``Re D(h1, h2) = 0`` over all summable pairs of elementary histories."""
-    return FamilyAnalysis(family, tol).weak(rho)
+    return FamilyAnalysis(family, tol).reports("weak", [rho])[0]
 
 
 def check_medium_decoherence(family: HistoryFamily, rho: DensityOperator,
                              tol: Tolerances = DEFAULT_TOL) -> ConsistencyReport:
     """``|D(h1, h2)| = 0`` over all alternative pairs of elementary histories."""
-    return FamilyAnalysis(family, tol).medium(rho)
+    return FamilyAnalysis(family, tol).reports("medium", [rho])[0]
 
 
 def check_linear_positivity(family: HistoryFamily, rho: DensityOperator,
@@ -653,7 +614,7 @@ def check_linear_positivity(family: HistoryFamily, rho: DensityOperator,
     to all coarse-grainings because their chain traces are sums of
     elementary ones.
     """
-    return FamilyAnalysis(family, tol).linear_positivity(rho)
+    return FamilyAnalysis(family, tol).reports("linear-positive", [rho])[0]
 
 
 def check_sum_rule(family: HistoryFamily, rho: DensityOperator,
@@ -669,7 +630,7 @@ def check_sum_rule(family: HistoryFamily, rho: DensityOperator,
     probability is that of its union member, read from its own chain
     operator with every other member's.
     """
-    return FamilyAnalysis(family, tol).sum_rule(rho)
+    return FamilyAnalysis(family, tol).reports("sum-rule", [rho])[0]
 
 
 def check_C1_compatibility(h: History, rho: DensityOperator,
@@ -688,7 +649,7 @@ def check_C1_family(family: HistoryFamily, rho: DensityOperator,
                     tol: Tolerances = DEFAULT_TOL) -> ConsistencyReport:
     """Aggregate of :func:`check_C1_compatibility` over the commutative
     elementary histories; non-commutative ones are skipped."""
-    return FamilyAnalysis(family, tol).C1(rho)
+    return FamilyAnalysis(family, tol).reports("C1-compat", [rho])[0]
 
 
 def check_ordered_consistency(family: HistoryFamily, rho: DensityOperator,

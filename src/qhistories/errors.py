@@ -35,8 +35,8 @@ class ToolkitError(Exception):
 class ValidationError(ToolkitError):
     """An operator failed a defining identity.
 
-    ``residual`` is the max-norm defect of the violated identity, when
-    one is available.
+    ``residual`` is the max-norm defect of the violated identity (or how far
+    a projection's eigenvalue lies from both 0 and 1), when one is available.
     """
 
     def __init__(self, message: str, residual: float | None = None):

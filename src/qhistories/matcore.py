@@ -55,7 +55,9 @@ class Tolerances:
     commutators), ``eig`` classifies eigenvalues and singular values
     (rank decisions, eigenvalue clustering), and ``prob`` bounds
     probability and trace equalities.  ``prob`` must not be tighter
-    than ``op``: probability identities accumulate operator error.
+    than ``op``: probability identities accumulate operator error.  Each is
+    finite, and ``eig`` is below 1/2, so that no eigenvalue lies within
+    ``eig`` of both 0 and 1.
     """
 
     op: float = 1e-10
@@ -63,8 +65,9 @@ class Tolerances:
     prob: float = 1e-9
 
     def __post_init__(self):
-        if not (self.op > 0 and self.eig > 0 and self.prob > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (all(0 < t < math.inf for t in (self.op, self.eig, self.prob))
+                and self.eig < 0.5):
+            raise ValueError("tolerances must be finite and positive, and eig below 1/2")
         if self.prob < self.op:
             raise ValueError("prob tolerance must not be tighter than op tolerance")
 
@@ -220,26 +223,35 @@ def validate_projections(stack, tol: Tolerances = DEFAULT_TOL) -> list[Projectio
     ``eigvalsh`` counts exactly the eigenvalues near 1, and ``Re Tr m``,
     their sum, lies within ``d b < 1/2`` of that count, so the rank is
     ``round(Re Tr m)``.  Otherwise (``d herm`` or ``d idem`` near
-    ``tol.eig``) that matrix's rank comes from ``eigvalsh``.
+    ``tol.eig``) that matrix's rank comes from ``eigvalsh``, which raises
+    :class:`NotIdempotent` for an eigenvalue more than ``tol.eig`` from
+    both 0 and 1, with that distance as the residual; only matrices before
+    the first to fail a residual test go to ``eigvalsh``.
     """
     m, herm = _square_stack(stack)
     idem = _idempotency(m)
-    for h, i in zip(herm, idem):
-        if not h <= tol.op:
-            raise NotHermitian(
-                f"projection candidate is not Hermitian (residual {h:.3e})", h)
-        if not i <= tol.op:
-            raise NotIdempotent(
-                f"projection candidate is not idempotent (residual {i:.3e})", i)
-    d = m.shape[1]
-    ranks = [round(t) for t in m.trace(axis1=1, axis2=2).real.tolist()]
-    slow = [k for k, (h, i) in enumerate(zip(herm, idem))
-            if not _trace_counts(h, i, d, tol)]
-    if slow:
-        counts = (np.abs(np.linalg.eigvalsh(m[slow]) - 1.0) <= tol.eig).sum(axis=1)
-        for k, r in zip(slow, counts.tolist()):
+    ranks = m.trace(axis1=1, axis2=2).real.tolist()  # rounded once all pass
+    slow, h, i = [], 0.0, 0.0
+    for k, (h, i) in enumerate(zip(herm, idem)):
+        if not (h <= tol.op and i <= tol.op):
+            break
+        if not _trace_counts(h, i, m.shape[1], tol):
+            slow.append(k)
+    if slow:  # every matrix before a slow one passes, so a stray raises first
+        x = np.linalg.eigvalsh(m[slow])
+        for k, r, s in zip(slow, (np.abs(x - 1.0) <= tol.eig).sum(axis=1).tolist(),
+                           np.minimum(np.abs(x), np.abs(x - 1.0)).max(axis=1).tolist()):
+            if s > tol.eig:
+                raise NotIdempotent(f"projection candidate has an eigenvalue "
+                                    f"{s:.3e} from both 0 and 1", s)
             ranks[k] = r
-    return [Projection(*args) for args in zip(m, ranks, herm, idem)]
+    if not h <= tol.op:  # the loop stopped at the first matrix to fail
+        raise NotHermitian(
+            f"projection candidate is not Hermitian (residual {h:.3e})", h)
+    if not i <= tol.op:
+        raise NotIdempotent(
+            f"projection candidate is not idempotent (residual {i:.3e})", i)
+    return [Projection(a, round(r), h, i) for a, r, h, i in zip(m, ranks, herm, idem)]
 
 
 def _trace_counts(herm: float, idem: float, d: int, tol: Tolerances) -> bool:

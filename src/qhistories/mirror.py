@@ -60,7 +60,6 @@ __all__ = [
     "least_mirror",
     "least_mirrors",
     "check_self_decoherence",
-    "self_decoherence",
     "self_decoherence_each",
     "occurrence_probability",
     "proposition1_check",
@@ -375,21 +374,14 @@ def check_self_decoherence(family: HistoryFamily, rho: DensityOperator,
     certificate when it verifies and ``None`` when no mirror exists.
     Both run batched over the family's event stacks.
     """
-    return self_decoherence(FamilyAnalysis(family, tol), rho, provided)
-
-
-def self_decoherence(analysis: FamilyAnalysis, rho: DensityOperator,
-                     provided: Optional[Mapping[str, Projection]] = None,
-                     ) -> SelfDecoherenceReport:
-    """:func:`check_self_decoherence` over a family analysis that callers
-    asking about many states build once."""
-    return self_decoherence_each(analysis, [rho], provided)[0]
+    return self_decoherence_each(FamilyAnalysis(family, tol), [rho], provided)[0]
 
 
 def self_decoherence_each(analysis: FamilyAnalysis, rhos: Sequence[DensityOperator],
                           provided: Optional[Mapping[str, Projection]] = None,
                           ) -> list[SelfDecoherenceReport]:
-    """:func:`self_decoherence` for many states, decided in one pass.
+    """:func:`check_self_decoherence` for many states, decided in one pass
+    over a family analysis that callers asking about many states build once.
 
     The supports of the states are computed once per call, and states
     whose supports coincide at ``tol.eig`` share the closure of every

@@ -41,7 +41,7 @@ from qhistories.errors import (
     ValidationError,
 )
 from qhistories.matcore import DEFAULT_TOL
-from qhistories.mirror import self_decoherence, verify_mirror
+from qhistories.mirror import self_decoherence_each, verify_mirror
 from qhistories.sampling import random_density, random_family
 from qhistories.scenarios import build_example1, build_example2
 
@@ -393,9 +393,9 @@ def test_default_check_evaluates_medium_once(tmp_path, monkeypatch):
     path = tmp_path / "ex2.json"
     path.write_text(serialize_problem(example2_problem()))
     calls = []
-    medium = FamilyAnalysis.medium
-    monkeypatch.setattr(FamilyAnalysis, "medium", lambda self, rho: (
-        calls.append(rho) or medium(self, rho)))
+    reports = FamilyAnalysis.reports
+    monkeypatch.setattr(FamilyAnalysis, "reports", lambda self, name, rhos: (
+        name == "medium" and calls.append(rhos) or reports(self, name, rhos)))
     out = tmp_path / "report.json"
     for notions in ([], ["--notions", "ordered,medium"], ["--notions", "ordered"]):
         calls.clear()
@@ -519,8 +519,8 @@ def test_example2_certificates_come_from_the_self_decoherence_pass():
         for delta in sorted({(1,), (2,), (1, 2), tuple(range(1, spatial + 1)),
                              (spatial,)}):
             m = build_example2(spatial, delta, TOL)
-            sd = self_decoherence(FamilyAnalysis(m.family, TOL), m.rho,
-                                  m.provided_mirrors)
+            [sd] = self_decoherence_each(FamilyAnalysis(m.family, TOL), [m.rho],
+                                         m.provided_mirrors)
             for t, h in ((m.t, m.h1), (m.u, m.h2)):
                 alone = verify_mirror(t, h, m.rho, TOL)
                 batched = sd.per_history[h.label]
@@ -769,6 +769,31 @@ def test_non_idempotent_operator_exits_2_with_its_name(tmp_path, capsys):
     assert "operator 'E1':" in capsys.readouterr().err
 
 
+def test_an_eigenvalue_in_neither_cluster_exits_2_with_its_name(tmp_path, capsys):
+    """Under ``--tol-op 1e-6``, ``diag(1 - 5e-7, 0)`` passes the residual
+    tests, but its eigenvalue lies more than ``tol.eig`` from 0 and 1."""
+    ops = {"P1": np.diag([1.0 - 5e-7, 0.0]), "P2": np.diag([5e-7, 1.0]),
+           "rho": np.diag([0.5, 0.5])}
+    path = tmp_path / "stray.json"
+    path.write_text(serialize_problem(ProblemFile(
+        dim=2, operators=ops, resolutions=[["P1", "P2"]], state="rho",
+        mirrors=None)))
+    assert main(["check", str(path), "--tol-op", "1e-6", "--tol-prob", "1e-6"]) == 2
+    err = capsys.readouterr().err
+    assert "operator 'P1':" in err and "from both 0 and 1" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol-eig", "inf"], ["--tol-eig", "0.5"], ["--tol-op", "nan"],
+    ["--tol-prob", "inf"]])
+def test_non_finite_or_overlapping_tolerances_exit_2(capsys, flags):
+    assert main(["example2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and (
+        "finite" in captured.err or "below 1/2" in captured.err)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_operators_exit_2_with_their_names(value, tmp_path, capsys):
     """A NaN or infinite entry in an event or in the state fails validation
@@ -810,7 +835,8 @@ def test_table_prints_a_zero_residual_unsigned(tmp_path, capsys):
         dim=3, operators=ops, resolutions=[["P1", "P2", "P3"]] * 2,
         state="rho", mirrors=None)))
     family, rho, _ = problem_to_objects(parse_problem(path.read_text()), TOL)
-    residual = FamilyAnalysis(family, TOL).linear_positivity(rho).worst_residual
+    [report] = FamilyAnalysis(family, TOL).reports("linear-positive", [rho])
+    residual = report.worst_residual
     assert residual.hex() == "-0x0.0p+0"
     assert main(["check", str(path), "--notions", "linear-positive"]) == 0
     row = capsys.readouterr().out.splitlines()[3]

@@ -755,8 +755,7 @@ def test_block_budget_does_not_change_stacked_reports(monkeypatch):
     # one state left over would join the block before it
     states = [random_density(8, rng, rank=r, tol=TOL) for r in (1, 3, 8, 2)]
     analysis = FamilyAnalysis(family, TOL)
-    reductions = (analysis.weak_each, analysis.medium_each)
-    whole = [each(states) for each in reductions]
+    whole = [analysis.reports(name, states) for name in ("weak", "medium")]
     assert len({r.worst_residual for r in whole[0]}) == len(states)
     n, m = len(analysis.histories), len(analysis.histories) // 4
     within = [(s, i, (1, 4, min(7, m - i), m))
@@ -767,7 +766,7 @@ def test_block_budget_does_not_change_stacked_reports(monkeypatch):
         monkeypatch.setattr(matcore, "_BLOCK_BYTES", 16 * n * rows_per_block)
         assert [(s, i, block.shape) for s, i, block
                 in consistency._final_blocks(analysis.chains, 4, *states)] == layout
-        assert [each(states) for each in reductions] == whole
+        assert [analysis.reports(name, states) for name in ("weak", "medium")] == whole
 
 
 def assert_same_pair_report(got, want, family, rho):
@@ -794,19 +793,19 @@ def test_final_event_blocks_match_the_pairwise_reference():
                 with_zero_events(random_family(3, 2, rng, TOL)),
                 random_family(4, 1, rng, TOL),
                 random_family(3, 3, rng, TOL, max_blocks=2)]
-    checks = ((reference_weak, "weak_each"), (reference_medium, "medium_each"))
+    checks = ((reference_weak, "weak"), (reference_medium, "medium"))
     for family in families:
         states = [random_density(family.dim, rng, rank=r, tol=TOL)
                   for r in (1, 2, 3) * 3 + (1, 2)]
         analysis = FamilyAnalysis(family, TOL)
-        for reference, each in checks:
-            for got, rho in zip(getattr(analysis, each)(states), states):
+        for reference, name in checks:
+            for got, rho in zip(analysis.reports(name, states), states):
                 assert_same_pair_report(got, reference(family, rho), family, rho)
     grid = one_shape_families(4, [(1, 1, 2), (2, 2)], rng)[2:]
     rho = random_density(4, rng, tol=TOL)
     analysis = FamilyAnalysis(grid, TOL)
-    for reference, each in checks:
-        for got, family in zip(getattr(analysis, each)([rho]), grid):
+    for reference, name in checks:
+        for got, family in zip(analysis.reports(name, [rho]), grid):
             assert_same_pair_report(got, reference(family, rho), family, rho)
 
 
@@ -899,9 +898,9 @@ def test_final_events_past_tol_prob_are_read_whole():
         for family in (HistoryFamily((last,)), HistoryFamily((split, last))):
             analysis = FamilyAnalysis(family, tol)
             assert analysis.block_slots == family.length
-            for got, reference in ((analysis.weak(rho), reference_weak),
-                                   (analysis.medium(rho), reference_medium)):
-                want = reference(family, rho, tol)
+            for name, reference in (("weak", reference_weak),
+                                    ("medium", reference_medium)):
+                [got], want = analysis.reports(name, [rho]), reference(family, rho, tol)
                 assert_same_report(got, want)
                 assert got.worst_pair == want.worst_pair
                 assert not got.verdict and got.worst_residual > 0.2 * d * tol.op
@@ -961,15 +960,12 @@ def test_one_analysis_matches_pairwise_reference_on_many_states(case):
     hs = elementary_histories(family)
     small = family_member_count(family) <= 64
     for state in states:
-        assert_same_report(analysis.weak(state), reference_weak(family, state))
-        assert_same_report(analysis.medium(state),
-                           reference_medium(family, state))
-        assert_same_report(analysis.linear_positivity(state),
-                           reference_linear_positivity(family, state))
-        assert_same_report(analysis.C1(state), reference_C1(family, state))
-        if small:
-            assert_same_report(analysis.sum_rule(state),
-                               reference_sum_rule(family, state))
+        references = [("weak", reference_weak), ("medium", reference_medium),
+                      ("linear-positive", reference_linear_positivity),
+                      ("C1-compat", reference_C1)]
+        for name, reference in references + [("sum-rule", reference_sum_rule)] * small:
+            assert_same_report(analysis.reports(name, [state])[0],
+                               reference(family, state))
         probs = analysis.probabilities(state)[0]
         d = block_matrix(analysis, state)
         for i, h in enumerate(hs):
@@ -1011,15 +1007,13 @@ def test_family_axis_matches_per_family_analyses(dim, sizes):
                                   getattr(one, name)[0]), (name, k)
     assert not np.array_equal(analysis.block_mask[-1],
                               analysis.block_mask[0])
-    for each in ("weak_each", "medium_each", "linear_positivity_each",
-                 "C1_each", "sum_rule_each"):
-        one = each[:-len("_each")]
-        assert getattr(analysis, each)(states[:1]) == [
-            getattr(a, one)(states[0]) for a in alone], each
+    for name in ("weak", "medium", "linear-positive", "C1-compat", "sum-rule"):
+        assert analysis.reports(name, states[:1]) == [
+            a.reports(name, states[:1])[0] for a in alone], name
         with pytest.raises(DimensionMismatch):
-            getattr(analysis, each)(states)
+            analysis.reports(name, states)
     with pytest.raises(DimensionMismatch):
-        analysis.weak_each(states[:2])
+        analysis.reports("weak", states[:2])
     with pytest.raises(DimensionMismatch):
         FamilyAnalysis([families[0], classical_family(dim)], TOL)
 
@@ -1073,7 +1067,7 @@ def test_sum_rule_merges_a_familys_pairs_once_for_all_states(count, monkeypatch)
     rng = np.random.default_rng(count)
     states = [random_density(3, rng, tol=TOL) for _ in range(count)]
     analysis = FamilyAnalysis(inst.family, TOL)
-    alone = [analysis.sum_rule(rho) for rho in states]
+    alone = [analysis.reports("sum-rule", [rho])[0] for rho in states]
     stacks = []
     probabilities = consistency._probabilities
     monkeypatch.setattr(consistency, "_probabilities", lambda chains, rhos: (
@@ -1083,7 +1077,7 @@ def test_sum_rule_merges_a_familys_pairs_once_for_all_states(count, monkeypatch)
         raise AssertionError("the sum rule reads D")
     monkeypatch.setattr(consistency, "_final_blocks", unread)
     monkeypatch.setattr(FamilyAnalysis, "_pair_entries", unread)
-    got = analysis.sum_rule_each(states)
+    got = analysis.reports("sum-rule", states)
     assert [(r.worst_residual.hex(), r) for r in got] == [
         (r.worst_residual.hex(), r) for r in alone]
     assert [id(c) for c in stacks] == [id(analysis.members.chains),
@@ -1131,9 +1125,31 @@ def test_sum_rule_of_a_family_without_summable_pairs_holds():
     whole = make_resolution([identity_projection(2)], TOL)
     rho = validate_density(np.diag([0.5, 0.5]))
     analysis = FamilyAnalysis(HistoryFamily((whole, whole)), TOL)
-    reports = analysis.sum_rule_each([rho, rho])
+    reports = analysis.reports("sum-rule", [rho, rho])
     assert [(r.verdict, r.pair_count, r.worst_pair) for r in reports] == [
         (True, 0, None)] * 2
+
+
+def test_sum_rule_defect_replaces_only_a_smaller_pair_residual():
+    """One slot of three diagonal events and ``rho = diag(1/2, 1/4, 1/4 +
+    2**-40)``: every member probability is exact, so every pair residual is
+    0, and the probability sum's defect ``2**-40`` is reported with no pair.
+    A pair residual equal to the defect keeps its pair: raising the member
+    ``1+2`` by ``2**-40`` ties the first pair, ``(1)`` and ``(2)``."""
+    events = [validate_projection(np.diag(np.eye(3)[k]), TOL) for k in range(3)]
+    family = HistoryFamily((make_resolution(events, TOL),))
+    rho = validate_density(np.diag([0.5, 0.25, 0.25 + 2.0 ** -40]), TOL)
+    [report] = FamilyAnalysis(family, TOL).reports("sum-rule", [rho])
+    assert (report.verdict, report.worst_pair, report.worst_residual,
+            report.pair_count) == (True, None, 2.0 ** -40, 6)
+    analysis = FamilyAnalysis(family, TOL)
+    members = analysis.members
+    probabilities = members.probabilities
+    raised = 2.0 ** -40 * np.array([members.label(i) == "(1+2)" for i in range(7)])
+    members.probabilities = lambda *rhos: probabilities(*rhos) + raised
+    [report] = analysis.reports("sum-rule", [rho])
+    assert (report.verdict, report.worst_pair, report.worst_residual,
+            report.pair_count) == (True, ("(1)", "(2)"), 2.0 ** -40, 6)
 
 
 def test_zero_events_relate_by_rank_at_the_op_tolerance():
@@ -1218,14 +1234,14 @@ def test_notions_are_invariant_under_a_change_of_basis():
     rng = np.random.default_rng(31)
     cases = equivalence_cases()[:9] + [(inst.family, inst.rho1) for inst in (
         build_example1(1.3), build_example1(2.2, 0.4))]
-    notions = ("weak", "medium", "linear_positivity", "C1")
+    notions = ("weak", "medium", "linear-positive", "C1-compat")
     verdicts = set()
     for family, rho in cases:
         turned = change_of_basis(family, rho, random_unitary(family.dim, rng))
         before, after = FamilyAnalysis(family, TOL), FamilyAnalysis(turned[0], TOL)
         for notion in notions:
-            want = getattr(before, notion)(rho)
-            got = getattr(after, notion)(turned[1])
+            [want] = before.reports(notion, [rho])
+            [got] = after.reports(notion, [turned[1]])
             assert_same_report(got, want)
             verdicts.add(want.verdict)
     assert verdicts == {True, False}

@@ -292,13 +292,9 @@ def test_stacked_reports_match_one_state_reports():
     """Residuals agree with the one-state reduction to rounding."""
     for family, _, states in _equivalence_cases():
         analysis = FamilyAnalysis(family, TOL)
-        for each, one in ((analysis.weak_each, analysis.weak),
-                          (analysis.medium_each, analysis.medium),
-                          (analysis.linear_positivity_each,
-                           analysis.linear_positivity),
-                          (analysis.C1_each, analysis.C1)):
-            for got, rho in zip(each(states), states):
-                want = one(rho)
+        for name in ("weak", "medium", "linear-positive", "C1-compat", "sum-rule"):
+            for got, rho in zip(analysis.reports(name, states), states):
+                [want] = analysis.reports(name, [rho])
                 assert got.verdict == want.verdict
                 assert got.pair_count == want.pair_count
                 assert got.worst_residual == pytest.approx(want.worst_residual,

@@ -72,7 +72,7 @@ def test_kernel_tables_products_and_probabilities_keep_their_bytes(case):
                 == summable[:, e::last, e::last].copy().tobytes())
     counts = [int(np.count_nonzero(m)) for m in summable]
     assert analysis.weak_counts == counts
-    assert [r.pair_count for r in analysis.weak_each(rhos[:1])] == counts
+    assert [r.pair_count for r in analysis.reports("weak", rhos[:1])] == counts
     assert analysis.commutative.tobytes() == ref.commutative(analysis).tobytes()
     states = _state_stack(rhos, analysis.chains.shape[-1])
     assert (consistency._left(analysis.chains, states).tobytes()
@@ -88,16 +88,16 @@ def test_kernel_tables_products_and_probabilities_keep_their_bytes(case):
 
 def reports(families, rhos):
     analysis = FamilyAnalysis(families, TOL)
-    out = [*analysis.weak_each(rhos), *analysis.medium_each(rhos),
-           *analysis.linear_positivity_each(rhos)]
+    out = [*analysis.reports("weak", rhos), *analysis.reports("medium", rhos),
+           *analysis.reports("linear-positive", rhos)]
     if len(families) * len(rhos) == 1:
-        out.append(analysis.C1(rhos[0]))
+        out += analysis.reports("C1-compat", rhos)
         try:
             out.append(analysis.ordered(rhos[0]))
         except (PreconditionFailed, FamilyTooLarge) as e:
             out.append(type(e))
     try:
-        out += analysis.sum_rule_each(rhos)
+        out += analysis.reports("sum-rule", rhos)
     except FamilyTooLarge as e:
         out.append(type(e))
     return [(r.notion, r.verdict, r.worst_pair, r.worst_residual.hex(), r.pair_count)

@@ -59,6 +59,17 @@ def test_tolerances_reject_bad_values():
         Tolerances(op=1e-6, prob=1e-9)
 
 
+@pytest.mark.parametrize("fields", [
+    {"eig": np.inf}, {"eig": np.nan}, {"op": np.nan}, {"prob": np.inf},
+    {"op": np.inf, "prob": np.inf}, {"eig": 0.5}, {"eig": 1.0}])
+def test_tolerances_are_finite_and_eig_below_one_half(fields):
+    """Below 1/2, "within ``eig`` of 0" and "within ``eig`` of 1" cannot
+    overlap; ``eig = 1`` once gave the zero projection rank 2."""
+    with pytest.raises(ValueError, match="finite|below 1/2"):
+        Tolerances(**fields)
+    assert zero_projection(2, Tolerances(eig=0.4999)).rank == 0
+
+
 def test_validate_projection_accepts_rank_one():
     p = validate_projection(np.array([[0.5, 0.5], [0.5, 0.5]]))
     assert p.rank == 1
@@ -155,19 +166,43 @@ def test_trace_ranks_equal_eigvalsh_ranks(monkeypatch):
 
 
 def test_rank_falls_back_to_eigvalsh_where_the_trace_could_miscount(monkeypatch):
-    """Under ``tol.op = 1e-6``, ``diag(1, 1 - 5e-7, 0)`` is idempotent within
-    ``tol.op`` and its trace rounds to 2, but ``eigvalsh`` finds one
-    eigenvalue within ``tol.eig = 1e-8`` of 1: its rank is 1.  In a stack,
-    only that matrix goes to ``eigvalsh``."""
+    """Under ``tol.op = 1e-6``, ``diag(1, 1 - 5e-9, 0)`` is idempotent within
+    ``tol.op`` but its residuals do not prove the trace count, so its rank
+    comes from ``eigvalsh``: 2, the eigenvalue ``1 - 5e-9`` within
+    ``tol.eig = 1e-8`` of 1.  In a stack, only that matrix goes to
+    ``eigvalsh``."""
     tol = Tolerances(op=1e-6, eig=1e-8, prob=1e-6)
-    m = np.diag([1.0, 1.0 - 5e-7, 0.0])
-    assert round(np.trace(m)) == 2
+    m = np.diag([1.0, 1.0 - 5e-9, 0.0])
     calls, _ = _counting_eigvalsh(monkeypatch)
     exact = np.diag([1.0, 1.0, 0.0])
     got = validate_projections([exact, m, exact], tol)
-    assert [p.rank for p in got] == [2, 1, 2]
-    assert got[1].idempotency_residual == pytest.approx(5e-7, rel=1e-6)
+    assert [p.rank for p in got] == [2, 2, 2]
+    assert got[1].idempotency_residual == pytest.approx(5e-9, rel=1e-6)
     assert calls == [1]
+
+
+def test_an_eigenvalue_in_neither_cluster_is_not_idempotent(monkeypatch):
+    """Under ``tol.op = 1e-6``, ``diag(1 - 5e-7, 0)`` passes the residual
+    tests, but its eigenvalue ``1 - 5e-7`` lies more than ``tol.eig = 1e-8``
+    from both 0 and 1: it raises :class:`NotIdempotent` with that distance,
+    alone and in a stack; a matrix before it that fails Hermiticity still
+    raises first, and one after it does not.  A NaN entry raises
+    :class:`NotHermitian` without reaching ``eigvalsh``."""
+    tol = Tolerances(op=1e-6, eig=1e-8, prob=1e-6)
+    m = np.diag([1.0 - 5e-7, 0.0])
+    skew = np.array([[1.0, 1.0], [0.0, 0.0]])
+    for stack in ([m], [np.eye(2), m, np.zeros((2, 2))], [m, skew]):
+        with pytest.raises(NotIdempotent, match="from both 0 and 1") as err:
+            validate_projections(stack, tol)
+        assert err.value.residual == pytest.approx(5e-7, rel=1e-6)
+    with pytest.raises(NotIdempotent):
+        validate_projection(m, tol)
+    with pytest.raises(NotHermitian):
+        validate_projections([skew, m], tol)
+    calls, _ = _counting_eigvalsh(monkeypatch)
+    with pytest.raises(NotHermitian):
+        validate_projections([np.diag([np.nan, 0.0]), m], tol)
+    assert calls == []
 
 
 def test_pure_densities_measure_what_validate_densities_measures():

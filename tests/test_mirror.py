@@ -48,7 +48,6 @@ from qhistories.mirror import (
     mirror_correlation,
     occurrence_probability,
     proposition1_check,
-    self_decoherence,
     self_decoherence_each,
     verify_mirror,
 )
@@ -922,7 +921,7 @@ def test_one_analysis_decides_many_states_like_fresh_calls(source):
     analyses = {}
     for family, rho, provided in _batched_cases(source):
         analysis = analyses.setdefault(id(family), FamilyAnalysis(family, TOL))
-        got = self_decoherence(analysis, rho, provided)
+        [got] = self_decoherence_each(analysis, [rho], provided)
         want = check_self_decoherence(family, rho, provided, TOL)
         _same_report(got, want)
         assert got.coarse_sum_mirrors == want.coarse_sum_mirrors
@@ -944,7 +943,7 @@ def test_stacked_self_decoherence_matches_one_state_calls(source):
         assert len(got) == len(states)
         for report, rho in zip(got, states):
             assert report.state is rho
-            _same_report(report, self_decoherence(analysis, rho, provided))
+            _same_report(report, *self_decoherence_each(analysis, [rho], provided))
         h = analysis.histories[0]
         for cert, rho in zip(least_mirrors(h, states, TOL), states):
             assert cert.state is rho
@@ -974,7 +973,7 @@ def test_grid_mixtures_share_one_least_projection(source, monkeypatch):
     assert closed == [3 * len(analysis.histories)]  # 12 pairs, not 44
     for report, rho in zip(reports, states):
         assert report.state is rho
-        _same_report(report, self_decoherence(analysis, rho))
+        _same_report(report, *self_decoherence_each(analysis, [rho]))
     for h in analysis.histories:
         certs = least_mirrors(h, states, TOL)
         shared = certs[2].mirror
@@ -1148,7 +1147,7 @@ def test_supports_that_differ_at_tol_eig_are_closed_apart(monkeypatch):
     assert ranks == [2, 2, 1, 1, 1, 1, 2, 2, 2]
     analysis = FamilyAnalysis(m.family, TOL)
     for report, rho in zip(self_decoherence_each(analysis, states), states):
-        _same_report(report, self_decoherence(analysis, rho))
+        _same_report(report, *self_decoherence_each(analysis, [rho]))
     for h in analysis.histories:
         certs = least_mirrors(h, states, TOL)
         shared, other, near2, near1, rho1, rho2, *rest = (c.mirror for c in certs)
@@ -1210,6 +1209,9 @@ def test_stacked_entry_points_decide_no_states_as_an_empty_list(entry):
     every stacked entry point returns ``[]``."""
     m = pointer_model(2, np.random.default_rng(109), TOL)
     analysis = FamilyAnalysis(m.family, TOL)
+    notions = {"weak_each": "weak", "medium_each": "medium",
+               "linear_positivity_each": "linear-positive", "C1_each": "C1-compat",
+               "sum_rule_each": "sum-rule"}
     calls = {
         "self_decoherence_each": lambda: self_decoherence_each(analysis, []),
         "self_decoherence_each/provided": lambda: self_decoherence_each(
@@ -1219,5 +1221,5 @@ def test_stacked_entry_points_decide_no_states_as_an_empty_list(entry):
             m.family, TOL).evaluator([]),
     }
     assert (calls[entry] if entry in calls else
-            lambda: getattr(analysis, entry)([]))() == []
+            lambda: analysis.reports(notions[entry], []))() == []
     assert _state_stack([], m.family.dim).shape == (0, m.family.dim, m.family.dim)
