@@ -28,12 +28,13 @@ from ..consistency import NOTIONS, FamilyAnalysis, _probabilities, probability
 from ..errors import (
     BadParameters,
     FamilyTooLarge,
+    ParseError,
     PreconditionFailed,
     ToolkitError,
 )
 from ..histories import History, chain_stack
 from ..individuality import _mixtures
-from ..matcore import DensityOperator, Tolerances
+from ..matcore import DEFAULT_TOL, DensityOperator, Tolerances
 from ..mirror import (
     MirrorCertificate,
     SelfDecoherenceReport,
@@ -69,11 +70,11 @@ NOTION_ORDER = (*NOTIONS, "self-decoherence")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-op", type=float, default=1e-10,
+    parser.add_argument("--tol-op", type=float, default=DEFAULT_TOL.op,
                         help="operator-identity residual bound")
-    parser.add_argument("--tol-eig", type=float, default=1e-8,
+    parser.add_argument("--tol-eig", type=float, default=DEFAULT_TOL.eig,
                         help="eigenvalue classification bound")
-    parser.add_argument("--tol-prob", type=float, default=1e-9,
+    parser.add_argument("--tol-prob", type=float, default=DEFAULT_TOL.prob,
                         help="probability equality bound")
     parser.add_argument("--format", choices=("table", "report"),
                         default="table", help="output rendering")
@@ -147,9 +148,8 @@ _MIRROR_ACTIONS = {
 }
 
 
-def _mirror_args(p: argparse.ArgumentParser, action: Optional[str] = None) -> None:
-    for name, q in _add_parsers(p, "mirror_command", _MIRROR_ACTIONS, action):
-        _MIRROR_ACTIONS[name][1](q)
+def _mirror_args(p: argparse.ArgumentParser) -> None:
+    _add_parsers(p, "mirror_command", _MIRROR_ACTIONS)
 
 
 def _prop1_args(p: argparse.ArgumentParser) -> None:
@@ -172,7 +172,7 @@ def _emit(args, text: str) -> None:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        args.out.write_text(text)
+        args.out.write_text(text, encoding="utf-8")
 
 
 def _report(args, tol: Tolerances, notions: dict[str, NotionResult],
@@ -187,8 +187,15 @@ def _report(args, tol: Tolerances, notions: dict[str, NotionResult],
 
 def _load_problem(path: Path, tol: Tolerances, histories: bool = False):
     """The parsed problem, then its family, state and provided mirrors, and
-    with ``histories`` its elementary histories."""
-    problem = parse_problem(path.read_text())
+    with ``histories`` its elementary histories.  The file is read as UTF-8
+    whatever the locale."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # read whole, so its offset is the file's
+        raise ParseError(f"problem file is not valid UTF-8: byte "
+                         f"0x{exc.object[exc.start]:02x} at offset {exc.start}"
+                         ) from None
+    problem = parse_problem(text)
     return (problem, *problem_to_objects(problem, tol, histories=histories))
 
 
@@ -453,49 +460,52 @@ _SUBCOMMANDS = {
 }
 
 
-def _add_parsers(parser: argparse.ArgumentParser, dest: str, table: dict,
-                 chosen: Optional[str]):
-    """Add the sub-parsers ``dest`` named by ``table`` (name -> (help, ...))
-    to ``parser``: every one, or ``chosen`` alone, each with ``parser``'s
-    formatter class.  Yields each name and its sub-parser."""
-    # with one built, name every choice in usage lines as the full set does;
-    # no metavar otherwise, as argparse's errors name the argument by it
-    sub = parser.add_subparsers(dest=dest, required=True, metavar=(
-        None if chosen is None else "{" + ",".join(table) + "}"))
-    for name, (text, *_) in table.items():
-        if chosen in (None, name):
-            yield name, sub.add_parser(name, help=text,
-                                       formatter_class=parser.formatter_class)
+def _add_parsers(parser: argparse.ArgumentParser, dest: str, table: dict):
+    """Add a sub-parser ``dest`` to ``parser`` for each name of ``table``
+    (name -> (help, argument builder, ...)), with ``parser``'s formatter
+    class and its builder's arguments."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (text, arguments, *_) in table.items():
+        arguments(sub.add_parser(name, help=text,
+                                 formatter_class=parser.formatter_class))
 
 
-def build_parser(command: Optional[str] = None,
-                 action: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone, and under
-    ``mirror`` of both actions, or of ``action`` alone.  The terminal width
-    is read once and given to every help formatter of the parser, where
-    argparse would read it again for each argument added."""
+def _parser(prog: str, **kwargs) -> argparse.ArgumentParser:
+    """An empty parser named ``prog``.  The terminal width is read once and
+    given to every help formatter of the parser, where argparse would read
+    it again for each argument added."""
     # the width argparse uses when it reads the terminal itself
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
-    parser = argparse.ArgumentParser(
-        prog="qhistories", formatter_class=formatter,
-        description="consistency checkers for quantum history families")
-    for name, p in _add_parsers(parser, "command", _SUBCOMMANDS, command):
-        if name == "mirror":
-            _mirror_args(p, action)
-        else:
-            _SUBCOMMANDS[name][1](p)
+    return argparse.ArgumentParser(prog=prog, formatter_class=formatter, **kwargs)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand and, under ``mirror``, of both actions."""
+    parser = _parser("qhistories", description="consistency checkers for "
+                                               "quantum history families")
+    _add_parsers(parser, "command", _SUBCOMMANDS)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command line, building only the parser of its subcommand
-    (and of ``mirror``'s action) when argv names one."""
-    argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    action = (argv[1] if command == "mirror" and len(argv) > 1
-              and argv[1] in _MIRROR_ACTIONS else None)
-    args = build_parser(command, action).parse_args(argv)
+    """Run one command line.  When argv names a subcommand, and under
+    ``mirror`` an action, only that one's parser is built, with the name
+    the full parser gives it.  Argv that names none, or that leaves
+    arguments over, goes to :func:`build_parser`'s parser, so help, usage
+    lines, error messages and exit codes are the full parser's."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else []
+    if names == ["mirror"] and len(argv) > 1 and argv[1] in _MIRROR_ACTIONS:
+        names = argv[:2]
+    if names:
+        parser = _parser(" ".join(["qhistories", *names]))
+        (_MIRROR_ACTIONS if len(names) == 2 else _SUBCOMMANDS)[names[-1]][1](parser)
+        args, rest = parser.parse_known_args(argv[len(names):])
+        # what the full parser's sub-parser actions would set
+        vars(args).update(zip(("command", "mirror_command"), names))
+    if not names or rest:
+        args = build_parser().parse_args(argv)
     try:
         return _SUBCOMMANDS[args.command][2](args)
     except (ToolkitError, OSError) as exc:

@@ -15,12 +15,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Union
 
 import numpy as np
 
 from ..errors import ParseError, ValidationError
-from ..histories import HistoryFamily, elementary_histories, make_resolution
+from ..histories import HistoryFamily, _make_resolutions, elementary_histories
 from ..matcore import (
     DEFAULT_TOL,
     DensityOperator,
@@ -48,7 +49,35 @@ __all__ = [
 
 
 def _canon(obj, indent: int) -> str:
-    pad = "  " * indent
+    # the exact JSON types by their type alone; subclasses, numpy scalars,
+    # tuples and dataclasses are written as one of them by the chain below
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is float:
+        if not math.isfinite(obj):
+            raise ValueError("non-finite number is not serializable")
+        # + 0.0 drops the sign of -0.0, keeps reload byte-stable
+        return format(obj + 0.0, ".17g")
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return str(obj)
+    if kind is list:
+        if not obj:
+            return "[]"
+        pad = "\n" + "  " * indent
+        return ("[" + pad + "  " + ("," + pad + "  ").join(
+            [_canon(v, indent + 1) for v in obj]) + pad + "]")
+    if kind is dict:
+        if any(not isinstance(k, str) for k in obj):
+            raise TypeError("canonical JSON requires string keys")
+        if not obj:
+            return "{}"
+        pad = "\n" + "  " * indent
+        return ("{" + pad + "  " + ("," + pad + "  ").join(
+            [_quote(k) + ": " + _canon(v, indent + 1)
+             for k, v in sorted(obj.items())]) + pad + "}")
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -56,30 +85,15 @@ def _canon(obj, indent: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError("non-finite number is not serializable")
-        if x == 0.0:
-            x = 0.0  # drop the sign of -0.0, keeps reload byte-stable
-        return format(x, ".17g")
+        return _canon(float(obj), indent)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(pad + "  " + _canon(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
+        return _canon(list(obj), indent)
     if is_dataclass(obj):
-        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+        return _canon({f.name: getattr(obj, f.name) for f in fields(obj)}, indent)
     if isinstance(obj, dict):
-        if any(not isinstance(k, str) for k in obj):
-            raise TypeError("canonical JSON requires string keys")
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(k)}: {_canon(v, indent + 1)}"
-            for k, v in sorted(obj.items()))
-        return "{\n" + inner + "\n" + pad + "}"
+        return _canon(dict(obj), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -229,8 +243,9 @@ def problem_to_objects(problem: ProblemFile,
     follow, the one list that the mirror-label check also reads.
 
     Every named projection (the events of every resolution, then the
-    mirrors) is validated in one stacked pass.  Only when that pass fails
-    are they validated again one at a time, in file order between the
+    mirrors) is validated in one stacked pass, and every resolution is
+    checked in one more.  Only when the first pass fails are the
+    projections validated again one at a time, in file order between the
     resolution, state and mirror-label checks, so the first failure in file
     order raises its :class:`ValidationError` subclass (or
     :class:`ParseError` for an unknown mirror label), carrying the
@@ -249,14 +264,17 @@ def problem_to_objects(problem: ProblemFile,
             return [projection_named(problem.operators, n, tol) for n in names]
         return [next(stacked) for _ in names]
 
-    slots = []
-    for k, names in enumerate(problem.resolutions):
-        events = named(names)
+    slots, invalid = [], None
+    for names in problem.resolutions:
         try:
-            slots.append(make_resolution(events, tol))
+            slots.append(named(names))
         except ValidationError as exc:
-            raise _prefixed(exc, f"resolution {k + 1}")
-    family = HistoryFamily(tuple(slots))
+            invalid = exc  # raised after the slots before it are checked
+            break
+    resolutions = _make_resolutions(slots, tol, "resolution") if slots else ()
+    if invalid is not None:
+        raise invalid
+    family = HistoryFamily(resolutions)
     if isinstance(problem.state, str):
         try:
             rho = validate_density(problem.operators[problem.state], tol)

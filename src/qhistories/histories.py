@@ -132,37 +132,56 @@ class HistoryFamily:
 def make_resolution(projections: Sequence[Projection],
                     tol: Tolerances = DEFAULT_TOL) -> ResolutionOfIdentity:
     """Validate pairwise orthogonality and completeness of the given events."""
-    events = tuple(projections)
-    if not events:
+    return _make_resolutions([projections], tol)[0]
+
+
+def _make_resolutions(slots: Sequence[Sequence[Projection]],
+                      tol: Tolerances = DEFAULT_TOL,
+                      prefix: Optional[str] = None,
+                      ) -> tuple[ResolutionOfIdentity, ...]:
+    """:func:`make_resolution` of each slot's events in one
+    :func:`_check_resolutions` call.  Slots of fewer events are padded with
+    zero matrices, whose products and sums are zero, so each slot keeps the
+    overlap, residuals and pairs it has alone, and the first failing slot
+    raises what it raises alone, after ``"{prefix} {k}: "`` when
+    ``prefix`` is given."""
+    slots = [tuple(events) for events in slots]
+    if not all(slots):
         raise NotComplete("a resolution needs at least one event")
-    dim = events[0].dim
-    for e in events[1:]:
+    dim = slots[0][0].dim
+    for e in itertools.chain(*slots):
         if e.dim != dim:
             raise DimensionMismatch(
                 f"resolution events have mixed dimensions {dim} and {e.dim}")
-    return ResolutionOfIdentity(
-        events, *_check_resolutions(np.array([[e.matrix for e in events]]), tol))
+    stack = np.zeros((len(slots), max(map(len, slots)), dim, dim), dtype=complex)
+    for k, events in enumerate(slots):
+        stack[k, :len(events)] = [e.matrix for e in events]
+    return tuple(map(ResolutionOfIdentity, slots,
+                     _check_resolutions(stack, tol, prefix)))
 
 
-def _check_resolutions(events: np.ndarray, tol: Tolerances) -> list[float]:
+def _check_resolutions(events: np.ndarray, tol: Tolerances,
+                       prefix: Optional[str] = None) -> list[float]:
     """:func:`make_resolution`'s tests over an ``(R, n, d, d)`` stack of R
     resolutions: both products ``e_i e_j`` and ``e_j e_i`` of every pair
     ``i < j``, then completeness.  The first failing resolution raises
     :class:`NotOrthogonal` for its first overlapping pair, or
-    :class:`NotComplete`; else each resolution's largest overlap."""
+    :class:`NotComplete`, its message after ``"{prefix} {k}: "`` when
+    ``prefix`` is given; else each resolution's largest overlap."""
     r, n, d, _ = events.shape
     overlap = np.empty((r, n, n))
     for rows in _blocks(n, events.itemsize * r * n * d * d):
         overlap[:, rows] = np.abs(events[:, rows, None] @ events[:, None]).max((-2, -1))
     bad = np.triu(np.maximum(overlap, overlap.swapaxes(1, 2)) > tol.op, 1)
     gaps = np.abs(events.sum(axis=1) - np.eye(d)).max(axis=(-2, -1)).tolist()
-    for over, pairs, gap in zip(overlap, bad, gaps):
+    for k, (over, pairs, gap) in enumerate(zip(overlap, bad, gaps)):
+        head = "" if prefix is None else f"{prefix} {k + 1}: "
         for i, j in np.argwhere(pairs)[:1].tolist():
             res = float(over[i, j] if over[i, j] > tol.op else over[j, i])
-            raise NotOrthogonal(f"resolution events {i + 1} and {j + 1} overlap "
-                                f"(residual {res:.3e})", res, (i + 1, j + 1))
+            raise NotOrthogonal(f"{head}resolution events {i + 1} and {j + 1} "
+                                f"overlap (residual {res:.3e})", res, (i + 1, j + 1))
         if gap > tol.op:
-            raise NotComplete(f"resolution does not sum to the identity "
+            raise NotComplete(f"{head}resolution does not sum to the identity "
                               f"(residual {gap:.3e})", gap)
     return np.where(np.eye(n, dtype=bool), 0.0, overlap).max(axis=(1, 2)).tolist()
 

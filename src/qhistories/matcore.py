@@ -153,7 +153,7 @@ class DensityOperator:
 
     @property
     def is_pure(self) -> bool:
-        return self.purity >= 1.0 - 1e-9
+        return self.purity >= 1.0 - DEFAULT_TOL.prob
 
 
 def _square_stack(stack) -> tuple[np.ndarray, list[float]]:

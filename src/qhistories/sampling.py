@@ -18,6 +18,7 @@ from .errors import BadParameters, DimensionMismatch
 from .histories import (
     History,
     HistoryFamily,
+    _make_resolutions,
     elementary_histories,
     make_resolution,
 )
@@ -204,7 +205,8 @@ def assemble_pointer_model(psi1: np.ndarray, psi2: np.ndarray,
     The six to eight operators (``e1``, ``f1``, ``e2``, ``t``, ``u``, the
     ``rest`` of slot 1 and the complement of ``e2`` where they are not zero,
     and the zero mirror) are validated in that order in one stacked pass, so
-    the first invalid one raises what it raises alone.  ``p1`` and ``p2``
+    the first invalid one raises what it raises alone; the two slots are
+    then checked as resolutions in one call.  ``p1`` and ``p2``
     must be ``spatial_dim`` square and ``e2_matrix`` twice that.
     """
     psi1 = np.asarray(psi1, dtype=complex).reshape(-1)
@@ -234,8 +236,7 @@ def assemble_pointer_model(psi1: np.ndarray, psi2: np.ndarray,
         [e1_matrix, f1_matrix, e2_matrix, _kron(eye_s, _KET1), _kron(eye_s, _KET0),
          *rest, *comp, np.zeros_like(eye)], tol)
     slot1, slot2 = [e1, f1, *others[:len(rest)]], [e2, *others[len(rest):]]
-    family = HistoryFamily((make_resolution(slot1, tol),
-                            make_resolution(slot2, tol)))
+    family = HistoryFamily(_make_resolutions([slot1, slot2], tol))
     # histories run over slot 2 fastest: (e1, .) get t, (f1, .) u, (rest, .) zero
     mirrors = (t, u, zero)
     histories = elementary_histories(family)

@@ -1,15 +1,20 @@
 """File formats and command driver: parsing, round trips, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
 
+import canon_reference
 import qhistories.cli as cli
 import qhistories.cli.files as files
 from qhistories.cli import (
@@ -40,9 +45,10 @@ from qhistories.errors import (
     TraceNotOne,
     ValidationError,
 )
-from qhistories.matcore import DEFAULT_TOL
+from qhistories.histories import make_resolution
+from qhistories.matcore import DEFAULT_TOL, validate_projection
 from qhistories.mirror import self_decoherence_each, verify_mirror
-from qhistories.sampling import random_density, random_family
+from qhistories.sampling import random_density, random_family, random_resolution
 from qhistories.scenarios import build_example1, build_example2
 
 TOL = DEFAULT_TOL
@@ -89,6 +95,131 @@ def test_canonical_json_rejects_non_finite():
         canonical_dumps({"x": float("nan")})
     with pytest.raises(ValueError):
         canonical_dumps({"x": float("inf")})
+
+
+class Label(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+@dataclass(frozen=True)
+class Leaf:
+    name: str
+    values: tuple
+    extra: Optional[dict] = None
+
+
+# quotes, backslashes, every control character, DEL, and non-ASCII text
+# inside and outside the basic plane
+ALPHABET = ['"', "\\", "/", " ", "a", "Z", "0", *map(chr, range(32)), "\x7f",
+            "\u00e9", "\u00df", "\u2211", "\U0001f600", "\u2028", "\ufeff"]
+FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308,
+          -1e308, 1.7976931348623157e308, 0.1, 1 / 3, -2.5, 1e16, 123456789.0]
+
+
+def random_text(rng) -> str:
+    return "".join(rng.choice(ALPHABET, size=int(rng.integers(0, 8))))
+
+
+def random_leaf(rng):
+    kind = int(rng.integers(0, 13))
+    if kind == 0:
+        return None
+    if kind == 1:
+        return bool(rng.integers(2))
+    if kind == 2:
+        return np.bool_(rng.integers(2))
+    if kind == 3:
+        return int(rng.integers(-10**6, 10**6)) * (10**20 if rng.integers(2) else 1)
+    if kind == 4:
+        return np.int64(rng.integers(-2**62, 2**62))
+    if kind == 5:
+        return float(rng.choice(FLOATS))
+    if kind == 6:
+        return float(rng.normal() * 10.0 ** rng.integers(-300, 300))
+    if kind == 7:
+        return np.float64(rng.choice(FLOATS) if rng.integers(2) else rng.normal())
+    if kind == 8:
+        return random_text(rng)
+    if kind == 9:
+        return Label(random_text(rng))
+    if kind == 10:
+        return Count(rng.integers(-100, 100))
+    if kind == 11:
+        return Ratio(rng.normal())
+    return ProbabilityValue(float(rng.normal()), float(rng.uniform()))
+
+
+def random_document(rng, depth: int = 0):
+    kind = int(rng.integers(0, 6)) if depth < 4 else 0
+    width = int(rng.integers(0, 4))
+    if kind == 0:
+        return random_leaf(rng)
+    if kind == 1:
+        return [random_document(rng, depth + 1) for _ in range(width)]
+    if kind == 2:
+        return tuple(random_document(rng, depth + 1) for _ in range(width))
+    if kind == 3:
+        return {random_text(rng): random_document(rng, depth + 1)
+                for _ in range(width)}
+    if kind == 4:
+        return Leaf(random_text(rng),
+                    tuple(random_document(rng, depth + 1) for _ in range(width)),
+                    {"k": random_document(rng, depth + 1)} if width else None)
+    return NotionResult(bool(width % 2), float(rng.normal()),
+                        (random_text(rng), random_text(rng)), width,
+                        random_text(rng) if width else None)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_canonical_json_matches_the_isinstance_chain_byte_for_byte(seed):
+    """The type-dispatched writer gives the reference chain's text on random
+    documents of every kind of value it takes, subclasses included."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        doc = {"doc": random_document(rng), "leaves": [
+            random_leaf(rng) for _ in range(10)]}
+        assert canonical_dumps(doc) == canon_reference.canonical_dumps(doc)
+    assert canonical_dumps(example2_report()) == canon_reference.canonical_dumps(
+        example2_report())
+
+
+def example2_report() -> ReportFile:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["example2", "--format", "report"])
+    return ReportFile.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 np.float64("nan"), np.float64("-inf"),
+                                 Ratio("inf")])
+def test_canonical_json_rejects_non_finite_values_anywhere(bad):
+    for doc in (bad, [1, bad], {"a": {"b": (bad,)}}, Leaf("x", (bad,))):
+        with pytest.raises(ValueError):
+            canon_reference.canonical_dumps(doc)
+        with pytest.raises(ValueError):
+            canonical_dumps(doc)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",), np.str_("a")])
+def test_canonical_json_requires_string_keys(key):
+    """Every key is checked, nested ones too; a numpy string is a ``str``."""
+    for doc in ({key: 1}, [{"a": 1, key: 2}], Leaf("x", ({key: 0},))):
+        if isinstance(key, str):
+            assert canonical_dumps(doc) == canon_reference.canonical_dumps(doc)
+            continue
+        with pytest.raises(TypeError):
+            canon_reference.canonical_dumps(doc)
+        with pytest.raises(TypeError):
+            canonical_dumps(doc)
 
 
 def test_problem_serialization_is_byte_idempotent():
@@ -227,6 +358,63 @@ def test_problem_objects_validate_the_projections_in_one_stacked_call(
         ops[n].astype(complex).tobytes() for n in ("E1", "F1", "E2", "E2c")]
     assert [m.matrix.tobytes() for m in mirrors.values()] == [
         ops[n].astype(complex).tobytes() for n in ("T", "U")]
+
+
+# slot block sizes over dimension 3, and how each slot's names are broken:
+# "overlap" repeats its first event last, "gap" leaves its last event out
+RESOLUTION_CASES = [
+    (([1, 2], [3]), (None, None)),  # unequal sizes, a one-event slot
+    (([1, 1, 1], [3], [2, 1]), (None, None, None)),
+    (([1, 1, 1], [2, 1]), (None, "overlap")),  # slot 2 only
+    (([2, 1], [1, 1, 1]), (None, "gap")),
+    (([3], [1, 1, 1]), (None, "overlap")),  # after a one-event slot
+    (([1, 1, 1], [1, 2]), ("gap", "overlap")),  # both: slot 1's error wins
+    (([1, 2], [1, 1, 1]), ("overlap", "gap")),
+    (([1, 1, 1], [1, 1, 1]), ("overlap", "overlap")),
+]
+
+
+def resolution_problem(rng, sizes, breaks) -> ProblemFile:
+    ops, resolutions = {"RHO": random_density(3, rng).matrix}, []
+    for k, (blocks, how) in enumerate(zip(sizes, breaks)):
+        names = []
+        for i, e in enumerate(random_resolution(3, blocks, rng).events):
+            names.append(f"S{k + 1}E{i + 1}")
+            ops[names[-1]] = e.matrix
+        resolutions.append({None: names, "overlap": names + names[:1],
+                            "gap": names[:-1]}[how])
+    return ProblemFile(3, ops, resolutions, "RHO")
+
+
+def outcome(build):
+    """The overlaps of ``build()``'s resolutions, or its error's class,
+    message, residual and pair."""
+    try:
+        return [r.overlap for r in build()]
+    except ValidationError as exc:
+        return type(exc), str(exc), exc.residual, getattr(exc, "pair", None)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("sizes, breaks", RESOLUTION_CASES)
+def test_problem_resolutions_are_checked_as_each_slot_alone(seed, sizes, breaks):
+    """One check over the zero-padded slots gives each slot's overlap, bit
+    for bit, or the first failing slot's error with its slot prefix, as
+    :func:`make_resolution` gives them slot by slot."""
+    problem = resolution_problem(np.random.default_rng(seed), sizes, breaks)
+
+    def slot_by_slot():
+        for k, names in enumerate(problem.resolutions):
+            events = [validate_projection(problem.operators[n]) for n in names]
+            try:
+                yield make_resolution(events, TOL)
+            except ValidationError as exc:
+                exc.args = (f"resolution {k + 1}: {exc.args[0]}",)
+                raise
+
+    want = outcome(lambda: list(slot_by_slot()))
+    assert outcome(lambda: problem_to_objects(problem, TOL)[0].resolutions) == want
+    assert isinstance(want, list) == all(how is None for how in breaks)
 
 
 def test_problem_objects_support_mixture_states():
@@ -862,7 +1050,55 @@ PARSER_ARGVS = [
     ["example1", "--theta", "1", "--state", "rho3"],
     ["sweep", "--param", "beta", "--start", "0", "--stop", "1", "--steps", "2"],
     ["example2", "--delta", "1,x"],
+    # a valid command line with arguments over, under every command and
+    # action: the command's own parser leaves them, the full one names them
+    ["check", "p.json", "--notions", "weak", "extra"],
+    ["example1", "--theta", "1", "--bogus"],
+    ["example2", "--spatial-dim", "2", "extra", "--bogus=1"],
+    ["sweep", "--param", "theta", "--start", "0", "--stop", "1", "--steps", "2",
+     "--bogus"],
+    ["mirror", "verify", "--problem", "p.json", "--history", "(1,1)",
+     "--mirror", "T", "--bogus"],
+    ["mirror", "search", "--problem", "p.json", "--history", "(1,1)", "extra"],
+    ["prop1", "--problem", "p.json", "--t", "T", "--u", "U", "--h1", "(1,1)",
+     "--h2", "(2,1)", "--bogus"],
 ]
+
+COMMON_OPTIONS = ["--tol-op", "1e-11", "--tol-eig", "1e-7", "--tol-prob", "1e-8",
+                  "--format", "report", "--out", "out.txt"]
+# one command line per command and action, every option given a value
+# other than its default
+FULL_ARGVS = [
+    ["check", "p.json", "--notions", "weak,medium", *COMMON_OPTIONS],
+    ["example1", "--theta", "1.5", "--alpha", "0.5", "--state", "rho2",
+     "--dim", "4", *COMMON_OPTIONS],
+    ["example2", "--spatial-dim", "3", "--delta", "1,3", *COMMON_OPTIONS],
+    ["sweep", "--param", "alpha", "--start", "0", "--stop", "1", "--steps", "3",
+     "--theta", "1.2", "--alpha", "0.3", "--state", "rho", "--dim", "4",
+     *COMMON_OPTIONS],
+    ["mirror", "verify", "--problem", "p.json", "--history", "(1,2)",
+     "--mirror", "T", *COMMON_OPTIONS],
+    ["mirror", "search", *COMMON_OPTIONS, "--problem", "p.json",
+     "--history", "(2,1)"],
+    ["prop1", "--problem", "p.json", "--t", "T", "--u", "U", "--h1", "(1,1)",
+     "--h2", "(2,1)", *COMMON_OPTIONS],
+]
+
+
+@pytest.mark.parametrize("argv", FULL_ARGVS, ids=lambda argv: " ".join(argv[:2]))
+def test_main_parses_each_command_as_the_full_parser(argv, monkeypatch):
+    """The namespace the handler gets from the command's own parser is the
+    full parser's, ``command`` and ``mirror_command`` included."""
+    seen = []
+    text, arguments, _ = cli._SUBCOMMANDS[argv[0]]
+    monkeypatch.setitem(cli._SUBCOMMANDS, argv[0],
+                        (text, arguments, lambda args: seen.append(args) or 0))
+    assert main(argv) == 0
+    full = build_parser().parse_args(argv)
+    assert seen == [full]
+    assert full.command == argv[0]
+    assert getattr(full, "mirror_command", None) == (
+        argv[1] if argv[0] == "mirror" else None)
 
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS,
@@ -944,6 +1180,48 @@ def test_top_level_usage_errors_name_the_command_argument(capsys):
         with pytest.raises(SystemExit):
             main(argv)
         assert message in capsys.readouterr().err
+
+
+def run_module(argv, env=(), flags=()):
+    """``python -m qhistories`` with ``argv`` in a fresh interpreter."""
+    src = Path(cli.__file__).resolve().parents[2]
+    return subprocess.run([sys.executable, *flags, "-m", "qhistories", *argv],
+                          env={"PYTHONPATH": str(src), **dict(env)},
+                          capture_output=True, timeout=60)
+
+
+def test_problem_files_are_read_as_utf8_whatever_the_locale(tmp_path, capsys):
+    """A byte that is not UTF-8 is a parse error naming its offset (exit 2,
+    no traceback); a non-ASCII operator name reads under an ASCII locale."""
+    text = serialize_problem(example1_problem())
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text.encode()[:10] + b"\xff" + text.encode()[10:])
+    out = run_module(["check", str(bad)])
+    assert (out.returncode, out.stdout) == (2, b"")
+    assert out.stderr == (b"error: problem file is not valid UTF-8: "
+                          b"byte 0xff at offset 10\n")
+    ascii_named = tmp_path / "ascii.json"
+    ascii_named.write_text(text, encoding="utf-8")
+    named = tmp_path / "named.json"
+    named.write_text(text.replace('"E1"', '"P\u00e9"'), encoding="utf-8")
+    assert b"P\xc3\xa9" in named.read_bytes()
+    out = run_module(["check", str(named)], env={
+        "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+    assert (out.returncode, out.stderr) == (1, b"")
+    assert main(["check", str(ascii_named)]) == 1
+    assert out.stdout == capsys.readouterr().out.encode()
+
+
+def test_check_names_no_default_encoding(tmp_path):
+    """``check ... --out`` reads and writes with an explicit encoding: it
+    runs with every default-encoding warning raised as an error."""
+    problem = Path(__file__).parent / "data" / "pointer_problem.json"
+    target = tmp_path / "out.txt"
+    out = run_module(["check", str(problem), "--out", str(target)],
+                     flags=("-X", "warn_default_encoding",
+                            "-W", "error::EncodingWarning"))
+    assert (out.returncode, out.stdout, out.stderr) == (0, b"", b"")
+    assert target.read_text(encoding="utf-8").startswith("qhistories ")
 
 
 def test_python_dash_m_prints_what_main_prints(capsys):

@@ -247,3 +247,17 @@ def test_assemble_pointer_model_raises_what_each_operator_raises_alone():
             type(want.value), str(want.value), want.value.residual), k
     with pytest.raises(DimensionMismatch):  # where products used to fail to broadcast
         assemble_pointer_model(psi1, psi2, p1, p2, e2[:4, :4], TOL)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pointer_model_resolutions_are_checked_as_each_slot_alone(seed):
+    """Both slots, of two or three events and of one or two, checked in one
+    zero-padded call, keep the overlap each gives alone, bit for bit."""
+    rng = np.random.default_rng(seed)
+    sizes = set()
+    for spatial, rank in ((2, 1), (3, 1), (4, 2), (4, 1), (5, 2)):
+        m = pointer_model(spatial, rng, TOL, branch_rank=rank)
+        sizes.add(tuple(len(r) for r in m.family.resolutions))
+        assert [r.overlap for r in m.family.resolutions] == [
+            make_resolution(r.events, TOL).overlap for r in m.family.resolutions]
+    assert any(a != b for a, b in sizes)
