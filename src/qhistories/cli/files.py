@@ -133,7 +133,8 @@ def _parse_matrix(name: str, raw, dim: int) -> np.ndarray:
                 f"operator {name!r}: {key!r} has shape {arr.shape}, "
                 f"expected ({dim}, {dim})")
         parts.append(arr)
-    return parts[0] + 1j * parts[1]
+    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j; validation names it
+        return parts[0] + 1j * parts[1]
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -161,7 +162,7 @@ def parse_problem(text: str) -> ProblemFile:
                          "name lists")
     for r in resolutions:
         for name in r:
-            if name not in operators:
+            if not isinstance(name, str) or name not in operators:
                 raise ParseError(f"resolution references unknown operator "
                                  f"{name!r}")
     state = data["state"]

@@ -438,11 +438,10 @@ class FamilyAnalysis(_SlotHistories):
 
     @functools.cached_property
     def event_pairs(self) -> np.ndarray:
-        """``(F, N, 2, d, d)`` first and second events of every elementary
-        history of a 2-slot family."""
+        """``(N, 2, d, d)`` first and second events of every elementary
+        history of the first family of a 2-slot analysis."""
         first, second = self.stacks
-        return np.concatenate([first, second], axis=1)[
-            :, self.index + (0, first.shape[1])]
+        return np.concatenate([first[0], second[0]])[self.index + (0, first.shape[1])]
 
     @functools.cached_property
     def members(self) -> _SlotHistories:

@@ -34,7 +34,7 @@ from .matcore import (
     max_norm,
     validate_densities,
 )
-from .mirror import MirrorCertificate, least_mirrors, self_decoherence_each
+from .mirror import MirrorCertificate, least_mirror, self_decoherence_each
 
 __all__ = [
     "DEFAULT_LAMBDA_GRID",
@@ -92,16 +92,15 @@ def self_decoherence_property(family: HistoryFamily,
                               tol: Tolerances = DEFAULT_TOL,
                               provided: Optional[Mapping[str, Projection]] = None,
                               ) -> PropertyPredicate:
-    """Self-decoherence as a predicate, decided for all states in one pass.
+    """Self-decoherence as a predicate, over one family analysis and
+    decided for each state on its own by
+    :func:`qhistories.mirror.self_decoherence_each`.
 
     A mirror of a mixture is a mirror of each component: its two
     positive defect operators vanish on the mixture's support, which
     contains each component's.  So the predicate has no individuality
     witness; where a mixture has it, both components do, and a search
-    returns after deciding ``rho1`` alone.  The least mirror depends on a
-    state only through its support, and every mixture of a weight grid has
-    the support ``supp rho1 + supp rho2``, so the mixtures of a search share
-    one closure per history (see :func:`qhistories.mirror.least_mirrors`).
+    returns after deciding ``rho1`` alone.
     """
     analysis = FamilyAnalysis(family, tol)
     return PropertyPredicate("self-decoherence", lambda rhos: [
@@ -170,7 +169,8 @@ def individuality_violation_search(prop: PropertyPredicate,
     in the state and the least eigenvalue is concave, so validating the
     rounded mixture could only fail spuriously.  Any other predicate
     (self-decoherence: its least mirror follows the support, not linearly)
-    gets ``rho2`` and the validated mixtures in one evaluator call."""
+    gets ``rho2`` and the validated mixtures in one evaluator call;
+    self-decoherence's decides each of them on its own."""
     _check_mixing(rho1, rho2, lams)
     notion = prop.notion
     if notion is None:
@@ -280,5 +280,5 @@ def condition_C_probe(h: History, psi1, psi2,
     total = total / nt
 
     rhos = validate_densities([np.outer(v, v.conj()) for v in (psi1, psi2, total)], tol)
-    return ConditionCProbe(*(cert if cert.verified else None
-                             for cert in least_mirrors(h, rhos, tol)))
+    certs = [least_mirror(h, rho, tol) for rho in rhos]
+    return ConditionCProbe(*(c if c.verified else None for c in certs))

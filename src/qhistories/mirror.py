@@ -18,7 +18,6 @@ the one it returns.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -58,7 +57,6 @@ __all__ = [
     "verify_mirror",
     "mirror_correlation",
     "least_mirror",
-    "least_mirrors",
     "check_self_decoherence",
     "self_decoherence_each",
     "occurrence_probability",
@@ -108,7 +106,7 @@ class SelfDecoherenceReport:
         tol = self.analysis.tol
         labels, certs = list(self.per_history), list(self.per_history.values())
         live = [k for k, c in enumerate(certs) if c is not None and c.verified]
-        events = self.analysis.event_pairs[0][live]
+        events = self.analysis.event_pairs[live]
         mirrors = np.array([certs[k].mirror.matrix for k in live]
                            ).reshape(events[:, 0].shape)
         slots = np.triu(self.analysis.summable_slots()[0], 1)[np.ix_(live, live)]
@@ -117,14 +115,13 @@ class SelfDecoherenceReport:
         a, b = a[keep], b[keep]
         merged, k = events[a], slots[a, b] - 1
         merged[np.arange(len(a)), k] += events[b, k]
-        res = _residuals((mirrors[a] + mirrors[b])[None], [0], merged,
-                         self.state.matrix[None], tol)[0]
+        res = _residuals(mirrors[a] + mirrors[b], merged, self.state.matrix, tol)
         return {f"{labels[live[x]]}+{labels[live[y]]}": r[2] for x, y, r
                 in zip(a.tolist(), b.tolist(), res)}
 
 
 # Batched kernels over the ``(n, 2, d, d)`` event stack of n 2-event
-# histories and S states; one-history functions are the n = S = 1 case.
+# histories and one state; one-history functions are the n = 1 case.
 
 
 def _event_pairs(*histories: History) -> np.ndarray:
@@ -135,74 +132,39 @@ def _event_pairs(*histories: History) -> np.ndarray:
     return np.array([[e.matrix for e in h.events] for h in histories])
 
 
-def _supports(states: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list[int]]:
-    """``(G, d, r)`` bases of the distinct supports of ``states`` and, for
-    each state, the position of its own among them.
-
-    A support is spanned by the eigenvectors above ``tol.eig``: the trailing
-    columns of ``eigh``, whose eigenvalues ascend.  Every basis keeps the
-    ``r`` trailing columns, ``r`` the largest support rank of the stack, and
-    zeroes those at or below ``tol.eig``.  A state shares the support of the
-    first earlier state whose support projection lies within ``tol.eig`` of
-    its own in the Frobenius norm.  That distance is ``sqrt(2 sum sin^2
-    theta_i)`` over the principal angles when the ranks agree, and at least
-    1 when they do not, so it joins only supports of one rank r whose
-    stacked bases ``[V_s, V_t]`` have rank r at ``tol.eig``, the rank rule of
-    the closure's SVDs.  (Its first round, ``[e1 S, e2 e1 S]``, admits an
-    ``e1 S`` direction that ``e2`` keeps from ``tol.eig / sqrt(2)``, and its
-    stop at an invariance defect of ``tol.eig / 2`` is exact by Weyl's
-    inequality.)  ``V`` depends on a state only through its support, and
-    ``supp(lam rho1 + (1 - lam) rho2)`` is ``supp rho1 + supp rho2`` for
-    every ``lam`` whose weighted eigenvalues stay above ``tol.eig``, so the
-    mixtures of a weight grid are closed once.
-    """
-    w, vecs = np.linalg.eigh(states)
-    above = w > tol.eig
-    d, r = states.shape[-1], int(above.sum(axis=1).max(initial=0))
-    bases = vecs[..., d - r:] * above[:, None, d - r:]
-    if len(states) < 2:
-        return bases, list(range(len(states)))
-    proj = (bases @ bases.conj().swapaxes(-1, -2)).reshape(len(states), -1)
-    near: list[list[bool]] = []
-    for rows in _blocks(len(proj), 16 * proj.size):  # rows of the pair table
-        diff = proj[rows, None] - proj
-        near += ((diff * diff.conj()).real.sum(-1) <= tol.eig ** 2).tolist()
-    leads: list[int] = []
-    which: list[int] = []
-    for s, row in enumerate(near):
-        which.append(next((g for g, t in enumerate(leads) if row[t]), len(leads)))
-        if which[-1] == len(leads):
-            leads.append(s)
-    return bases[leads], which
+def _support(rho: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """``(d, r)`` basis of the support of ``rho``: its eigenvectors above
+    ``tol.eig``, the trailing columns of ``eigh``, whose eigenvalues ascend."""
+    w, vecs = np.linalg.eigh(rho)
+    return vecs[:, w > tol.eig]
 
 
-def _least_projections(events: np.ndarray, supports: np.ndarray,
+def _least_projections(events: np.ndarray, support: np.ndarray,
                        tol: Tolerances) -> np.ndarray:
-    """Projections onto ``V`` (see :func:`least_mirror`) for all (support,
-    history) pairs, support-major, from the ``(G, d, r)`` support bases.
-    The first round is one stacked SVD of the ``d x 2r`` matrices
-    ``[e1 S, e2 e1 S]``, where an ``e1 S`` direction that ``e2`` keeps counts
-    from ``tol.eig / sqrt(2)``.  Bases keep the width that round's SVD gives,
-    ``min(d, 2r)``, with zero columns past each rank (zero columns add only
-    zero singular values).  A later round stops each pair whose defect
-    ``||(1 - P P^dag)[e1 P, e2 P]||_F`` is at most ``tol.eig / 2`` (by Weyl,
-    no singular value of ``[P, e1 P, e2 P]`` past ``rank P`` exceeds it) and
-    takes one stacked SVD of ``[P, e1 P, e2 P]`` for the others; the bases
-    are padded to that SVD's width only when some pair grows."""
-    n, d = len(events), events.shape[-1]
+    """Projections onto ``V`` (see :func:`least_mirror`) for every history
+    of ``events``, from the ``(d, r)`` support basis ``S``.  The first round
+    is one stacked SVD of the ``d x 2r`` matrices ``[e1 S, e2 e1 S]``, where
+    an ``e1 S`` direction that ``e2`` keeps counts from ``tol.eig /
+    sqrt(2)``.  Bases keep the width that round's SVD gives, ``min(d, 2r)``,
+    with zero columns past each rank (zero columns add only zero singular
+    values).  A later round stops each history whose defect ``||(1 - P
+    P^dag)[e1 P, e2 P]||_F`` is at most ``tol.eig / 2`` (by Weyl, no singular
+    value of ``[P, e1 P, e2 P]`` past ``rank P`` exceeds it) and takes one
+    stacked SVD of ``[P, e1 P, e2 P]`` for the others; the bases are padded
+    to that SVD's width only when some history grows."""
+    d = events.shape[-1]
 
     def span(a):
-        a = a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])  # r may be 0
         u, s, _ = np.linalg.svd(a, full_matrices=False)
         rank = (s > tol.eig).sum(axis=1)
         return u * (np.arange(u.shape[-1]) < rank[:, None])[:, None], rank
 
-    first = events[:, 0] @ supports[:, None]
+    first = events[:, 0] @ support
     basis, rank = span(np.concatenate([first, events[:, 1] @ first], -1))
-    live = np.arange(len(basis))  # pair g * n + i: support g, history i
+    live = np.arange(len(basis))
     for _ in range(d):
         b = basis[live]
-        moved = events[live % n] @ b[:, None]
+        moved = events[live] @ b[:, None]
         off = moved - b[:, None] @ (b.conj().swapaxes(-1, -2)[:, None] @ moved)
         keep = (off * off.conj()).real.sum(axis=(1, 2, 3)) > (tol.eig / 2) ** 2
         if not keep.any():
@@ -220,76 +182,66 @@ def _least_projections(events: np.ndarray, supports: np.ndarray,
     return basis @ basis.conj().swapaxes(-1, -2)
 
 
-def _residuals(mirrors: np.ndarray, which: Sequence[int], pairs: np.ndarray,
-               states: np.ndarray, tol: Tolerances) -> list[list[tuple]]:
-    """``[s][i]``: the commutator max-norms of ``t = mirrors[which[s], i]``
-    with the events ``pairs[i]``, the defects of ``Tr(t e1 rho)`` against
-    ``Tr(t rho)`` and ``Tr(e1 rho)`` for ``rho = states[s]``, and whether all
-    four are within ``tol.prob``: a certificate's ``(residual_m1,
-    residual_m2, verified)``.
+def _residuals(mirrors: np.ndarray, pairs: np.ndarray, rho: np.ndarray,
+               tol: Tolerances) -> list[tuple]:
+    """``[i]``: the commutator max-norms of ``t = mirrors[i]`` with the
+    events ``pairs[i]``, the defects of ``Tr(t e1 rho)`` against ``Tr(t
+    rho)`` and ``Tr(e1 rho)``, and whether all four are within
+    ``tol.prob``: a certificate's ``(residual_m1, residual_m2, verified)``.
 
-    ``mirrors`` stacks the ``(G, n, d, d)`` mirrors of G groups of states,
-    so the commutators are formed once per (group, history), one ``d x d``
-    product each way.  ``Tr(X rho)`` sums the elementwise products of ``X``
-    and ``rho^T`` over their contiguous ``d^2`` axis, with no product formed
-    only to be traced; that sum keeps its bits whatever the stack's shape,
-    as ``einsum`` does not.  The defects' moduli are Python's ``abs``, as
-    ``np.abs`` differs from it in the last bit of some complex values."""
+    The commutators take one ``d x d`` product each way.  ``Tr(X rho)``
+    sums the elementwise products of ``X`` and ``rho^T`` over their
+    contiguous ``d^2`` axis, with no product formed only to be traced; that
+    sum keeps its bits whatever the stack's shape, as ``einsum`` does not.
+    The defects' moduli are Python's ``abs``, as ``np.abs`` differs from it
+    in the last bit of some complex values."""
     d = pairs.shape[-1]
-    t = mirrors[:, :, None]
+    t = mirrors[:, None]
     te = t @ pairs
-    m1 = np.abs(te - pairs @ t).max(axis=(3, 4)).tolist()
-    flat = np.concatenate([te[:, :, :1], t], axis=2).reshape(*te.shape[:3], d * d)
-    rho_t = states.swapaxes(1, 2).reshape(-1, 1, d * d)  # rho^T, one row each
-    traces = (flat.take(which, 0) * rho_t[:, :, None]).sum(-1).tolist()
+    m1 = np.abs(te - pairs @ t).max(axis=(2, 3)).tolist()
+    flat = np.concatenate([te[:, :1], t], axis=1).reshape(len(t), 2, d * d)
+    rho_t = rho.T.reshape(d * d)
+    traces = (flat * rho_t).sum(-1).tolist()
     firsts = (pairs[:, 0].reshape(-1, d * d) * rho_t).sum(-1).tolist()
-    m2 = [[(abs(te1 - t1), abs(te1 - e)) for (te1, t1), e in zip(*per)]
-          for per in zip(traces, firsts)]
+    m2 = [(abs(te1 - t1), abs(te1 - e)) for (te1, t1), e in zip(traces, firsts)]
     p = tol.prob
-    return [[((a, b), (c, e), a <= p and b <= p and c <= p and e <= p)
-             for (a, b), (c, e) in zip(m1[g], row)] for g, row in zip(which, m2)]
+    return [((a, b), (c, e), a <= p and b <= p and c <= p and e <= p)
+            for (a, b), (c, e) in zip(m1, m2)]
 
 
 def _certificates(mirrors: Sequence[Optional[Projection]],
                   histories: Sequence[History], events: np.ndarray,
-                  rhos: Sequence[DensityOperator], tol: Tolerances,
-                  ) -> list[list[MirrorCertificate]]:
-    """Certificates ``[s][i]`` under ``rhos[s]`` for ``mirrors[i]`` of
-    ``histories[i]``, or for its least mirror candidate where that is
-    ``None``.  State s reads group ``which[s]`` of G: the distinct supports
-    of :func:`_supports` when some mirror is ``None``, else one group.
-    Least candidates are closed and validated once per group, whose
-    certificates share them, and the ``(G, n, d, d)`` mirror stack is traced
-    against every state by one :func:`_residuals` call per history block;
-    blocks hold the histories whose ``[P, e1 P, e2 P]`` fit the budget."""
+                  rho: DensityOperator, tol: Tolerances,
+                  ) -> list[MirrorCertificate]:
+    """Certificates under ``rho`` for ``mirrors[i]`` of ``histories[i]``, or
+    for its least mirror candidate where that is ``None``.  The support of
+    ``rho`` is taken once, and only when some mirror is ``None``; the
+    histories go through in blocks whose ``[P, e1 P, e2 P]`` fit the budget,
+    each closed and validated in one stacked pass and traced by one
+    :func:`_residuals` call."""
     d = events.shape[-1]
-    states = _state_stack(rhos, d)
+    state = _state_stack([rho], d)[0]
     for t in mirrors:
         if t is not None and t.matrix.shape != (d, d):
             raise DimensionMismatch(f"dimension mismatch: {t.matrix.shape} vs {d, d}")
-    bases, which = (_supports(states, tol) if None in mirrors
-                    else (None, [0] * len(rhos)))
-    certs: list[list[MirrorCertificate]] = [[] for _ in rhos]
-    for rows in _blocks(len(mirrors), 3 * 16 * d * d * len(rhos)):
+    support = _support(state, tol) if None in mirrors else None
+    certs: list[MirrorCertificate] = []
+    for rows in _blocks(len(mirrors), 3 * 16 * d * d):
         pairs, given = events[rows], mirrors[rows]
         least = [i for i, t in enumerate(given) if t is None]
-        found = (validate_projections(_least_projections(pairs[least], bases, tol), tol)
-                 if least else [])
-        chosen = [[next(row) if t is None else t for t in given] for row in (
-            iter(found[g * len(least):]) for g in range(len(set(which))))]
-        t = np.array([[m.matrix for m in row] for row in chosen],
-                     dtype=complex).reshape(len(chosen), len(pairs), d, d)
-        for out, g, rho, res in zip(certs, which, rhos,
-                                    _residuals(t, which, pairs, states, tol)):
-            out += [MirrorCertificate(m, h, rho, *r)
-                    for m, h, r in zip(chosen[g], histories[rows], res)]
+        found = iter(validate_projections(
+            _least_projections(pairs[least], support, tol), tol) if least else [])
+        chosen = [next(found) if t is None else t for t in given]
+        t = np.array([m.matrix for m in chosen], dtype=complex).reshape(len(chosen), d, d)
+        certs += [MirrorCertificate(m, h, rho, *r) for m, h, r in
+                  zip(chosen, histories[rows], _residuals(t, pairs, state, tol))]
     return certs
 
 
 def verify_mirror(t: Projection, h: History, rho: DensityOperator,
                   tol: Tolerances = DEFAULT_TOL) -> MirrorCertificate:
     """Evaluate both mirror conditions and certify the residuals."""
-    return _certificates([t], [h], _event_pairs(h), [rho], tol)[0][0]
+    return _certificates([t], [h], _event_pairs(h), rho, tol)[0]
 
 
 def mirror_correlation(t: Projection, e1: Projection, rho: DensityOperator,
@@ -341,24 +293,10 @@ def least_mirror(h: History, rho: DensityOperator,
     round, so one in ``(tol.eig / sqrt(2), tol.eig]`` enters ``V``.  A support
     direction of weight just above ``tol.eig`` can rule out every mirror
     while a provided projection passes :func:`verify_mirror`, which bounds
-    trace residuals by ``tol.prob``.
+    trace residuals by ``tol.prob``.  Many states take one call each:
+    ``[least_mirror(h, r, tol) for r in rhos]``.
     """
-    return least_mirrors(h, [rho], tol)[0]
-
-
-def least_mirrors(h: History, rhos: Sequence[DensityOperator],
-                  tol: Tolerances = DEFAULT_TOL) -> list[MirrorCertificate]:
-    """:func:`least_mirror` for each of a sequence of states, in one pass.
-
-    ``V`` depends on a state only through its support, so states whose
-    support projections lie within ``tol.eig`` of each other (Frobenius
-    norm; see :func:`_supports`) share one closure and one least projection:
-    all the mixtures ``lam rho1 + (1 - lam) rho2`` of a weight grid have
-    the support ``supp rho1 + supp rho2``, unless ``lam`` is so close to 0
-    or 1 that a weighted eigenvalue falls below ``tol.eig``.  Each
-    certificate is still traced against its own state.
-    """
-    return [row[0] for row in _certificates([None], [h], _event_pairs(h), rhos, tol)]
+    return _certificates([None], [h], _event_pairs(h), rho, tol)[0]
 
 
 def check_self_decoherence(family: HistoryFamily, rho: DensityOperator,
@@ -380,26 +318,25 @@ def check_self_decoherence(family: HistoryFamily, rho: DensityOperator,
 def self_decoherence_each(analysis: FamilyAnalysis, rhos: Sequence[DensityOperator],
                           provided: Optional[Mapping[str, Projection]] = None,
                           ) -> list[SelfDecoherenceReport]:
-    """:func:`check_self_decoherence` for many states, decided in one pass
-    over a family analysis that callers asking about many states build once.
-
-    The supports of the states are computed once per call, and states
-    whose supports coincide at ``tol.eig`` share the closure of every
-    history without a provided mirror, as in :func:`least_mirrors`; the
-    certificates are traced against each state's own matrix.
+    """:func:`check_self_decoherence` for each state, over a family analysis
+    that callers asking about many states build once.  Each state is
+    decided on its own: one support and one closure of every history
+    without a provided mirror, traced against that state.
     """
     family, tol = analysis.family, analysis.tol
     if family.length != 2:
         raise WrongHistoryLength("self-decoherence is defined for 2-slot families")
     provided = provided or {}
     elems = analysis.histories
-    certs = _certificates([provided.get(h.label) for h in elems], elems,
-                          analysis.event_pairs[0], rhos, tol)
-    pers = [{h.label: cert if h.label in provided or cert.verified else None
-             for h, cert in zip(elems, row)} for row in certs]
-    return [SelfDecoherenceReport(
-        analysis, per, all(c is not None and c.verified for c in per.values()), rho)
-        for per, rho in zip(pers, rhos)]
+    mirrors = [provided.get(h.label) for h in elems]
+    reports = []
+    for rho in rhos:
+        certs = _certificates(mirrors, elems, analysis.event_pairs, rho, tol)
+        per = {h.label: cert if h.label in provided or cert.verified else None
+               for h, cert in zip(elems, certs)}
+        reports.append(SelfDecoherenceReport(
+            analysis, per, all(c is not None and c.verified for c in per.values()), rho))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -479,7 +416,7 @@ def proposition1_check(t: Projection, u: Projection, h1: History, h2: History,
     if not abs(np.linalg.norm(psi) - 1.0) <= tol.prob:
         raise PreconditionFailed("state vector is not normalized")
     rho = pure_densities(psi[None], tol)[0]
-    certs = _certificates([t, u], [h1, h2], _event_pairs(h1, h2), [rho], tol)[0]
+    certs = _certificates([t, u], [h1, h2], _event_pairs(h1, h2), rho, tol)
     for which, cert in zip(("first", "second"), certs):
         if not cert.verified:
             raise PreconditionFailed(
@@ -543,10 +480,10 @@ def contrary_bound_check(h1: History, h2: History,
                 "pass allow_mixed to decompose it")
         w, v = np.linalg.eigh(rho.matrix)
         comp_rhos = pure_densities(v.T[w > tol.eig], tol)
-        comp_certs = _certificates([cert1.mirror, cert2.mirror], [h1, h2],
-                                   _event_pairs(h1, h2), comp_rhos, tol)
-        components = tuple(contrary_bound_check(h1, h2, tuple(c), r, tol)
-                           for r, c in zip(comp_rhos, comp_certs))
+        events = _event_pairs(h1, h2)
+        components = tuple(contrary_bound_check(h1, h2, tuple(_certificates(
+            [cert1.mirror, cert2.mirror], [h1, h2], events, r, tol)), r, tol)
+            for r in comp_rhos)
 
     p1, p2 = probability(h1, rho), probability(h2, rho)
     p_e2 = _event_probability(e2, rho)

@@ -683,6 +683,29 @@ def test_check_rejects_malformed_input(tmp_path, capsys):
     assert main(["check", str(bad), "--notions", "bogus"]) == 2
 
 
+@pytest.mark.parametrize("entry", [[], {}], ids=["list", "dict"])
+@pytest.mark.parametrize("command", ["check", "mirror", "prop1"])
+def test_a_resolution_entry_that_is_no_name_exits_2(tmp_path, capsys, command,
+                                                    entry):
+    """A resolution entry that is a list or an object is no operator name:
+    ``check``, ``mirror search`` and ``prop1`` exit 2 with one ``error:``
+    line and nothing on stdout."""
+    data = json.loads((Path(__file__).parent / "data" / "three_slot_problem.json"
+                       ).read_text(encoding="utf-8"))
+    data["resolutions"][0][0] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = {"check": ["check", str(path)],
+            "mirror": ["mirror", "search", "--problem", str(path),
+                       "--history", "(1,1)"],
+            "prop1": ["prop1", "--problem", str(path), "--t", "S1E1", "--u",
+                      "S1E2", "--h1", "(1,1)", "--h2", "(2,1)"]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: resolution references unknown operator {entry!r}\n"
+
+
 def test_example1_command_reports_closed_forms(tmp_path, capsys):
     rc = main(["example1", "--theta", str(np.pi / 3), "--state", "rho1"])
     out = capsys.readouterr().out
@@ -984,16 +1007,20 @@ def test_non_finite_or_overlapping_tolerances_exit_2(capsys, flags):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_operators_exit_2_with_their_names(value, tmp_path, capsys):
-    """A NaN or infinite entry in an event or in the state fails validation
-    (Python's ``json`` reads ``NaN`` and ``Infinity``); the state's NaN
-    entry once made every notion pass at 0.0."""
+    """A NaN or infinite entry in an event or in the state, real or
+    imaginary part, fails validation with one error line (Python's ``json``
+    reads ``NaN`` and ``Infinity``); the state's NaN entry once made every
+    notion pass at 0.0, and an infinite imaginary part once warned."""
     for name in ("E1", "rho1"):
-        problem = json.loads(serialize_problem(example1_problem()))
-        problem["operators"][name]["re"][0][0] = value
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(problem))
-        assert main(["check", str(path)]) == 2
-        assert f"{name!r}:" in capsys.readouterr().err
+        for part in ("re", "im"):
+            problem = json.loads(serialize_problem(example1_problem()))
+            problem["operators"][name][part][0][0] = value
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(problem))
+            assert main(["check", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"{name!r}:" in err
 
 
 def test_a_nan_mixture_weight_exits_2_naming_its_operator(tmp_path, capsys):

@@ -44,7 +44,6 @@ from qhistories.mirror import (
     check_self_decoherence,
     contrary_bound_check,
     least_mirror,
-    least_mirrors,
     mirror_correlation,
     occurrence_probability,
     proposition1_check,
@@ -59,7 +58,6 @@ from qhistories.sampling import (
     random_projection,
     random_pure_density,
     random_resolution,
-    random_state,
     random_unitary,
 )
 from qhistories.scenarios import (
@@ -248,7 +246,7 @@ def test_a_state_of_another_dimension_raises(dim):
     prop = linear_positivity_property(family, TOL)
     calls = [lambda: verify_mirror(identity_projection(dim), h, bad, TOL),
              lambda: least_mirror(h, bad, TOL),
-             lambda: least_mirrors(h, [good, bad], TOL),
+             lambda: self_decoherence_each(FamilyAnalysis(family, TOL), [good, bad]),
              lambda: check_self_decoherence(family, bad, None, TOL),
              lambda: check_linear_positivity(family, bad, TOL),
              lambda: check_weak_decoherence(family, bad, TOL),
@@ -594,7 +592,7 @@ def test_later_rounds_grow_at_the_reference_rank_rule(factor, rank):
 
 def _closures():
     """``(events, support basis, closed projections)`` of the seeded
-    pointer, generic and rank-deficient cases, every support of each."""
+    pointer, generic and rank-deficient cases, every state of each."""
     rng = np.random.default_rng(131)
     models = [pointer_model(s, rng, TOL) for s in (2, 3, 4)]
     cases = [(m.family, [m.rho, m.rho1, m.rho2, mixture(m.rho1, m.rho2, 0.4, TOL)])
@@ -605,13 +603,14 @@ def _closures():
         cases += [(random_family(d, 2, rng, TOL), states),
                   (binary_family(*random_commuting_events(d, rng, TOL)), states)]
     for family, states in cases:
-        events = FamilyAnalysis(family, TOL).event_pairs[0]
-        bases = mirror._supports(_state_stack(states, family.dim), TOL)[0]
-        yield events, bases, mirror._least_projections(events, bases, TOL)
+        events = FamilyAnalysis(family, TOL).event_pairs
+        for rho in states:
+            support = mirror._support(rho.matrix, TOL)
+            yield events, support, mirror._least_projections(events, support, TOL)
 
 
 def test_the_invariance_stop_is_sound():
-    """For every closed (support, history) pair, no singular value of
+    """For every closed (state, history) pair, no singular value of
     ``[P, e1 P, e2 P]`` past ``rank P`` exceeds the invariance defect
     ``||(1 - P P^dag)[e1 P, e2 P]||_F`` (Weyl), so a pair the closure stops
     at ``tol.eig / 2`` gets no rank growth from that SVD; every closed
@@ -621,7 +620,7 @@ def test_the_invariance_stop_is_sound():
         for k, q in enumerate(closed):
             w, v = np.linalg.eigh(q)
             p = v[:, w > 0.5]
-            e1, e2 = events[k % len(events)]
+            e1, e2 = events[k]
             moved = np.hstack([e1 @ p, e2 @ p])
             defect = np.linalg.norm(moved - q @ moved)
             s = np.linalg.svd(np.hstack([p, moved]), compute_uv=False)
@@ -648,9 +647,8 @@ def test_rank_r_closure_matches_the_reference(monkeypatch):
     """The closure on each support's r columns (a ``d x 2r`` first round,
     bases as wide as their rank can reach) agrees with the one-history
     reference in rank and verdict, with projections within 1e-12, on pure,
-    rank-2 and full-rank states.  Each :func:`least_mirrors` call takes all
-    three states, so its supports have ranks 1, 2 and d, and the tilted
-    history and the generic families need a second round."""
+    rank-2 and full-rank states.  The tilted history needs a second round
+    for its pure state, as do some of the generic families."""
     rng = np.random.default_rng(97)
     histories = [_tilted_growth(2 * TOL.eig)]
     for d in (3, 4, 6):
@@ -668,22 +666,18 @@ def test_rank_r_closure_matches_the_reference(monkeypatch):
                   if h is histories[0] else random_pure_density(d, rng, tol=TOL),
                   random_density(d, rng, rank=2, tol=TOL),
                   random_density(d, rng, rank=d, tol=TOL)]
-        del rounds[:]
-        certs = least_mirrors(h, states, TOL)
-        assert rounds[0][1:] == (d, 2 * d), rounds  # [e1 S, e2 e1 S] at r = d
-        if h is histories[0]:
-            assert len(rounds) == 2  # the tilted direction enters in round 2
-        for cert, rho in zip(certs, states):
+        for k, rho in enumerate(states):
+            r = int(np.count_nonzero(np.linalg.eigvalsh(rho.matrix) > TOL.eig))
+            del rounds[:]
+            cert = least_mirror(h, rho, TOL)
+            assert rounds[0] == (1, d, 2 * r)  # [e1 S, e2 e1 S]
+            if h is histories[0] and k == 0:
+                assert len(rounds) == 2  # the tilted direction enters in round 2
             ref = reference_least_mirror(h, rho, TOL)
             assert cert.mirror.rank == ref.mirror.rank, h.label
             assert cert.verified == ref.verified, h.label
             assert max_norm(cert.mirror.matrix - ref.mirror.matrix) <= 1e-12
             found += cert.verified
-        for rho in states[:2]:  # one state alone: a d x 2r first round
-            del rounds[:]
-            least_mirror(h, rho, TOL)
-            r = int(np.count_nonzero(np.linalg.eigvalsh(rho.matrix) > TOL.eig))
-            assert rounds[0] == (1, d, 2 * r)
     assert 0 < found < 3 * len(histories)
 
 
@@ -907,6 +901,22 @@ def test_mirror_block_budget_does_not_change_reports(monkeypatch):
     assert sum(c is not None for c in whole[1].per_history.values()) == 8
 
 
+def _same_bits(got, want):
+    assert np.array_equal(got.mirror.matrix, want.mirror.matrix)
+    assert got.residual_m1 == want.residual_m1
+    assert got.residual_m2 == want.residual_m2
+    assert got.verified == want.verified
+
+
+def _same_report_bits(got, want):
+    assert list(got.per_history) == list(want.per_history)
+    assert got.verdict == want.verdict
+    for label, cert in want.per_history.items():
+        assert (got.per_history[label] is None) == (cert is None), label
+        if cert is not None:
+            _same_bits(got.per_history[label], cert)
+
+
 def _same_report(got, want):
     assert list(got.per_history) == list(want.per_history)
     assert got.verdict == want.verdict
@@ -931,8 +941,8 @@ def test_one_analysis_decides_many_states_like_fresh_calls(source):
 @pytest.mark.parametrize("source", ["pointer", "generic", "example1",
                                     "zero-event", "partial"])
 def test_stacked_self_decoherence_matches_one_state_calls(source):
-    """All states of a family in one pass: the same reports as one call
-    per state, residuals within 1e-12."""
+    """All states of a family in one call: bit for bit the reports of one
+    call per state, and each least mirror bit for bit :func:`least_mirror`'s."""
     by_family = {}
     for family, rho, provided in _batched_cases(source):
         key = (id(family), tuple(sorted(provided or {})))
@@ -943,11 +953,11 @@ def test_stacked_self_decoherence_matches_one_state_calls(source):
         assert len(got) == len(states)
         for report, rho in zip(got, states):
             assert report.state is rho
-            _same_report(report, *self_decoherence_each(analysis, [rho], provided))
-        h = analysis.histories[0]
-        for cert, rho in zip(least_mirrors(h, states, TOL), states):
-            assert cert.state is rho
-            _same_certificate(cert, least_mirror(h, rho, TOL))
+            _same_report_bits(report, *self_decoherence_each(analysis, [rho], provided))
+            for h in analysis.histories:
+                cert = report.per_history[h.label]
+                if h.label not in (provided or {}) and cert is not None:
+                    _same_bits(cert, least_mirror(h, rho, TOL))
 
 
 def _grid_states(rho1, rho2):
@@ -955,90 +965,25 @@ def _grid_states(rho1, rho2):
 
 
 @pytest.mark.parametrize("source", ["pointer", "example1"])
-def test_grid_mixtures_share_one_least_projection(source, monkeypatch):
-    """The nine grid mixtures have one support, ``supp rho1 + supp rho2``,
-    so one closure serves them all while each component keeps its own;
-    every certificate is traced against its own state and matches the
-    one-state least mirror."""
-    rng = np.random.default_rng(101)
-    inst = (pointer_model(2, rng, TOL) if source == "pointer"
+def test_grid_states_are_decided_like_one_state_calls(source):
+    """The components and grid mixtures of a search, and mixtures weighted
+    so close to 0 or 1 that an eigenvalue falls below ``tol.eig``, in one
+    call: bit for bit the reports of one call per state, and each least
+    mirror bit for bit :func:`least_mirror`'s."""
+    inst = (pointer_model(2, np.random.default_rng(101), TOL) if source == "pointer"
             else build_example1(1.0, 0.4))
-    states = _grid_states(inst.rho1, inst.rho2)
+    tiny = TOL.eig / 4.0
+    states = [*_grid_states(inst.rho1, inst.rho2),
+              *(mixture(inst.rho1, inst.rho2, lam, TOL) for lam in (tiny, 1.0 - tiny))]
     analysis = FamilyAnalysis(inst.family, TOL)
-    closed = []
-    closure = mirror._least_projections
-    monkeypatch.setattr(mirror, "_least_projections", lambda events, supports, tol: (
-        closed.append(len(supports) * len(events)) or closure(events, supports, tol)))
-    reports = self_decoherence_each(analysis, states)
-    assert closed == [3 * len(analysis.histories)]  # 12 pairs, not 44
-    for report, rho in zip(reports, states):
+    for report, rho in zip(self_decoherence_each(analysis, states), states):
         assert report.state is rho
-        _same_report(report, *self_decoherence_each(analysis, [rho]))
-    for h in analysis.histories:
-        certs = least_mirrors(h, states, TOL)
-        shared = certs[2].mirror
-        assert all(c.mirror is shared for c in certs[2:])
-        assert len({id(c.mirror) for c in certs}) == 3
-        for cert, rho in zip(certs, states):
+        _same_report_bits(report, *self_decoherence_each(analysis, [rho]))
+        for h in analysis.histories:
+            cert = least_mirror(h, rho, TOL)
             assert cert.state is rho
-            _same_certificate(cert, least_mirror(h, rho, TOL))
-
-
-def test_blocked_states_are_stacked_and_supported_once(monkeypatch):
-    """Eleven states over history blocks of one history each: one state
-    stack and one support table serve every block, and every certificate
-    is bit for bit the one-block call's."""
-    m = pointer_model(2, np.random.default_rng(107), TOL)
-    states = _grid_states(m.rho1, m.rho2)
-    analysis = FamilyAnalysis(m.family, TOL)
-    whole = self_decoherence_each(analysis, states)
-    calls = {"_supports": 0, "_state_stack": 0}
-    for name in calls:
-        def counted(*args, original=getattr(mirror, name), name=name):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(mirror, name, counted)
-    closed = []
-    closure = mirror._least_projections
-    monkeypatch.setattr(mirror, "_least_projections", lambda events, supports, tol: (
-        closed.append(len(events)) or closure(events, supports, tol)))
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES",
-                        3 * 16 * m.family.dim ** 2 * len(states))
-    got = self_decoherence_each(analysis, states)
-    assert calls == {"_supports": 1, "_state_stack": 1}
-    assert closed == [1] * len(analysis.histories) and len(closed) >= 3
-    for report, want in zip(got, whole):
-        assert report.verdict == want.verdict
-        assert list(report.per_history) == list(want.per_history)
-        for label, cert in want.per_history.items():
-            other = report.per_history[label]
-            assert (other is None) == (cert is None), label
-            if cert is not None:
-                assert np.array_equal(other.mirror.matrix, cert.mirror.matrix)
-                assert other.residual_m1 == cert.residual_m1
-                assert other.residual_m2 == cert.residual_m2
-                assert other.verified == cert.verified
-
-
-def test_mirrors_are_stacked_once_per_support_group(monkeypatch):
-    """Provided mirrors form one group whatever the states; least mirrors
-    over a grid form one group per distinct support: the grid mixtures'
-    and each component's."""
-    m = pointer_model(2, np.random.default_rng(113), TOL)
-    states = _grid_states(m.rho1, m.rho2)
-    analysis = FamilyAnalysis(m.family, TOL)
-    groups = []
-    residuals = mirror._residuals
-    monkeypatch.setattr(mirror, "_residuals", lambda mirrors, *rest: (
-        groups.append(len(mirrors)) or residuals(mirrors, *rest)))
-    provided = self_decoherence_each(analysis, states, m.provided_mirrors)
-    assert groups == [1]
-    groups.clear()
-    searched = self_decoherence_each(analysis, states)
-    assert groups == [3]
-    for report in (*provided, *searched):
-        assert report.verdict
-    assert self_decoherence_each(analysis, []) == []
+            if report.per_history[h.label] is not None:
+                _same_bits(report.per_history[h.label], cert)
 
 
 def _certified_cases():
@@ -1111,61 +1056,6 @@ def test_trace_defects_near_tol_prob(factor, verified):
         [True] + [False] * 4 + [verified] + [False] * 5)
 
 
-def test_supports_that_differ_at_tol_eig_are_closed_apart(monkeypatch):
-    """A mixture weighted so close to 0 or 1 that an eigenvalue falls below
-    ``tol.eig`` has only one component's support, a stray direction of
-    weight just above ``tol.eig`` widens a support, and a support turned by
-    1e-6 is another support: none of them joins the grid mixtures'
-    closure, and every verdict is the one-state verdict."""
-    rng = np.random.default_rng(103)
-    m = pointer_model(2, rng, TOL)
-    grid = [mixture(m.rho1, m.rho2, lam, TOL) for lam in (0.3, 0.7)]
-    tiny = TOL.eig / 4.0
-    near = [mixture(m.rho1, m.rho2, lam, TOL) for lam in (tiny, 1.0 - tiny)]
-    stray = random_state(m.family.dim, rng)
-
-    def outside(rho):
-        v = stray - rho.matrix @ np.linalg.pinv(rho.matrix, hermitian=True) @ stray
-        return v / np.linalg.norm(v)
-
-    def plus(rho, v, weight):
-        return validate_density((1.0 - weight) * rho.matrix
-                                + weight * np.outer(v, v.conj()), TOL)
-
-    # the edge state of the stacked-verdict tests, one of the mixtures'
-    # rank with a stray direction outside supp rho1, and a grid-like state
-    # whose second branch is turned by 1e-6 out of the grid's support
-    psi2 = np.linalg.eigh(m.rho2.matrix)[1][:, -1]
-    turned = psi2 + 1e-6 * outside(grid[0])
-    apart = [plus(m.rho, stray, 2.0 * TOL.eig),
-             plus(m.rho1, outside(m.rho1), 2.0 * TOL.eig),
-             plus(m.rho1, turned / np.linalg.norm(turned), 0.5)]
-    # the grid mixtures lead, so a smaller support inside theirs could join
-    states = [*grid, *near, m.rho1, m.rho2, *apart]
-    ranks = [int(np.count_nonzero(np.linalg.eigvalsh(r.matrix) > TOL.eig))
-             for r in states]
-    assert ranks == [2, 2, 1, 1, 1, 1, 2, 2, 2]
-    analysis = FamilyAnalysis(m.family, TOL)
-    for report, rho in zip(self_decoherence_each(analysis, states), states):
-        _same_report(report, *self_decoherence_each(analysis, [rho]))
-    for h in analysis.histories:
-        certs = least_mirrors(h, states, TOL)
-        shared, other, near2, near1, rho1, rho2, *rest = (c.mirror for c in certs)
-        assert other is shared
-        assert near2 is rho2 and near1 is rho1  # the support left at tol.eig
-        assert len({id(t) for t in (shared, rho1, rho2, *rest)}) == 6
-        for cert, rho in zip(certs, states):
-            assert cert.state is rho
-            _same_certificate(cert, least_mirror(h, rho, TOL))
-    # the table of support distances, whole and one row per block
-    stack = _state_stack(states, m.family.dim)
-    bases, which = mirror._supports(stack, TOL)
-    assert which == [0, 0, 1, 2, 2, 1, 3, 4, 5]
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 16 * stack.size)
-    rows, which_rows = mirror._supports(stack, TOL)
-    assert which_rows == which and np.array_equal(rows, bases)
-
-
 def _turned(u, p):
     return validate_projection(u @ p.matrix @ u.conj().T, TOL)
 
@@ -1202,7 +1092,7 @@ def test_self_decoherence_is_invariant_under_a_change_of_basis():
 
 @pytest.mark.parametrize("entry", [
     "weak_each", "medium_each", "linear_positivity_each", "C1_each", "sum_rule_each",
-    "self_decoherence_each", "self_decoherence_each/provided", "least_mirrors",
+    "self_decoherence_each", "self_decoherence_each/provided",
     "linear_positivity_property"])
 def test_stacked_entry_points_decide_no_states_as_an_empty_list(entry):
     """An empty state list is zero states, not an error of the batching:
@@ -1216,7 +1106,6 @@ def test_stacked_entry_points_decide_no_states_as_an_empty_list(entry):
         "self_decoherence_each": lambda: self_decoherence_each(analysis, []),
         "self_decoherence_each/provided": lambda: self_decoherence_each(
             analysis, [], m.provided_mirrors),
-        "least_mirrors": lambda: least_mirrors(analysis.histories[0], [], TOL),
         "linear_positivity_property": lambda: linear_positivity_property(
             m.family, TOL).evaluator([]),
     }
