@@ -107,19 +107,7 @@ from .mirror import (
     proposition1_check,
     verify_mirror,
 )
-from .sampling import (
-    PointerModel,
-    assemble_pointer_model,
-    pointer_model,
-    random_commuting_events,
-    random_density,
-    random_family,
-    random_projection,
-    random_pure_density,
-    random_resolution,
-    random_state,
-    random_unitary,
-)
+from .sampling import PointerModel, assemble_pointer_model
 from .scenarios import (
     Example1Expected,
     Example1Instance,

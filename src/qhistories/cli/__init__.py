@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import __version__
-from ..consistency import NOTIONS, FamilyAnalysis, _probabilities, probability
+from ..consistency import NOTIONS, FamilyAnalysis
 from ..errors import (
     BadParameters,
     FamilyTooLarge,
@@ -32,7 +32,7 @@ from ..errors import (
     PreconditionFailed,
     ToolkitError,
 )
-from ..histories import History, chain_stack
+from ..histories import History
 from ..individuality import _mixtures
 from ..matcore import DEFAULT_TOL, DensityOperator, Tolerances
 from ..mirror import (
@@ -309,7 +309,7 @@ def _cmd_example1(args) -> int:
     analysis = FamilyAnalysis(instance.family, tol)
     results, sd = _run_notions(analysis, rho, NOTION_ORDER)
     probabilities = _elementary_probabilities(analysis, rho)
-    p_coarse = probability(instance.h_coarse, rho)
+    p_coarse = float(analysis.members.probabilities(rho)[0, _COARSE])
     probabilities[instance.h_coarse.label] = _probability_value(p_coarse, tol)
     notes = []
     if args.state == "rho1":
@@ -368,6 +368,10 @@ def _cmd_example2(args) -> int:
                    self_decoherence=_sd_summary(sd, model.provided_mirrors))
 
 
+# example 1's h1 and h2 are elementary histories (1,1) and (2,1); h1 + h2 is
+# member (1+2,1), which the sum rule has built
+_H1, _H2, _COARSE = 0, 2, 6
+
 SWEEP_COLUMNS = ("param", "value", "weak", "weak_residual", "medium",
                  "medium_residual", "linear_positive", "linpos_worst",
                  "sum_rule", "sum_rule_residual", "p_h1", "p_h2", "p_coarse")
@@ -377,6 +381,9 @@ def _cmd_sweep(args) -> int:
     tol = _tolerances(args)
     if args.steps < 1:
         raise BadParameters("steps must be at least 1")
+    for flag, bound in (("--start", args.start), ("--stop", args.stop)):
+        if not math.isfinite(bound):
+            raise BadParameters(f"{flag} {bound} is not finite")
     values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
     grid = build_example1_grid({
         "theta": [(v, args.alpha) for v in values],
@@ -392,12 +399,9 @@ def _cmd_sweep(args) -> int:
     analysis = FamilyAnalysis([i.family for i in grid], tol)
     columns = [analysis.reports(name, rhos) for name in (
         "weak", "medium", "linear-positive", "sum-rule")]
-    # h1, h2 and h_coarse of each step as one-history families
-    slots = zip(*(h.events for i in grid for h in (i.h1, i.h2, i.h_coarse)))
-    chains = chain_stack([np.array([[e.matrix] for e in s]) for s in slots]
-                         ).reshape(len(grid), 3, args.dim, args.dim)
-    probabilities = _probabilities(
-        chains, np.array([rho.matrix for rho in rhos])).tolist()
+    probabilities = np.concatenate([
+        analysis.probabilities(*rhos)[:, [_H1, _H2]],
+        analysis.members.probabilities(*rhos)[:, [_COARSE]]], axis=1).tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)

@@ -119,6 +119,18 @@ class ProblemFile:
     mirrors: Optional[dict[str, str]] = None
 
 
+def _json_object(text: str, kind: str) -> dict:
+    """The JSON object of a ``kind`` document; a document nested deeper
+    than the parser's recursion limit is invalid JSON too."""
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ParseError(f"{kind} document must be a JSON object")
+    return data
+
+
 def _parse_matrix(name: str, raw, dim: int) -> np.ndarray:
     if not isinstance(raw, dict) or set(raw) != {"re", "im"}:
         raise ParseError(f"operator {name!r} must have exactly 're' and 'im'")
@@ -126,7 +138,7 @@ def _parse_matrix(name: str, raw, dim: int) -> np.ndarray:
     for key in ("re", "im"):
         try:
             arr = np.array(raw[key], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"operator {name!r}: bad {key!r} array: {exc}")
         if arr.shape != (dim, dim):
             raise ParseError(
@@ -139,12 +151,7 @@ def _parse_matrix(name: str, raw, dim: int) -> np.ndarray:
 
 def parse_problem(text: str) -> ProblemFile:
     """Parse and structurally validate a problem document."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ParseError("problem document must be a JSON object")
+    data = _json_object(text, "problem")
     missing = {"dim", "operators", "resolutions", "state"} - set(data)
     if missing:
         raise ParseError(f"missing keys: {', '.join(sorted(missing))}")
@@ -178,9 +185,13 @@ def parse_problem(text: str) -> ProblemFile:
                     or not isinstance(item[1], (int, float))):
                 raise ParseError("mixture components must be [name, weight] "
                                  "pairs")
-            name, weight = item[0], float(item[1])
+            name = item[0]
             if name not in operators:
                 raise ParseError(f"state references unknown operator {name!r}")
+            try:
+                weight = float(item[1])
+            except OverflowError as exc:
+                raise ParseError(f"mixture weight for {name!r}: {exc}")
             if not weight > 0.0:  # NaN fails too
                 raise ParseError(f"mixture weight for {name!r} must be "
                                  f"positive, got {weight}")
@@ -396,18 +407,12 @@ class ReportFile:
                 notes=tuple(data.get("notes", [])),
                 self_decoherence=summary,
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed report document: {exc}")
 
     @classmethod
     def loads(cls, text: str) -> "ReportFile":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}")
-        if not isinstance(data, dict):
-            raise ParseError("report document must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(_json_object(text, "report"))
 
 
 def _verdict_word(verdict: Optional[bool]) -> str:

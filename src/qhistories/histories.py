@@ -173,16 +173,20 @@ def _check_resolutions(events: np.ndarray, tol: Tolerances,
     for rows in _blocks(n, events.itemsize * r * n * d * d):
         overlap[:, rows] = np.abs(events[:, rows, None] @ events[:, None]).max((-2, -1))
     bad = np.triu(np.maximum(overlap, overlap.swapaxes(1, 2)) > tol.op, 1)
-    gaps = np.abs(events.sum(axis=1) - np.eye(d)).max(axis=(-2, -1)).tolist()
-    for k, (over, pairs, gap) in enumerate(zip(overlap, bad, gaps)):
+    gaps = np.abs(events.sum(axis=1) - np.eye(d)).max(axis=(-2, -1))
+    failing = np.flatnonzero(bad.any(axis=(1, 2)) | (gaps > tol.op))
+    if failing.size:  # only the first failing resolution is searched
+        k = int(failing[0])
         head = "" if prefix is None else f"{prefix} {k + 1}: "
-        for i, j in np.argwhere(pairs)[:1].tolist():
+        if bad[k].any():
+            i, j = np.argwhere(bad[k])[0].tolist()
+            over = overlap[k]
             res = float(over[i, j] if over[i, j] > tol.op else over[j, i])
             raise NotOrthogonal(f"{head}resolution events {i + 1} and {j + 1} "
                                 f"overlap (residual {res:.3e})", res, (i + 1, j + 1))
-        if gap > tol.op:
-            raise NotComplete(f"{head}resolution does not sum to the identity "
-                              f"(residual {gap:.3e})", gap)
+        gap = float(gaps[k])
+        raise NotComplete(f"{head}resolution does not sum to the identity "
+                          f"(residual {gap:.3e})", gap)
     return np.where(np.eye(n, dtype=bool), 0.0, overlap).max(axis=(1, 2)).tolist()
 
 

@@ -456,17 +456,15 @@ class ContraryBoundReport:
 def contrary_bound_check(h1: History, h2: History,
                          certificates: tuple[MirrorCertificate, MirrorCertificate],
                          rho: DensityOperator,
-                         tol: Tolerances = DEFAULT_TOL,
-                         allow_mixed: bool = False) -> ContraryBoundReport:
+                         tol: Tolerances = DEFAULT_TOL) -> ContraryBoundReport:
     """Check ``p(h1) + p(h2) <= Tr(e2 rho)`` for a mirrored pair.
 
-    Defined for pure states; with ``allow_mixed`` the state is
-    decomposed spectrally and the bound is additionally checked on each
-    eigenvector in the support.  A mirror's two positive defect
-    operators vanish on the support, so an exact mirror such as
-    :func:`least_mirror`'s verifies on every eigenvector; one that
-    verifies only within ``tol.prob`` may not, and then this raises
-    :class:`PreconditionFailed`.
+    A mixed state (purity below ``1 - tol.prob``) is decomposed
+    spectrally, and the bound is checked on each eigenvector in its
+    support as well.  A mirror's two positive defect operators vanish on
+    the support, so an exact mirror such as :func:`least_mirror`'s
+    verifies on every eigenvector; one that verifies only within
+    ``tol.prob`` may not, and then this raises :class:`PreconditionFailed`.
     """
     cert1, cert2 = certificates
     if not (cert1.verified and cert2.verified):
@@ -474,10 +472,6 @@ def contrary_bound_check(h1: History, h2: History,
     e2 = _contrary_events(h1, h2, tol)[1]
     components: tuple[ContraryBoundReport, ...] = ()
     if rho.purity < 1.0 - tol.prob:
-        if not allow_mixed:
-            raise PreconditionFailed(
-                f"state is mixed (purity {rho.purity:.6f}); "
-                "pass allow_mixed to decompose it")
         w, v = np.linalg.eigh(rho.matrix)
         comp_rhos = pure_densities(v.T[w > tol.eig], tol)
         events = _event_pairs(h1, h2)

@@ -83,8 +83,8 @@ def build_example1(theta: float, alpha: float | None = None, dim: int = 3,
     event onto ``(cos(theta/2), exp(i alpha) sin(theta/2))``.
 
     ``alpha`` defaults to ``pi/2``, which reproduces the purely
-    imaginary off-diagonal form; ``theta`` must lie strictly inside
-    ``(0, pi)``.
+    imaginary off-diagonal form and must be finite; ``theta`` must lie
+    strictly inside ``(0, pi)``.
     """
     return build_example1_grid([(theta, alpha)], dim, tol)[0]
 
@@ -99,10 +99,12 @@ def build_example1_grid(angles: Sequence[tuple[float, float | None]],
     if dim < 2:
         raise BadParameters(f"dimension {dim} is too small, need at least 2")
     thetas = [theta for theta, _ in angles]
-    for theta in thetas:
+    alphas = [math.pi / 2.0 if alpha is None else alpha for _, alpha in angles]
+    for theta, alpha in zip(thetas, alphas):
         if not 0.0 < theta < math.pi:
             raise BadParameters(f"theta {theta} is not strictly inside (0, pi)")
-    alphas = [math.pi / 2.0 if alpha is None else alpha for _, alpha in angles]
+        if not math.isfinite(alpha):
+            raise BadParameters(f"alpha {alpha} is not finite")
     psi1, psi2 = np.eye(dim, dtype=complex)[:2]
     phi = (psi1 + psi2) / math.sqrt(2.0)
     chi = np.zeros((len(angles), dim), dtype=complex)

@@ -36,18 +36,19 @@ from qhistories.mirror import (
     proposition1_check,
     verify_mirror,
 )
-from qhistories.sampling import (
-    pointer_model,
-    random_commuting_events,
-    random_density,
-    random_family,
-    random_projection,
-)
 from qhistories.scenarios import (
     build_example1,
     build_example2,
     linear_positivity_expected,
     linear_positivity_violation_possible,
+)
+
+from random_instances import (
+    pointer_model,
+    random_commuting_events,
+    random_density,
+    random_family,
+    random_projection,
 )
 
 TOL = DEFAULT_TOL

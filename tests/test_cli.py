@@ -7,6 +7,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -48,8 +49,8 @@ from qhistories.errors import (
 from qhistories.histories import make_resolution
 from qhistories.matcore import DEFAULT_TOL, validate_projection
 from qhistories.mirror import self_decoherence_each, verify_mirror
-from qhistories.sampling import random_density, random_family, random_resolution
 from qhistories.scenarios import build_example1, build_example2
+from random_instances import random_density, random_family, random_resolution
 
 TOL = DEFAULT_TOL
 
@@ -472,6 +473,34 @@ def test_report_file_round_trip_preserves_everything():
     assert back.self_decoherence.mirrors == {"(1,1)": "not-found"}
     with pytest.raises(ParseError):
         ReportFile.loads("{not json")
+
+
+def test_report_file_past_float_or_nesting_range_is_a_parse_error():
+    """A ``raw`` value or tolerance too large for a float, and a document
+    nested past the JSON parser's recursion limit, raise :class:`ParseError`
+    and nothing else."""
+    data = json.loads(PINNED_REPORT)
+    huge = json.dumps(dict(data, probabilities={
+        "(1,1)": {"raw": 10 ** 400, "display": 0.25}}))
+    with pytest.raises(ParseError, match="too large"):
+        ReportFile.loads(huge)
+    huge = json.dumps(dict(data, tolerances={"op": 10 ** 400, "eig": 1e-8,
+                                             "prob": 1e-9}))
+    with pytest.raises(ParseError, match="too large"):
+        ReportFile.loads(huge)
+    with pytest.raises(ParseError, match="recursion"):
+        ReportFile.loads("[" * 100_000 + "]" * 100_000)
+
+
+def test_a_huge_mixture_weight_exits_2_naming_its_operator(tmp_path, capsys):
+    problem = json.loads(serialize_problem(example1_problem()))
+    problem["state"] = [["rho1", 10 ** 400], ["rho2", 0.5]]
+    path = tmp_path / "huge-weight.json"
+    path.write_text(json.dumps(problem))
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: mixture weight for 'rho1': ")
 
 
 PINNED_REPORT = """\
@@ -1003,6 +1032,26 @@ def test_non_finite_or_overlapping_tolerances_exit_2(capsys, flags):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and (
         "finite" in captured.err or "below 1/2" in captured.err)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["example1", "--theta", "1", "--alpha", "inf"], "alpha inf"),
+    (["example1", "--theta", "1", "--alpha", "nan"], "alpha nan"),
+    (["sweep", "--param", "theta", "--start", "0.5", "--stop", "inf",
+      "--steps", "3"], "--stop inf"),
+    (["sweep", "--param", "lam", "--start", "nan", "--stop", "0.5",
+      "--steps", "3"], "--start nan"),
+    (["sweep", "--param", "theta", "--start", "0.5", "--stop", "1",
+      "--steps", "3", "--alpha", "inf"], "alpha inf")])
+def test_non_finite_angles_and_sweep_bounds_exit_2(capsys, argv, named):
+    """A non-finite angle or sweep bound is named before any arithmetic
+    on it, so no numpy warning precedes the one error line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named} is not finite\n"
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

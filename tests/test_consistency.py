@@ -54,12 +54,6 @@ from qhistories.matcore import (
     zero_projection,
 )
 from qhistories.mirror import check_self_decoherence
-from qhistories.sampling import (
-    random_density,
-    random_family,
-    random_resolution,
-    random_unitary,
-)
 from qhistories.scenarios import (
     build_contrary_inference,
     build_example1,
@@ -70,6 +64,12 @@ from qhistories.scenarios import (
 
 from mirror_reference import hermitian_basis
 from pairwise_reference import alternative, family_members, history_leq
+from random_instances import (
+    random_density,
+    random_family,
+    random_resolution,
+    random_unitary,
+)
 
 TOL = DEFAULT_TOL
 

@@ -41,13 +41,9 @@ from qhistories.matcore import (
     validate_projection,
 )
 from qhistories.mirror import least_mirror
-from qhistories.sampling import (
-    pointer_model,
-    random_density,
-    random_family,
-    random_state,
-)
 from qhistories.scenarios import build_example1, build_example2
+
+from random_instances import pointer_model, random_density, random_family, random_state
 
 TOL = DEFAULT_TOL
 

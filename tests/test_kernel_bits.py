@@ -17,7 +17,7 @@ from qhistories.consistency import FamilyAnalysis
 from qhistories.errors import FamilyTooLarge, PreconditionFailed
 from qhistories.histories import HistoryFamily, family_member_count
 from qhistories.matcore import DEFAULT_TOL, _state_stack
-from qhistories.sampling import random_density, random_resolution
+from random_instances import random_density, random_resolution
 from test_consistency import decohering_family
 
 TOL = DEFAULT_TOL

@@ -50,16 +50,6 @@ from qhistories.mirror import (
     self_decoherence_each,
     verify_mirror,
 )
-from qhistories.sampling import (
-    pointer_model,
-    random_commuting_events,
-    random_density,
-    random_family,
-    random_projection,
-    random_pure_density,
-    random_resolution,
-    random_unitary,
-)
 from qhistories.scenarios import (
     build_contrary_inference,
     build_example1,
@@ -71,6 +61,16 @@ from mirror_reference import (
     reference_least_mirror,
     reference_mirrors,
     reference_self_decoherence,
+)
+from random_instances import (
+    pointer_model,
+    random_commuting_events,
+    random_density,
+    random_family,
+    random_projection,
+    random_pure_density,
+    random_resolution,
+    random_unitary,
 )
 
 TOL = DEFAULT_TOL
@@ -376,7 +376,7 @@ def test_contrary_bound_rejects_mismatched_final_events():
         contrary_bound_check(h1, h2, (cert1, cert2), rho, TOL)
 
 
-def test_contrary_bound_mixed_state_needs_opt_in():
+def test_contrary_bound_decomposes_a_mixed_state():
     eye = identity_projection(2)
     e1, f1 = diag_proj(1, 0), diag_proj(0, 1)
     rho = validate_density(np.diag([0.5, 0.5]))
@@ -385,10 +385,7 @@ def test_contrary_bound_mixed_state_needs_opt_in():
     cert1 = verify_mirror(e1, h1, rho, TOL)
     cert2 = verify_mirror(f1, h2, rho, TOL)
     assert cert1.verified and cert2.verified
-    with pytest.raises(PreconditionFailed):
-        contrary_bound_check(h1, h2, (cert1, cert2), rho, TOL)
-    report = contrary_bound_check(h1, h2, (cert1, cert2), rho, TOL,
-                                  allow_mixed=True)
+    report = contrary_bound_check(h1, h2, (cert1, cert2), rho, TOL)
     assert report.passed
     assert report.components
     assert report.p_h1 + report.p_h2 == pytest.approx(report.p_e2, abs=1e-12)
@@ -713,8 +710,7 @@ def test_contrary_bound_holds_on_each_eigenvector_for_least_mirrors():
         rho = validate_density(lam * m.rho1.matrix + (1.0 - lam) * m.rho2.matrix)
         certs = (least_mirror(m.h1, rho, TOL), least_mirror(m.h2, rho, TOL))
         assert certs[0].verified and certs[1].verified, trial
-        report = contrary_bound_check(m.h1, m.h2, certs, rho, TOL,
-                                      allow_mixed=True)
+        report = contrary_bound_check(m.h1, m.h2, certs, rho, TOL)
         assert report.passed, trial
         assert len(report.components) == 2, trial
         _same_components(report, m.h1, m.h2, certs, rho)
@@ -733,9 +729,9 @@ def test_mixed_contrary_bound_needs_mirrors_exact_on_every_eigenvector():
     certs = (verify_mirror(loose, h1, rho, tol), verify_mirror(f1, h2, rho, tol))
     assert certs[0].verified and certs[1].verified
     with pytest.raises(PreconditionFailed):
-        contrary_bound_check(h1, h2, certs, rho, tol, allow_mixed=True)
+        contrary_bound_check(h1, h2, certs, rho, tol)
     exact = (least_mirror(h1, rho, tol), least_mirror(h2, rho, tol))
-    report = contrary_bound_check(h1, h2, exact, rho, tol, allow_mixed=True)
+    report = contrary_bound_check(h1, h2, exact, rho, tol)
     assert len(report.components) == 3 and report.passed
 
 

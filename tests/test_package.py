@@ -1,5 +1,5 @@
 """Package surface: every name a module exports exists, the package
-re-exports only module exports, only the sampler takes seeds, only
+re-exports only module exports, no export takes a seed or an option, only
 ``matcore`` sizes blocks, one entry map reads each linear value, the
 command line does no probability arithmetic, and ``pyproject.toml``
 carries the package version."""
@@ -29,13 +29,15 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-SEARCH_KNOBS = {"seed", "rng", "trials", "cap"}
+SEARCH_KNOBS = {"seed", "rng", "trials", "cap", "allow_mixed"}
 
 
-@pytest.mark.parametrize("name", [m for m in MODULES if m != "qhistories.sampling"])
+@pytest.mark.parametrize("name", MODULES)
 def test_only_the_sampler_takes_seeds(name):
-    """Verdicts are decisions: no exported callable outside the sampler
-    takes a seed, a generator, a trial budget or an enumeration budget."""
+    """Verdicts are decisions: no exported callable takes a seed, a
+    generator, a trial budget, an enumeration budget or an opt-in for
+    mixed states.  The seeded samplers live in the tests'
+    ``random_instances``."""
     module = importlib.import_module(name)
     knobs = {}
     for export in module.__all__:
@@ -49,6 +51,11 @@ def test_only_the_sampler_takes_seeds(name):
         if SEARCH_KNOBS & set(params):
             knobs[export] = sorted(SEARCH_KNOBS & set(params))
     assert knobs == {}
+
+
+def test_sampling_exports_only_the_pointer_model():
+    assert importlib.import_module("qhistories.sampling").__all__ == [
+        "PointerModel", "assemble_pointer_model"]
 
 
 def test_consistency_does_not_import_the_sampler():
@@ -103,11 +110,21 @@ def test_linear_entries_come_from_one_entry_map_each():
 
 def test_the_cli_holds_no_probability_arithmetic():
     """Reported probabilities come from ``consistency``: the command line
-    calls no ``trace`` or ``einsum``."""
+    calls no ``trace`` or ``einsum`` and names no chain stack or probability
+    routine; it reads them off the analyses it builds."""
     tree = ast.parse(inspect.getsource(importlib.import_module("qhistories.cli")))
     called = {getattr(node.func, "attr", getattr(node.func, "id", None))
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert not called & {"trace", "einsum"}
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.ImportFrom, ast.Import)):
+            named.update(alias.name for alias in node.names)
+    assert not named & {"chain_stack", "_probabilities", "probability"}
 
 
 def test_only_histories_raises_resolution_errors():

@@ -3,8 +3,11 @@
 Each case mutates one of ``tests/data/*.json``: a value is replaced by
 another JSON value, a number is nudged by 1e-12 to 1e-3, a key or list
 item is dropped or repeated, or the text is cut short or gets a stray
-byte.  ``check``, ``mirror search`` and
-``prop1`` then run on the mutated file through :func:`qhistories.cli.main`.
+byte.  Past those random cases, each file gets an integer too large for a
+float in place of some of its numbers and as a mixture weight, and a value
+nested far deeper than the JSON parser's recursion limit.  ``check``,
+``mirror search`` and ``prop1`` then run on the mutated file through
+:func:`qhistories.cli.main`.
 Whatever the file, no exception escapes ``main``, the exit status is 0, 1
 or 2, exit 2 writes exactly one ``error:`` line and nothing on stdout, and
 exits 0 and 1 write a report that :meth:`ReportFile.loads` reads back.
@@ -90,6 +93,47 @@ def _mutate(rng, text):
     return json.dumps(doc).encode(), f"{kind} {path}"
 
 
+HUGE = 10 ** 400  # an integer that no float holds
+DEEP = 100_000  # nested arrays, far past the parser's recursion limit
+HUGE_CASES = 10  # numbers replaced by HUGE per source file
+
+
+def _number_paths(node, path=()):
+    """The path to every number below ``node``, in document order."""
+    if isinstance(node, (dict, list)):
+        for key in (node if isinstance(node, dict) else range(len(node))):
+            yield from _number_paths(node[key], (*path, key))
+    elif type(node) in (int, float):
+        yield path
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _extremes(rng, text):
+    """Mutated copies of ``text`` past the ranges of floats and of nesting:
+    ``HUGE`` for random numbers and as the state's one mixture weight, and
+    ``DEEP`` nested arrays for a random value."""
+    cases = []
+    for path in rng.sample(list(_number_paths(json.loads(text))), HUGE_CASES):
+        doc = json.loads(text)
+        _set(doc, path, HUGE)
+        cases.append((json.dumps(doc).encode(), f"{list(path)} = 10**400"))
+    doc = json.loads(text)
+    doc["state"] = [[doc["state"], HUGE]]
+    cases.append((json.dumps(doc).encode(), "state weight 10**400"))
+    doc = json.loads(text)
+    path = _walk(rng, doc, 1 / 3)
+    _set(doc, path, "DEEP")
+    nested = "[" * DEEP + "]" * DEEP
+    cases.append((json.dumps(doc).replace('"DEEP"', nested).encode(),
+                  f"{path} nested {DEEP} deep"))
+    return cases
+
+
 def _commands(path):
     p, report = str(path), ["--format", "report"]
     return {"check": ["check", p, *report],
@@ -126,9 +170,9 @@ def test_mutated_problem_files_get_a_report_or_one_error_line(source, tmp_path):
     text = source.read_text(encoding="utf-8")
     rng = random.Random(source.name)
     path = tmp_path / "mutated.json"
+    cases = [_mutate(rng, text) for _ in range(CASES)]
     faults = []
-    for case in range(CASES):
-        data, what = _mutate(rng, text)
+    for case, (data, what) in enumerate(cases + _extremes(rng, text)):
         path.write_bytes(data)
         for name, argv in _commands(path).items():
             faults += [f"case {case} ({what}), {name}: {fault}"

@@ -11,9 +11,9 @@ from qhistories.matcore import (
     validate_densities,
     validate_projection,
 )
-from qhistories import sampling
-from qhistories.sampling import (
-    assemble_pointer_model,
+from qhistories.sampling import assemble_pointer_model
+
+from random_instances import (
     pointer_model,
     random_commuting_events,
     random_density,
@@ -189,7 +189,7 @@ def pointer_ingredients(spatial, rng, full_branches=False, final_identity=False)
     branch events span the spatial factor when ``full_branches`` (no
     ``rest``), and the final event is the identity when ``final_identity``
     (no complement)."""
-    v = sampling.random_unitary(spatial, rng)
+    v = random_unitary(spatial, rng)
     cols1 = [0, *range(2, 1 + spatial // 2)] if full_branches else [0]
     cols2 = [c for c in range(1, spatial) if c not in cols1] if full_branches else [1]
     p1 = v[:, cols1] @ v[:, cols1].conj().T

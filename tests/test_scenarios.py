@@ -60,6 +60,10 @@ def test_example1_grid_builds_every_instance_of_a_one_value_build(monkeypatch):
         build_example1_grid([(1.0, None), (3.5, None), (-1.0, None)])
     with pytest.raises(BadParameters, match="dimension 1"):
         build_example1_grid([(4.0, None)], dim=1)
+    with pytest.raises(BadParameters, match=r"^alpha inf is not finite"):
+        build_example1_grid([(1.0, None), (1.0, float("inf")), (3.5, None)])
+    with pytest.raises(BadParameters, match=r"^alpha nan is not finite"):
+        build_example1(1.0, float("nan"))
 
 
 def test_example1_second_event_matrix_at_pi_third():
