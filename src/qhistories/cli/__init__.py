@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import math
+import re
 import shutil
 import sys
 from dataclasses import asdict
@@ -474,6 +475,18 @@ def _add_parsers(parser: argparse.ArgumentParser, dest: str, table: dict):
                                  formatter_class=parser.formatter_class))
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, which also reads a negative number written with an
+    exponent or as ``-inf`` or ``-nan`` as a value: argparse's own pattern
+    takes only forms like ``-1`` and ``-0.5``, and reads ``--start -1e-3`` as
+    an option given no value.  Its sub-parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def _parser(prog: str, **kwargs) -> argparse.ArgumentParser:
     """An empty parser named ``prog``.  The terminal width is read once and
     given to every help formatter of the parser, where argparse would read
@@ -481,7 +494,7 @@ def _parser(prog: str, **kwargs) -> argparse.ArgumentParser:
     # the width argparse uses when it reads the terminal itself
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
-    return argparse.ArgumentParser(prog=prog, formatter_class=formatter, **kwargs)
+    return _Parser(prog=prog, formatter_class=formatter, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:

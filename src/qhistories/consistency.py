@@ -10,15 +10,15 @@ elementary histories; multilinearity of the chain operator carries each
 verdict to every coarse-graining (the additivity checker verifies this
 by enumeration).
 
-Each checker is a reduction over one :class:`FamilyAnalysis`, asked
-through :meth:`FamilyAnalysis.reports` (ordered consistency through
-:meth:`FamilyAnalysis.ordered`).  Weak and medium decoherence, linear
-positivity, C1 and the sum rule read values linear in the state, each
-through its :class:`LinearNotion` entry map: the masked final-event
-blocks of ``D`` (or all of it, where the overlap of two final events
-could put ``|D|`` above ``tol.prob`` off them), computed from one
-chain-operator stack in blocks of bounded size, that stack's traces, or
-the members' probabilities.  One reduction serves all five: the largest
+Each checker is a reduction over one :class:`FamilyAnalysis`, which holds
+only what the notions read, asked through :meth:`FamilyAnalysis.reports`
+(ordered consistency through :meth:`FamilyAnalysis.ordered`).  Weak and
+medium decoherence, linear positivity, C1 and the sum rule read values
+linear in the state, each through its :class:`LinearNotion` entry map: the
+masked final-event blocks of ``D`` (or all of it, where the overlap of two
+final events could put ``|D|`` above ``tol.prob`` off them), computed from
+one chain-operator stack in blocks of bounded size, that stack's traces,
+or the members' probabilities.  One reduction serves all five: the largest
 residual, the first pair in label order on a tie, from 0 with no pair
 (linear positivity has no floor and always names a history).  Pairs are
 selected and counted by per-slot relation tables.
@@ -49,7 +49,6 @@ from .histories import (
     HistoryFamily,
     chain_operator,
     chain_stack,
-    elementary_histories,
     event_stacks,
     family_member_count,
     is_commutative,
@@ -367,22 +366,21 @@ class FamilyAnalysis(_SlotHistories):
     """Everything about a family, or about F families of one shape, that
     does not depend on the state.
 
-    Event stacks, index tuples and labels, relation tables, the
-    summable prefix-pair mask, weak's pair counts, the commutativity mask, the
-    chain stack, the elementary histories, the 2-slot event stacks and
-    the members are each computed when first read and then kept, so a
-    caller asking about many states (mixture predicates, the command line)
-    builds them once.  :meth:`reports` is the one entry point behind the
-    public checkers: ``check_weak_decoherence(family, rho, tol)`` is
+    Event stacks, index tuples and labels, relation tables, the summable
+    prefix-pair mask, weak's pair counts, the commutativity mask, the chain
+    stack and the members are each computed when first read and then kept,
+    so a caller asking about many states (mixture predicates, the command
+    line) builds them once; each is read by some notion.  :meth:`reports` is
+    the one entry point behind the public checkers:
+    ``check_weak_decoherence(family, rho, tol)`` is
     ``FamilyAnalysis(family, tol).reports("weak", [rho])[0]``, the notion
     ``linear("weak")`` reducing its entries.  Any two distinct elementary
     histories are alternatives, so medium decides every pair.
 
     Given F families of one shape, every part has a leading family axis
     and :meth:`reports` decides the groups of :func:`_groups`: F families
-    against one state, or one family against S states.  ``family``,
-    ``histories`` and :meth:`ordered` read the first family, the only one
-    when F = 1.
+    against one state, or one family against S states.  ``family`` and
+    :meth:`ordered` read the first family, the only one when F = 1.
     """
 
     def __init__(self, family: HistoryFamily | Sequence[HistoryFamily],
@@ -391,10 +389,6 @@ class FamilyAnalysis(_SlotHistories):
         self.family, stacks = families[0], event_stacks(*families)
         super().__init__(families, stacks,
                          [[(e,) for e in range(s.shape[1])] for s in stacks], tol)
-
-    @functools.cached_property
-    def histories(self) -> list[History]:
-        return elementary_histories(self.family)
 
     @functools.cached_property
     def block_slots(self) -> int:
@@ -435,13 +429,6 @@ class FamilyAnalysis(_SlotHistories):
             if not out.any():
                 break
         return out.reshape(len(out), -1)
-
-    @functools.cached_property
-    def event_pairs(self) -> np.ndarray:
-        """``(N, 2, d, d)`` first and second events of every elementary
-        history of the first family of a 2-slot analysis."""
-        first, second = self.stacks
-        return np.concatenate([first[0], second[0]])[self.index + (0, first.shape[1])]
 
     @functools.cached_property
     def members(self) -> _SlotHistories:

@@ -33,7 +33,7 @@ from .errors import (
     WrongHistoryLength,
     ZeroConditioningEvent,
 )
-from .histories import History, HistoryFamily
+from .histories import History, HistoryFamily, elementary_histories
 from .matcore import (
     DEFAULT_TOL,
     DensityOperator,
@@ -106,7 +106,7 @@ class SelfDecoherenceReport:
         tol = self.analysis.tol
         labels, certs = list(self.per_history), list(self.per_history.values())
         live = [k for k, c in enumerate(certs) if c is not None and c.verified]
-        events = self.analysis.event_pairs[live]
+        events = _event_pairs(*elementary_histories(self.analysis.family))[live]
         mirrors = np.array([certs[k].mirror.matrix for k in live]
                            ).reshape(events[:, 0].shape)
         slots = np.triu(self.analysis.summable_slots()[0], 1)[np.ix_(live, live)]
@@ -210,15 +210,15 @@ def _residuals(mirrors: np.ndarray, pairs: np.ndarray, rho: np.ndarray,
 
 
 def _certificates(mirrors: Sequence[Optional[Projection]],
-                  histories: Sequence[History], events: np.ndarray,
-                  rho: DensityOperator, tol: Tolerances,
-                  ) -> list[MirrorCertificate]:
+                  histories: Sequence[History], rho: DensityOperator,
+                  tol: Tolerances) -> list[MirrorCertificate]:
     """Certificates under ``rho`` for ``mirrors[i]`` of ``histories[i]``, or
-    for its least mirror candidate where that is ``None``.  The support of
-    ``rho`` is taken once, and only when some mirror is ``None``; the
-    histories go through in blocks whose ``[P, e1 P, e2 P]`` fit the budget,
-    each closed and validated in one stacked pass and traced by one
-    :func:`_residuals` call."""
+    for its least mirror candidate where that is ``None``.  The histories'
+    events are stacked here; the support of ``rho`` is taken once, and only
+    when some mirror is ``None``.  The histories go through in blocks whose
+    ``[P, e1 P, e2 P]`` fit the budget, each closed and validated in one
+    stacked pass and traced by one :func:`_residuals` call."""
+    events = _event_pairs(*histories)
     d = events.shape[-1]
     state = _state_stack([rho], d)[0]
     for t in mirrors:
@@ -241,7 +241,7 @@ def _certificates(mirrors: Sequence[Optional[Projection]],
 def verify_mirror(t: Projection, h: History, rho: DensityOperator,
                   tol: Tolerances = DEFAULT_TOL) -> MirrorCertificate:
     """Evaluate both mirror conditions and certify the residuals."""
-    return _certificates([t], [h], _event_pairs(h), rho, tol)[0]
+    return _certificates([t], [h], rho, tol)[0]
 
 
 def mirror_correlation(t: Projection, e1: Projection, rho: DensityOperator,
@@ -296,7 +296,7 @@ def least_mirror(h: History, rho: DensityOperator,
     trace residuals by ``tol.prob``.  Many states take one call each:
     ``[least_mirror(h, r, tol) for r in rhos]``.
     """
-    return _certificates([None], [h], _event_pairs(h), rho, tol)[0]
+    return _certificates([None], [h], rho, tol)[0]
 
 
 def check_self_decoherence(family: HistoryFamily, rho: DensityOperator,
@@ -319,19 +319,19 @@ def self_decoherence_each(analysis: FamilyAnalysis, rhos: Sequence[DensityOperat
                           provided: Optional[Mapping[str, Projection]] = None,
                           ) -> list[SelfDecoherenceReport]:
     """:func:`check_self_decoherence` for each state, over a family analysis
-    that callers asking about many states build once.  Each state is
-    decided on its own: one support and one closure of every history
-    without a provided mirror, traced against that state.
+    that callers asking about many states build once; the histories come
+    from its family.  Each state is decided on its own: one support and one
+    closure of every history without a provided mirror, traced against it.
     """
     family, tol = analysis.family, analysis.tol
     if family.length != 2:
         raise WrongHistoryLength("self-decoherence is defined for 2-slot families")
     provided = provided or {}
-    elems = analysis.histories
+    elems = elementary_histories(family)
     mirrors = [provided.get(h.label) for h in elems]
     reports = []
     for rho in rhos:
-        certs = _certificates(mirrors, elems, analysis.event_pairs, rho, tol)
+        certs = _certificates(mirrors, elems, rho, tol)
         per = {h.label: cert if h.label in provided or cert.verified else None
                for h, cert in zip(elems, certs)}
         reports.append(SelfDecoherenceReport(
@@ -416,7 +416,7 @@ def proposition1_check(t: Projection, u: Projection, h1: History, h2: History,
     if not abs(np.linalg.norm(psi) - 1.0) <= tol.prob:
         raise PreconditionFailed("state vector is not normalized")
     rho = pure_densities(psi[None], tol)[0]
-    certs = _certificates([t, u], [h1, h2], _event_pairs(h1, h2), rho, tol)
+    certs = _certificates([t, u], [h1, h2], rho, tol)
     for which, cert in zip(("first", "second"), certs):
         if not cert.verified:
             raise PreconditionFailed(
@@ -472,12 +472,9 @@ def contrary_bound_check(h1: History, h2: History,
     e2 = _contrary_events(h1, h2, tol)[1]
     components: tuple[ContraryBoundReport, ...] = ()
     if rho.purity < 1.0 - tol.prob:
-        w, v = np.linalg.eigh(rho.matrix)
-        comp_rhos = pure_densities(v.T[w > tol.eig], tol)
-        events = _event_pairs(h1, h2)
         components = tuple(contrary_bound_check(h1, h2, tuple(_certificates(
-            [cert1.mirror, cert2.mirror], [h1, h2], events, r, tol)), r, tol)
-            for r in comp_rhos)
+            [cert1.mirror, cert2.mirror], [h1, h2], r, tol)), r, tol)
+            for r in pure_densities(_support(rho.matrix, tol).T, tol))
 
     p1, p2 = probability(h1, rho), probability(h2, rho)
     p_e2 = _event_probability(e2, rho)

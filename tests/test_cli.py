@@ -46,7 +46,7 @@ from qhistories.errors import (
     TraceNotOne,
     ValidationError,
 )
-from qhistories.histories import make_resolution
+from qhistories.histories import elementary_histories, make_resolution
 from qhistories.matcore import DEFAULT_TOL, validate_projection
 from qhistories.mirror import self_decoherence_each, verify_mirror
 from qhistories.scenarios import build_example1, build_example2
@@ -852,8 +852,8 @@ def test_stacked_elementary_probabilities_match_probability_bit_for_bit(
     rho = random_density(dim, rng, rank=rank or dim, tol=TOL)
     analysis = FamilyAnalysis(family, TOL)
     got = _elementary_probabilities(analysis, rho)
-    assert list(got) == [h.label for h in analysis.histories]
-    for h in analysis.histories:
+    assert list(got) == [h.label for h in elementary_histories(family)]
+    for h in elementary_histories(family):
         assert got[h.label].raw == probability(h, rho), h.label
 
 
@@ -863,7 +863,7 @@ def test_example1_probabilities_match_probability_bit_for_bit(theta):
     analysis = FamilyAnalysis(inst.family, TOL)
     for rho in (inst.rho, inst.rho1, inst.rho2):
         got = _elementary_probabilities(analysis, rho)
-        for h in analysis.histories:
+        for h in elementary_histories(inst.family):
             assert got[h.label].raw == probability(h, rho), h.label
 
 
@@ -1054,6 +1054,73 @@ def test_non_finite_angles_and_sweep_bounds_exit_2(capsys, argv, named):
     assert captured.err == f"error: {named} is not finite\n"
 
 
+TOLERANCE_RANGE = "error: tolerances must be finite and positive, and eig below 1/2\n"
+
+
+@pytest.mark.parametrize("head, option, value, status, err", [
+    *((["sweep", "--param", "alpha", "--stop", "1", "--steps", "2"], "--start",
+       value, 1, "") for value in ("-1e-3", "-2.5E-1")),
+    (["sweep", "--param", "alpha", "--stop", "1", "--steps", "2"], "--start",
+     "-inf", 2, "error: --start -inf is not finite\n"),
+    *((["example1", "--theta", "1"], "--alpha", value, 1, "")
+      for value in ("-1e-3", "-2.5E-1")),
+    (["example1", "--theta", "1"], "--alpha", "-inf", 2,
+     "error: alpha -inf is not finite\n"),
+    *((["example1", "--theta", "1"], "--tol-op", value, 2, TOLERANCE_RANGE)
+      for value in ("-1e-3", "-2.5E-1", "-inf"))])
+def test_a_negative_float_in_any_form_is_an_option_value(head, option, value,
+                                                         status, err, capsys):
+    """``--start -1e-3`` reads as ``--start=-1e-3`` does: a finite value runs
+    or fails its own range check, and ``-inf`` is named as not finite, each
+    with one ``error:`` line and nothing on stdout.  argparse alone reads
+    only forms like ``-1`` and ``-0.5`` as values."""
+    assert main([*head, f"{option}={value}"]) == status
+    joined = capsys.readouterr()
+    assert main([*head, option, value]) == status
+    assert capsys.readouterr() == joined
+    assert joined.err == err and (status != 2 or joined.out == "")
+    args = build_parser().parse_args([*head, option, value])
+    assert getattr(args, option[2:].replace("-", "_")) == float(value)
+
+
+def _one_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_argument_errors_are_one_line(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(serialize_problem(example1_problem()))
+    assert _one_error_line(["check", str(path), "--notions", ","], capsys) == (
+        "error: empty --notions list\n")
+    assert _one_error_line(["check", str(path), "--notions", "bogus"], capsys) == (
+        "error: unknown notion 'bogus'; choose from weak, medium, linear-positive, "
+        "ordered, sum-rule, C1-compat, self-decoherence\n")
+    assert _one_error_line(["sweep", "--param", "alpha", "--start", "0", "--stop",
+                            "1", "--steps", "0"], capsys) == (
+        "error: steps must be at least 1\n")
+
+
+def test_problem_shape_and_mixture_errors_are_one_line(tmp_path, capsys):
+    """A problem file that is no object, a mixture naming no operator, and
+    a mixture whose sum is no density each get one line."""
+    path = tmp_path / "p.json"
+    problem = json.loads(serialize_problem(example1_problem()))
+    half = problem["operators"]["rho1"]
+    for text, message in (
+            (json.dumps([problem]), "problem document must be a JSON object"),
+            (json.dumps({**problem, "state": [["rho3", 1.0]]}),
+             "state references unknown operator 'rho3'"),
+            (json.dumps({**problem, "state": [["HALF", 1.0]], "operators": {
+                **problem["operators"], "HALF": {
+                    part: (np.array(half[part]) / 2).tolist() for part in ("re", "im")}}}),
+             "state mixture: density candidate has trace residual 5.000e-01")):
+        path.write_text(text)
+        assert _one_error_line(["check", str(path)], capsys) == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_operators_exit_2_with_their_names(value, tmp_path, capsys):
     """A NaN or infinite entry in an event or in the state, real or
@@ -1138,6 +1205,9 @@ PARSER_ARGVS = [
     ["mirror", "search", "--problem", "p.json", "--history", "(1,1)", "extra"],
     ["prop1", "--problem", "p.json", "--t", "T", "--u", "U", "--h1", "(1,1)",
      "--h2", "(2,1)", "--bogus"],
+    # a negative float with an exponent is a value on both routes
+    ["sweep", "--param", "alpha", "--start", "-1e-3", "--stop", "1", "--steps", "2",
+     "--bogus"],
 ]
 
 COMMON_OPTIONS = ["--tol-op", "1e-11", "--tol-eig", "1e-7", "--tol-prob", "1e-8",

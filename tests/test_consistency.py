@@ -757,7 +757,7 @@ def test_block_budget_does_not_change_stacked_reports(monkeypatch):
     analysis = FamilyAnalysis(family, TOL)
     whole = [analysis.reports(name, states) for name in ("weak", "medium")]
     assert len({r.worst_residual for r in whole[0]}) == len(states)
-    n, m = len(analysis.histories), len(analysis.histories) // 4
+    n, m = len(elementary_histories(family)), len(elementary_histories(family)) // 4
     within = [(s, i, (1, 4, min(7, m - i), m))
               for s in range(len(states)) for i in range(0, m, 7)]
     # seven prefix rows of 16 per block, or two whole states per block

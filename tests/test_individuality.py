@@ -31,6 +31,7 @@ from qhistories.histories import (
     History,
     HistoryFamily,
     ResolutionOfIdentity,
+    elementary_histories,
     make_resolution,
 )
 from qhistories.matcore import (
@@ -557,7 +558,7 @@ def test_component_route_keeps_the_witnesses_of_any_block_layout(monkeypatch):
         whole = analysis.block_slots == family.length
         if rows is not None:
             monkeypatch.setattr(matcore, "_BLOCK_BYTES",
-                                16 * len(analysis.histories) * rows)
+                                16 * len(elementary_histories(family)) * rows)
         for factory in LINEAR:
             prop = factory(family, TOL)
             got = individuality_violation_search(prop, rho1, rho2,

@@ -600,7 +600,7 @@ def _closures():
         cases += [(random_family(d, 2, rng, TOL), states),
                   (binary_family(*random_commuting_events(d, rng, TOL)), states)]
     for family, states in cases:
-        events = FamilyAnalysis(family, TOL).event_pairs
+        events = mirror._event_pairs(*elementary_histories(family))
         for rho in states:
             support = mirror._support(rho.matrix, TOL)
             yield events, support, mirror._least_projections(events, support, TOL)
@@ -950,7 +950,7 @@ def test_stacked_self_decoherence_matches_one_state_calls(source):
         for report, rho in zip(got, states):
             assert report.state is rho
             _same_report_bits(report, *self_decoherence_each(analysis, [rho], provided))
-            for h in analysis.histories:
+            for h in elementary_histories(family):
                 cert = report.per_history[h.label]
                 if h.label not in (provided or {}) and cert is not None:
                     _same_bits(cert, least_mirror(h, rho, TOL))
@@ -975,7 +975,7 @@ def test_grid_states_are_decided_like_one_state_calls(source):
     for report, rho in zip(self_decoherence_each(analysis, states), states):
         assert report.state is rho
         _same_report_bits(report, *self_decoherence_each(analysis, [rho]))
-        for h in analysis.histories:
+        for h in elementary_histories(inst.family):
             cert = least_mirror(h, rho, TOL)
             assert cert.state is rho
             if report.per_history[h.label] is not None:

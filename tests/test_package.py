@@ -1,8 +1,8 @@
 """Package surface: every name a module exports exists, the package
 re-exports only module exports, no export takes a seed or an option, only
-``matcore`` sizes blocks, one entry map reads each linear value, the
-command line does no probability arithmetic, and ``pyproject.toml``
-carries the package version."""
+``matcore`` sizes blocks, one entry map reads each linear value, one
+module lays out two-event stacks, the command line does no probability
+arithmetic, and ``pyproject.toml`` carries the package version."""
 
 import ast
 import importlib
@@ -106,6 +106,28 @@ def test_linear_entries_come_from_one_entry_map_each():
     named = {getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
              for node in ast.walk(ast.parse(inspect.getsource(individuality)))}
     assert not named & {"_final_blocks", "chain_traces", "pair_entries"}
+
+
+def test_two_event_stacks_are_built_in_one_module():
+    """A 2-event history's ``(e1, e2)`` stack is laid out by ``mirror``'s
+    ``_event_pairs`` alone, called by the certificate kernel and the coarse
+    sums; a family analysis keeps neither the elementary histories nor
+    their event stack."""
+    callers = []
+    for name in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if called == "_event_pairs":
+                        callers.append((name, func.name))
+    assert sorted(callers) == [("qhistories.mirror", "_certificates"),
+                               ("qhistories.mirror", "coarse_sum_mirrors")]
+    from qhistories.consistency import FamilyAnalysis
+    assert not {"histories", "event_pairs"} & set(dir(FamilyAnalysis))
 
 
 def test_the_cli_holds_no_probability_arithmetic():
